@@ -282,10 +282,8 @@ func BenchmarkAblationMemslotPlacement(b *testing.B) {
 		for _, kind := range kinds {
 			for _, ram := range rams {
 				lab := vmsh.NewLab()
-				vm, err := lab.LaunchVM(vmsh.WithVMConfig(vmsh.VMConfig{
-					Hypervisor: kind, RAMSize: ram, RootFS: vmsh.GuestRoot("d4"),
-					Seed: int64(ram) + int64(kind),
-				}))
+				vm, err := lab.LaunchVM(vmsh.WithHypervisor(kind), vmsh.WithMemMiB(ram>>20),
+					vmsh.WithRootFS(vmsh.GuestRoot("d4")), vmsh.WithVMSeed(int64(ram)+int64(kind)))
 				if err != nil {
 					b.Fatal(err)
 				}

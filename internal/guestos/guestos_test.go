@@ -151,7 +151,7 @@ func TestMountNamespaceIsolation(t *testing.T) {
 	b := k.Spawn(k.InitProc, "b")
 	// Give b its own namespace with an extra mount.
 	b.NS = k.CloneNamespace(b.NS)
-	extra := newRAMFS()
+	extra := NewRootFS()
 	b.NS.AddMount("/private", extra)
 	if err := b.WriteFile("/private/f", []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
@@ -171,8 +171,8 @@ func TestMountNamespaceIsolation(t *testing.T) {
 func TestLongestPrefixMountResolution(t *testing.T) {
 	_, k := bootKernel(t, "5.10", 7)
 	p := k.Spawn(k.InitProc, "t")
-	inner := newRAMFS()
-	p.NS.AddMount("/mnt", newRAMFS())
+	inner := NewRootFS()
+	p.NS.AddMount("/mnt", NewRootFS())
 	p.NS.AddMount("/mnt/inner", inner)
 	if err := p.WriteFile("/mnt/inner/f", []byte("deep"), 0o644); err != nil {
 		t.Fatal(err)
@@ -398,7 +398,7 @@ func TestRemoveAll(t *testing.T) {
 
 func TestShellRedirection(t *testing.T) {
 	_, k := bootKernel(t, "5.10", 7)
-	// Shell needs binaries present; stage them on the ramfs root.
+	// Shell needs binaries present; stage them on the in-memory root.
 	p := k.Spawn(k.InitProc, "sh")
 	_ = k.mkdirAll(p.NS, "/bin")
 	for _, b := range []string{"echo", "cat"} {

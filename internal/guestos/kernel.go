@@ -284,10 +284,10 @@ func Boot(cfg Config) (*Kernel, error) {
 		}
 	}
 
-	// VFS: a ramfs root until/unless a root image is mounted, plus
-	// /dev, /tmp and a live /proc.
+	// VFS: an in-memory root until/unless a root image is mounted,
+	// plus /dev, /tmp and a live /proc.
 	k.rootNS = k.newNamespace()
-	k.rootNS.mounts = []*Mount{{Path: "/", FS: newRAMFS()}}
+	k.rootNS.mounts = []*Mount{{Path: "/", FS: NewRootFS()}}
 	for _, dir := range []string{"/dev", "/tmp", "/etc", "/proc", "/var"} {
 		if err := k.mkdirAll(k.rootNS, dir); err != nil {
 			return nil, err

@@ -13,12 +13,21 @@ import (
 
 // FSNode is the inode contract the VFS walks; the canonical
 // definition now lives in internal/storage (Node). simplefs inodes
-// are adapted via sfsNode; ramfs implements it natively, and every
-// storage backend (memory, cow, cas, remote) mounts directly.
+// are adapted via sfsNode, and every storage backend (memory, cow,
+// cas, remote) mounts directly.
 type FSNode = storage.Node
 
 // FileSystem is a mountable filesystem (storage.FS).
 type FileSystem = storage.FS
+
+// NewRootFS builds the in-memory filesystem the kernel mounts at / (and
+// so /dev, /tmp) when no disk root is mounted: the storage memory
+// backend, which the conformance suite checks in exactly this shape.
+// It is sized at 1Mi blocks and inodes (4 GiB), so /tmp on a diskless
+// guest is not capped at the memory backend's 256 MiB default.
+func NewRootFS() *storage.MemFS {
+	return storage.NewMemFS(storage.MemOptions{Blocks: 1 << 20, Inodes: 1 << 20})
+}
 
 // --- simplefs adapter --------------------------------------------------
 

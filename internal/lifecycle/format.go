@@ -1,18 +1,17 @@
-// Snapshot file format: the replay-log conventions (line-JSON, an
-// FNV-64a checksum chain seeded by the header and sealed by the
-// footer) applied to whole-VM state. Every line is one JSON object;
-// the first is the header, the last the footer, and everything in
-// between is a typed record ("t" field). Encoding the same Snapshot
-// twice yields byte-identical output.
+// Snapshot file format: whole-VM state on the replay log's framing
+// (internal/chainlog). The header carries the label and capture vtime;
+// every later line is a typed record ("t" field) with its own link of
+// the checksum chain, and the "footer" record ends the stream. Encoding
+// the same Snapshot twice yields byte-identical output.
 package lifecycle
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
-	"vmsh/internal/faults"
+	"vmsh/internal/chainlog"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
 	"vmsh/internal/kvm"
@@ -22,8 +21,10 @@ import (
 // Magic identifies a snapshot stream.
 const Magic = "vmsh-snap"
 
-// Version is the current snapshot format version.
-const Version = 1
+// Version is the current snapshot format version. Version 1 sealed a
+// whole-line chain in the footer only; version 2 moved onto the
+// per-line chainlog framing, and v1 files are refused as version skew.
+const Version = 2
 
 // Snapshot is a decoded whole-VM snapshot: enough to reconstruct the
 // VM byte-for-byte on any simulated host. RAM and disk content are
@@ -102,12 +103,6 @@ type SessionState struct {
 type snapLine struct {
 	T string `json:"t"`
 
-	// header
-	Magic   string `json:"magic,omitempty"`
-	Version int    `json:"v,omitempty"`
-	Label   string `json:"label,omitempty"`
-	VTime   int64  `json:"vtime,omitempty"`
-
 	// config
 	Config *hypervisor.Config `json:"config,omitempty"`
 
@@ -130,101 +125,57 @@ type snapLine struct {
 	Trap    int    `json:"trap,omitempty"`
 
 	// footer
-	Records   int      `json:"records,omitempty"`
 	RAMHashes []uint64 `json:"ram,omitempty"`
-	Chain     string   `json:"ck,omitempty"`
-}
-
-// snapChain folds one emitted line into the checksum chain, exactly
-// like the replay log's record chaining.
-func snapChain(prev uint64, content string) uint64 {
-	return uint64(faults.NewDigest().U64(prev).Str(content))
-}
-
-func hex16(v uint64) string {
-	const digits = "0123456789abcdef"
-	var buf [16]byte
-	for i := 15; i >= 0; i-- {
-		buf[i] = digits[v&0xf]
-		v >>= 4
-	}
-	return string(buf[:])
 }
 
 // WriteTo encodes the snapshot in canonical form. It implements
-// io.WriterTo; the byte count is best-effort (bufio owns the writes).
+// io.WriterTo.
 func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var written int64
-	ck := uint64(0)
-	n := 0
-	emit := func(l snapLine) error {
-		b, err := json.Marshal(l)
+	label, err := json.Marshal(s.Label)
+	if err != nil {
+		return 0, err
+	}
+	cw := chainlog.NewWriter(w, Magic, Version, fmt.Sprintf(`,"label":%s,"vtime":%d`, label, s.VTime))
+	emit := func(l snapLine) {
 		if err != nil {
-			return err
+			return
 		}
-		ck = snapChain(ck, string(b))
-		n++
-		m, err := bw.WriteString(string(b) + "\n")
-		written += int64(m)
-		return err
+		var b []byte
+		if b, err = json.Marshal(l); err == nil {
+			cw.Line(b[:len(b)-1]) // the chain writer closes the object
+		}
 	}
 
-	if err := emit(snapLine{T: "header", Magic: Magic, Version: Version, Label: s.Label, VTime: s.VTime}); err != nil {
-		return written, err
-	}
 	cfg := s.Config
-	if err := emit(snapLine{T: "config", Config: &cfg}); err != nil {
-		return written, err
-	}
+	emit(snapLine{T: "config", Config: &cfg})
 	for i := range s.VCPUs {
-		if err := emit(snapLine{T: "vcpu", VCPU: &s.VCPUs[i]}); err != nil {
-			return written, err
-		}
+		emit(snapLine{T: "vcpu", VCPU: &s.VCPUs[i]})
 	}
 	for i := range s.Cursors {
-		if err := emit(snapLine{T: "cursors", Cursors: &s.Cursors[i]}); err != nil {
-			return written, err
-		}
+		emit(snapLine{T: "cursors", Cursors: &s.Cursors[i]})
 	}
 	for _, p := range s.Pages {
-		if err := emit(snapLine{T: "page", Slot: p.Slot, Index: p.Index, Data: p.Data}); err != nil {
-			return written, err
-		}
+		emit(snapLine{T: "page", Slot: p.Slot, Index: p.Index, Data: p.Data})
 	}
 	for _, d := range s.Disks {
-		if err := emit(snapLine{T: "disk", Disk: d.Name, Size: d.Size}); err != nil {
-			return written, err
-		}
+		emit(snapLine{T: "disk", Disk: d.Name, Size: d.Size})
 		for _, b := range d.Blocks {
-			if err := emit(snapLine{T: "block", Disk: d.Name, Index: b.Index, Data: b.Data}); err != nil {
-				return written, err
-			}
+			emit(snapLine{T: "block", Disk: d.Name, Index: b.Index, Data: b.Data})
 		}
 	}
 	if s.Session != nil {
-		if err := emit(snapLine{T: "session", Image: s.Session.ImageName, Size: s.Session.ImageSize,
-			Storage: s.Session.Storage, Trap: s.Session.Trap}); err != nil {
-			return written, err
-		}
+		emit(snapLine{T: "session", Image: s.Session.ImageName, Size: s.Session.ImageSize,
+			Storage: s.Session.Storage, Trap: s.Session.Trap})
 		for _, b := range s.Session.Blocks {
-			if err := emit(snapLine{T: "simage", Index: b.Index, Data: b.Data}); err != nil {
-				return written, err
-			}
+			emit(snapLine{T: "simage", Index: b.Index, Data: b.Data})
 		}
 	}
-	// The footer's own line is excluded from the chain it seals.
-	foot := snapLine{T: "footer", Records: n, RAMHashes: s.RAMHashes, Chain: hex16(ck)}
-	b, err := json.Marshal(foot)
-	if err != nil {
-		return written, err
+	emit(snapLine{T: "footer", RAMHashes: s.RAMHashes})
+	n, cerr := cw.Flush()
+	if err == nil {
+		err = cerr
 	}
-	m, err := bw.WriteString(string(b) + "\n")
-	written += int64(m)
-	if err != nil {
-		return written, err
-	}
-	return written, bw.Flush()
+	return n, err
 }
 
 // Read decodes and integrity-checks a snapshot stream. A magic or
@@ -233,95 +184,74 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 // truncated stream, an out-of-place record — wraps
 // ErrSnapshotCorrupt.
 func Read(r io.Reader) (*Snapshot, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrSnapshotCorrupt, fmt.Sprintf(format, args...))
 	}
-
-	if !sc.Scan() {
-		return nil, corrupt("empty snapshot stream")
+	var hdr struct {
+		Label string `json:"label"`
+		VTime int64  `json:"vtime"`
 	}
-	hdrLine := sc.Text()
-	var hdr snapLine
-	if err := json.Unmarshal([]byte(hdrLine), &hdr); err != nil {
-		return nil, corrupt("bad header: %v", err)
-	}
-	if hdr.Magic != Magic {
-		return nil, fmt.Errorf("lifecycle: not a vmsh snapshot (magic %q)", hdr.Magic)
-	}
-	if hdr.Version != Version {
-		return nil, fmt.Errorf("lifecycle: snapshot version %d not supported (want %d)", hdr.Version, Version)
-	}
-
-	s := &Snapshot{Label: hdr.Label, VTime: hdr.VTime}
-	ck := snapChain(0, hdrLine)
-	n := 1
+	s := &Snapshot{}
 	diskByName := map[string]int{}
-	sawFooter := false
-	for sc.Scan() {
-		line := sc.Text()
-		var l snapLine
-		if err := json.Unmarshal([]byte(line), &l); err != nil {
-			return nil, corrupt("record %d: %v", n, err)
-		}
-		if l.T == "footer" {
-			if l.Records != n {
-				return nil, corrupt("footer claims %d records, stream has %d", l.Records, n)
-			}
-			if l.Chain != hex16(ck) {
-				return nil, corrupt("checksum chain mismatch (stream modified?)")
-			}
-			s.RAMHashes = l.RAMHashes
-			sawFooter = true
-			break
-		}
-		ck = snapChain(ck, line)
-		n++
+	err := chainlog.Read(r, Magic, Version, &hdr, func(n int, l *snapLine) (bool, error) {
 		switch l.T {
+		case "footer":
+			if len(l.RAMHashes) > 0 { // "ram":[] stays nil, as it re-encodes
+				s.RAMHashes = l.RAMHashes
+			}
+			return true, nil
 		case "config":
 			if l.Config == nil {
-				return nil, corrupt("config record without payload")
+				return false, corrupt("config record without payload")
 			}
 			s.Config = *l.Config
 		case "vcpu":
 			if l.VCPU == nil {
-				return nil, corrupt("vcpu record without payload")
+				return false, corrupt("vcpu record without payload")
 			}
 			s.VCPUs = append(s.VCPUs, *l.VCPU)
 		case "cursors":
 			if l.Cursors == nil {
-				return nil, corrupt("cursors record without payload")
+				return false, corrupt("cursors record without payload")
 			}
 			s.Cursors = append(s.Cursors, *l.Cursors)
-		case "page":
-			s.Pages = append(s.Pages, PageRecord{Slot: l.Slot, Index: l.Index, Data: l.Data})
+		case "page", "block", "simage":
+			if len(l.Data) == 0 || len(l.Data) > PageSize {
+				return false, corrupt("record %d: %s payload of %d bytes", n, l.T, len(l.Data))
+			}
+			b := BlockRecord{Index: l.Index, Data: l.Data}
+			switch l.T {
+			case "page":
+				s.Pages = append(s.Pages, PageRecord{Slot: l.Slot, Index: l.Index, Data: l.Data})
+			case "block":
+				i, ok := diskByName[l.Disk]
+				if !ok {
+					return false, corrupt("block for undeclared disk %q", l.Disk)
+				}
+				s.Disks[i].Blocks = append(s.Disks[i].Blocks, b)
+			default:
+				if s.Session == nil {
+					return false, corrupt("simage block before session record")
+				}
+				s.Session.Blocks = append(s.Session.Blocks, b)
+			}
 		case "disk":
 			diskByName[l.Disk] = len(s.Disks)
 			s.Disks = append(s.Disks, DiskImage{Name: l.Disk, Size: l.Size})
-		case "block":
-			i, ok := diskByName[l.Disk]
-			if !ok {
-				return nil, corrupt("block for undeclared disk %q", l.Disk)
-			}
-			s.Disks[i].Blocks = append(s.Disks[i].Blocks, BlockRecord{Index: l.Index, Data: l.Data})
 		case "session":
 			s.Session = &SessionState{ImageName: l.Image, ImageSize: l.Size, Storage: l.Storage, Trap: l.Trap}
-		case "simage":
-			if s.Session == nil {
-				return nil, corrupt("simage block before session record")
-			}
-			s.Session.Blocks = append(s.Session.Blocks, BlockRecord{Index: l.Index, Data: l.Data})
 		default:
-			return nil, corrupt("record %d: unknown type %q", n, l.T)
+			return false, corrupt("record %d: unknown type %q", n, l.T)
 		}
+		return false, nil
+	})
+	var ce *chainlog.Error
+	if errors.As(err, &ce) {
+		return nil, fmt.Errorf("%w: %w", ErrSnapshotCorrupt, err)
 	}
-	if err := sc.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	if !sawFooter {
-		return nil, corrupt("truncated snapshot: no footer")
-	}
+	s.Label, s.VTime = hdr.Label, hdr.VTime
 	return s, nil
 }

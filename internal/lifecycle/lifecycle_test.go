@@ -122,6 +122,59 @@ func TestSnapshotCorruptionDiagnosed(t *testing.T) {
 	if _, err := Read(strings.NewReader(`{"t":"header","magic":"nope","v":1}` + "\n")); err == nil || errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("magic mismatch should be a plain error: %v", err)
 	}
+	// So is a v1 snapshot: version skew, with no second reader kept.
+	if _, err := Read(strings.NewReader(v1Header + "\n")); err == nil || errors.Is(err, ErrSnapshotCorrupt) ||
+		!strings.Contains(err.Error(), "version skew") {
+		t.Fatalf("v1 snapshot should be a plain version-skew error: %v", err)
+	}
+}
+
+// TestRestoreRejectsCorruptSnapshots: snapshot contents that used to
+// panic Restore or write at a wrapped offset are ErrSnapshotCorrupt.
+func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
+	h := hostsim.NewHost()
+	base, err := Take(launch(t, h, "snap-hostile", 46), TakeOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Disks) == 0 {
+		t.Fatal("snapshot has no disk to corrupt")
+	}
+	one := []byte{1}
+	withPage := func(p PageRecord) func(*Snapshot) {
+		return func(s *Snapshot) { s.Pages = append(append([]PageRecord(nil), s.Pages...), p) }
+	}
+	withSession := func(size int64, b BlockRecord) func(*Snapshot) {
+		return func(s *Snapshot) {
+			s.Session = &SessionState{ImageName: "hostile.img", ImageSize: size, Blocks: []BlockRecord{b}}
+		}
+	}
+	cases := []struct {
+		name   string
+		mutate func(*Snapshot)
+	}{
+		{"session block past image size", withSession(PageSize, BlockRecord{Index: 5, Data: one})},
+		{"negative session image size", withSession(-1, BlockRecord{Data: one})},
+		{"page index wraps offset", withPage(PageRecord{Index: 1 << 52, Data: one})},
+		{"disk block index wraps offset", func(s *Snapshot) {
+			s.Disks = append([]DiskImage(nil), s.Disks...)
+			d := &s.Disks[0]
+			d.Blocks = append(append([]BlockRecord(nil), d.Blocks...), BlockRecord{Index: 1 << 52, Data: one})
+		}},
+		{"empty page payload", withPage(PageRecord{Index: 1})},
+		{"page payload over PageSize", withPage(PageRecord{Index: 1, Data: make([]byte, PageSize+1)})},
+		{"empty session block payload", withSession(PageSize, BlockRecord{})},
+		{"negative vcpu index", func(s *Snapshot) { s.VCPUs = []VCPUState{{Index: -1}} }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := *base
+			tc.mutate(&s)
+			if _, _, err := Restore(hostsim.NewHost(), &s, RestoreOpts{}); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("want ErrSnapshotCorrupt, got %v", err)
+			}
+		})
+	}
 }
 
 func TestRestoreReconstructsRAM(t *testing.T) {

@@ -463,7 +463,7 @@ func (m *migration) syncDirty(skip map[uint32]map[uint64]bool) (int, error) {
 			if off >= uint64(len(sp.Data)) {
 				continue
 			}
-			end := min64(off+PageSize, uint64(len(sp.Data)))
+			end := min(off+PageSize, uint64(len(sp.Data)))
 			copy(dp.Data[off:end], sp.Data[off:end])
 			moved++
 		}
@@ -555,7 +555,7 @@ func (m *migration) fetchPage(slot uint32, idx uint64) {
 	if ok1 && ok2 {
 		off := idx * PageSize
 		if off < uint64(len(sp.Data)) {
-			end := min64(off+PageSize, uint64(len(sp.Data)))
+			end := min(off+PageSize, uint64(len(sp.Data)))
 			copy(dp.Data[off:end], sp.Data[off:end])
 			m.charge(int(end-off) + 16)
 		}
@@ -581,7 +581,7 @@ func hashWithPending(dst, src []byte, pending map[uint64]bool) uint64 {
 	}
 	h := fnv.New64a()
 	for off := uint64(0); off < uint64(len(dst)); off += PageSize {
-		end := min64(off+PageSize, uint64(len(dst)))
+		end := min(off+PageSize, uint64(len(dst)))
 		if pending[off/PageSize] && end <= uint64(len(src)) {
 			h.Write(src[off:end])
 		} else {

@@ -85,7 +85,7 @@ func Take(inst *hypervisor.Instance, o TakeOpts) (*Snapshot, error) {
 	for _, sl := range slotsByNum(inst) {
 		data := sl.Phys.Data
 		for off := uint64(0); off < uint64(len(data)); off += PageSize {
-			pg := data[off:min64(off+PageSize, uint64(len(data)))]
+			pg := data[off:min(off+PageSize, uint64(len(data)))]
 			if !allZero(pg) {
 				s.Pages = append(s.Pages, PageRecord{
 					Slot: sl.Slot, Index: off / PageSize,
@@ -135,23 +135,21 @@ func Restore(h *hostsim.Host, s *Snapshot, o RestoreOpts) (*hypervisor.Instance,
 		slots[sl.Slot] = sl.Phys
 	}
 	for _, p := range slots {
-		zero(p.Data)
+		clear(p.Data)
 	}
 	for _, pg := range s.Pages {
 		p, ok := slots[pg.Slot]
 		if !ok {
 			return nil, nil, fmt.Errorf("lifecycle restore: %w: page for unknown memslot %d", ErrSnapshotCorrupt, pg.Slot)
 		}
-		off := pg.Index * PageSize
-		if off+uint64(len(pg.Data)) > uint64(len(p.Data)) {
-			return nil, nil, fmt.Errorf("lifecycle restore: %w: page %d outside slot %d", ErrSnapshotCorrupt, pg.Index, pg.Slot)
+		if !putBlock(p.Data, pg.Index, pg.Data) {
+			return nil, nil, fmt.Errorf("lifecycle restore: %w: page %d (%d bytes) outside slot %d", ErrSnapshotCorrupt, pg.Index, len(pg.Data), pg.Slot)
 		}
-		copy(p.Data[off:], pg.Data)
 	}
 
 	for _, vs := range s.VCPUs {
 		vcpus := inst.VM.VCPUs()
-		if vs.Index >= len(vcpus) {
+		if vs.Index < 0 || vs.Index >= len(vcpus) {
 			return nil, nil, fmt.Errorf("lifecycle restore: %w: vcpu %d not present after relaunch", ErrSnapshotCorrupt, vs.Index)
 		}
 		vcpus[vs.Index].SetRegs(vs.Regs)
@@ -168,13 +166,11 @@ func Restore(h *hostsim.Host, s *Snapshot, o RestoreOpts) (*hypervisor.Instance,
 			return nil, nil, fmt.Errorf("lifecycle restore: disk %s: %w", d.Name, err)
 		}
 		data := f.Bytes()
-		zero(data)
+		clear(data)
 		for _, b := range d.Blocks {
-			off := b.Index * PageSize
-			if off+uint64(len(b.Data)) > uint64(len(data)) {
-				return nil, nil, fmt.Errorf("lifecycle restore: %w: block %d outside disk %s", ErrSnapshotCorrupt, b.Index, d.Name)
+			if !putBlock(data, b.Index, b.Data) {
+				return nil, nil, fmt.Errorf("lifecycle restore: %w: block %d (%d bytes) outside disk %s", ErrSnapshotCorrupt, b.Index, len(b.Data), d.Name)
 			}
-			copy(data[off:], b.Data)
 		}
 	}
 
@@ -187,10 +183,14 @@ func Restore(h *hostsim.Host, s *Snapshot, o RestoreOpts) (*hypervisor.Instance,
 
 	var sess *core.Session
 	if s.Session != nil && !o.SkipReattach {
+		if s.Session.ImageSize < 0 {
+			return nil, nil, fmt.Errorf("lifecycle restore: %w: session image size %d", ErrSnapshotCorrupt, s.Session.ImageSize)
+		}
 		img := h.CreateFile(s.Session.ImageName, s.Session.ImageSize, false)
-		data := img.Bytes()
 		for _, b := range s.Session.Blocks {
-			copy(data[b.Index*PageSize:], b.Data)
+			if !putBlock(img.Bytes(), b.Index, b.Data) {
+				return nil, nil, fmt.Errorf("lifecycle restore: %w: block %d (%d bytes) outside session image", ErrSnapshotCorrupt, b.Index, len(b.Data))
+			}
 		}
 		sess, err = core.New(h).Attach(inst.Proc.PID, core.Options{
 			Image:   img,
@@ -286,12 +286,28 @@ type kvmSlot struct {
 func sparseBlocks(data []byte) []BlockRecord {
 	var out []BlockRecord
 	for off := uint64(0); off < uint64(len(data)); off += PageSize {
-		b := data[off:min64(off+PageSize, uint64(len(data)))]
+		b := data[off:min(off+PageSize, uint64(len(data)))]
 		if !allZero(b) {
 			out = append(out, BlockRecord{Index: off / PageSize, Data: append([]byte(nil), b...)})
 		}
 	}
 	return out
+}
+
+// putBlock copies one sparse unit into dst at PageSize unit idx. It
+// reports false, copying nothing, when data is empty, longer than a
+// unit, or does not fit inside dst — idx is bounded before it is
+// scaled, so a huge index cannot wrap to an in-range offset.
+func putBlock(dst []byte, idx uint64, data []byte) bool {
+	if len(data) == 0 || len(data) > PageSize || idx > uint64(len(dst))/PageSize {
+		return false
+	}
+	off := idx * PageSize
+	if off+uint64(len(data)) > uint64(len(dst)) {
+		return false
+	}
+	copy(dst[off:], data)
+	return true
 }
 
 var zeroPage [PageSize]byte
@@ -311,21 +327,8 @@ func allZero(b []byte) bool {
 	return true
 }
 
-func zero(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
 func hashBytes(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b)
 	return h.Sum64()
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -11,8 +11,8 @@
 // exact through replay follows the timing-simulation discipline of
 // arXiv:2206.00258.
 //
-// Log format (version 1) is line-oriented JSON with a FNV-64a checksum
-// chain, one line per element:
+// Log format (version 1) is line-oriented JSON framed by
+// internal/chainlog (a FNV-64a checksum chain), one line per element:
 //
 //	{"magic":"vmsh-replay","v":1,"label":L,"seed":S}
 //	{"s":1,"op":"ptrace:attach","st":"","os":1,"a":H16,"r":H16,"e":"","vt":NS,"ck":H16}
@@ -27,14 +27,14 @@
 package replay
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 
+	"vmsh/internal/chainlog"
 	"vmsh/internal/faults"
 )
 
@@ -107,17 +107,6 @@ func (d *Divergence) Error() string {
 	return b.String()
 }
 
-// hex16 formats a digest as fixed-width lowercase hex.
-func hex16(v uint64) string {
-	const digits = "0123456789abcdef"
-	var buf [16]byte
-	for i := 15; i >= 0; i-- {
-		buf[i] = digits[v&0xf]
-		v >>= 4
-	}
-	return string(buf[:])
-}
-
 // jq marshals a string as JSON (never fails for valid UTF-8 input).
 func jq(s string) string {
 	b, err := json.Marshal(s)
@@ -127,29 +116,22 @@ func jq(s string) string {
 	return string(b)
 }
 
-// headerLine renders the header element (which seeds the chain).
-func (lg *Log) headerLine() string {
-	return fmt.Sprintf(`{"magic":%s,"v":%d,"label":%s,"seed":%d}`,
-		jq(Magic), lg.Version, jq(lg.Label), lg.Seed)
+// appendRecord renders a record line up to (excluding) its "ck" field.
+func appendRecord(b []byte, r Record) []byte {
+	return fmt.Appendf(b, `{"s":%d,"op":%s,"st":%s,"os":%d,"a":"%s","r":"%s","e":%s,"vt":%d`,
+		r.Seq, jq(r.Op), jq(r.Stage), r.OpSeq, chainlog.Hex16(r.Args), chainlog.Hex16(r.Result), jq(r.Err), r.VTime)
 }
 
-// recordPrefix renders a record line up to (excluding) its "ck" field.
-func recordPrefix(r Record) string {
-	return fmt.Sprintf(`{"s":%d,"op":%s,"st":%s,"os":%d,"a":"%s","r":"%s","e":%s,"vt":%d`,
-		r.Seq, jq(r.Op), jq(r.Stage), r.OpSeq, hex16(r.Args), hex16(r.Result), jq(r.Err), r.VTime)
-}
-
-// footerPrefix renders the footer line up to (excluding) its "ck".
-func footerPrefix(f Footer) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, `{"end":true,"n":%d,"vt":%d,"ram":[`, f.Crossings, f.VTime)
+// appendFooter renders the footer line up to (excluding) its "ck".
+func appendFooter(b []byte, f Footer) []byte {
+	b = fmt.Appendf(b, `{"end":true,"n":%d,"vt":%d,"ram":[`, f.Crossings, f.VTime)
 	for i, h := range f.RAM {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, `"%s"`, hex16(h))
+		b = fmt.Appendf(b, `"%s"`, chainlog.Hex16(h))
 	}
-	b.WriteString(`],"m":{`)
+	b = append(b, `],"m":{`...)
 	keys := make([]string, 0, len(f.Metrics))
 	for k := range f.Metrics {
 		keys = append(keys, k)
@@ -157,50 +139,29 @@ func footerPrefix(f Footer) string {
 	sort.Strings(keys)
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, `%s:%d`, jq(k), f.Metrics[k])
+		b = fmt.Appendf(b, `%s:%d`, jq(k), f.Metrics[k])
 	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// chain folds one element's content into the checksum chain.
-func chain(prev uint64, content string) uint64 {
-	return uint64(faults.NewDigest().U64(prev).Str(content))
+	return append(b, '}')
 }
 
 // Encode writes the log in canonical form. Encoding the same Log value
 // twice yields byte-identical output.
 func (lg *Log) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	hdr := lg.headerLine()
-	ck := chain(0, hdr)
-	if _, err := bw.WriteString(hdr + "\n"); err != nil {
-		return err
-	}
+	cw := chainlog.NewWriter(w, Magic, lg.Version, fmt.Sprintf(`,"label":%s,"seed":%d`, jq(lg.Label), lg.Seed))
+	var line []byte
 	for _, r := range lg.Records {
-		prefix := recordPrefix(r)
-		ck = chain(ck, prefix)
-		if _, err := fmt.Fprintf(bw, `%s,"ck":"%s"}`+"\n", prefix, hex16(ck)); err != nil {
-			return err
-		}
+		line = appendRecord(line[:0], r)
+		cw.Line(line)
 	}
-	prefix := footerPrefix(lg.Footer)
-	ck = chain(ck, prefix)
-	if _, err := fmt.Fprintf(bw, `%s,"ck":"%s"}`+"\n", prefix, hex16(ck)); err != nil {
-		return err
-	}
-	return bw.Flush()
+	cw.Line(appendFooter(line[:0], lg.Footer))
+	_, err := cw.Flush()
+	return err
 }
 
-// jsonElem is the decode shape shared by all three line kinds.
+// jsonElem is the decode shape shared by record and footer lines.
 type jsonElem struct {
-	// header
-	Magic *string `json:"magic"`
-	V     int     `json:"v"`
-	Label string  `json:"label"`
-	Seed  uint64  `json:"seed"`
 	// record
 	S  int    `json:"s"`
 	Op string `json:"op"`
@@ -210,19 +171,11 @@ type jsonElem struct {
 	R  string `json:"r"`
 	E  string `json:"e"`
 	Vt int64  `json:"vt"`
-	Ck string `json:"ck"`
 	// footer
 	End bool             `json:"end"`
 	N   int              `json:"n"`
 	RAM []string         `json:"ram"`
 	M   map[string]int64 `json:"m"`
-}
-
-func parseHex16(s string) (uint64, error) {
-	if len(s) != 16 {
-		return 0, fmt.Errorf("digest %q is not 16 hex digits", s)
-	}
-	return strconv.ParseUint(s, 16, 64)
 }
 
 // validErrClasses is the closed set of Record.Err values.
@@ -232,118 +185,78 @@ var validErrClasses = map[string]bool{
 	"enosys": true, "eintr": true, "eagain": true,
 }
 
-// Read decodes and validates a log. Syntactic damage, checksum-chain
-// breaks and structural violations (non-contiguous sequence numbers,
-// vtime regressions, unknown crossing classes, truncation) are all
-// reported as a *Divergence error identifying the first bad element;
-// a version or magic mismatch is reported as a plain error so callers
-// can distinguish skew from corruption.
+// Read decodes and validates a log. Framing damage (syntax, checksum-
+// chain breaks, truncation, trailing data) and structural violations
+// (non-contiguous sequence numbers, vtime regressions, unknown crossing
+// classes) are all reported as a *Divergence error identifying the
+// first bad element; a version or magic mismatch is reported as a plain
+// error so callers can distinguish skew from corruption.
 func Read(r io.Reader) (*Log, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("replay: empty log")
+	var hdr struct {
+		Label string `json:"label"`
+		Seed  uint64 `json:"seed"`
 	}
-	var hdr jsonElem
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil || hdr.Magic == nil {
-		return nil, fmt.Errorf("replay: not a vmsh replay log (bad header)")
-	}
-	if *hdr.Magic != Magic {
-		return nil, fmt.Errorf("replay: bad magic %q", *hdr.Magic)
-	}
-	if hdr.V != Version {
-		return nil, fmt.Errorf("replay: version skew: log is v%d, this reader understands v%d", hdr.V, Version)
-	}
-	lg := &Log{Version: hdr.V, Label: hdr.Label, Seed: hdr.Seed}
-	ck := chain(0, lg.headerLine())
-
+	lg := &Log{Version: Version}
 	opSeq := make(map[string]int)
 	lastVT := int64(0)
-	sawFooter := false
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(strings.TrimSpace(string(line))) == 0 {
-			continue
-		}
-		seq := len(lg.Records) + 1
-		if sawFooter {
-			return nil, &Divergence{Seq: seq, Reason: "trailing data after footer"}
-		}
-		var el jsonElem
-		if err := json.Unmarshal(line, &el); err != nil {
-			return nil, &Divergence{Seq: seq, Reason: "unparseable element: " + err.Error()}
-		}
-		lineCk, err := parseHex16(el.Ck)
-		if err != nil {
-			return nil, &Divergence{Seq: seq, Reason: "bad checksum field: " + err.Error()}
-		}
+	err := chainlog.Read(r, Magic, Version, &hdr, func(seq int, el *jsonElem) (bool, error) {
 		if el.End {
 			f := Footer{Crossings: el.N, VTime: el.Vt, Metrics: el.M}
 			if f.Metrics == nil {
 				f.Metrics = map[string]int64{}
 			}
 			for _, h := range el.RAM {
-				v, err := parseHex16(h)
+				v, err := chainlog.ParseHex16(h)
 				if err != nil {
-					return nil, &Divergence{Seq: seq, Reason: "bad RAM hash: " + err.Error()}
+					return false, &Divergence{Seq: seq, Reason: "bad RAM hash: " + err.Error()}
 				}
 				f.RAM = append(f.RAM, v)
 			}
-			ck = chain(ck, footerPrefix(f))
-			if ck != lineCk {
-				return nil, &Divergence{Seq: seq, Reason: fmt.Sprintf("footer checksum chain mismatch (want %s, log has %s)", hex16(ck), hex16(lineCk))}
-			}
 			if f.Crossings != len(lg.Records) {
-				return nil, &Divergence{Seq: seq, Reason: fmt.Sprintf("footer says %d crossings, log has %d", f.Crossings, len(lg.Records))}
+				return false, &Divergence{Seq: seq, Reason: fmt.Sprintf("footer says %d crossings, log has %d", f.Crossings, len(lg.Records))}
 			}
 			if f.VTime < lastVT {
-				return nil, &Divergence{Seq: seq, Reason: "footer vtime precedes last crossing", VTimeDelta: f.VTime - lastVT}
+				return false, &Divergence{Seq: seq, Reason: "footer vtime precedes last crossing", VTimeDelta: f.VTime - lastVT}
 			}
 			lg.Footer = f
-			sawFooter = true
-			continue
+			return true, nil
 		}
-		args, aerr := parseHex16(el.A)
-		res, rerr := parseHex16(el.R)
+		args, aerr := chainlog.ParseHex16(el.A)
+		res, rerr := chainlog.ParseHex16(el.R)
 		if aerr != nil || rerr != nil {
-			return nil, &Divergence{Seq: seq, Reason: "bad digest field"}
+			return false, &Divergence{Seq: seq, Reason: "bad digest field"}
 		}
 		rec := Record{Seq: el.S, Op: el.Op, Stage: el.St, OpSeq: el.Os,
 			Args: args, Result: res, Err: el.E, VTime: el.Vt}
-		ck = chain(ck, recordPrefix(rec))
-		if ck != lineCk {
-			return nil, &Divergence{Seq: seq, Reason: fmt.Sprintf("checksum chain mismatch (want %s, log has %s)", hex16(ck), hex16(lineCk)), ExpectedOp: rec.Op, ExpectedArgs: rec.Args}
-		}
 		if rec.Seq != seq {
-			return nil, &Divergence{Seq: seq, Reason: fmt.Sprintf("sequence gap: record says #%d", rec.Seq)}
+			return false, &Divergence{Seq: seq, Reason: fmt.Sprintf("sequence gap: record says #%d", rec.Seq)}
 		}
 		if _, ok := faults.ClassOf(faults.Op(rec.Op)); !ok {
-			return nil, &Divergence{Seq: seq, Reason: fmt.Sprintf("unknown crossing class %q", rec.Op), ExpectedOp: rec.Op}
+			return false, &Divergence{Seq: seq, Reason: fmt.Sprintf("unknown crossing class %q", rec.Op), ExpectedOp: rec.Op}
 		}
 		if !validErrClasses[rec.Err] {
-			return nil, &Divergence{Seq: seq, Reason: fmt.Sprintf("unknown error class %q", rec.Err), ExpectedOp: rec.Op}
+			return false, &Divergence{Seq: seq, Reason: fmt.Sprintf("unknown error class %q", rec.Err), ExpectedOp: rec.Op}
 		}
 		os := opSeq[rec.Op] + 1
 		opSeq[rec.Op] = os
 		if rec.OpSeq != os {
-			return nil, &Divergence{Seq: seq, Reason: fmt.Sprintf("per-op sequence mismatch for %s: record says #%d, stream implies #%d", rec.Op, rec.OpSeq, os), ExpectedOp: rec.Op}
+			return false, &Divergence{Seq: seq, Reason: fmt.Sprintf("per-op sequence mismatch for %s: record says #%d, stream implies #%d", rec.Op, rec.OpSeq, os), ExpectedOp: rec.Op}
 		}
 		if rec.VTime < lastVT {
-			return nil, &Divergence{Seq: seq, Reason: "vtime regression", ExpectedOp: rec.Op, VTimeDelta: rec.VTime - lastVT}
+			return false, &Divergence{Seq: seq, Reason: "vtime regression", ExpectedOp: rec.Op, VTimeDelta: rec.VTime - lastVT}
 		}
 		lastVT = rec.VTime
 		lg.Records = append(lg.Records, rec)
+		return false, nil
+	})
+	var ce *chainlog.Error
+	if errors.As(err, &ce) {
+		return nil, &Divergence{Seq: ce.Elem, Reason: ce.Reason}
 	}
-	if err := sc.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	if !sawFooter {
-		return nil, &Divergence{Seq: len(lg.Records) + 1, Reason: "truncated log (no footer)"}
-	}
+	lg.Label, lg.Seed = hdr.Label, hdr.Seed
 	return lg, nil
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 // memFeatures is the baseline of the in-memory family (memory, cas,
-// cow, remote): full POSIX semantics, accounting, quota, ramfs-style
-// 255-byte names. They persist only within one instance, so remount
+// cow, remote, and the guest's in-memory root): full POSIX semantics,
+// accounting, quota, 255-byte names. They persist only within one instance, so remount
 // reuses the instance after Sync.
 var memFeatures = conformance.Features{
 	CaseSensitive: true,
@@ -54,14 +54,6 @@ func TestConformance(t *testing.T) {
 	// and journals quota only on FUA-capable devices (MemBlock is).
 	sfsFeatures := memFeatures
 	sfsFeatures.MaxNameLen = 248
-
-	ramFeatures := conformance.Features{
-		CaseSensitive: true,
-		HardLinks:     true,
-		Symlinks:      true,
-		MaxNameLen:    255,
-		// ramfs keeps dense []byte data, static Statfs and no quota.
-	}
 
 	backends := []conformance.Backend{
 		{
@@ -165,10 +157,12 @@ func TestConformance(t *testing.T) {
 			},
 		},
 		{
+			// The guest kernel's diskless root ("ramfs"): the memory
+			// backend at the capacity the kernel mounts it with.
 			Name:     "ramfs",
-			Features: ramFeatures,
+			Features: memFeatures,
 			Open: func() (storage.FS, error) {
-				return guestos.NewRAMFS(), nil
+				return guestos.NewRootFS(), nil
 			},
 		},
 	}

@@ -5,11 +5,13 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 
+	"vmsh"
 	"vmsh/internal/fsimage"
 	"vmsh/internal/ksym"
 	"vmsh/internal/mem"
@@ -86,6 +88,39 @@ func ksymImage(layout ksym.Layout) []byte {
 	return img
 }
 
+// snapshotSeed encodes a snapshot of a freshly booted VM with a vmsh
+// session attached. Its RAM pages, disk blocks and session-image blocks
+// are thinned to the first two so the seed stays small: the kernel
+// image alone is about a thousand pages.
+func snapshotSeed() []byte {
+	lab := vmsh.NewLab()
+	vm, err := lab.LaunchVM(vmsh.WithVMName("corpus"), vmsh.WithMemMiB(32), vmsh.WithVMSeed(1),
+		vmsh.WithRootFS(vmsh.Manifest{"/etc/hostname": {Data: []byte("corpus\n")}}))
+	if err != nil {
+		log.Fatal(err)
+	}
+	img, err := lab.BuildImage("tools.img", vmsh.ToolImage())
+	if err != nil {
+		log.Fatal(err)
+	}
+	sess, err := lab.Attach(vm, vmsh.WithImage(img))
+	if err != nil {
+		log.Fatal(err)
+	}
+	snap, err := lab.Snapshot(vm, vmsh.WithSnapshotLabel("corpus"), vmsh.WithSnapshotSession(sess))
+	if err != nil {
+		log.Fatal(err)
+	}
+	snap.Pages = snap.Pages[:min(2, len(snap.Pages))]
+	snap.Disks[0].Blocks = snap.Disks[0].Blocks[:min(2, len(snap.Disks[0].Blocks))]
+	snap.Session.Blocks = snap.Session.Blocks[:min(2, len(snap.Session.Blocks))]
+	var buf bytes.Buffer
+	if _, err := snap.WriteTo(&buf); err != nil {
+		log.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func main() {
 	// faults: rule-grammar specs, accepted and rejected alike.
 	specs := []string{
@@ -153,6 +188,15 @@ func main() {
 		marshal(tool[:len(tool)/2]),
 		marshal([]byte("VMSHIMG1\xff\xff\xff\xff")),
 		marshal([]byte{}),
+	})
+
+	// lifecycle: a real snapshot, its truncation, a v1 header and junk.
+	snap := snapshotSeed()
+	writeCorpus("internal/lifecycle/testdata/fuzz/FuzzSnapshotRead", [][]byte{
+		marshal(snap),
+		marshal(snap[:len(snap)/2]),
+		marshal([]byte(`{"t":"header","magic":"vmsh-snap","v":1,"label":"old","vtime":1}` + "\n")),
+		marshal([]byte("\x00\xffnot a snapshot{")),
 	})
 
 	fmt.Println("corpora written")

@@ -22,10 +22,9 @@
 // The API is options-first throughout: every constructor-like call
 // (LaunchVM, Attach, Snapshot, Restore, Migrate) takes functional
 // options, applied in order with later options overriding earlier
-// ones; legacy struct bags remain available through deprecated
-// With*Config/WithOptions shims. VM lifecycle operations — whole-VM
-// snapshot/restore and live migration between labs — live on Lab too
-// (Lab.Snapshot, Lab.Restore, Lab.Migrate; see lifecycle.go).
+// ones. VM lifecycle operations — whole-VM snapshot/restore and live
+// migration between labs — live on Lab too (Lab.Snapshot, Lab.Restore,
+// Lab.Migrate; see lifecycle.go).
 package vmsh
 
 import (
@@ -79,10 +78,10 @@ type (
 	// Image is a filesystem image on the lab host.
 	Image = hostsim.HostFile
 	// ContainerSpec describes a containerised guest workload (for
-	// container-context attach via AttachOptions.ContainerPID).
+	// container-context attach via WithContainerPID).
 	ContainerSpec = guestos.ContainerSpec
 	// Switch is a deterministic inter-VM L2 switch; sessions attached
-	// with AttachOptions.Net get a vmsh-net device cabled into it.
+	// with WithNet get a vmsh-net device cabled into it.
 	Switch = netsim.Switch
 	// LinkParams overrides one port's bandwidth/latency/loss model.
 	LinkParams = netsim.LinkParams
@@ -201,7 +200,7 @@ func (l *Lab) Clock() *vclock.Clock { return l.Host.Clock }
 func (l *Lab) Costs() *vclock.Costs { return l.Host.Costs }
 
 // Trace returns the lab-wide tracer. It exists from lab creation but
-// records nothing until enabled (AttachOptions.Trace does this);
+// records nothing until enabled (WithTrace does this);
 // export a recorded run with Trace().WriteChrome.
 func (l *Lab) Trace() *Tracer { return l.Host.Trace }
 
@@ -212,7 +211,7 @@ func (l *Lab) Metrics() *Registry { return l.Host.Metrics }
 
 // Profile folds the lab tracer's span log into a vtime profile
 // (per-component attribution, folded stacks, top-N). Requires a traced
-// run (WithTrace / AttachOptions.Trace).
+// run (WithTrace).
 func (l *Lab) Profile() *Profile {
 	p := obs.NewProfile()
 	p.AddTracer("", l.Host.Trace)
@@ -220,7 +219,7 @@ func (l *Lab) Profile() *Profile {
 }
 
 // NewSwitch creates an inter-VM packet switch charged to this lab's
-// clock and cost model. Pass it via AttachOptions.Net to give each
+// clock and cost model. Pass it via WithNet to give each
 // attached guest a vmsh-net interface on a shared segment. The switch
 // is wired into the lab tracer: each port gets a "link:<name>" track.
 func (l *Lab) NewSwitch() *Switch {
@@ -235,130 +234,72 @@ const (
 	ArchARM64  = arch.ARM64
 )
 
-// VMConfig is the options bag behind the VMOption setters.
-//
-// Deprecated: construct VMs with VMOption values (WithHypervisor,
-// WithMemMiB, ...) instead of filling this struct; code still holding
-// a VMConfig can pass it through the WithVMConfig shim.
-type VMConfig struct {
-	// Hypervisor selects the personality; default QEMU.
-	Hypervisor hypervisor.Kind
-	// Arch selects the machine architecture (x86_64 default). The
-	// arm64 flavour exercises the paper's planned port: a different
-	// syscall-injection ABI, register files and page-table format.
-	Arch arch.Arch
-	// Name defaults to the personality name.
-	Name string
-	// KernelVersion is the guest kernel ("5.10" default; Table 1
-	// lists the tested LTS versions).
-	KernelVersion string
-	// RootFS is the guest root manifest; default GuestRoot("vm").
-	RootFS Manifest
-	// RAMSize defaults to 256 MiB.
-	RAMSize uint64
-	// VCPUs defaults to 1.
-	VCPUs int
-	// Seed randomises KASLR.
-	Seed int64
-	// DisableSeccomp turns off Firecracker's filters (required for
-	// attach, §6.2).
-	DisableSeccomp bool
-	// SeccompProfile selects Firecracker's filter set; the
-	// "vmsh-compatible" profile (the paper's proposed future work)
-	// permits attach without disabling filtering entirely.
-	SeccompProfile string
-	// ExtraDisks attaches additional hypervisor-owned disks.
-	ExtraDisks []hypervisor.DiskSpec
-	// NinePShare mounts a 9p host share at /mnt/9p (QEMU only).
-	NinePShare bool
-}
-
 // DiskSpec describes one extra hypervisor-owned disk (WithExtraDisk).
 type DiskSpec = hypervisor.DiskSpec
 
 // VMOption configures one aspect of LaunchVM. Options apply in order,
 // so a later option overrides an earlier one for the same setting.
-type VMOption func(*VMConfig)
+type VMOption func(*hypervisor.Config)
 
 // WithHypervisor selects the hypervisor personality (QEMU default).
 func WithHypervisor(kind hypervisor.Kind) VMOption {
-	return func(c *VMConfig) { c.Hypervisor = kind }
+	return func(c *hypervisor.Config) { c.Kind = kind }
 }
 
 // WithArch selects the machine architecture (ArchX86_64 default; the
 // arm64 flavour exercises the paper's planned port).
-func WithArch(a arch.Arch) VMOption { return func(c *VMConfig) { c.Arch = a } }
+func WithArch(a arch.Arch) VMOption { return func(c *hypervisor.Config) { c.Arch = a } }
 
 // WithVMName names the VM (defaults to the personality name).
-func WithVMName(name string) VMOption { return func(c *VMConfig) { c.Name = name } }
+func WithVMName(name string) VMOption { return func(c *hypervisor.Config) { c.Name = name } }
 
 // WithKernelVersion selects the guest kernel ("5.10" default; Table 1
 // lists the tested LTS versions).
-func WithKernelVersion(v string) VMOption { return func(c *VMConfig) { c.KernelVersion = v } }
+func WithKernelVersion(v string) VMOption { return func(c *hypervisor.Config) { c.KernelVersion = v } }
 
 // WithRootFS sets the guest root manifest (default GuestRoot("vm")).
-func WithRootFS(m Manifest) VMOption { return func(c *VMConfig) { c.RootFS = m } }
+func WithRootFS(m Manifest) VMOption { return func(c *hypervisor.Config) { c.RootFS = m } }
 
 // WithMemMiB sets the guest RAM size in MiB (256 default).
-func WithMemMiB(mib uint64) VMOption { return func(c *VMConfig) { c.RAMSize = mib << 20 } }
+func WithMemMiB(mib uint64) VMOption { return func(c *hypervisor.Config) { c.RAMSize = mib << 20 } }
 
 // WithCPUs sets the vCPU count (1 default).
-func WithCPUs(n int) VMOption { return func(c *VMConfig) { c.VCPUs = n } }
+func WithCPUs(n int) VMOption { return func(c *hypervisor.Config) { c.VCPUs = n } }
 
 // WithVMSeed seeds the guest's KASLR layout; the same seed (with the
 // same config) boots byte-identically — the property snapshot/restore
 // and migration build on.
-func WithVMSeed(seed int64) VMOption { return func(c *VMConfig) { c.Seed = seed } }
+func WithVMSeed(seed int64) VMOption { return func(c *hypervisor.Config) { c.Seed = seed } }
 
 // WithoutSeccomp turns off Firecracker's seccomp filters (required for
 // attach, §6.2).
-func WithoutSeccomp() VMOption { return func(c *VMConfig) { c.DisableSeccomp = true } }
+func WithoutSeccomp() VMOption { return func(c *hypervisor.Config) { c.DisableSeccomp = true } }
 
 // WithSeccompProfile selects Firecracker's filter set; the
 // "vmsh-compatible" profile permits attach with filters still armed.
 func WithSeccompProfile(name string) VMOption {
-	return func(c *VMConfig) { c.SeccompProfile = name }
+	return func(c *hypervisor.Config) { c.SeccompProfile = name }
 }
 
 // WithExtraDisk attaches an additional hypervisor-owned disk; repeat
 // for more than one.
 func WithExtraDisk(spec DiskSpec) VMOption {
-	return func(c *VMConfig) { c.ExtraDisks = append(c.ExtraDisks, spec) }
+	return func(c *hypervisor.Config) { c.ExtraDisks = append(c.ExtraDisks, spec) }
 }
 
 // WithNinePShare mounts a 9p host share at /mnt/9p (QEMU only).
-func WithNinePShare() VMOption { return func(c *VMConfig) { c.NinePShare = true } }
-
-// WithVMConfig applies a legacy VMConfig bag wholesale.
-//
-// Deprecated: migration shim for code built against the struct API;
-// new code should pass individual VMOption values.
-func WithVMConfig(cfg VMConfig) VMOption { return func(c *VMConfig) { *c = cfg } }
+func WithNinePShare() VMOption { return func(c *hypervisor.Config) { c.NinePShare = true } }
 
 // LaunchVM boots a VM on the lab host.
 func (l *Lab) LaunchVM(opts ...VMOption) (*VM, error) {
-	var cfg VMConfig
+	var cfg hypervisor.Config
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	root := cfg.RootFS
-	if root == nil {
-		root = GuestRoot("vm")
+	if cfg.RootFS == nil {
+		cfg.RootFS = GuestRoot("vm")
 	}
-	return hypervisor.Launch(l.Host, hypervisor.Config{
-		Kind:           cfg.Hypervisor,
-		Arch:           cfg.Arch,
-		Name:           cfg.Name,
-		KernelVersion:  cfg.KernelVersion,
-		RAMSize:        cfg.RAMSize,
-		VCPUs:          cfg.VCPUs,
-		Seed:           cfg.Seed,
-		RootFS:         root,
-		DisableSeccomp: cfg.DisableSeccomp,
-		SeccompProfile: cfg.SeccompProfile,
-		ExtraDisks:     cfg.ExtraDisks,
-		NinePShare:     cfg.NinePShare,
-	})
+	return hypervisor.Launch(l.Host, cfg)
 }
 
 // BuildImage materialises a manifest as a filesystem image file on the
@@ -372,100 +313,39 @@ func (l *Lab) BuildImage(name string, m Manifest) (*Image, error) {
 	return img, nil
 }
 
-// AttachOptions is the options bag behind the functional Option
-// setters.
-//
-// Deprecated: construct attaches with Option values (WithImage,
-// WithTrap, ...) instead of filling this struct; code still holding an
-// AttachOptions can pass it through the WithOptions shim.
-type AttachOptions struct {
-	// Image is the filesystem image to serve through vmsh-blk.
-	Image *Image
-	// Trap selects the MMIO mechanism; TrapIoregionfd by default.
-	Trap TrapMode
-	// ContainerPID adopts a guest container's context.
-	ContainerPID int
-	// NoShell suppresses the interactive shell.
-	NoShell bool
-	// PCITransport uses MSI-routed interrupts (the virtio-over-PCI
-	// extension) — required for Cloud Hypervisor.
-	PCITransport bool
-	// Net cables the session's vmsh-net device into a shared switch
-	// (Lab.NewSwitch); nil leaves the guest without networking.
-	Net *Switch
-	// NetLink overrides the switch port's link model (zero values
-	// fall back to the cost-model defaults).
-	NetLink LinkParams
-	// LegacyVirtio disables the batched guest-memory fast path,
-	// reproducing the pre-fast-path device timing exactly.
-	LegacyVirtio bool
-	// Trace enables the lab tracer before the attach begins, so the
-	// trace covers the attach phases themselves as well as all
-	// subsequent device traffic. Export with Lab.Trace().WriteChrome.
-	Trace bool
-	// Fault arms the deterministic fault-injection plane with this
-	// plan for the attach and the session that follows it.
-	Fault *FaultPlan
-	// Retry bounds per-stage retries of transient faults.
-	Retry RetryPolicy
-	// RecordPath, when non-empty, records every host crossing of the
-	// attach and session to this file; Detach seals it with the end
-	// state. Replay or verify it later with Replay / WithVerifier.
-	RecordPath string
-	// RecordLabel names the recording (defaults to the target process
-	// name); RecordSeed stamps the run's seed into the log header.
+// attachOptions is the options bag behind the Option setters: the
+// core attach options plus where and under which label to record.
+type attachOptions struct {
+	core.Options
+	RecordPath  string
 	RecordLabel string
 	RecordSeed  uint64
-	// Verify re-checks this attach live against a prior recording,
-	// crossing by crossing (see WithVerifier).
-	Verify *Verifier
-	// Storage selects the block store serving the vmsh-blk image (see
-	// WithStorageBackend). Empty is the default direct-mmap file path.
-	Storage string
-}
-
-func (o AttachOptions) toCore() core.Options {
-	return core.Options{
-		Image:        o.Image,
-		Trap:         o.Trap,
-		ContainerPID: o.ContainerPID,
-		NoShell:      o.NoShell,
-		PCITransport: o.PCITransport,
-		Net:          o.Net,
-		NetLink:      o.NetLink,
-		LegacyVirtio: o.LegacyVirtio,
-		Trace:        o.Trace,
-		Fault:        o.Fault,
-		Retry:        o.Retry,
-		Verify:       o.Verify,
-		Storage:      o.Storage,
-	}
 }
 
 // Option configures one aspect of an attach. Options apply in order,
 // so a later option overrides an earlier one for the same setting.
-type Option func(*AttachOptions)
+type Option func(*attachOptions)
 
 // WithImage serves this filesystem image through vmsh-blk; it becomes
 // the overlay root. Required unless the attach is Minimal (internal).
-func WithImage(img *Image) Option { return func(o *AttachOptions) { o.Image = img } }
+func WithImage(img *Image) Option { return func(o *attachOptions) { o.Image = img } }
 
 // WithTrap selects the MMIO interception mechanism (TrapAuto probes
 // for ioregionfd and falls back to the ptrace trap).
-func WithTrap(mode TrapMode) Option { return func(o *AttachOptions) { o.Trap = mode } }
+func WithTrap(mode TrapMode) Option { return func(o *attachOptions) { o.Trap = mode } }
 
 // WithContainerPID adopts a guest container's namespaces/cgroup
 // context (§4.4) instead of the init context.
-func WithContainerPID(pid int) Option { return func(o *AttachOptions) { o.ContainerPID = pid } }
+func WithContainerPID(pid int) Option { return func(o *attachOptions) { o.ContainerPID = pid } }
 
 // WithoutShell suppresses the interactive shell on the console; the
 // devices still serve (scanner/monitoring workloads drive them
 // directly).
-func WithoutShell() Option { return func(o *AttachOptions) { o.NoShell = true } }
+func WithoutShell() Option { return func(o *attachOptions) { o.NoShell = true } }
 
 // WithPCITransport registers devices with MSI-routed irqfds (the
 // virtio-over-PCI interrupt path) — required for Cloud Hypervisor.
-func WithPCITransport() Option { return func(o *AttachOptions) { o.PCITransport = true } }
+func WithPCITransport() Option { return func(o *attachOptions) { o.PCITransport = true } }
 
 // WithStorageBackend selects the block store serving the vmsh-blk
 // image: "file" (default; the image file accessed through the host
@@ -478,38 +358,38 @@ func WithPCITransport() Option { return func(o *AttachOptions) { o.PCITransport 
 // Unknown names fail the attach with fserr.ErrNotSupported in the
 // chain.
 func WithStorageBackend(name string) Option {
-	return func(o *AttachOptions) { o.Storage = name }
+	return func(o *attachOptions) { o.Storage = name }
 }
 
 // WithNet cables the session's vmsh-net device into sw (Lab.NewSwitch)
 // — the multi-VM overlay network.
-func WithNet(sw *Switch) Option { return func(o *AttachOptions) { o.Net = sw } }
+func WithNet(sw *Switch) Option { return func(o *attachOptions) { o.Net = sw } }
 
 // WithNetLink overrides this VM's switch-port link model (bandwidth,
 // latency, deterministic loss). Only meaningful together with WithNet.
-func WithNetLink(link LinkParams) Option { return func(o *AttachOptions) { o.NetLink = link } }
+func WithNetLink(link LinkParams) Option { return func(o *attachOptions) { o.NetLink = link } }
 
 // WithLegacyVirtio disables the batched guest-memory fast path for the
 // hosted devices: per-field process_vm crossings, one interrupt per
 // chain — reproducing the pre-fast-path timing exactly (the paper-
 // reproduction experiments pin this on).
-func WithLegacyVirtio() Option { return func(o *AttachOptions) { o.LegacyVirtio = true } }
+func WithLegacyVirtio() Option { return func(o *attachOptions) { o.LegacyVirtio = true } }
 
 // WithTrace enables the lab-wide virtual-time tracer before the attach
 // begins. Tracing never advances the clock, so results stay
 // bit-identical; export with Lab.Trace().WriteChrome.
-func WithTrace() Option { return func(o *AttachOptions) { o.Trace = true } }
+func WithTrace() Option { return func(o *attachOptions) { o.Trace = true } }
 
 // WithFaultPlan arms the deterministic fault-injection plane with p
 // for the attach and the session that follows it. A faulted attach
 // stage rolls the guest back byte-identically; device-plane faults
 // degrade service without wedging it.
-func WithFaultPlan(p *FaultPlan) Option { return func(o *AttachOptions) { o.Fault = p } }
+func WithFaultPlan(p *FaultPlan) Option { return func(o *attachOptions) { o.Fault = p } }
 
 // WithRetry lets attach stages retry transient injected faults
 // (EINTR/EAGAIN-class) up to policy.Attempts times, charging
 // exponential backoff to the virtual clock between tries.
-func WithRetry(policy RetryPolicy) Option { return func(o *AttachOptions) { o.Retry = policy } }
+func WithRetry(policy RetryPolicy) Option { return func(o *attachOptions) { o.Retry = policy } }
 
 // WithRecord records every host crossing of the attach and session —
 // ptrace stops, injected syscalls, process_vm transfers, virtqueue
@@ -520,14 +400,14 @@ func WithRetry(policy RetryPolicy) Option { return func(o *AttachOptions) { o.Re
 // verified against it with WithVerifier. Recording never advances the
 // clock: a recorded run's virtual time equals the unrecorded run's.
 func WithRecord(path string) Option {
-	return func(o *AttachOptions) { o.RecordPath = path }
+	return func(o *attachOptions) { o.RecordPath = path }
 }
 
 // WithRecordLabel overrides the label stamped into a WithRecord log
 // header (default: the target process name) and records seed so the
 // replayed report can name the run that produced it.
 func WithRecordLabel(label string, seed uint64) Option {
-	return func(o *AttachOptions) { o.RecordLabel, o.RecordSeed = label, seed }
+	return func(o *attachOptions) { o.RecordLabel, o.RecordSeed = label, seed }
 }
 
 // WithVerifier re-checks this attach live against a prior recording:
@@ -537,17 +417,11 @@ func WithRecordLabel(label string, seed uint64) Option {
 // v.Result() reports the first divergence, or nil for a faithful
 // re-run.
 func WithVerifier(v *Verifier) Option {
-	return func(o *AttachOptions) { o.Verify = v }
+	return func(o *attachOptions) { o.Verify = v }
 }
 
-// WithOptions applies a legacy AttachOptions bag wholesale.
-//
-// Deprecated: migration shim for code built against the struct API;
-// new code should pass individual Option values.
-func WithOptions(opts AttachOptions) Option { return func(o *AttachOptions) { *o = opts } }
-
-func buildOptions(opts []Option) AttachOptions {
-	var o AttachOptions
+func buildOptions(opts []Option) attachOptions {
+	var o attachOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -568,8 +442,8 @@ func (l *Lab) AttachPID(pid int, opts ...Option) (*Session, error) {
 	return l.attach(pid, fmt.Sprintf("pid-%d", pid), buildOptions(opts))
 }
 
-func (l *Lab) attach(pid int, label string, o AttachOptions) (*Session, error) {
-	co := o.toCore()
+func (l *Lab) attach(pid int, label string, o attachOptions) (*Session, error) {
+	co := o.Options
 	if o.RecordPath != "" {
 		if o.RecordLabel != "" {
 			label = o.RecordLabel
