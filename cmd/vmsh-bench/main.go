@@ -9,7 +9,7 @@
 //	E6  console latency              (Figure 7)
 //	E7  image de-bloating            (Figure 8)
 //	E7n virtio-net sweep             (network)
-//	E8  single-fault attach sweep    (robustness; also via -fault)
+//	E8  single-fault attach sweep    (robustness)
 //	E9  fleet storm                  (parallel engine: events/sec sweep
 //	                                  across -fleet-workers, determinism
 //	                                  digest compared at every count)
@@ -23,11 +23,12 @@
 // E4, E5 and E7n additionally print a fast-path-vs-legacy comparison:
 // the same workload with the batched virtqueue service on and off.
 //
-// With -json PATH the structured rows (plus the E5 syscall/interrupt
-// counters and per-run stats/metrics snapshots) are also written as a
-// machine-readable document. With -trace PATH a traced E5 fast-path
-// run additionally exports a Chrome trace-event JSON file (virtual
-// time), loadable in Perfetto or chrome://tracing; combined with
+// With -json PATH the ledger rows (internal/ledger) of the E1, E5, E9
+// and E11 runs are also written to PATH; BENCH_vtime.json is the
+// committed ledger that tools/benchdiff gates a fresh one against.
+// With -trace PATH a traced E5 fast-path run additionally exports a
+// Chrome trace-event JSON file (virtual time), loadable in Perfetto or
+// chrome://tracing; combined with
 // -only e9 the trace is instead the merged fleet trace of a traced
 // storm (one process per shard, causal flow arrows across bridges,
 // digest hard-checked against an untraced run). -profile PATH writes
@@ -40,23 +41,33 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"vmsh/internal/debloat"
 	"vmsh/internal/eval"
+	"vmsh/internal/ledger"
 	"vmsh/internal/obs"
 )
 
-// benchDoc is the -json output: every table produced by the selected
-// experiments, plus the per-mode counters behind the E5 fast-path
-// comparison (process_vm calls, interrupts, bytes, virtual time) with
-// each mode's full stats and metrics-registry snapshot embedded.
-type benchDoc struct {
-	Tables    []*eval.Table             `json:"tables"`
-	FastPath  []eval.FastPathMode       `json:"fast_path,omitempty"`
-	Fleet     *eval.FleetStormResult    `json:"fleet,omitempty"`
-	Xfstests  []eval.XfstestsBackendRow `json:"xfstests,omitempty"`
-	Migration *eval.MigrationResult     `json:"migration,omitempty"`
+// experiments are the ids -only accepts, in run order.
+var experiments = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e7n", "e8", "e9", "e10", "e11"}
+
+// parseOnly turns "e1,e5" into the selected ids. An empty spec selects
+// none, and main then runs every experiment but e9.
+func parseOnly(spec string) (map[string]bool, error) {
+	want := map[string]bool{}
+	if spec == "" {
+		return want, nil
+	}
+	for _, id := range strings.Split(spec, ",") {
+		id = strings.TrimSpace(strings.ToLower(id))
+		if !slices.Contains(experiments, id) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", id, strings.Join(experiments, ","))
+		}
+		want[id] = true
+	}
+	return want, nil
 }
 
 // parseWorkerSweep turns "1,2,4,8,16" into the E9 worker counts.
@@ -187,29 +198,21 @@ func writeFleetObservability(tracePath, profilePath string, vms, workers int, se
 }
 
 func main() {
-	only := flag.String("only", "", "comma-separated experiment ids (e1,e2,e3,e4,e5,e6,e7,e7n,e8,e9,e10,e11); empty = all")
-	jsonPath := flag.String("json", "", "also write results as JSON to this path")
+	only := flag.String("only", "", "comma-separated experiment ids ("+strings.Join(experiments, ",")+"); empty = all but e9")
+	jsonPath := flag.String("json", "", "also write the E1/E5/E9/E11 ledger rows to this path (BENCH_vtime.json is the committed one)")
 	tracePath := flag.String("trace", "", "write Chrome trace-event JSON (Perfetto) to this path: a traced E5 fast-path sweep, or with -only e9 the merged fleet trace")
 	profilePath := flag.String("profile", "", "write a folded-stacks vtime profile (flamegraph input) to this path and print the top stacks; follows -trace's E5-or-fleet selection")
-	faultOnly := flag.Bool("fault", false, "run only the E8 single-fault attach sweep (alias for -only e8)")
 	faultSeed := flag.Int64("fault-seed", 42, "seed for the E8 fault sweep")
 	fleetVMs := flag.Int("fleet-vms", 1000, "E9: total VM lifecycles in the fleet storm")
 	fleetWorkers := flag.String("fleet-workers", "1,2,4,8,16", "E9: comma-separated worker-count sweep")
 	fleetSeed := flag.Int64("fleet-seed", 42, "E9: fleet storm seed")
-	fleetJSON := flag.String("fleet-json", "", "E9: also write the fleet storm result alone to this path (e.g. BENCH_e9.json)")
-	e1JSON := flag.String("e1-json", "", "E1: also write the per-environment xfstests rows (classic + storage backends) alone to this path (e.g. BENCH_e1.json)")
-	migrateJSON := flag.String("migrate-json", "", "E11: also write the migration sweep result alone to this path (e.g. BENCH_e11.json)")
 	migrateSeed := flag.Int64("migrate-seed", 42, "E11: migration sweep seed")
 	flag.Parse()
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToLower(id))] = true
-		}
-	}
-	if *faultOnly {
-		want = map[string]bool{"e8": true}
+	want, err := parseOnly(*only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "vmsh-bench:", err)
+		os.Exit(2)
 	}
 	sel := func(id string) bool {
 		if id == "e9" {
@@ -224,9 +227,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	var doc benchDoc
+	var rows []ledger.Row
 	emit := func(t *eval.Table) {
-		doc.Tables = append(doc.Tables, t)
 		fmt.Print(t.Format())
 		fmt.Println()
 	}
@@ -242,20 +244,7 @@ func main() {
 			fail("E1b", err)
 		}
 		emit(eval.XfstestsBackendsTable(bres))
-		doc.Xfstests = eval.BackendRows(append(res.Results(), bres...))
-		if *e1JSON != "" {
-			b, err := json.MarshalIndent(struct {
-				Xfstests []eval.XfstestsBackendRow `json:"xfstests"`
-			}{doc.Xfstests}, "", "  ")
-			if err != nil {
-				fail("E1", err)
-			}
-			b = append(b, '\n')
-			if err := os.WriteFile(*e1JSON, b, 0o644); err != nil {
-				fail("E1", err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *e1JSON)
-		}
+		rows = append(rows, eval.XfstestsRows(append(res.Results(), bres...))...)
 	}
 
 	if sel("e2") || sel("e3") {
@@ -305,7 +294,7 @@ func main() {
 			fail("E5", err)
 		}
 		emit(fp)
-		doc.FastPath = modes
+		rows = append(rows, eval.FastPathRows(modes)...)
 	}
 
 	if sel("e6") {
@@ -361,18 +350,7 @@ func main() {
 		if err != nil {
 			fail("E9", err)
 		}
-		doc.Fleet = fleet
-		if *fleetJSON != "" {
-			b, err := json.MarshalIndent(fleet, "", "  ")
-			if err != nil {
-				fail("E9", err)
-			}
-			b = append(b, '\n')
-			if err := os.WriteFile(*fleetJSON, b, 0o644); err != nil {
-				fail("E9", err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *fleetJSON)
-		}
+		rows = append(rows, fleet.Rows()...)
 	}
 
 	if sel("e10") {
@@ -393,18 +371,7 @@ func main() {
 		if err != nil {
 			fail("E11", err)
 		}
-		doc.Migration = migration
-		if *migrateJSON != "" {
-			b, err := json.MarshalIndent(migration, "", "  ")
-			if err != nil {
-				fail("E11", err)
-			}
-			b = append(b, '\n')
-			if err := os.WriteFile(*migrateJSON, b, 0o644); err != nil {
-				fail("E11", err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *migrateJSON)
-		}
+		rows = append(rows, migration.Rows()...)
 	}
 
 	if *tracePath != "" || *profilePath != "" {
@@ -425,11 +392,10 @@ func main() {
 	}
 
 	if *jsonPath != "" {
-		b, err := json.MarshalIndent(&doc, "", "  ")
+		b, err := ledger.Marshal(rows)
 		if err != nil {
 			fail("json", err)
 		}
-		b = append(b, '\n')
 		if err := os.WriteFile(*jsonPath, b, 0o644); err != nil {
 			fail("json", err)
 		}

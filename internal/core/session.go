@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"strings"
 
@@ -299,16 +298,13 @@ func (s *Session) Detach() error {
 func (s *Session) RAMHashes() []uint64 {
 	out := make([]uint64, 0, len(s.pm.slots))
 	for _, sl := range s.pm.slots {
-		h := fnv.New64a()
-		if m, ok := s.target.AS.Find(sl.HVA); ok {
-			off := uint64(sl.HVA - m.HVA)
-			end := off + sl.Size
-			if end > uint64(len(m.Phys.Data)) {
-				end = uint64(len(m.Phys.Data))
-			}
-			h.Write(m.Phys.Data[off:end])
+		m, ok := s.target.AS.Find(sl.HVA)
+		if !ok {
+			out = append(out, new(mem.Phys).Hash()) // no mapping: no bytes
+			continue
 		}
-		out = append(out, h.Sum64())
+		off := uint64(sl.HVA - m.HVA)
+		out = append(out, m.Phys.HashRange(off, off+sl.Size))
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"vmsh/internal/fsimage"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
+	"vmsh/internal/ledger"
 	"vmsh/internal/lifecycle"
 	"vmsh/internal/mem"
 	"vmsh/internal/replay"
@@ -26,39 +27,55 @@ import (
 // MigrationLeg is one migration of the E11 sweep, fully deterministic
 // (virtual time, page counts, wire bytes).
 type MigrationLeg struct {
-	Mode          string `json:"mode"` // "stop_and_copy" | "postcopy"
-	DirtyPages    int    `json:"dirty_pages_per_round"`
-	PrecopyRounds int    `json:"precopy_rounds"`
-	DowntimeNS    int64  `json:"downtime_ns"`
-	TotalNS       int64  `json:"total_ns"`
-	PagesPrecopy  int    `json:"pages_precopy"`
-	PagesCutover  int    `json:"pages_cutover"`
-	PagesFaulted  int    `json:"pages_faulted"`
-	PagesDrained  int    `json:"pages_drained"`
-	BytesOnWire   int64  `json:"bytes_on_wire"`
-	HashesEqual   bool   `json:"hashes_equal"`
+	Mode         string // "stop_and_copy" | "postcopy"
+	DirtyPages   int    // pages dirtied per pre-copy round
+	DowntimeNS   int64
+	TotalNS      int64
+	PagesPrecopy int
+	PagesCutover int
+	PagesFaulted int
+	PagesDrained int
+	BytesOnWire  int64
+	HashesEqual  bool
 }
 
-// MigrationResult is the machine-readable E11 document
-// (BENCH_e11.json): the mode × dirty-rate sweep plus the
-// session-survival and record-verify legs.
+// MigrationResult is one E11 sweep: the mode × dirty-rate legs plus
+// the session-survival and record-verify legs.
 type MigrationResult struct {
-	SchemaVersion int            `json:"schema_version"`
-	Seed          int64          `json:"seed"`
-	Legs          []MigrationLeg `json:"legs"`
+	Seed int64
+	Legs []MigrationLeg
 	// SessionSurvived: a live vmsh session carried through a post-copy
 	// migration re-attached on the destination and executed a command.
-	SessionSurvived bool `json:"session_survived"`
+	SessionSurvived bool
 	// SessionFaultedPages: pages the re-attach itself demand-faulted
 	// across the wire (must be > 0: the re-attach happens mid-stream).
-	SessionFaultedPages int `json:"session_faulted_pages"`
+	SessionFaultedPages int
 	// RecordVerified: a session recorded against the source verified
 	// crossing by crossing against the migrated destination.
-	RecordVerified  bool `json:"record_verified"`
-	RecordCrossings int  `json:"record_crossings"`
+	RecordVerified  bool
+	RecordCrossings int
 }
 
-const e11SchemaVersion = 1
+// Rows is E11's ledger: the seed, the pre-copy rounds and every
+// correctness flag as invariants, and each leg's downtime, total
+// time, pages and bytes on the wire as costs.
+func (r *MigrationResult) Rows() []ledger.Row {
+	l := ledgerRows{exp: "e11"}
+	l.invariant("seed", float64(r.Seed), "seed")
+	l.invariant("precopy_rounds", float64(e11Rounds), "rounds")
+	for _, leg := range r.Legs {
+		key := fmt.Sprintf("%s/%d.", leg.Mode, leg.DirtyPages)
+		l.invariant(key+"hashes_equal", leg.HashesEqual, "bool")
+		l.cost(key+"downtime_ns", float64(leg.DowntimeNS), "ns")
+		l.cost(key+"total_ns", float64(leg.TotalNS), "ns")
+		l.cost(key+"pages_on_wire",
+			float64(leg.PagesPrecopy+leg.PagesCutover+leg.PagesFaulted+leg.PagesDrained), "pages")
+		l.cost(key+"bytes_on_wire", float64(leg.BytesOnWire), "bytes")
+	}
+	l.invariant("session_survived", r.SessionSurvived, "bool")
+	l.invariant("record_verified", r.RecordVerified, "bool")
+	return l.rows
+}
 
 // e11DirtyRates is the pages-dirtied-per-round sweep; the last entry
 // is the "highest dirty rate" of the downtime assertion.
@@ -75,7 +92,7 @@ func e11Leg(seed int64, name string, postCopy bool, dirtyPages int) (MigrationLe
 	if postCopy {
 		mode = "postcopy"
 	}
-	leg := MigrationLeg{Mode: mode, DirtyPages: dirtyPages, PrecopyRounds: e11Rounds}
+	leg := MigrationLeg{Mode: mode, DirtyPages: dirtyPages}
 
 	h := hostsim.NewHost()
 	inst, err := hypervisor.Launch(h, hypervisor.Config{
@@ -259,12 +276,11 @@ func e11Record(seed int64) (verified bool, crossings int, err error) {
 	return ok, len(lg.Records), nil
 }
 
-// RunMigration regenerates the E11 migration table and its
-// machine-readable document.
+// RunMigration regenerates the E11 migration table and its result.
 func RunMigration(seed int64) (*Table, *MigrationResult, error) {
 	tbl := &Table{ID: "E11 / migration",
 		Title: "snapshot/restore and live migration with post-copy streaming"}
-	doc := &MigrationResult{SchemaVersion: e11SchemaVersion, Seed: seed}
+	doc := &MigrationResult{Seed: seed}
 
 	byKey := map[string]MigrationLeg{}
 	for _, rate := range e11DirtyRates {

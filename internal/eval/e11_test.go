@@ -1,8 +1,9 @@
 package eval
 
 import (
-	"encoding/json"
 	"testing"
+
+	"vmsh/internal/ledger"
 )
 
 func TestE11Migration(t *testing.T) {
@@ -19,8 +20,28 @@ func TestE11Migration(t *testing.T) {
 	}
 }
 
-// The E11 document must be deterministic: same seed, byte-identical
-// JSON — that is what lets benchdiff gate BENCH_e11.json.
+// sameRows fails unless a and b are well-formed ledgers ((exp, key)
+// unique, every kind valid) that encode to the same bytes — what lets
+// benchdiff gate BENCH_vtime.json at threshold 0.
+func sameRows(t *testing.T, a, b []ledger.Row) {
+	t.Helper()
+	if len(a) == 0 {
+		t.Fatal("no ledger rows")
+	}
+	ja, err := ledger.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := ledger.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(ja) != string(jb) {
+		t.Fatalf("ledger rows not deterministic:\n%s\n%s", ja, jb)
+	}
+}
+
+// TestE11Deterministic: same seed, identical E11 rows.
 func TestE11Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full migration sweeps")
@@ -33,9 +54,5 @@ func TestE11Deterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, _ := json.Marshal(a)
-	jb, _ := json.Marshal(b)
-	if string(ja) != string(jb) {
-		t.Fatalf("E11 doc not deterministic:\n%s\n%s", ja, jb)
-	}
+	sameRows(t, a.Rows(), b.Rows())
 }

@@ -7,38 +7,30 @@ import (
 	"vmsh/internal/guestos"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
+	"vmsh/internal/ledger"
 	"vmsh/internal/simplefs"
 	"vmsh/internal/storage"
 	"vmsh/internal/xfstests"
 )
 
-// XfstestsBackendRow is the deterministic per-environment E1 record
-// committed to BENCH_e1.json and gated by tools/benchdiff.
-type XfstestsBackendRow struct {
-	Env     string `json:"env"`
-	Total   int    `json:"total"`
-	Passed  int    `json:"passed"`
-	Failed  int    `json:"failed"`
-	Skipped int    `json:"skipped"`
-}
-
 // Results flattens the classic trio in table order so it can be
-// concatenated with the backend results for the committed artifact.
+// concatenated with the backend results.
 func (r *XfstestsResults) Results() []xfstests.Result {
 	return []xfstests.Result{r.Native, r.QemuBlk, r.VmshBlk}
 }
 
-// BackendRows flattens classic-plus-backend results into the committed
-// artifact shape.
-func BackendRows(results []xfstests.Result) []XfstestsBackendRow {
-	rows := make([]XfstestsBackendRow, 0, len(results))
+// XfstestsRows is E1's ledger: every environment's test counts, as
+// invariants — a backend that starts failing or skipping tests is a
+// regression at any size.
+func XfstestsRows(results []xfstests.Result) []ledger.Row {
+	l := ledgerRows{exp: "e1"}
 	for _, r := range results {
-		rows = append(rows, XfstestsBackendRow{
-			Env: r.Env, Total: r.Total, Passed: r.Passed,
-			Failed: r.Failed, Skipped: r.Skipped,
-		})
+		l.invariant(r.Env+".total", float64(r.Total), "tests")
+		l.invariant(r.Env+".passed", float64(r.Passed), "tests")
+		l.invariant(r.Env+".failed", float64(r.Failed), "tests")
+		l.invariant(r.Env+".skipped", float64(r.Skipped), "tests")
 	}
-	return rows
+	return l.rows
 }
 
 // RunXfstestsBackends runs the E1 quick corpus against every storage

@@ -1,6 +1,10 @@
 package eval
 
-import "testing"
+import (
+	"testing"
+
+	"vmsh/internal/ledger"
+)
 
 func TestE1Xfstests(t *testing.T) {
 	r, err := RunXfstests()
@@ -39,4 +43,24 @@ func containsQuota(s string) bool {
 		}
 	}
 	return false
+}
+
+// TestE1Deterministic: a rerun gives identical E1 rows, classic trio
+// and storage backends alike.
+func TestE1Deterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full E1 runs")
+	}
+	rows := func() []ledger.Row {
+		classic, err := RunXfstests()
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends, err := RunXfstestsBackends()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return XfstestsRows(append(classic.Results(), backends...))
+	}
+	sameRows(t, rows(), rows())
 }

@@ -6,6 +6,7 @@ import (
 
 	"vmsh/internal/core"
 	"vmsh/internal/hostsim"
+	"vmsh/internal/ledger"
 	"vmsh/internal/workloads"
 )
 
@@ -19,11 +20,19 @@ type FastPathMode struct {
 	ProcVMCalls int64         // simulated process_vm_* syscalls issued
 	Interrupts  int64         // device interrupts raised
 	BytesMoved  int64         // bytes through process_vm (both ways)
+}
 
-	// Stats is the full post-run session counter snapshot and Metrics
-	// the session registry dump — both ride into vmsh-bench -json.
-	Stats   core.Stats
-	Metrics map[string]int64
+// FastPathRows is E5's ledger: each mode's virtual time, process_vm
+// calls, interrupts and bytes moved, all costs.
+func FastPathRows(modes []FastPathMode) []ledger.Row {
+	l := ledgerRows{exp: "e5"}
+	for _, m := range modes {
+		l.cost(m.Name+".virtual_time_ns", float64(m.VirtualTime), "ns")
+		l.cost(m.Name+".procvm_calls", float64(m.ProcVMCalls), "calls")
+		l.cost(m.Name+".interrupts", float64(m.Interrupts), "irqs")
+		l.cost(m.Name+".bytes_moved", float64(m.BytesMoved), "bytes")
+	}
+	return l.rows
 }
 
 // fastPathModes runs the sweep and returns both modes, fast first.
@@ -66,8 +75,6 @@ func fastPathModes() ([]FastPathMode, error) {
 		mode.ProcVMCalls = after.ProcVMCalls - before.ProcVMCalls
 		mode.Interrupts = after.Interrupts - before.Interrupts
 		mode.BytesMoved = after.BytesRead - before.BytesRead + after.BytesWritten - before.BytesWritten
-		mode.Stats = after
-		mode.Metrics = sess.Metrics()
 		modes = append(modes, mode)
 	}
 	return modes, nil

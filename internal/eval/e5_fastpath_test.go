@@ -49,20 +49,21 @@ func TestE5FastPathAcceptance(t *testing.T) {
 }
 
 // TestE5FastPathDeterminism: everything is virtual-clock driven, so a
-// rerun with the same seed renders a byte-identical table — batching
-// must not introduce ordering nondeterminism.
+// rerun with the same seed renders a byte-identical table and identical
+// E5 rows — batching must not introduce ordering nondeterminism.
 func TestE5FastPathDeterminism(t *testing.T) {
-	a, _, err := RunFioFastPath()
+	a, am, err := RunFioFastPath()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := RunFioFastPath()
+	b, bm, err := RunFioFastPath()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Format() != b.Format() {
 		t.Fatalf("E5 fast-path table not deterministic:\n%s\nvs\n%s", a.Format(), b.Format())
 	}
+	sameRows(t, FastPathRows(am), FastPathRows(bm))
 }
 
 // TestE7nCompareDeterminism: same property for the network comparison.

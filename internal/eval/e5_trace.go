@@ -68,8 +68,6 @@ func traceFio(specs []workloads.FioSpec) (*TraceRun, error) {
 		mode.VirtualTime += r.Elapsed
 	}
 	st := sess.Stats()
-	mode.Stats = st
-	mode.Metrics = sess.Metrics()
 	mode.ProcVMCalls = st.ProcVMCalls
 	mode.Interrupts = st.Interrupts
 	mode.BytesMoved = st.BytesRead + st.BytesWritten

@@ -3,7 +3,6 @@ package eval
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strings"
 
 	"vmsh/internal/blockdev"
@@ -49,9 +48,7 @@ type vmState struct {
 func snapshotVM(inst *hypervisor.Instance) vmState {
 	var st vmState
 	for _, s := range inst.VM.MemSlots() {
-		h := fnv.New64a()
-		h.Write(s.Phys.Data)
-		st.ram = append(st.ram, h.Sum64())
+		st.ram = append(st.ram, s.Phys.Hash())
 	}
 	for _, v := range inst.VM.VCPUs() {
 		st.regs = append(st.regs, v.GetRegs())

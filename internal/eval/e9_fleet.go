@@ -4,9 +4,9 @@
 // The experiment makes two claims at once:
 //
 //   - throughput: wall-clock events/sec and VM cycles/sec scale with
-//     the worker pool (bounded by GOMAXPROCS/NumCPU — on a single-CPU
-//     host the sweep measures the engine's overhead, not parallel
-//     speedup, and the JSON says so);
+//     the worker pool, bounded by GOMAXPROCS: beyond it the sweep
+//     measures the engine's overhead, not parallel speedup, and the
+//     table prints no speedup;
 //   - determinism: the virtual-time results are bit-identical at every
 //     worker count — per-shard final vtimes, per-VM guest RAM hashes,
 //     and the merged metrics registry fold into one digest that must
@@ -26,71 +26,58 @@ import (
 	"vmsh/internal/fsimage"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
+	"vmsh/internal/ledger"
 	"vmsh/internal/netsim"
 	"vmsh/internal/obs"
 )
 
 // FleetStormRun is one worker-count configuration of the sweep.
 type FleetStormRun struct {
-	Workers      int     `json:"workers"`
-	WallMS       float64 `json:"wall_ms"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	VMsPerSec    float64 `json:"vms_per_sec"`
-	Events       int64   `json:"events"`
-	Messages     int64   `json:"messages"`
-	// SpeedupVs1 is wall-clock speedup relative to the workers=1 run
-	// of the same sweep.
-	SpeedupVs1 float64 `json:"speedup_vs_1"`
+	Workers      int
+	WallMS       float64
+	EventsPerSec float64
+	VMsPerSec    float64
+	Events       int64
+	Messages     int64
 	// MaxVTimeMS is the largest per-shard final virtual time — by
 	// construction identical across the sweep.
-	MaxVTimeMS float64 `json:"max_vtime_ms"`
+	MaxVTimeMS float64
 	// Digest folds every determinism-bearing output of the run:
 	// per-shard (vtime, per-VM RAM hashes) in shard order, the merged
 	// metrics text, and the event/message counts.
-	Digest string `json:"digest"`
+	Digest string
 }
 
-// FleetTelemetrySeries is one shard's streamed telemetry: registry
-// snapshots sampled on virtual-time boundaries during the storm. The
-// series is a pure function of the simulation, identical at every
-// worker count.
-type FleetTelemetrySeries struct {
-	Shard       int       `json:"shard"`
-	VTimeMS     []float64 `json:"vtime_ms"`
-	ProcVMCalls []int64   `json:"procvm_calls"`
-	Syscalls    []int64   `json:"syscalls"`
-}
-
-// FleetStormResult is the machine-readable E9 document (BENCH_e9.json).
-//
-// Schema v2 (this PR's telemetry plane): adds schema_version,
-// per-shard final vtimes (vtimes_ms) and per-shard telemetry sample
-// series (telemetry). v1 documents carry neither field.
+// FleetStormResult is one E9 sweep. Every run has the same digest;
+// RunFleetStorm fails otherwise.
 type FleetStormResult struct {
-	SchemaVersion int             `json:"schema_version"`
-	VMs           int             `json:"vms"`
-	Shards        int             `json:"shards"`
-	Seed          int64           `json:"seed"`
-	GOMAXPROCS    int             `json:"gomaxprocs"`
-	NumCPU        int             `json:"num_cpu"`
-	Runs          []FleetStormRun `json:"runs"`
+	VMs    int
+	Shards int
+	Seed   int64
+	Runs   []FleetStormRun
 	// VTimesMS is each shard's final virtual time in ms (shard order);
 	// identical across the worker sweep, recorded from the first run.
-	VTimesMS []float64 `json:"vtimes_ms"`
-	// Telemetry is the per-shard sample series from the first run.
-	Telemetry []FleetTelemetrySeries `json:"telemetry"`
-	// Deterministic is true when every run's digest matched.
-	Deterministic bool   `json:"deterministic"`
-	Note          string `json:"note"`
+	VTimesMS []float64
 }
 
-// fleetTelemetryInterval and fleetTelemetryCap size the per-shard
-// telemetry ring for E9: samples every 100ms of shard vtime, newest 64
-// retained.
-const (
-	fleetTelemetryInterval = 100 * time.Millisecond
-	fleetTelemetryCap      = 64
-)
+// Rows is E9's ledger: the configuration and the digest as invariants,
+// and the event and message counts and virtual times as costs.
+// Wall-clock throughput stays out: it measures the host, not the model.
+func (r *FleetStormResult) Rows() []ledger.Row {
+	l := ledgerRows{exp: "e9"}
+	l.invariant("vms", float64(r.VMs), "vms")
+	l.invariant("shards", float64(r.Shards), "shards")
+	l.invariant("seed", float64(r.Seed), "seed")
+	run := r.Runs[0]
+	l.invariant("digest", run.Digest, "fnv64a")
+	l.cost("events", float64(run.Events), "events")
+	l.cost("messages", float64(run.Messages), "messages")
+	l.cost("max_vtime_ms", run.MaxVTimeMS, "ms")
+	for i, vt := range r.VTimesMS {
+		l.cost(fmt.Sprintf("shard%d.vtime_ms", i), vt, "ms")
+	}
+	return l.rows
+}
 
 // fleetShardPlan is the per-shard storm schedule, fixed before the
 // engine runs: how many VM cycles, and at what virtual-time stagger.
@@ -210,23 +197,20 @@ func stormNetPair(h *hostsim.Host, img *hostsim.HostFile, name, store string, se
 // order.
 func foldRAM(inst *hypervisor.Instance, fold func(uint64)) {
 	for _, s := range inst.VM.MemSlots() {
-		hh := fnv.New64a()
-		hh.Write(s.Phys.Data)
-		fold(hh.Sum64())
+		fold(s.Phys.Hash())
 	}
 }
 
 // fleetStormOnce runs the storm at one worker count and returns the
-// run record plus its determinism digest and the engine (for vtimes,
-// telemetry and — when trace is set — the merged fleet trace).
-// Telemetry is always on: it only reads state, so the digest is
-// unaffected; the same holds for tracing, which the bench hard-checks.
+// run record plus its determinism digest and the engine (for vtimes
+// and — when trace is set — the merged fleet trace). Tracing only
+// reads state, so the digest is unaffected, which the bench
+// hard-checks.
 // The store parameter names the session storage backend behind every
 // attach ("" = the historic file path); RAM-class backends must leave
 // the digest untouched, which TestFleetStormStorageNeutral pins.
 func fleetStormOnce(vms, shards, workers int, seed int64, store string, trace bool) (FleetStormRun, *engine.Engine, error) {
 	eng := engine.New(shards, workers)
-	eng.EnableTelemetry(fleetTelemetryInterval, fleetTelemetryCap)
 	if trace {
 		eng.EnableTrace()
 	}
@@ -313,25 +297,6 @@ func fleetStormOnce(vms, shards, workers int, seed int64, store string, trace bo
 	}, eng, nil
 }
 
-// fleetTelemetry extracts the per-shard sample series (procvm calls +
-// syscalls over vtime) from a finished run's samplers.
-func fleetTelemetry(eng *engine.Engine) []FleetTelemetrySeries {
-	out := make([]FleetTelemetrySeries, eng.Shards())
-	for i := range out {
-		out[i].Shard = i
-		tm := eng.Telemetry(i)
-		if tm == nil {
-			continue
-		}
-		for _, s := range tm.Samples() {
-			out[i].VTimeMS = append(out[i].VTimeMS, float64(s.VTime)/1e6)
-			out[i].ProcVMCalls = append(out[i].ProcVMCalls, s.Values["host.procvm.calls"])
-			out[i].Syscalls = append(out[i].Syscalls, s.Values["host.syscalls"])
-		}
-	}
-	return out
-}
-
 // DefaultFleetWorkerSweep is the E9 worker-count sweep.
 var DefaultFleetWorkerSweep = []int{1, 2, 4, 8, 16}
 
@@ -361,62 +326,56 @@ func RunFleetStorm(vms int, sweep []int, seed int64) (*Table, *FleetStormResult,
 		shards = vms
 	}
 
-	res := &FleetStormResult{
-		SchemaVersion: 2,
-		VMs:           vms, Shards: shards, Seed: seed,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-		Deterministic: true,
-	}
+	res := &FleetStormResult{VMs: vms, Shards: shards, Seed: seed}
 	tbl := &Table{ID: "E9 / fleet storm",
 		Title: fmt.Sprintf("%d-VM attach/detach storm, %d shards, parallel engine", vms, shards)}
 
-	var base FleetStormRun
+	procs := runtime.GOMAXPROCS(0)
+	diverged := false
 	for idx, w := range sweep {
 		run, eng, err := fleetStormOnce(vms, shards, w, seed, "", false)
 		if err != nil {
 			return tbl, res, fmt.Errorf("E9 workers=%d: %w", w, err)
 		}
 		if idx == 0 {
-			base = run
-			// vtimes + telemetry are worker-invariant; record once.
+			// vtimes are worker-invariant; record once.
 			for _, vt := range eng.VTimes() {
 				res.VTimesMS = append(res.VTimesMS, vt.Seconds()*1e3)
 			}
-			res.Telemetry = fleetTelemetry(eng)
-		}
-		run.SpeedupVs1 = base.WallMS / run.WallMS
-		if run.Digest != base.Digest {
-			res.Deterministic = false
 		}
 		res.Runs = append(res.Runs, run)
+		base := res.Runs[0]
 		det := "det=ok"
 		if run.Digest != base.Digest {
 			det = "DETERMINISM BROKEN"
+			diverged = true
+		}
+		// More workers than GOMAXPROCS cannot run in parallel, so a
+		// speedup there is scheduling and GC noise: leave it out.
+		speedup := ""
+		if w <= procs {
+			speedup = fmt.Sprintf(" speedup=%.2fx", base.WallMS/run.WallMS)
 		}
 		tbl.Rows = append(tbl.Rows, Row{
 			Name:     fmt.Sprintf("events/sec @ workers=%d", w),
 			Measured: run.EventsPerSec,
 			Unit:     "ev/s",
-			Note: fmt.Sprintf("wall=%.0fms speedup=%.2fx vms/s=%.1f %s",
-				run.WallMS, run.SpeedupVs1, run.VMsPerSec, det),
+			Note: fmt.Sprintf("wall=%.0fms%s vms/s=%.1f %s",
+				run.WallMS, speedup, run.VMsPerSec, det),
 		})
 	}
-	if !res.Deterministic {
+	if diverged {
 		return tbl, res, fmt.Errorf("E9: virtual-time results diverged across worker counts")
-	}
-	if res.GOMAXPROCS <= 1 {
-		res.Note = "single-CPU host: worker sweep measures engine overhead, not parallel speedup; " +
-			"determinism digests still compared across all worker counts"
 	}
 	tbl.Rows = append(tbl.Rows, Row{
 		Name: "determinism across worker sweep", Measured: 1, Unit: "bool",
-		Note: "digest " + base.Digest + " identical at every worker count",
+		Note: "digest " + res.Runs[0].Digest + " identical at every worker count",
 	})
 	return tbl, res, nil
 }
 
 // TraceFleetStorm runs the E9 storm once with the fleet trace plane
-// on: tracing + telemetry enabled, then hard-checks that the traced
+// on, then hard-checks that the traced
 // run's determinism digest matches an untraced run of the same
 // configuration (observability must never perturb the simulation).
 // Returns the merged fleet trace, its vtime profile, and the traced

@@ -13,6 +13,8 @@ package eval
 import (
 	"fmt"
 	"strings"
+
+	"vmsh/internal/ledger"
 )
 
 // Row is one line of a regenerated table/figure.
@@ -50,4 +52,19 @@ func (t *Table) Format() string {
 		fmt.Fprintf(&b, "  %-42s %10.2f %-8s%s%s\n", r.Name, r.Measured, r.Unit, paper, note)
 	}
 	return b.String()
+}
+
+// ledgerRows collects one experiment's ledger rows.
+type ledgerRows struct {
+	exp  string
+	rows []ledger.Row
+}
+
+func (l *ledgerRows) cost(key string, v float64, unit string) {
+	l.rows = append(l.rows, ledger.Row{Exp: l.exp, Key: key, Value: v, Unit: unit, Kind: ledger.Cost})
+}
+
+// invariant takes a float64, an exact string or a bool.
+func (l *ledgerRows) invariant(key string, v any, unit string) {
+	l.rows = append(l.rows, ledger.Row{Exp: l.exp, Key: key, Value: v, Unit: unit, Kind: ledger.Invariant})
 }

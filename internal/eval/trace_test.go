@@ -72,9 +72,9 @@ func TestTraceReconciliation(t *testing.T) {
 		t.Errorf("tracer charged %v < workload virtual time %v", charged, run.Mode.VirtualTime)
 	}
 	// The metrics snapshot agrees with the Stats view.
-	m := run.Mode.Metrics
-	if m["procvm.calls"] != run.Mode.Stats.ProcVMCalls {
-		t.Errorf("metrics procvm.calls %d != stats %d", m["procvm.calls"], run.Mode.Stats.ProcVMCalls)
+	m := run.Session.Metrics()
+	if st := run.Session.Stats(); m["procvm.calls"] != st.ProcVMCalls {
+		t.Errorf("metrics procvm.calls %d != stats %d", m["procvm.calls"], st.ProcVMCalls)
 	}
 	if m["blk.req_vlat.count"] != hist.Count() {
 		t.Errorf("snapshot histogram count %d != live %d", m["blk.req_vlat.count"], hist.Count())

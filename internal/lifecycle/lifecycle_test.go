@@ -212,7 +212,7 @@ func TestRestoreReconstructsRAM(t *testing.T) {
 		t.Fatalf("slot count differs: %d != %d", len(src), len(dst))
 	}
 	for i := range src {
-		if hashBytes(src[i].Phys.Data) != hashBytes(dst[i].Phys.Data) {
+		if !bytes.Equal(src[i].Phys.Data, dst[i].Phys.Data) {
 			t.Fatalf("memslot %d diverged after restore", src[i].Slot)
 		}
 	}

@@ -349,7 +349,7 @@ func (r *Result) Verify() error {
 		if !ok {
 			continue
 		}
-		sh, dh := hashBytes(sl.Phys.Data), hashBytes(dp.Data)
+		sh, dh := sl.Phys.Hash(), dp.Hash()
 		r.SrcHashes = append(r.SrcHashes, sh)
 		r.DstHashes = append(r.DstHashes, dh)
 		if sh != dh {
@@ -371,8 +371,8 @@ func (m *migration) verifyAtResume() error {
 		if !ok {
 			continue
 		}
-		sh := hashBytes(sl.Phys.Data)
-		dh := hashWithPending(dp.Data, sl.Phys.Data, m.pending[sl.Slot])
+		sh := sl.Phys.Hash()
+		dh := hashWithPending(dp, sl.Phys, m.pending[sl.Slot])
 		m.res.SrcHashes = append(m.res.SrcHashes, sh)
 		m.res.DstHashes = append(m.res.DstHashes, dh)
 		if sh != dh {
@@ -573,19 +573,18 @@ func (m *migration) disarmPager() {
 }
 
 // hashWithPending hashes dst page by page, substituting src's bytes
-// for pages in the pending set (nil pending degenerates to a plain
-// hash of dst).
-func hashWithPending(dst, src []byte, pending map[uint64]bool) uint64 {
+// for pages in the pending set; with nothing pending it is dst.Hash().
+func hashWithPending(dst, src *mem.Phys, pending map[uint64]bool) uint64 {
 	if len(pending) == 0 {
-		return hashBytes(dst)
+		return dst.Hash()
 	}
 	h := fnv.New64a()
-	for off := uint64(0); off < uint64(len(dst)); off += PageSize {
-		end := min(off+PageSize, uint64(len(dst)))
-		if pending[off/PageSize] && end <= uint64(len(src)) {
-			h.Write(src[off:end])
+	for off := uint64(0); off < dst.Size(); off += PageSize {
+		end := min(off+PageSize, dst.Size())
+		if pending[off/PageSize] && end <= src.Size() {
+			h.Write(src.Data[off:end])
 		} else {
-			h.Write(dst[off:end])
+			h.Write(dst.Data[off:end])
 		}
 	}
 	return h.Sum64()

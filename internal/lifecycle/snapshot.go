@@ -16,7 +16,6 @@ package lifecycle
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"vmsh/internal/core"
@@ -93,7 +92,7 @@ func Take(inst *hypervisor.Instance, o TakeOpts) (*Snapshot, error) {
 				})
 			}
 		}
-		s.RAMHashes = append(s.RAMHashes, hashBytes(data))
+		s.RAMHashes = append(s.RAMHashes, sl.Phys.Hash())
 	}
 
 	for _, name := range diskNames(inst.Cfg) {
@@ -176,7 +175,7 @@ func Restore(h *hostsim.Host, s *Snapshot, o RestoreOpts) (*hypervisor.Instance,
 
 	// Cross-check: the rebuilt RAM must hash exactly as captured.
 	for i, sl := range slotsByNum(inst) {
-		if i < len(s.RAMHashes) && hashBytes(sl.Phys.Data) != s.RAMHashes[i] {
+		if i < len(s.RAMHashes) && sl.Phys.Hash() != s.RAMHashes[i] {
 			return nil, nil, fmt.Errorf("lifecycle restore: %w: memslot %d", ErrRAMDiverged, sl.Slot)
 		}
 	}
@@ -325,10 +324,4 @@ func allZero(b []byte) bool {
 		}
 	}
 	return true
-}
-
-func hashBytes(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
 }

@@ -11,6 +11,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 )
 
 // GPA is a guest physical address.
@@ -68,6 +69,20 @@ func (p *Phys) Size() uint64 { return uint64(len(p.Data)) }
 
 // End returns the first GPA past the slab.
 func (p *Phys) End() GPA { return p.Base + GPA(len(p.Data)) }
+
+// HashRange returns the FNV-64a of the slab bytes [off, end), clipped
+// to the slab, hashed in one pass. It is the one guest-RAM hash: replay
+// footers, snapshot and migration checks and the E8-E11 determinism
+// digests all compare it.
+func (p *Phys) HashRange(off, end uint64) uint64 {
+	end = min(end, p.Size())
+	h := fnv.New64a()
+	h.Write(p.Data[min(off, end):end])
+	return h.Sum64()
+}
+
+// Hash is HashRange over the whole slab.
+func (p *Phys) Hash() uint64 { return p.HashRange(0, p.Size()) }
 
 // Contains reports whether [gpa, gpa+n) lies inside the slab.
 func (p *Phys) Contains(gpa GPA, n int) bool {

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 )
@@ -131,5 +132,32 @@ func TestBumpAllocDisjoint(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPhysHash pins the guest-RAM hash to FNV-64a over exactly the
+// slab bytes asked for: snapshots, replay footers and the E9 digest
+// compare hashes taken at different sites, so they must agree.
+func TestPhysHash(t *testing.T) {
+	p := NewPhys(0x1000, 3*PageSize)
+	for i := range p.Data {
+		p.Data[i] = byte(i * 7)
+	}
+	fnvOf := func(b []byte) uint64 {
+		h := fnv.New64a()
+		h.Write(b)
+		return h.Sum64()
+	}
+	if got, want := p.Hash(), fnvOf(p.Data); got != want {
+		t.Fatalf("Hash %016x, want %016x", got, want)
+	}
+	for _, c := range []struct{ off, end, wantOff, wantEnd uint64 }{
+		{PageSize, 2 * PageSize, PageSize, 2 * PageSize},
+		{PageSize, 9 * PageSize, PageSize, 3 * PageSize},
+		{4 * PageSize, 9 * PageSize, 3 * PageSize, 3 * PageSize},
+	} {
+		if got, want := p.HashRange(c.off, c.end), fnvOf(p.Data[c.wantOff:c.wantEnd]); got != want {
+			t.Errorf("HashRange(%#x, %#x) = %016x, want %016x", c.off, c.end, got, want)
+		}
 	}
 }

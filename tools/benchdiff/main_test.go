@@ -1,219 +1,179 @@
 package main
 
 import (
-	"encoding/json"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"vmsh/internal/eval"
+	"vmsh/internal/ledger"
+	"vmsh/internal/xfstests"
 )
 
-func mustParse(t *testing.T, s string) *benchFile {
+// These tests put each experiment's own rows through the gate, as the
+// command reads them from files: they pin which metrics an experiment
+// emits as costs and which as invariants. The rule itself is tested
+// once, in internal/ledger.
+
+// gate writes both ledgers, loads them back and diffs them.
+func gate(t *testing.T, base, cand []ledger.Row, thresholdPct float64) ledger.Report {
 	t.Helper()
-	var doc benchFile
-	if err := json.Unmarshal([]byte(s), &doc); err != nil {
-		t.Fatalf("parse: %v", err)
+	var loaded [2][]ledger.Row
+	for i, rows := range [][]ledger.Row{base, cand} {
+		b, err := ledger.Marshal(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "ledger.json")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if loaded[i], err = load(path); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var top fleetDoc
-	if err := json.Unmarshal([]byte(s), &top); err == nil && len(top.Runs) > 0 {
-		doc.top = top
-	}
-	return &doc
+	return ledger.Diff(loaded[0], loaded[1], thresholdPct)
 }
 
-const e5Base = `{"fast_path":[
-	{"Name":"fast","VirtualTime":1000,"ProcVMCalls":10,"Interrupts":5,"BytesMoved":4096},
-	{"Name":"legacy","VirtualTime":2000,"ProcVMCalls":300,"Interrupts":140,"BytesMoved":4096}]}`
+func wantRegressions(t *testing.T, r ledger.Report, n int) {
+	t.Helper()
+	if len(r.Regressions) != n {
+		t.Fatalf("want %d regression(s), got %q (notes %q)", n, r.Regressions, r.Notes)
+	}
+}
+
+func e5Modes() []eval.FastPathMode {
+	return []eval.FastPathMode{
+		{Name: "fast", VirtualTime: 1000, ProcVMCalls: 10, Interrupts: 5, BytesMoved: 4096},
+		{Name: "legacy", VirtualTime: 2000, ProcVMCalls: 300, Interrupts: 140, BytesMoved: 4096},
+	}
+}
 
 func TestE5IdenticalPasses(t *testing.T) {
-	r := diff(mustParse(t, e5Base), mustParse(t, e5Base), 0)
-	if len(r.regressions) != 0 {
-		t.Fatalf("identical docs regressed: %v", r.regressions)
+	r := gate(t, eval.FastPathRows(e5Modes()), eval.FastPathRows(e5Modes()), 0)
+	wantRegressions(t, r, 0)
+	if len(r.Notes) != 0 {
+		t.Fatalf("identical ledgers produced notes: %q", r.Notes)
 	}
 }
 
 func TestE5GrowthBeyondThresholdFails(t *testing.T) {
-	cand := `{"fast_path":[
-		{"Name":"fast","VirtualTime":1200,"ProcVMCalls":10,"Interrupts":5,"BytesMoved":4096},
-		{"Name":"legacy","VirtualTime":2000,"ProcVMCalls":300,"Interrupts":140,"BytesMoved":4096}]}`
-	r := diff(mustParse(t, e5Base), mustParse(t, cand), 5)
-	if len(r.regressions) != 1 {
-		t.Fatalf("want 1 regression (vtime +20%% > 5%%), got %v", r.regressions)
-	}
+	cand := e5Modes()
+	cand[0].VirtualTime = 1200
+	wantRegressions(t, gate(t, eval.FastPathRows(e5Modes()), eval.FastPathRows(cand), 5), 1)
 	// The same growth passes under a looser threshold.
-	r = diff(mustParse(t, e5Base), mustParse(t, cand), 25)
-	if len(r.regressions) != 0 {
-		t.Fatalf("+20%% under 25%% threshold regressed: %v", r.regressions)
-	}
+	wantRegressions(t, gate(t, eval.FastPathRows(e5Modes()), eval.FastPathRows(cand), 25), 0)
 }
 
 func TestE5ImprovementPasses(t *testing.T) {
-	cand := `{"fast_path":[
-		{"Name":"fast","VirtualTime":900,"ProcVMCalls":8,"Interrupts":5,"BytesMoved":4096},
-		{"Name":"legacy","VirtualTime":2000,"ProcVMCalls":300,"Interrupts":140,"BytesMoved":4096}]}`
-	r := diff(mustParse(t, e5Base), mustParse(t, cand), 0)
-	if len(r.regressions) != 0 {
-		t.Fatalf("improvement flagged as regression: %v", r.regressions)
-	}
-	if len(r.notes) == 0 {
-		t.Fatal("improvement produced no note")
+	cand := e5Modes()
+	cand[0].VirtualTime, cand[0].ProcVMCalls = 900, 8
+	r := gate(t, eval.FastPathRows(e5Modes()), eval.FastPathRows(cand), 0)
+	wantRegressions(t, r, 0)
+	if len(r.Notes) != 2 {
+		t.Fatalf("want two improvement notes, got %q", r.Notes)
 	}
 }
 
 func TestE5MissingModeFails(t *testing.T) {
-	cand := `{"fast_path":[
-		{"Name":"fast","VirtualTime":1000,"ProcVMCalls":10,"Interrupts":5,"BytesMoved":4096}]}`
-	r := diff(mustParse(t, e5Base), mustParse(t, cand), 0)
-	if len(r.regressions) != 1 {
-		t.Fatalf("want missing-mode regression, got %v", r.regressions)
+	// Every one of the legacy mode's four rows is missing.
+	wantRegressions(t, gate(t, eval.FastPathRows(e5Modes()), eval.FastPathRows(e5Modes()[:1]), 0), 4)
+}
+
+// TestE1CountChangeFails: test counts are invariants, so a test moving
+// from passed to failed fails the gate at any threshold.
+func TestE1CountChangeFails(t *testing.T) {
+	base := []xfstests.Result{{Env: "cow", Total: 619, Passed: 579, Skipped: 40}}
+	cand := []xfstests.Result{{Env: "cow", Total: 619, Passed: 578, Failed: 1, Skipped: 40}}
+	wantRegressions(t, gate(t, eval.XfstestsRows(base), eval.XfstestsRows(cand), 1000), 2)
+}
+
+func e9Result() *eval.FleetStormResult {
+	return &eval.FleetStormResult{VMs: 100, Shards: 2, Seed: 42,
+		Runs: []eval.FleetStormRun{
+			{Workers: 1, Events: 500, Messages: 8, MaxVTimeMS: 900.5, Digest: "c5c2d24c87928b87"},
+			{Workers: 2, Events: 500, Messages: 8, MaxVTimeMS: 900.5, Digest: "c5c2d24c87928b87"},
+		},
+		VTimesMS: []float64{1.5, 900.5},
 	}
 }
 
-const e9Base = `{"schema_version":2,"vms":100,"shards":8,"seed":42,
-	"runs":[{"workers":1,"events":500,"messages":8,"max_vtime_ms":900.5,"digest":"aaaa"}],
-	"vtimes_ms":[1.5,2.5],"deterministic":true}`
-
 func TestE9IdenticalPasses(t *testing.T) {
-	r := diff(mustParse(t, e9Base), mustParse(t, e9Base), 0)
-	if len(r.regressions) != 0 {
-		t.Fatalf("identical fleet docs regressed: %v", r.regressions)
-	}
+	wantRegressions(t, gate(t, e9Result().Rows(), e9Result().Rows(), 0), 0)
 }
 
 func TestE9EventGrowthFails(t *testing.T) {
-	cand := `{"schema_version":2,"vms":100,"shards":8,"seed":42,
-		"runs":[{"workers":1,"events":600,"messages":8,"max_vtime_ms":900.5,"digest":"bbbb"}],
-		"vtimes_ms":[1.5,2.5],"deterministic":true}`
-	r := diff(mustParse(t, e9Base), mustParse(t, cand), 0)
-	if len(r.regressions) != 1 {
-		t.Fatalf("want events regression, got %v", r.regressions)
-	}
+	cand := e9Result()
+	cand.Runs[0].Events++
+	wantRegressions(t, gate(t, e9Result().Rows(), cand.Rows(), 0), 1)
 }
 
-func TestE9ConfigMismatchSkips(t *testing.T) {
-	cand := `{"schema_version":2,"vms":1000,"shards":50,"seed":42,
-		"runs":[{"workers":1,"events":99999,"messages":50,"max_vtime_ms":5000,"digest":"cccc"}],
-		"vtimes_ms":[9.9],"deterministic":true}`
-	r := diff(mustParse(t, e9Base), mustParse(t, cand), 0)
-	if len(r.regressions) != 0 {
-		t.Fatalf("mismatched configs must be skipped, got %v", r.regressions)
-	}
+func TestE9ConfigMismatchFails(t *testing.T) {
+	cand := e9Result()
+	cand.VMs = 1000
+	wantRegressions(t, gate(t, e9Result().Rows(), cand.Rows(), 1000), 1)
+	cand = e9Result()
+	cand.Seed = 7
+	wantRegressions(t, gate(t, e9Result().Rows(), cand.Rows(), 1000), 1)
 }
 
-func TestE9NondeterministicFails(t *testing.T) {
-	cand := `{"schema_version":2,"vms":100,"shards":8,"seed":42,
-		"runs":[{"workers":1,"events":500,"messages":8,"max_vtime_ms":900.5,"digest":"aaaa"}],
-		"vtimes_ms":[1.5,2.5],"deterministic":false}`
-	r := diff(mustParse(t, e9Base), mustParse(t, cand), 0)
-	if len(r.regressions) != 1 {
-		t.Fatalf("want deterministic=false regression, got %v", r.regressions)
-	}
+func TestE9DigestChangeFails(t *testing.T) {
+	cand := e9Result()
+	cand.Runs[0].Digest = "c5c2d24c87928b88"
+	wantRegressions(t, gate(t, e9Result().Rows(), cand.Rows(), 1000), 1)
 }
 
 func TestE9VTimeShiftFails(t *testing.T) {
-	cand := `{"schema_version":2,"vms":100,"shards":8,"seed":42,
-		"runs":[{"workers":1,"events":500,"messages":8,"max_vtime_ms":900.5,"digest":"aaaa"}],
-		"vtimes_ms":[1.5,3.0],"deterministic":true}`
-	r := diff(mustParse(t, e9Base), mustParse(t, cand), 0)
-	if len(r.regressions) != 1 {
-		t.Fatalf("want per-shard vtime regression, got %v", r.regressions)
-	}
+	cand := e9Result()
+	cand.VTimesMS[0] = 3.0
+	wantRegressions(t, gate(t, e9Result().Rows(), cand.Rows(), 0), 1)
 }
 
-func TestNestedFleetDocument(t *testing.T) {
-	// vmsh-bench -json nests the fleet doc under "fleet".
-	nested := `{"tables":[],"fleet":` + e9Base + `}`
-	r := diff(mustParse(t, nested), mustParse(t, e9Base), 0)
-	if len(r.regressions) != 0 {
-		t.Fatalf("nested-vs-bare comparison regressed: %v", r.regressions)
+func e11Result() *eval.MigrationResult {
+	return &eval.MigrationResult{Seed: 42,
+		Legs: []eval.MigrationLeg{
+			{Mode: "stop_and_copy", DirtyPages: 256, DowntimeNS: 892000, TotalNS: 5000000,
+				PagesPrecopy: 512, PagesCutover: 256, BytesOnWire: 3290112, HashesEqual: true},
+			{Mode: "postcopy", DirtyPages: 256, DowntimeNS: 52000, TotalNS: 5000000,
+				PagesPrecopy: 512, PagesFaulted: 1, PagesDrained: 255, BytesOnWire: 3292160, HashesEqual: true},
+		},
+		SessionSurvived: true, SessionFaultedPages: 1,
+		RecordVerified: true, RecordCrossings: 328373,
 	}
-}
-
-const e11Base = `{"schema_version":1,"seed":42,
-	"legs":[
-		{"mode":"stop_and_copy","dirty_pages_per_round":256,"precopy_rounds":2,
-		 "downtime_ns":892000,"total_ns":5000000,"pages_precopy":512,"pages_cutover":256,
-		 "pages_faulted":0,"pages_drained":0,"bytes_on_wire":3290112,"hashes_equal":true},
-		{"mode":"postcopy","dirty_pages_per_round":256,"precopy_rounds":2,
-		 "downtime_ns":52000,"total_ns":5000000,"pages_precopy":512,"pages_cutover":0,
-		 "pages_faulted":1,"pages_drained":255,"bytes_on_wire":3292160,"hashes_equal":true}],
-	"session_survived":true,"session_faulted_pages":1,
-	"record_verified":true,"record_crossings":328373}`
-
-func mustParseE11(t *testing.T, s string) *benchFile {
-	t.Helper()
-	doc := mustParse(t, s)
-	var topMig e11Doc
-	if err := json.Unmarshal([]byte(s), &topMig); err == nil && len(topMig.Legs) > 0 {
-		doc.topMig = topMig
-	}
-	return doc
 }
 
 func TestE11IdenticalPasses(t *testing.T) {
-	r := diff(mustParseE11(t, e11Base), mustParseE11(t, e11Base), 0)
-	if len(r.regressions) != 0 {
-		t.Fatalf("identical migration docs regressed: %v", r.regressions)
-	}
+	wantRegressions(t, gate(t, e11Result().Rows(), e11Result().Rows(), 0), 0)
 }
 
 func TestE11DowntimeGrowthFails(t *testing.T) {
-	cand := strings.Replace(e11Base, `"downtime_ns":52000`, `"downtime_ns":60000`, 1)
-	r := diff(mustParseE11(t, e11Base), mustParseE11(t, cand), 5)
-	if len(r.regressions) != 1 {
-		t.Fatalf("want downtime regression (+15%% > 5%%), got %v", r.regressions)
-	}
-	r = diff(mustParseE11(t, e11Base), mustParseE11(t, cand), 20)
-	if len(r.regressions) != 0 {
-		t.Fatalf("+15%% under 20%% threshold regressed: %v", r.regressions)
-	}
+	cand := e11Result()
+	cand.Legs[1].DowntimeNS = 60000
+	wantRegressions(t, gate(t, e11Result().Rows(), cand.Rows(), 5), 1)
+	wantRegressions(t, gate(t, e11Result().Rows(), cand.Rows(), 20), 0)
 }
 
 func TestE11HashDivergenceFailsAtAnyThreshold(t *testing.T) {
-	cand := strings.Replace(e11Base,
-		`"bytes_on_wire":3292160,"hashes_equal":true`,
-		`"bytes_on_wire":3292160,"hashes_equal":false`, 1)
-	r := diff(mustParseE11(t, e11Base), mustParseE11(t, cand), 1000)
-	if len(r.regressions) != 1 {
-		t.Fatalf("want hash-divergence regression despite huge threshold, got %v", r.regressions)
-	}
+	cand := e11Result()
+	cand.Legs[1].HashesEqual = false
+	wantRegressions(t, gate(t, e11Result().Rows(), cand.Rows(), 1000), 1)
 }
 
 func TestE11LostBooleansFail(t *testing.T) {
-	cand := strings.Replace(strings.Replace(e11Base,
-		`"session_survived":true`, `"session_survived":false`, 1),
-		`"record_verified":true`, `"record_verified":false`, 1)
-	r := diff(mustParseE11(t, e11Base), mustParseE11(t, cand), 0)
-	if len(r.regressions) != 2 {
-		t.Fatalf("want session+record regressions, got %v", r.regressions)
-	}
+	cand := e11Result()
+	cand.SessionSurvived, cand.RecordVerified = false, false
+	wantRegressions(t, gate(t, e11Result().Rows(), cand.Rows(), 1000), 2)
 }
 
 func TestE11MissingLegFails(t *testing.T) {
-	cand := `{"schema_version":1,"seed":42,
-		"legs":[
-			{"mode":"stop_and_copy","dirty_pages_per_round":256,"precopy_rounds":2,
-			 "downtime_ns":892000,"total_ns":5000000,"pages_precopy":512,"pages_cutover":256,
-			 "pages_faulted":0,"pages_drained":0,"bytes_on_wire":3290112,"hashes_equal":true}],
-		"session_survived":true,"session_faulted_pages":1,
-		"record_verified":true,"record_crossings":328373}`
-	r := diff(mustParseE11(t, e11Base), mustParseE11(t, cand), 0)
-	if len(r.regressions) != 1 {
-		t.Fatalf("want missing-leg regression, got %v", r.regressions)
-	}
+	cand := e11Result()
+	cand.Legs = cand.Legs[:1]
+	// The leg's hash flag, downtime, total time, pages and bytes.
+	wantRegressions(t, gate(t, e11Result().Rows(), cand.Rows(), 0), 5)
 }
 
-func TestE11SeedMismatchSkips(t *testing.T) {
-	cand := strings.Replace(e11Base, `"seed":42`, `"seed":7`, 1)
-	r := diff(mustParseE11(t, e11Base), mustParseE11(t, cand), 0)
-	if len(r.regressions) != 0 {
-		t.Fatalf("mismatched seeds must be skipped, got %v", r.regressions)
-	}
-}
-
-func TestNestedMigrationDocument(t *testing.T) {
-	// vmsh-bench -json nests the migration doc under "migration".
-	nested := `{"tables":[],"migration":` + e11Base + `}`
-	r := diff(mustParse(t, nested), mustParseE11(t, e11Base), 0)
-	if len(r.regressions) != 0 {
-		t.Fatalf("nested-vs-bare migration comparison regressed: %v", r.regressions)
-	}
+func TestE11SeedMismatchFails(t *testing.T) {
+	cand := e11Result()
+	cand.Seed = 7
+	wantRegressions(t, gate(t, e11Result().Rows(), cand.Rows(), 1000), 1)
 }
