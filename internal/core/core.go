@@ -203,19 +203,13 @@ func (v *VMSH) Attach(pid int, opts Options) (*Session, error) {
 	}
 	tapped := opts.Record != nil || opts.Verify != nil
 	if tapped {
-		if h.Faults == nil {
-			// The crossing tap rides on the injector's stage/pause
-			// context; an armed-but-empty plan is proven perturbation-
-			// free by the E8 invariant (zero vtime shift).
-			h.SetFaultPlan(faults.NewPlan(0))
-		}
 		switch {
 		case opts.Record != nil && opts.Verify != nil:
-			h.SetTap(faults.Tee(opts.Record, opts.Verify))
+			h.Faults.SetTap(faults.Tee(opts.Record, opts.Verify))
 		case opts.Record != nil:
-			h.SetTap(opts.Record)
+			h.Faults.SetTap(opts.Record)
 		default:
-			h.SetTap(opts.Verify)
+			h.Faults.SetTap(opts.Verify)
 		}
 	}
 	target, ok := h.Process(pid)
@@ -232,7 +226,7 @@ func (v *VMSH) Attach(pid int, opts Options) (*Session, error) {
 	fail := func(stage string, err error) (*Session, error) {
 		tx.rollback()
 		if tapped {
-			h.SetTap(nil)
+			h.Faults.SetTap(nil)
 			if opts.Record != nil {
 				// Seal and persist the partial log: a failed attach is
 				// exactly the kind of run worth replaying.

@@ -295,7 +295,6 @@ func (s *Session) setupDevices(tx *attachTx, scratch uint64, opts Options) error
 			Clock:  h.Clock,
 			Costs:  h.Costs,
 			Faults: h.Faults,
-			Taps:   h.Taps(),
 		})
 		if err != nil {
 			return fmt.Errorf("storage backend %q: %w", opts.Storage, err)
@@ -306,10 +305,9 @@ func (s *Session) setupDevices(tx *attachTx, scratch uint64, opts Options) error
 		resident: make(map[int64]bool), bounce: opts.BounceCopy}
 	batch := !opts.LegacyVirtio
 	s.blk = virtio.NewBlkDevice(vmshBlkBase, s.pm, backend, h.Clock, h.Costs)
-	s.blk.Faults = h.Faults
 	s.blk.Batch = batch
 	s.blk.Dev.Trace = h.Trace.Track("dev:blk")
-	s.blk.Dev.Taps, s.blk.Dev.TapOp = h.Taps(), faults.OpVQBlk
+	s.blk.Dev.Faults, s.blk.Dev.TapOp = h.Faults, faults.OpVQBlk
 	s.blk.Dev.IRQs = s.reg.Counter("blk.irqs")
 	// Queue 0 request latency: avail-publish to used-publish, vclock.
 	s.blk.Dev.ReqLat = []*obs.Histogram{s.reg.Histogram("blk.req_vlat")}
@@ -319,7 +317,7 @@ func (s *Session) setupDevices(tx *attachTx, scratch uint64, opts Options) error
 	s.cons = virtio.NewConsoleDevice(vmshConsBase, s.pm)
 	s.cons.Batch = batch
 	s.cons.Dev.Trace = h.Trace.Track("dev:console")
-	s.cons.Dev.Taps, s.cons.Dev.TapOp = h.Taps(), faults.OpVQCons
+	s.cons.Dev.Faults, s.cons.Dev.TapOp = h.Faults, faults.OpVQCons
 	s.cons.Dev.IRQs = s.reg.Counter("cons.irqs")
 	ctrConsOut := s.reg.Counter("cons.bytes_from_guest")
 	s.cons.Output = func(b []byte) {
@@ -342,12 +340,10 @@ func (s *Session) setupDevices(tx *attachTx, scratch uint64, opts Options) error
 		// shift); unplugging the delivery sink is the rollback.
 		tx.onUndo("unplug_net_port", func() error { port.Deliver = nil; return nil })
 		opts.Net.SetFaults(h.Faults)
-		opts.Net.SetTaps(h.Taps())
 		s.net = virtio.NewNetDevice(vmshNetBase, [6]byte(port.MAC()), s.pm)
-		s.net.Faults = h.Faults
 		s.net.Batch = batch
 		s.net.Dev.Trace = h.Trace.Track("dev:net")
-		s.net.Dev.Taps, s.net.Dev.TapOp = h.Taps(), faults.OpVQNet
+		s.net.Dev.Faults, s.net.Dev.TapOp = h.Faults, faults.OpVQNet
 		s.net.Dev.IRQs = s.reg.Counter("net.irqs")
 		// Tx queue latency (queue NetTxQ); the rx queue's fill spans
 		// carry no request semantics, so no histogram for queue 0.

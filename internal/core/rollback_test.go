@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"vmsh/internal/faults"
 	"vmsh/internal/hostsim"
@@ -233,6 +234,66 @@ func TestDetachLeavesNoResidue(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := sess2.Detach(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// crossingLog is a tap that keeps every crossing it observes.
+type crossingLog []faults.Crossing
+
+func (l *crossingLog) Crossing(c faults.Crossing) { *l = append(*l, c) }
+
+// TestTapWithoutPlanSharesStageAndPause arms a tap on a host with no
+// fault plan. The tap must still see the attach stage names, and the
+// undo crossings of the rollback Detach runs must stay invisible to it:
+// stage and pause belong to the host's crossing plane, not to a plan.
+func TestTapWithoutPlanSharesStageAndPause(t *testing.T) {
+	h, inst := launch(t, hypervisor.QEMU, "5.10")
+	img := buildToolImage(t, h, "tap.img")
+	var log crossingLog
+	h.Faults.SetTap(&log)
+	sess := attach(t, h, inst, Options{Image: img, NoShell: true})
+	attached := len(log)
+
+	seen := map[string]bool{}
+	for _, c := range log {
+		seen[c.Stage] = true
+	}
+	for _, stage := range attachStages {
+		if stage != "build_blob" && !seen[stage] { // build_blob makes no crossing
+			t.Errorf("no crossing observed in stage %s", stage)
+		}
+	}
+
+	if err := sess.Detach(); err != nil {
+		t.Fatal(err)
+	}
+	// Rollback re-interrupts the guest, injects the undo syscalls and
+	// drops ptrace, all with the plane paused: no ptrace crossing may
+	// reach the tap after the attach returned.
+	for _, c := range log[attached:] {
+		if c.Op.Root() == "ptrace" {
+			t.Errorf("tap observed undo crossing %s", c.Op)
+		}
+	}
+}
+
+// TestPlanArmedAfterAttachReachesDevices arms a plan once the session
+// is live: the devices hold the host's crossing plane, not a copy of
+// the plan armed at attach, so the late plan still faults them.
+func TestPlanArmedAfterAttachReachesDevices(t *testing.T) {
+	h, inst := launch(t, hypervisor.QEMU, "5.10")
+	sess := attach(t, h, inst, Options{})
+	// A latency spike: the request is delayed, not failed.
+	h.SetFaultPlan(faults.NewPlan(1, faults.Rule{Op: string(faults.OpVQBlk), Nth: 1, Latency: time.Millisecond}))
+	if _, err := sess.Exec("cat /var/lib/vmsh/etc/hostname"); err != nil {
+		t.Fatal(err)
+	}
+	if h.Faults.Injected() == 0 {
+		t.Fatal("a plan armed after the attach never reached the vmsh-blk device")
+	}
+	h.SetFaultPlan(nil)
+	if err := sess.Detach(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -275,7 +275,7 @@ func (s *Session) Detach() error {
 	}
 	s.detached = true
 	if s.tapped {
-		s.v.Host.SetTap(nil)
+		s.v.Host.Faults.SetTap(nil)
 		s.tapped = false
 	}
 	if s.record != nil {

@@ -70,11 +70,18 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; old[n-1] = nil; *h = old[:n-1]; return e }
-func (h *eventHeap) push(e *event)     { heap.Push(h, e) }
-func (h *eventHeap) pop() *event       { return heap.Pop(h).(*event) }
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return e
+}
+func (h *eventHeap) push(e *event) { heap.Push(h, e) }
+func (h *eventHeap) pop() *event   { return heap.Pop(h).(*event) }
 
 // message is one buffered cross-shard send, merged at the barrier.
 type message struct {

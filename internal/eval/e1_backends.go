@@ -72,7 +72,7 @@ func RunXfstestsBackends() ([]xfstests.Result, error) {
 	}
 
 	link := storage.LinkFromConfig(storage.Config{
-		Clock: h.Clock, Costs: h.Costs, Faults: h.Faults, Taps: h.Taps(),
+		Clock: h.Clock, Costs: h.Costs, Faults: h.Faults,
 	})
 
 	envs := []struct {

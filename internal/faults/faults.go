@@ -9,9 +9,10 @@
 // fail-the-Nth-crossing, seeded per-crossing probability, transient
 // (EINTR/EAGAIN — a retry succeeds) versus persistent faults, and
 // vclock-charged latency spikes. Two runs with the same plan and seed
-// inject the same faults at the same virtual times; a nil injector (or
-// an empty plan) neither advances the clock nor consumes randomness,
-// so unfaulted runs stay bit-identical to a build without the plane.
+// inject the same faults at the same virtual times; a plane without a
+// plan (or with an empty one) neither advances the clock nor consumes
+// randomness, so unfaulted runs stay bit-identical to a build without
+// the plane. The same plane delivers every crossing to an armed Tap.
 //
 // The design follows IRIS-style hypervisor-interface fault sweeps
 // (arXiv:2303.12817): enumerate every crossing of the attach path,
@@ -174,17 +175,28 @@ type CrossingStat struct {
 	Last  int // per-op sequence number of the last crossing
 }
 
-// Injector evaluates a plan at every crossing. All methods are safe on
-// a nil receiver, which is the disabled state: a nil injector performs
-// one pointer comparison and nothing else — no clock, no RNG, no
-// allocation — so runs without a plan stay bit-identical.
+// Injector is a host's one crossing plane. Every host crossing passes
+// through it: Check consults the armed fault plan before the crossing
+// and Observe reports the outcome to the armed tap after it. Both
+// share one stage context and one pause switch, so a tap sees exactly
+// the crossings a plan could fault. A host creates its plane once;
+// SetPlan and SetTap swap what is armed in place, so every device
+// holding the plane sees a plan or tap armed after it was wired.
+//
+// With no plan armed Check is one nil comparison — no clock, no RNG,
+// no allocation — and with no tap Observing is false, so runs with
+// neither stay bit-identical to a build without the plane. All methods
+// are safe on a nil receiver, which behaves as a plane with nothing
+// armed.
 type Injector struct {
-	plan  *Plan
 	clock *vclock.Clock
-	track obs.Track
+	plan  *Plan     // nil: no fault plan armed
+	track obs.Track // one event per injected fault
+	tap   Tap       // nil: no observer armed
 
-	stage    string
-	paused   bool
+	stage  string
+	paused bool
+
 	rng      uint64
 	opSeq    map[string]int
 	ruleHits []int
@@ -195,24 +207,62 @@ type Injector struct {
 	stats   []CrossingStat
 }
 
-// NewInjector arms a plan against the given clock. track (may be the
-// zero Track) carries one trace event per injected fault.
+// NewInjector builds a crossing plane against the given clock with p
+// (may be nil) armed; track (may be the zero Track) carries one trace
+// event per injected fault.
 func NewInjector(p *Plan, clock *vclock.Clock, track obs.Track) *Injector {
-	if p == nil {
-		return nil
-	}
-	return &Injector{
-		plan:     p,
-		clock:    clock,
-		track:    track,
-		rng:      p.Seed,
-		opSeq:    make(map[string]int),
-		ruleHits: make([]int, len(p.Rules)),
+	in := &Injector{clock: clock}
+	in.SetPlan(p, track)
+	return in
+}
+
+// SetPlan arms p (nil disarms) with track carrying its fault events.
+// The plan's sequence numbers, RNG, rule hits and recorded stats start
+// afresh; the stage, pause state and tap carry over.
+func (in *Injector) SetPlan(p *Plan, track obs.Track) {
+	in.plan, in.track = p, track
+	in.rng, in.opSeq, in.ruleHits, in.injected = 0, nil, nil, 0
+	in.record, in.statIdx, in.stats = false, nil, nil
+	if p != nil {
+		in.rng = p.Seed
+		in.opSeq = make(map[string]int)
+		in.ruleHits = make([]int, len(p.Rules))
 	}
 }
 
+// SetTap arms (or, with nil, disarms) the crossing observer — the
+// record/replay subsystem's hook.
+func (in *Injector) SetTap(t Tap) {
+	if in != nil {
+		in.tap = t
+	}
+}
+
+// Observing reports whether crossings are currently delivered to a
+// tap: one is armed and the plane is not paused. Callers on hot paths
+// gate argument digesting on this.
+func (in *Injector) Observing() bool {
+	return in != nil && in.tap != nil && !in.paused
+}
+
+// Observe delivers one crossing, annotated with the current stage, to
+// the tap if the plane is Observing.
+func (in *Injector) Observe(op Op, args, result Digest, err error) {
+	if !in.Observing() {
+		return
+	}
+	in.tap.Crossing(Crossing{
+		Op:     op,
+		Stage:  in.stage,
+		Args:   uint64(args),
+		Result: uint64(result),
+		Err:    ErrClass(err),
+	})
+}
+
 // SetStage publishes the caller's current stage name (the attach
-// transaction's stage context) for Stage-filtered rules and recording.
+// transaction's stage context) for Stage-filtered rules, recording and
+// observed crossings.
 func (in *Injector) SetStage(s string) {
 	if in != nil {
 		in.stage = s
@@ -229,9 +279,10 @@ func (in *Injector) Stage() string {
 
 // SetPaused suspends the plane entirely: while paused Check is a
 // complete no-op — no sequence numbers, no rule evaluation, no
-// recording. Rollback and detach pause the injector so that undo
-// crossings can never fault recursively and never perturb the fault
-// schedule of the run they are cleaning up after.
+// recording — and no crossing is observed. Rollback and detach pause
+// the plane so that undo crossings can never fault recursively, never
+// perturb the fault schedule of the run they are cleaning up after,
+// and never reach a recording.
 func (in *Injector) SetPaused(on bool) {
 	if in != nil {
 		in.paused = on
@@ -243,7 +294,8 @@ func (in *Injector) Paused() bool {
 	return in != nil && in.paused
 }
 
-// SetRecording toggles crossing aggregation (see Stats).
+// SetRecording toggles crossing aggregation (see Stats) for the armed
+// plan; an empty plan records without ever faulting.
 func (in *Injector) SetRecording(on bool) {
 	if in == nil {
 		return
@@ -287,7 +339,7 @@ func (in *Injector) rand() float64 {
 // either returns nil (no fault), returns a *Fault, or charges a
 // latency spike and returns nil.
 func (in *Injector) Check(op Op) error {
-	if in == nil || in.paused {
+	if in == nil || in.plan == nil || in.paused {
 		return nil
 	}
 	key := string(op)

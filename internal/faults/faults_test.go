@@ -26,12 +26,20 @@ func TestNilInjectorIsInert(t *testing.T) {
 }
 
 func TestNilInjectorZeroCost(t *testing.T) {
-	var in *Injector
-	allocs := testing.AllocsPerRun(1000, func() {
-		_ = in.Check(OpProcVMRead)
-	})
-	if allocs != 0 {
-		t.Fatalf("nil Check allocates (%v allocs/op)", allocs)
+	// A host's plane without plan or tap is what every unfaulted,
+	// unrecorded run crosses: it must cost what a nil plane does.
+	planes := map[string]*Injector{
+		"nil":      nil,
+		"planless": NewInjector(nil, vclock.New(), obs.Track{}),
+	}
+	for name, in := range planes {
+		allocs := testing.AllocsPerRun(1000, func() {
+			_ = in.Check(OpProcVMRead)
+			in.Observe(OpProcVMRead, NewDigest(), NewDigest(), nil)
+		})
+		if allocs != 0 {
+			t.Errorf("%s plane: Check+Observe allocates (%v allocs/op)", name, allocs)
+		}
 	}
 }
 

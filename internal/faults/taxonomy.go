@@ -5,9 +5,10 @@ package faults
 // (which derives its single-fault points from it), by the record/replay
 // subsystem (which validates log records against it), and by anything
 // else that needs to reason about "every way VMSH touches the host".
-// It also defines the Tap interface — a passive observer sharing the
-// injector's crossing points, stage context and pause semantics — which
-// internal/replay's Recorder and Verifier implement.
+// It also defines the Tap interface — a passive observer the Injector
+// delivers every crossing to, under the same stage context and pause
+// semantics as its fault plan — which internal/replay's Recorder and
+// Verifier implement.
 
 import (
 	"errors"
@@ -148,9 +149,6 @@ const (
 // NewDigest returns the FNV-64a offset basis.
 func NewDigest() Digest { return digestOffset }
 
-// Byte folds one byte into the digest.
-func (d Digest) Byte(b byte) Digest { return (d ^ Digest(b)) * digestPrime }
-
 // Bytes folds a byte slice into the digest.
 func (d Digest) Bytes(p []byte) Digest {
 	for _, b := range p {
@@ -221,52 +219,6 @@ type Crossing struct {
 // unarmed run (the E8 zero-perturbation invariant extends to taps).
 type Tap interface {
 	Crossing(Crossing)
-}
-
-// Taps is the crossing-observation hub a host embeds. It shares the
-// injector's context: crossings made while the injector is paused
-// (rollback, detach undo) are not observed, and the injector's stage
-// annotates every delivered crossing. The zero value is inert.
-type Taps struct {
-	tap Tap
-	in  *Injector
-}
-
-// Arm installs (or with nil removes) the observer.
-func (t *Taps) Arm(tap Tap) {
-	if t != nil {
-		t.tap = tap
-	}
-}
-
-// Bind associates the injector whose pause/stage context gates
-// observation. A nil injector means crossings are always observed
-// with an empty stage.
-func (t *Taps) Bind(in *Injector) {
-	if t != nil {
-		t.in = in
-	}
-}
-
-// Active reports whether crossings are currently observed. Callers on
-// hot paths should gate argument digesting on this — when false the
-// cost of an instrumented crossing is exactly this check.
-func (t *Taps) Active() bool {
-	return t != nil && t.tap != nil && !t.in.Paused()
-}
-
-// Crossing delivers one observation if the hub is active.
-func (t *Taps) Crossing(op Op, args, result Digest, err error) {
-	if !t.Active() {
-		return
-	}
-	t.tap.Crossing(Crossing{
-		Op:     op,
-		Stage:  t.in.Stage(),
-		Args:   uint64(args),
-		Result: uint64(result),
-		Err:    ErrClass(err),
-	})
 }
 
 // Tee fans one crossing stream out to several taps (e.g. recording a

@@ -28,8 +28,6 @@ type Proc struct {
 	CWD       string
 	Container string // container id, "" for host processes
 
-	files  map[int]*File
-	nextFD int
 	Env    map[string]string
 	Exited bool
 }
@@ -37,7 +35,6 @@ type Proc struct {
 func (k *Kernel) newProc(parent *Proc, comm string) *Proc {
 	p := &Proc{
 		k: k, PID: k.nextPID, Comm: comm, CWD: "/",
-		files: make(map[int]*File), nextFD: 3,
 		Env: make(map[string]string),
 	}
 	k.nextPID++
@@ -84,11 +81,8 @@ func (k *Kernel) ProcByPID(pid int) (*Proc, bool) {
 	return p, ok
 }
 
-// Exit marks the process dead and drops its files.
-func (p *Proc) Exit() {
-	p.Exited = true
-	p.files = make(map[int]*File)
-}
+// Exit marks the process dead.
+func (p *Proc) Exit() { p.Exited = true }
 
 // ContainerSpec describes a containerised workload.
 type ContainerSpec struct {
@@ -156,37 +150,6 @@ func (p *Proc) Open(path string, flags int, perm uint32) (*File, error) {
 		}
 	}
 	return f, nil
-}
-
-// OpenFD opens into the fd table.
-func (p *Proc) OpenFD(path string, flags int, perm uint32) (int, error) {
-	f, err := p.Open(path, flags, perm)
-	if err != nil {
-		return -1, err
-	}
-	fd := p.nextFD
-	p.nextFD++
-	p.files[fd] = f
-	return fd, nil
-}
-
-// FileByFD resolves an fd.
-func (p *Proc) FileByFD(fd int) (*File, error) {
-	f, ok := p.files[fd]
-	if !ok {
-		return nil, fserr.ErrBadHandle
-	}
-	return f, nil
-}
-
-// CloseFD closes an fd.
-func (p *Proc) CloseFD(fd int) error {
-	f, ok := p.files[fd]
-	if !ok {
-		return fserr.ErrBadHandle
-	}
-	delete(p.files, fd)
-	return f.Close()
 }
 
 // Mkdir creates a directory.

@@ -174,9 +174,10 @@ func IoVecTotal(iovs []IoVec) int {
 // copy: one ProcessVMBase regardless of segment count, and bandwidth
 // over the total byte count. This is the whole point of
 // process_vm_readv over per-field reads — permission and entry costs
-// are paid once per call, not once per segment. op names the variant
-// ("readv"/"writev") on the host:procvm trace track.
-func (h *Host) processVMCommon(caller *Process, op string, targetPID, totalBytes int) (*Process, error) {
+// are paid once per call, not once per segment. op is the crossing
+// class (OpProcVMRead/OpProcVMWrite); its variant ("readv"/"writev")
+// names the span on the host:procvm trace track.
+func (h *Host) processVMCommon(caller *Process, op faults.Op, targetPID, totalBytes int) (*Process, error) {
 	target, ok := h.Process(targetPID)
 	if !ok {
 		return nil, ErrNoEnt
@@ -184,12 +185,10 @@ func (h *Host) processVMCommon(caller *Process, op string, targetPID, totalBytes
 	if !mayAccess(caller, target) {
 		return nil, ErrPerm
 	}
-	if f := h.Faults; f != nil {
-		if err := f.Check(faults.Op("procvm:" + op)); err != nil {
-			return nil, err
-		}
+	if err := h.Faults.Check(op); err != nil {
+		return nil, err
 	}
-	sp := h.trProcVM.Span("procvm", op)
+	sp := h.trProcVM.Span("procvm", string(op[len("procvm:"):]))
 	caller.chargeSyscall()
 	h.Clock.Advance(h.Costs.ProcessVMBase + vclock.Copy(totalBytes, h.Costs.ProcessVMBW))
 	sp.End1("bytes", int64(totalBytes))
@@ -203,23 +202,23 @@ func (h *Host) processVMCommon(caller *Process, op string, targetPID, totalBytes
 // processed in order; like the real syscall, a faulting segment aborts
 // the call after earlier segments already transferred.
 func (h *Host) ProcessVMReadv(caller *Process, targetPID int, iovs []IoVec) error {
-	target, err := h.processVMCommon(caller, "readv", targetPID, IoVecTotal(iovs))
+	target, err := h.processVMCommon(caller, faults.OpProcVMRead, targetPID, IoVecTotal(iovs))
 	if err != nil {
-		h.taps.Crossing(faults.OpProcVMRead, iovArgs(targetPID, iovs), faults.NewDigest(), err)
+		h.Faults.Observe(faults.OpProcVMRead, iovArgs(targetPID, iovs), faults.NewDigest(), err)
 		return err
 	}
 	for _, v := range iovs {
 		if err := target.AS.read(v.HVA, v.Buf); err != nil {
-			h.taps.Crossing(faults.OpProcVMRead, iovArgs(targetPID, iovs), faults.NewDigest(), err)
+			h.Faults.Observe(faults.OpProcVMRead, iovArgs(targetPID, iovs), faults.NewDigest(), err)
 			return err
 		}
 	}
-	if h.taps.Active() {
+	if h.Faults.Observing() {
 		res := faults.NewDigest()
 		for _, v := range iovs {
 			res = res.Bytes(v.Buf)
 		}
-		h.taps.Crossing(faults.OpProcVMRead, iovArgs(targetPID, iovs), res, nil)
+		h.Faults.Observe(faults.OpProcVMRead, iovArgs(targetPID, iovs), res, nil)
 	}
 	return nil
 }
@@ -238,23 +237,23 @@ func iovArgs(pid int, iovs []IoVec) faults.Digest {
 
 // ProcessVMWritev is the vectored process_vm_writev.
 func (h *Host) ProcessVMWritev(caller *Process, targetPID int, iovs []IoVec) error {
-	target, err := h.processVMCommon(caller, "writev", targetPID, IoVecTotal(iovs))
+	target, err := h.processVMCommon(caller, faults.OpProcVMWrite, targetPID, IoVecTotal(iovs))
 	if err != nil {
-		h.taps.Crossing(faults.OpProcVMWrite, iovArgs(targetPID, iovs), faults.NewDigest(), err)
+		h.Faults.Observe(faults.OpProcVMWrite, iovArgs(targetPID, iovs), faults.NewDigest(), err)
 		return err
 	}
 	for _, v := range iovs {
 		if err := target.AS.write(v.HVA, v.Buf); err != nil {
-			h.taps.Crossing(faults.OpProcVMWrite, iovArgs(targetPID, iovs), faults.NewDigest(), err)
+			h.Faults.Observe(faults.OpProcVMWrite, iovArgs(targetPID, iovs), faults.NewDigest(), err)
 			return err
 		}
 	}
-	if h.taps.Active() {
+	if h.Faults.Observing() {
 		res := faults.NewDigest()
 		for _, v := range iovs {
 			res = res.Bytes(v.Buf)
 		}
-		h.taps.Crossing(faults.OpProcVMWrite, iovArgs(targetPID, iovs), res, nil)
+		h.Faults.Observe(faults.OpProcVMWrite, iovArgs(targetPID, iovs), res, nil)
 	}
 	return nil
 }

@@ -184,20 +184,11 @@ func (f *HostFile) Fsync() error {
 }
 
 // Bytes exposes the raw contents (mmap view). Accesses through the
-// returned slice are not charged; callers that model mmap IO charge
-// via ChargeMmapTouch.
+// returned slice are not charged.
 func (f *HostFile) Bytes() []byte {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.data
-}
-
-// ChargeMmapTouch accounts touching n bytes at off through a mapping:
-// page-cache hit cost, plus device reads for missing pages.
-func (f *HostFile) ChargeMmapTouch(off int64, n int, write bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.charge(off, n, write)
 }
 
 // HostFileFD is the fd-table wrapper for an open host file.

@@ -24,11 +24,11 @@ func (h *Host) AttachKProbe(owner *Process, fnName string, fn func(data any)) (*
 		return nil, fmt.Errorf("bpf(PROG_LOAD) kprobe %s: %w", fnName, ErrPerm)
 	}
 	if err := h.Faults.Check(faults.OpKProbe); err != nil {
-		h.taps.Crossing(faults.OpKProbe, faults.NewDigest().Str(fnName), faults.NewDigest(), err)
+		h.Faults.Observe(faults.OpKProbe, faults.NewDigest().Str(fnName), faults.NewDigest(), err)
 		return nil, fmt.Errorf("bpf(PROG_LOAD) kprobe %s: %w", fnName, err)
 	}
 	owner.chargeSyscall()
-	h.taps.Crossing(faults.OpKProbe, faults.NewDigest().Str(fnName), faults.NewDigest().U64(1), nil)
+	h.Faults.Observe(faults.OpKProbe, faults.NewDigest().Str(fnName), faults.NewDigest().U64(1), nil)
 	p := &KProbe{Owner: owner, FnName: fnName, Fn: fn}
 	h.mu.Lock()
 	h.kprobes[fnName] = append(h.kprobes[fnName], p)

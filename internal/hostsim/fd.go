@@ -99,7 +99,7 @@ func (h *Host) ProcFDInfo(caller *Process, targetPID int) ([]FDInfo, error) {
 		return nil, ErrPerm
 	}
 	if err := h.Faults.Check(faults.OpProcFDInfo); err != nil {
-		h.taps.Crossing(faults.OpProcFDInfo, faults.NewDigest().U64(uint64(targetPID)), faults.NewDigest(), err)
+		h.Faults.Observe(faults.OpProcFDInfo, faults.NewDigest().U64(uint64(targetPID)), faults.NewDigest(), err)
 		return nil, err
 	}
 	caller.chargeSyscall()
@@ -107,12 +107,12 @@ func (h *Host) ProcFDInfo(caller *Process, targetPID int) ([]FDInfo, error) {
 	for _, e := range target.FDs() {
 		out = append(out, FDInfo{Num: e.Num, Link: e.FD.ProcLink()})
 	}
-	if h.taps.Active() {
+	if h.Faults.Observing() {
 		res := faults.NewDigest()
 		for _, fi := range out {
 			res = res.U64(uint64(fi.Num)).Str(fi.Link)
 		}
-		h.taps.Crossing(faults.OpProcFDInfo, faults.NewDigest().U64(uint64(targetPID)), res, nil)
+		h.Faults.Observe(faults.OpProcFDInfo, faults.NewDigest().U64(uint64(targetPID)), res, nil)
 	}
 	return out, nil
 }

@@ -99,15 +99,13 @@ type Host struct {
 	// unknown and VMSH must fall back to the ptrace trap.
 	NoIoregionfd bool
 
-	// Faults is the deterministic fault-injection plane; nil (the
-	// default) is fully inert. Every host crossing the sideloader and
-	// the hosted devices make consults it. Install with SetFaultPlan.
+	// Faults is the host's one crossing plane, created with the host
+	// and never nil. Every host crossing the sideloader and the hosted
+	// devices make is checked against its fault plan (armed with
+	// SetFaultPlan) and reported to its tap (armed with Faults.SetTap,
+	// the record/replay hook). With neither armed, the default, it is
+	// fully inert.
 	Faults *faults.Injector
-
-	// taps is the crossing-observation hub (record/replay). It shares
-	// the injector's stage and pause context; disarmed (the default)
-	// every instrumented crossing pays exactly one nil check.
-	taps faults.Taps
 
 	mu        sync.Mutex
 	procs     map[int]*Process
@@ -150,6 +148,7 @@ func NewShardHost(costs *vclock.Costs) *Host {
 		Disk:      NewDisk(clock, costs),
 		Trace:     obs.New(clock),
 		Metrics:   obs.NewRegistry(),
+		Faults:    faults.NewInjector(nil, clock, obs.Track{}),
 		procs:     make(map[int]*Process),
 		nextPID:   100,
 		kprobes:   make(map[string][]*KProbe),
@@ -165,24 +164,13 @@ func NewShardHost(costs *vclock.Costs) *Host {
 	return h
 }
 
-// SetFaultPlan arms (or, with nil, disarms) a fault-injection plan
-// against this host's crossings. Injected faults charge the host clock
-// and are recorded as "host:faults" trace events.
+// SetFaultPlan arms (or, with nil, disarms) a fault-injection plan in
+// this host's crossing plane, reaching every device already wired to
+// it. Injected faults charge the host clock and are recorded as
+// "host:faults" trace events.
 func (h *Host) SetFaultPlan(p *faults.Plan) {
-	h.Faults = faults.NewInjector(p, h.Clock, h.Trace.Track("host:faults"))
-	h.taps.Bind(h.Faults)
+	h.Faults.SetPlan(p, h.Trace.Track("host:faults"))
 }
-
-// SetTap arms (or, with nil, disarms) a crossing observer — the
-// record/replay subsystem's hook. The tap shares the fault plane's
-// stage and pause context, so rollback/detach undo crossings are
-// never observed; arm a (possibly empty) fault plan first to get that
-// context.
-func (h *Host) SetTap(t faults.Tap) { h.taps.Arm(t) }
-
-// Taps exposes the host's crossing-observation hub so hosted devices
-// (virtio, netsim) can deliver their crossings through it.
-func (h *Host) Taps() *faults.Taps { return &h.taps }
 
 // NextAttachSeq hands out host-scoped attach sequence numbers (the
 // fd-passing socket names embed one). Host-scoped — not process-global
@@ -308,15 +296,6 @@ func (r *Regs) InstrPtr(a arch.Arch) uint64 {
 		return r.PC
 	}
 	return r.RIP
-}
-
-// SetInstrPtr stores the architecture's instruction pointer.
-func (r *Regs) SetInstrPtr(a arch.Arch, v uint64) {
-	if a == arch.ARM64 {
-		r.PC = v
-	} else {
-		r.RIP = v
-	}
 }
 
 // NewThread adds a thread to the process.

@@ -26,7 +26,7 @@ type Tracer struct {
 // the kernel's rule: same uid or CAP_SYS_PTRACE.
 func (p *Process) Attach(target *Process) (*Tracer, error) {
 	if err := p.host.Faults.Check(faults.OpPtraceAttach); err != nil {
-		p.host.taps.Crossing(faults.OpPtraceAttach, faults.NewDigest().U64(uint64(target.PID)), faults.NewDigest(), err)
+		p.host.Faults.Observe(faults.OpPtraceAttach, faults.NewDigest().U64(uint64(target.PID)), faults.NewDigest(), err)
 		return nil, fmt.Errorf("ptrace attach pid %d: %w", target.PID, err)
 	}
 	if !mayAccess(p, target) {
@@ -40,7 +40,7 @@ func (p *Process) Attach(target *Process) (*Tracer, error) {
 	tr := &Tracer{host: p.host, self: p, target: target}
 	target.tracer = tr
 	p.host.Clock.Advance(p.host.Costs.Syscall)
-	p.host.taps.Crossing(faults.OpPtraceAttach, faults.NewDigest().U64(uint64(target.PID)), faults.NewDigest().U64(1), nil)
+	p.host.Faults.Observe(faults.OpPtraceAttach, faults.NewDigest().U64(uint64(target.PID)), faults.NewDigest().U64(1), nil)
 	return tr, nil
 }
 
@@ -61,7 +61,7 @@ func (tr *Tracer) InterruptAll() error {
 		return err
 	}
 	if err := tr.host.Faults.Check(faults.OpPtraceInterrupt); err != nil {
-		tr.host.taps.Crossing(faults.OpPtraceInterrupt, faults.NewDigest().U64(uint64(tr.target.PID)), faults.NewDigest(), err)
+		tr.host.Faults.Observe(faults.OpPtraceInterrupt, faults.NewDigest().U64(uint64(tr.target.PID)), faults.NewDigest(), err)
 		return err
 	}
 	sp := tr.host.trPtrace.Span("ptrace", "interrupt_all")
@@ -75,7 +75,7 @@ func (tr *Tracer) InterruptAll() error {
 	}
 	tr.host.ctrPtraceStops.Add(stops)
 	sp.End1("stops", stops)
-	tr.host.taps.Crossing(faults.OpPtraceInterrupt, faults.NewDigest().U64(uint64(tr.target.PID)), faults.NewDigest().U64(uint64(stops)), nil)
+	tr.host.Faults.Observe(faults.OpPtraceInterrupt, faults.NewDigest().U64(uint64(tr.target.PID)), faults.NewDigest().U64(uint64(stops)), nil)
 	return nil
 }
 
@@ -86,7 +86,7 @@ func (tr *Tracer) ResumeAll() error {
 		return err
 	}
 	if err := tr.host.Faults.Check(faults.OpPtraceResume); err != nil {
-		tr.host.taps.Crossing(faults.OpPtraceResume, faults.NewDigest().U64(uint64(tr.target.PID)), faults.NewDigest(), err)
+		tr.host.Faults.Observe(faults.OpPtraceResume, faults.NewDigest().U64(uint64(tr.target.PID)), faults.NewDigest(), err)
 		return err
 	}
 	sp := tr.host.trPtrace.Span("ptrace", "resume_all")
@@ -107,7 +107,7 @@ func (tr *Tracer) ResumeAll() error {
 	} else {
 		res = faults.NewDigest().U64(0)
 	}
-	tr.host.taps.Crossing(faults.OpPtraceResume, faults.NewDigest().U64(uint64(tr.target.PID)), res, nil)
+	tr.host.Faults.Observe(faults.OpPtraceResume, faults.NewDigest().U64(uint64(tr.target.PID)), res, nil)
 	if resumed && tr.target.OnResume != nil {
 		tr.target.OnResume()
 	}
@@ -134,11 +134,11 @@ func (tr *Tracer) GetRegs(t *Thread) (Regs, error) {
 		return Regs{}, fmt.Errorf("tid %d: %w (not stopped)", t.TID, ErrNotTraced)
 	}
 	if err := tr.host.Faults.Check(faults.OpPtraceGetRegs); err != nil {
-		tr.host.taps.Crossing(faults.OpPtraceGetRegs, faults.NewDigest().U64(uint64(t.TID)), faults.NewDigest(), err)
+		tr.host.Faults.Observe(faults.OpPtraceGetRegs, faults.NewDigest().U64(uint64(t.TID)), faults.NewDigest(), err)
 		return Regs{}, err
 	}
 	tr.host.Clock.Advance(tr.host.Costs.Syscall)
-	tr.host.taps.Crossing(faults.OpPtraceGetRegs, faults.NewDigest().U64(uint64(t.TID)), regsDigest(&t.Regs), nil)
+	tr.host.Faults.Observe(faults.OpPtraceGetRegs, faults.NewDigest().U64(uint64(t.TID)), regsDigest(&t.Regs), nil)
 	return t.Regs, nil
 }
 
@@ -160,12 +160,12 @@ func (tr *Tracer) SetRegs(t *Thread, r Regs) error {
 		return fmt.Errorf("tid %d: %w (not stopped)", t.TID, ErrNotTraced)
 	}
 	if err := tr.host.Faults.Check(faults.OpPtraceSetRegs); err != nil {
-		tr.host.taps.Crossing(faults.OpPtraceSetRegs, faults.NewDigest().U64(uint64(t.TID)), faults.NewDigest(), err)
+		tr.host.Faults.Observe(faults.OpPtraceSetRegs, faults.NewDigest().U64(uint64(t.TID)), faults.NewDigest(), err)
 		return err
 	}
 	tr.host.Clock.Advance(tr.host.Costs.Syscall)
 	t.Regs = r
-	tr.host.taps.Crossing(faults.OpPtraceSetRegs, faults.NewDigest().U64(uint64(t.TID)).U64(uint64(regsDigest(&r))), faults.NewDigest(), nil)
+	tr.host.Faults.Observe(faults.OpPtraceSetRegs, faults.NewDigest().U64(uint64(t.TID)).U64(uint64(regsDigest(&r))), faults.NewDigest(), nil)
 	return nil
 }
 
@@ -193,11 +193,9 @@ func (tr *Tracer) InjectSyscall(t *Thread, nr uint64, args ...uint64) (uint64, e
 	for _, a := range args {
 		injArgs = injArgs.U64(a)
 	}
-	if f := tr.host.Faults; f != nil {
-		if err := f.Check(injOp); err != nil {
-			tr.host.taps.Crossing(injOp, injArgs, faults.NewDigest(), err)
-			return 0, fmt.Errorf("injected %s: %w", SyscallName(nr), err)
-		}
+	if err := tr.host.Faults.Check(injOp); err != nil {
+		tr.host.Faults.Observe(injOp, injArgs, faults.NewDigest(), err)
+		return 0, fmt.Errorf("injected %s: %w", SyscallName(nr), err)
 	}
 	saved := t.Regs
 	r := saved
@@ -239,7 +237,7 @@ func (tr *Tracer) InjectSyscall(t *Thread, nr uint64, args ...uint64) (uint64, e
 
 	t.Regs = saved
 	sp.End()
-	tr.host.taps.Crossing(injOp, injArgs, faults.NewDigest().U64(ret), err)
+	tr.host.Faults.Observe(injOp, injArgs, faults.NewDigest().U64(ret), err)
 	if err != nil {
 		return 0, fmt.Errorf("injected %s: %w", SyscallName(nr), err)
 	}

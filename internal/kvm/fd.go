@@ -50,13 +50,7 @@ func (f *VMFD) Ioctl(p *hostsim.Process, cmd uint64, arg uint64) (uint64, error)
 			for i, s := range vm.memslots {
 				if s.Slot == slot {
 					vm.memslots = append(vm.memslots[:i], vm.memslots[i+1:]...)
-					if vm.dirty != nil {
-						s.Phys.SetWriteHook(nil)
-						vm.dirty.mu.Lock()
-						delete(vm.dirty.pages, slot)
-						delete(vm.dirty.armed, slot)
-						vm.dirty.mu.Unlock()
-					}
+					s.Phys.SetDirtyLog(false)
 					return 0, nil
 				}
 			}
@@ -79,8 +73,8 @@ func (f *VMFD) Ioctl(p *hostsim.Process, cmd uint64, arg uint64) (uint64, error)
 		}
 		ns := &MemSlot{Slot: slot, GPA: gpa, Size: size, HVA: hva, Phys: m.Phys}
 		vm.memslots = append(vm.memslots, ns)
-		if vm.dirty != nil {
-			vm.dirty.arm(ns)
+		if vm.dirtyLog {
+			ns.Phys.SetDirtyLog(true)
 		}
 		vm.mu.Unlock()
 		return 0, nil

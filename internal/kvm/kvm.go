@@ -10,7 +10,6 @@ package kvm
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"vmsh/internal/arch"
@@ -48,14 +47,6 @@ type Sregs struct {
 	EFER, ApicBase          uint64
 	// arm64
 	SCTLR, TTBR0, TTBR1, TCR uint64
-}
-
-// PageTableRoot returns the architecture's page-table base register.
-func (s Sregs) PageTableRoot(a arch.Arch) uint64 {
-	if a == arch.ARM64 {
-		return s.TTBR0
-	}
-	return s.CR3
 }
 
 // MemSlot is one guest physical memory slot.
@@ -122,7 +113,7 @@ type VM struct {
 	wrap       *wrapTrap     // ptrace-based external trap
 	executor   Executor
 	irqHandler func(gsi uint32)
-	dirty      *dirtyTracker // non-nil while dirty-page logging is on
+	dirtyLog   bool // every memslot's slab is logging dirty pages
 
 	// Counters for the evaluation harness.
 	ExitsTotal      int64
@@ -180,101 +171,55 @@ func (vm *VM) AddMemSlotDirect(slot uint32, gpa mem.GPA, hva mem.HVA, phys *mem.
 	defer vm.mu.Unlock()
 	s := &MemSlot{Slot: slot, GPA: gpa, Size: phys.Size(), HVA: hva, Phys: phys}
 	vm.memslots = append(vm.memslots, s)
-	if vm.dirty != nil {
-		vm.dirty.arm(s)
+	if vm.dirtyLog {
+		phys.SetDirtyLog(true)
 	}
 	return s
 }
 
-// dirtyTracker accumulates per-slot dirty page indices, fed by the
-// write hooks it arms on each memslot's backing slab — the simulated
-// equivalent of KVM_MEM_LOG_DIRTY_PAGES + KVM_GET_DIRTY_LOG, which is
-// what live migration's pre-copy rounds poll.
-type dirtyTracker struct {
-	mu    sync.Mutex
-	pages map[uint32]map[uint64]bool // slot -> dirty page index set
-	armed map[uint32]*mem.Phys       // slabs whose hook we own
-}
-
-// arm installs the write hook on one slot's slab. Caller holds vm.mu.
-func (t *dirtyTracker) arm(s *MemSlot) {
-	t.mu.Lock()
-	if _, ok := t.pages[s.Slot]; !ok {
-		t.pages[s.Slot] = make(map[uint64]bool)
-	}
-	t.armed[s.Slot] = s.Phys
-	t.mu.Unlock()
-	slot, base := s.Slot, s.Phys.Base
-	s.Phys.SetWriteHook(func(gpa mem.GPA, n int) {
-		t.mu.Lock()
-		set := t.pages[slot]
-		for p := uint64(gpa-base) / mem.PageSize; p <= (uint64(gpa-base)+uint64(n)-1)/mem.PageSize; p++ {
-			set[p] = true
-		}
-		t.mu.Unlock()
-	})
-}
-
 // StartDirtyTracking begins logging guest-physical stores: every write
 // into any memslot's slab — guest kernel, device DMA, process_vm
-// injection — marks its 4KiB page dirty. Slots added while tracking is
+// injection — marks its 4KiB page dirty in the slab's own log (the
+// simulated KVM_MEM_LOG_DIRTY_PAGES). Slots added while tracking is
 // active (the vmsh library slot, say) are tracked from their first
 // byte. Idempotent; tracking adds no virtual-time cost.
 func (vm *VM) StartDirtyTracking() {
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
-	if vm.dirty != nil {
+	if vm.dirtyLog {
 		return
 	}
-	vm.dirty = &dirtyTracker{
-		pages: make(map[uint32]map[uint64]bool),
-		armed: make(map[uint32]*mem.Phys),
-	}
+	vm.dirtyLog = true
 	for _, s := range vm.memslots {
-		vm.dirty.arm(s)
+		s.Phys.SetDirtyLog(true)
 	}
 }
 
 // DirtyLog snapshots the dirty page indices per slot, sorted ascending
-// — the KVM_GET_DIRTY_LOG read-and-clear cycle when clear is true.
-// Returns nil when tracking is off.
+// — the KVM_GET_DIRTY_LOG read-and-clear cycle when clear is true —
+// which is what live migration's pre-copy rounds poll. Returns nil
+// when tracking is off.
 func (vm *VM) DirtyLog(clear bool) map[uint32][]uint64 {
 	vm.mu.Lock()
-	t := vm.dirty
-	vm.mu.Unlock()
-	if t == nil {
+	defer vm.mu.Unlock()
+	if !vm.dirtyLog {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[uint32][]uint64, len(t.pages))
-	for slot, set := range t.pages {
-		idxs := make([]uint64, 0, len(set))
-		for p := range set {
-			idxs = append(idxs, p)
-		}
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-		out[slot] = idxs
-		if clear {
-			t.pages[slot] = make(map[uint64]bool)
-		}
+	out := make(map[uint32][]uint64, len(vm.memslots))
+	for _, s := range vm.memslots {
+		out[s.Slot] = s.Phys.DirtyPages(clear)
 	}
 	return out
 }
 
-// StopDirtyTracking disarms every write hook and drops the log.
+// StopDirtyTracking stops every slab's log and drops it.
 func (vm *VM) StopDirtyTracking() {
 	vm.mu.Lock()
 	defer vm.mu.Unlock()
-	if vm.dirty == nil {
-		return
+	vm.dirtyLog = false
+	for _, s := range vm.memslots {
+		s.Phys.SetDirtyLog(false)
 	}
-	vm.dirty.mu.Lock()
-	for _, p := range vm.dirty.armed {
-		p.SetWriteHook(nil)
-	}
-	vm.dirty.mu.Unlock()
-	vm.dirty = nil
 }
 
 // MemSlots snapshots the slot list.
@@ -403,12 +348,12 @@ func (vm *VM) dispatchMMIO(gpa mem.GPA, size int, write bool, value uint64) uint
 	ret := vm.dispatchMMIOInner(gpa, size, write, value)
 	// Tap-only "kvm:mmio" crossing (never fault-checked): one record
 	// per exit so replay logs carry the device register traffic.
-	if t := vm.host.Taps(); t.Active() {
+	if f := vm.host.Faults; f.Observing() {
 		w := uint64(0)
 		if write {
 			w = 1
 		}
-		t.Crossing(faults.OpKVMMMIO,
+		f.Observe(faults.OpKVMMMIO,
 			faults.NewDigest().U64(uint64(gpa)).U64(uint64(size)).U64(w).U64(value),
 			faults.NewDigest().U64(ret), nil)
 	}

@@ -1,6 +1,7 @@
 package kvm
 
 import (
+	"slices"
 	"testing"
 
 	"vmsh/internal/arch"
@@ -348,5 +349,82 @@ func TestKprobeSeesMemslots(t *testing.T) {
 	}
 	if len(snap) != 1 || snap[0].HVA != 0x7f0000000000 || snap[0].Size != 16<<20 {
 		t.Fatalf("kprobe snapshot = %+v", snap)
+	}
+}
+
+// setMemRegion issues KVM_SET_USER_MEMORY_REGION as the hypervisor
+// does: slot of size bytes at gpa backed by the mapping at hva, or with
+// size 0 the deletion of slot.
+func setMemRegion(t *testing.T, hyp *hostsim.Process, vm *VM, slot uint32, gpa, size, hva uint64) {
+	t.Helper()
+	const arg = 0x7e0000000000
+	if _, ok := hyp.AS.Find(arg); !ok {
+		if _, err := hyp.AS.MapPhys(arg, mem.NewPhys(0, mem.PageSize), "ioctl-arg"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := append([]byte{byte(slot), 0, 0, 0, 0, 0, 0, 0}, hostsim.EncodeU64s(gpa, size, hva)...)
+	if err := hyp.WriteMem(arg, st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (&VMFD{VM: vm}).Ioctl(hyp, KVMSetUserMemoryRegion, arg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestDirtyLog(t *testing.T) {
+	_, hyp, vm := newVM(t)
+	ram := vm.MemSlots()[0].Phys
+	if vm.DirtyLog(false) != nil {
+		t.Fatal("dirty log present before tracking started")
+	}
+	vm.StartDirtyTracking()
+
+	const pg = mem.PageSize
+	ram.WriteAt(2*pg+10, []byte("x"))        // page 2
+	ram.PutU16(5*pg, 1)                      // page 5
+	ram.PutU32(8*pg-2, 1)                    // straddles pages 7 and 8
+	ram.PutU64(11*pg+8, 1)                   // page 11
+	ram.WriteAt(13*pg-1, make([]byte, pg+2)) // pages 12, 13 and 14
+	ram.ReadAt(20*pg, make([]byte, 3*pg))    // loads mark nothing
+	_ = ram.U64(30 * pg)
+	want := []uint64{2, 5, 7, 8, 11, 12, 13, 14}
+	if got := vm.DirtyLog(false)[0]; !slices.Equal(got, want) {
+		t.Fatalf("dirty pages %v, want %v", got, want)
+	}
+	if got := vm.DirtyLog(true)[0]; !slices.Equal(got, want) {
+		t.Fatalf("DirtyLog(false) consumed the log: %v, want %v", got, want)
+	}
+	if got := vm.DirtyLog(true)[0]; len(got) != 0 {
+		t.Fatalf("DirtyLog(true) left %v in the log", got)
+	}
+
+	// A slot added while logging is logged from its first store.
+	lib := mem.NewPhys(0, 1<<20)
+	if _, err := hyp.AS.MapPhys(0x7f8000000000, lib, "lib"); err != nil {
+		t.Fatal(err)
+	}
+	setMemRegion(t, hyp, vm, 9, 16<<20, 1<<20, 0x7f8000000000)
+	if err := vm.GuestMem().WritePhys(16<<20+3*pg, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := vm.DirtyLog(true)[9]; !slices.Equal(got, []uint64{3}) {
+		t.Fatalf("new slot dirty pages %v, want [3]", got)
+	}
+
+	// A deleted slot drops out of the log and stops logging.
+	lib.PutU64(4*pg, 1)
+	setMemRegion(t, hyp, vm, 9, 0, 0, 0)
+	if _, ok := vm.DirtyLog(false)[9]; ok {
+		t.Fatal("deleted slot still in the dirty log")
+	}
+	if lib.DirtyPages(false) != nil {
+		t.Fatal("deleted slot's slab still logging")
+	}
+
+	vm.StopDirtyTracking()
+	ram.PutU64(0, 1)
+	if vm.DirtyLog(false) != nil || ram.DirtyPages(false) != nil {
+		t.Fatal("dirty log survives StopDirtyTracking")
 	}
 }

@@ -8,13 +8,13 @@ import (
 // Migration phases, in execution order. A *MigrateError names the one
 // that failed.
 const (
-	PhasePrepare     = "prepare"      // destination launch + initial full sync
-	PhasePrecopy     = "precopy"      // dirty-page rounds while the source runs
-	PhaseQuiesce     = "quiesce"      // pause + session detach + final dirty drain
+	PhasePrepare     = "prepare"       // destination launch + initial full sync
+	PhasePrecopy     = "precopy"       // dirty-page rounds while the source runs
+	PhaseQuiesce     = "quiesce"       // pause + session detach + final dirty drain
 	PhaseStopAndCopy = "stop_and_copy" // remaining pages copied under pause
-	PhasePostCopy    = "postcopy"     // minimal state copied; pages stream on fault
-	PhaseResume      = "resume"       // destination resumes + session re-attach
-	PhaseVerify      = "verify"       // FNV-64a RAM equality check
+	PhasePostCopy    = "postcopy"      // minimal state copied; pages stream on fault
+	PhaseResume      = "resume"        // destination resumes + session re-attach
+	PhaseVerify      = "verify"        // FNV-64a RAM equality check
 )
 
 // MigrateError is the typed migration failure: which phase failed, for

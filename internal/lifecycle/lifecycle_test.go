@@ -165,6 +165,13 @@ func TestRestoreRejectsCorruptSnapshots(t *testing.T) {
 		{"page payload over PageSize", withPage(PageRecord{Index: 1, Data: make([]byte, PageSize+1)})},
 		{"empty session block payload", withSession(PageSize, BlockRecord{})},
 		{"negative vcpu index", func(s *Snapshot) { s.VCPUs = []VCPUState{{Index: -1}} }},
+		{"hostile RAM size", func(s *Snapshot) { s.Config.RAMSize = 1 << 62 }},
+		{"hostile root image size", func(s *Snapshot) { s.Config.RootImageSize = 1 << 62 }},
+		{"hostile extra disk size", func(s *Snapshot) {
+			s.Config.ExtraDisks = []hypervisor.DiskSpec{{GuestName: "vdb", Size: 1 << 62}}
+		}},
+		{"hostile vcpu count", func(s *Snapshot) { s.Config.VCPUs = 1 << 40 }},
+		{"hostile session image size", withSession(1<<62, BlockRecord{Data: one})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -323,7 +330,7 @@ func TestMigratePostCopyStreamsOnDemand(t *testing.T) {
 		}
 		break
 	}
-	dp, ok := res.m.dstSlot(slot)
+	dp, ok := slotPhys(res.m.dst, slot)
 	if !ok {
 		t.Fatal("pending slot has no destination slab")
 	}

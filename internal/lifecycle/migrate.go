@@ -1,9 +1,10 @@
 package lifecycle
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"time"
 
 	"vmsh/internal/core"
@@ -162,10 +163,7 @@ func Migrate(src *hypervisor.Instance, dstHost *hostsim.Host, o MigrateOpts) (*R
 		if o.Workload != nil {
 			o.Workload(round)
 		}
-		moved, err := m.syncDirty(nil)
-		if err != nil {
-			return fail(PhasePrecopy, err)
-		}
+		moved := m.syncDirty()
 		m.res.PagesPrecopy += moved
 		m.res.Rounds = append(m.res.Rounds, RoundStat{Round: round, Pages: moved})
 		sp.End1("pages", int64(moved))
@@ -212,7 +210,7 @@ func Migrate(src *hypervisor.Instance, dstHost *hostsim.Host, o MigrateOpts) (*R
 		m.pending = map[uint32]map[uint64]bool{}
 		total := 0
 		for slot, idxs := range m.src.VM.DirtyLog(true) {
-			if _, ok := m.dstSlot(slot); !ok {
+			if _, ok := slotPhys(m.dst, slot); !ok {
 				continue
 			}
 			set := make(map[uint64]bool, len(idxs))
@@ -225,11 +223,7 @@ func Migrate(src *hypervisor.Instance, dstHost *hostsim.Host, o MigrateOpts) (*R
 		m.charge(total * 8) // pending-page summary
 		m.armPager()
 	} else {
-		moved, err := m.syncDirty(nil)
-		if err != nil {
-			return fail(cutPhase, err)
-		}
-		m.res.PagesCutover = moved
+		m.res.PagesCutover = m.syncDirty()
 	}
 	src.VM.StopDirtyTracking()
 	if err := m.syncDisks(); err != nil {
@@ -266,17 +260,8 @@ func Migrate(src *hypervisor.Instance, dstHost *hostsim.Host, o MigrateOpts) (*R
 	}
 
 	if sessState != nil {
-		img := dstHost.CreateFile(sessState.ImageName, sessState.ImageSize, false)
-		data := img.Bytes()
-		for _, b := range sessState.Blocks {
-			copy(data[b.Index*PageSize:], b.Data)
-		}
 		m.charge(len(sessState.Blocks) * (PageSize + 16))
-		sess, err := core.New(dstHost).Attach(dst.Proc.PID, core.Options{
-			Image:   img,
-			Trap:    core.TrapMode(sessState.Trap),
-			Storage: sessState.Storage,
-		})
+		sess, err := sessState.reattach(dstHost, dst.Proc.PID)
 		if err != nil {
 			return fail(PhaseResume, err)
 		}
@@ -310,10 +295,8 @@ func (r *Result) Drain() error {
 		}
 		return nil
 	}
-	for _, slot := range sortedSlots(m.pending) {
-		set := m.pending[slot]
-		idxs := sortedIdxs(set)
-		for _, idx := range idxs {
+	for _, slot := range sortedKeys(m.pending) {
+		for _, idx := range sortedKeys(m.pending[slot]) {
 			m.fetchPage(slot, idx)
 			r.PagesDrained++
 		}
@@ -345,7 +328,7 @@ func (r *Result) Verify() error {
 	}
 	r.SrcHashes, r.DstHashes = nil, nil
 	for _, sl := range slotsByNum(r.m.src) {
-		dp, ok := r.m.dstSlot(sl.Slot)
+		dp, ok := slotPhys(r.m.dst, sl.Slot)
 		if !ok {
 			continue
 		}
@@ -367,7 +350,7 @@ func (r *Result) Verify() error {
 func (m *migration) verifyAtResume() error {
 	m.res.SrcHashes, m.res.DstHashes = nil, nil
 	for _, sl := range slotsByNum(m.src) {
-		dp, ok := m.dstSlot(sl.Slot)
+		dp, ok := slotPhys(m.dst, sl.Slot)
 		if !ok {
 			continue
 		}
@@ -395,45 +378,24 @@ func (m *migration) charge(n int) {
 	m.res.BytesOnWire += int64(n)
 }
 
-// dstSlot finds the destination slab paired with a source slot number.
-// Slots without a destination twin (the vmsh library slot of a
-// still-attached session) stay source-local until detach removes them.
-func (m *migration) dstSlot(slot uint32) (*mem.Phys, bool) {
-	for _, s := range m.dst.VM.MemSlots() {
-		if s.Slot == slot {
-			return s.Phys, true
-		}
-	}
-	return nil, false
-}
-
-// syncDivergent memcmp-diffs every common slot page-by-page and ships
-// the differing pages: the initial full synchronisation. The scan is
-// priced as a page-summary exchange (8 bytes per page compared); the
-// differing pages ship at full size.
+// syncDivergent page-diffs every memslot the destination shares with
+// the source (slots without a destination twin, like the vmsh library
+// slot of a still-attached session, stay source-local until detach
+// removes them) and ships the differing pages: the initial full
+// synchronisation. The scan is priced as one page-summary exchange (8
+// bytes per page compared); the differing pages ship at full size.
 func (m *migration) syncDivergent() (int, error) {
-	moved := 0
-	scanned := 0
+	scanned, moved := 0, 0
 	for _, sl := range slotsByNum(m.src) {
-		dp, ok := m.dstSlot(sl.Slot)
+		dp, ok := slotPhys(m.dst, sl.Slot)
 		if !ok {
 			continue
 		}
-		sdata, ddata := sl.Phys.Data, dp.Data
-		if len(sdata) != len(ddata) {
-			return 0, fmt.Errorf("memslot %d size differs (%d != %d)", sl.Slot, len(sdata), len(ddata))
+		n, k, err := diffPages(fmt.Sprintf("memslot %d", sl.Slot), dp.Data, sl.Phys.Data)
+		if err != nil {
+			return 0, err
 		}
-		for off := 0; off < len(sdata); off += PageSize {
-			end := off + PageSize
-			if end > len(sdata) {
-				end = len(sdata)
-			}
-			scanned++
-			if !bytes.Equal(sdata[off:end], ddata[off:end]) {
-				copy(ddata[off:end], sdata[off:end])
-				moved++
-			}
-		}
+		scanned, moved = scanned+n, moved+k
 	}
 	m.charge(scanned * 8)
 	m.charge(moved * (PageSize + 16))
@@ -441,48 +403,31 @@ func (m *migration) syncDivergent() (int, error) {
 }
 
 // syncDirty ships the source's current dirty set (read-and-clear) to
-// the destination. With skip non-nil, pages present in it are left
-// out (unused today; the post-copy path keeps its own pending set).
-func (m *migration) syncDirty(skip map[uint32]map[uint64]bool) (int, error) {
+// the destination.
+func (m *migration) syncDirty() int {
 	moved := 0
-	log := m.src.VM.DirtyLog(true)
-	for slot, idxs := range log {
-		dp, ok := m.dstSlot(slot)
+	for slot, idxs := range m.src.VM.DirtyLog(true) {
+		dp, ok := slotPhys(m.dst, slot)
 		if !ok {
 			continue
 		}
-		sp, ok := m.srcSlot(slot)
+		sp, ok := slotPhys(m.src, slot)
 		if !ok {
 			continue
 		}
 		for _, idx := range idxs {
-			if skip != nil && skip[slot][idx] {
-				continue
+			if copyPage(dp.Data, sp.Data, idx) > 0 {
+				moved++
 			}
-			off := idx * PageSize
-			if off >= uint64(len(sp.Data)) {
-				continue
-			}
-			end := min(off+PageSize, uint64(len(sp.Data)))
-			copy(dp.Data[off:end], sp.Data[off:end])
-			moved++
 		}
 	}
 	m.charge(moved * (PageSize + 16))
-	return moved, nil
+	return moved
 }
 
-func (m *migration) srcSlot(slot uint32) (*mem.Phys, bool) {
-	for _, s := range m.src.VM.MemSlots() {
-		if s.Slot == slot {
-			return s.Phys, true
-		}
-	}
-	return nil, false
-}
-
-// syncDisks block-diffs every hypervisor disk image and ships the
-// differing blocks, priced like the page sync.
+// syncDisks page-diffs every hypervisor disk image and ships the
+// differing blocks, priced like the page sync (one summary and one
+// payload charge per disk).
 func (m *migration) syncDisks() error {
 	for _, name := range diskNames(m.src.Cfg) {
 		sf, err := m.src.Host.OpenFile(hypervisor.ImageFileName(m.src.Cfg.Name, name))
@@ -493,21 +438,9 @@ func (m *migration) syncDisks() error {
 		if err != nil {
 			return fmt.Errorf("destination disk %s: %w", name, err)
 		}
-		sdata, ddata := sf.Bytes(), df.Bytes()
-		if len(sdata) != len(ddata) {
-			return fmt.Errorf("disk %s size differs (%d != %d)", name, len(sdata), len(ddata))
-		}
-		scanned, moved := 0, 0
-		for off := 0; off < len(sdata); off += PageSize {
-			end := off + PageSize
-			if end > len(sdata) {
-				end = len(sdata)
-			}
-			scanned++
-			if !bytes.Equal(sdata[off:end], ddata[off:end]) {
-				copy(ddata[off:end], sdata[off:end])
-				moved++
-			}
+		scanned, moved, err := diffPages("disk "+name, df.Bytes(), sf.Bytes())
+		if err != nil {
+			return err
 		}
 		m.charge(scanned * 8)
 		m.charge(moved * (PageSize + 16))
@@ -526,7 +459,7 @@ func (m *migration) armPager() {
 		if len(set) == 0 {
 			continue
 		}
-		dp, ok := m.dstSlot(slot)
+		dp, ok := slotPhys(m.dst, slot)
 		if !ok {
 			continue
 		}
@@ -550,14 +483,11 @@ func (m *migration) armPager() {
 // fetchPage moves one pending page from source to destination and
 // removes it from the pending set. Charged as one page response.
 func (m *migration) fetchPage(slot uint32, idx uint64) {
-	sp, ok1 := m.srcSlot(slot)
-	dp, ok2 := m.dstSlot(slot)
+	sp, ok1 := slotPhys(m.src, slot)
+	dp, ok2 := slotPhys(m.dst, slot)
 	if ok1 && ok2 {
-		off := idx * PageSize
-		if off < uint64(len(sp.Data)) {
-			end := min(off+PageSize, uint64(len(sp.Data)))
-			copy(dp.Data[off:end], sp.Data[off:end])
-			m.charge(int(end-off) + 16)
+		if n := copyPage(dp.Data, sp.Data, idx); n > 0 {
+			m.charge(n + 16)
 		}
 	}
 	delete(m.pending[slot], idx)
@@ -590,28 +520,12 @@ func hashWithPending(dst, src *mem.Phys, pending map[uint64]bool) uint64 {
 	return h.Sum64()
 }
 
-func sortedSlots(m map[uint32]map[uint64]bool) []uint32 {
-	out := make([]uint32, 0, len(m))
-	for s := range m {
-		out = append(out, s)
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
-}
-
-func sortedIdxs(set map[uint64]bool) []uint64 {
-	out := make([]uint64, 0, len(set))
-	for i := range set {
-		out = append(out, i)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
+	slices.Sort(out)
 	return out
 }

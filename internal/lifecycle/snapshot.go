@@ -15,12 +15,14 @@ package lifecycle
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"vmsh/internal/core"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
+	"vmsh/internal/kvm"
 	"vmsh/internal/mem"
 	"vmsh/internal/virtio"
 )
@@ -28,6 +30,16 @@ import (
 // PageSize is the RAM page and disk block granularity of snapshots and
 // migration transfers.
 const PageSize = mem.PageSize
+
+// Restore bounds. A snapshot's Config and session descriptor size what
+// Restore allocates, so a snapshot exceeding these is rejected as
+// corrupt before anything is launched. Each sits well above any VM the
+// repository launches (512 MiB of RAM or disk, 4 vCPUs).
+const (
+	maxRestoreRAM   = 4 << 30 // Config.RAMSize, bytes
+	maxRestoreImage = 4 << 30 // root, extra-disk and session image sizes, bytes
+	maxRestoreVCPUs = 64      // Config.VCPUs
+)
 
 // TakeOpts parameterises Take.
 type TakeOpts struct {
@@ -82,15 +94,8 @@ func Take(inst *hypervisor.Instance, o TakeOpts) (*Snapshot, error) {
 	s.Cursors = cur
 
 	for _, sl := range slotsByNum(inst) {
-		data := sl.Phys.Data
-		for off := uint64(0); off < uint64(len(data)); off += PageSize {
-			pg := data[off:min(off+PageSize, uint64(len(data)))]
-			if !allZero(pg) {
-				s.Pages = append(s.Pages, PageRecord{
-					Slot: sl.Slot, Index: off / PageSize,
-					Data: append([]byte(nil), pg...),
-				})
-			}
+		for _, b := range sparseBlocks(sl.Phys.Data) {
+			s.Pages = append(s.Pages, PageRecord{Slot: sl.Slot, Index: b.Index, Data: b.Data})
 		}
 		s.RAMHashes = append(s.RAMHashes, sl.Phys.Hash())
 	}
@@ -124,20 +129,19 @@ type RestoreOpts struct {
 // restarts from boot, which is indistinguishable for a guest quiesced
 // at capture.
 func Restore(h *hostsim.Host, s *Snapshot, o RestoreOpts) (*hypervisor.Instance, *core.Session, error) {
+	if err := checkBounds(s); err != nil {
+		return nil, nil, fmt.Errorf("lifecycle restore: %w", err)
+	}
 	inst, err := hypervisor.Launch(h, s.Config)
 	if err != nil {
 		return nil, nil, fmt.Errorf("lifecycle restore: relaunch: %w", err)
 	}
 
-	slots := map[uint32]*mem.Phys{}
 	for _, sl := range inst.VM.MemSlots() {
-		slots[sl.Slot] = sl.Phys
-	}
-	for _, p := range slots {
-		clear(p.Data)
+		clear(sl.Phys.Data)
 	}
 	for _, pg := range s.Pages {
-		p, ok := slots[pg.Slot]
+		p, ok := slotPhys(inst, pg.Slot)
 		if !ok {
 			return nil, nil, fmt.Errorf("lifecycle restore: %w: page for unknown memslot %d", ErrSnapshotCorrupt, pg.Slot)
 		}
@@ -166,10 +170,8 @@ func Restore(h *hostsim.Host, s *Snapshot, o RestoreOpts) (*hypervisor.Instance,
 		}
 		data := f.Bytes()
 		clear(data)
-		for _, b := range d.Blocks {
-			if !putBlock(data, b.Index, b.Data) {
-				return nil, nil, fmt.Errorf("lifecycle restore: %w: block %d (%d bytes) outside disk %s", ErrSnapshotCorrupt, b.Index, len(b.Data), d.Name)
-			}
+		if err := putBlocks(data, d.Blocks, "disk "+d.Name); err != nil {
+			return nil, nil, fmt.Errorf("lifecycle restore: %w", err)
 		}
 	}
 
@@ -182,25 +184,56 @@ func Restore(h *hostsim.Host, s *Snapshot, o RestoreOpts) (*hypervisor.Instance,
 
 	var sess *core.Session
 	if s.Session != nil && !o.SkipReattach {
-		if s.Session.ImageSize < 0 {
-			return nil, nil, fmt.Errorf("lifecycle restore: %w: session image size %d", ErrSnapshotCorrupt, s.Session.ImageSize)
-		}
-		img := h.CreateFile(s.Session.ImageName, s.Session.ImageSize, false)
-		for _, b := range s.Session.Blocks {
-			if !putBlock(img.Bytes(), b.Index, b.Data) {
-				return nil, nil, fmt.Errorf("lifecycle restore: %w: block %d (%d bytes) outside session image", ErrSnapshotCorrupt, b.Index, len(b.Data))
-			}
-		}
-		sess, err = core.New(h).Attach(inst.Proc.PID, core.Options{
-			Image:   img,
-			Trap:    core.TrapMode(s.Session.Trap),
-			Storage: s.Session.Storage,
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("lifecycle restore: re-attach: %w", err)
+		if sess, err = s.Session.reattach(h, inst.Proc.PID); err != nil {
+			return nil, nil, fmt.Errorf("lifecycle restore: %w", err)
 		}
 	}
 	return inst, sess, nil
+}
+
+// checkBounds rejects a snapshot whose sizes Restore cannot allocate
+// safely: RAM, vCPU count and every image size must lie within the
+// Restore bounds.
+func checkBounds(s *Snapshot) error {
+	c := s.Config
+	if c.RAMSize > maxRestoreRAM {
+		return fmt.Errorf("%w: RAM size %d", ErrSnapshotCorrupt, c.RAMSize)
+	}
+	if c.VCPUs < 0 || c.VCPUs > maxRestoreVCPUs {
+		return fmt.Errorf("%w: %d vCPUs", ErrSnapshotCorrupt, c.VCPUs)
+	}
+	image := func(what string, size int64) error {
+		if size < 0 || size > maxRestoreImage {
+			return fmt.Errorf("%w: %s size %d", ErrSnapshotCorrupt, what, size)
+		}
+		return nil
+	}
+	err := image("root image", c.RootImageSize)
+	for _, d := range c.ExtraDisks {
+		err = cmp.Or(err, image("disk "+d.GuestName, d.Size))
+	}
+	if s.Session != nil {
+		err = cmp.Or(err, image("session image", s.Session.ImageSize))
+	}
+	return err
+}
+
+// reattach materialises the quiesced session's overlay image on h and
+// attaches an equivalent vmsh session to the VM process pid.
+func (st *SessionState) reattach(h *hostsim.Host, pid int) (*core.Session, error) {
+	img := h.CreateFile(st.ImageName, st.ImageSize, false)
+	if err := putBlocks(img.Bytes(), st.Blocks, "session image"); err != nil {
+		return nil, err
+	}
+	sess, err := core.New(h).Attach(pid, core.Options{
+		Image:   img,
+		Trap:    core.TrapMode(st.Trap),
+		Storage: st.Storage,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("re-attach: %w", err)
+	}
+	return sess, nil
 }
 
 // --- shared helpers (snapshot + migration) -------------------------
@@ -267,18 +300,49 @@ func applyCursors(inst *hypervisor.Instance, cur []DiskCursors) error {
 
 // slotsByNum snapshots the memslot list sorted by slot number, so
 // hash order is stable regardless of registration order.
-func slotsByNum(inst *hypervisor.Instance) []*kvmSlot {
-	var out []*kvmSlot
-	for _, s := range inst.VM.MemSlots() {
-		out = append(out, &kvmSlot{Slot: s.Slot, Phys: s.Phys})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Slot < out[j].Slot })
+func slotsByNum(inst *hypervisor.Instance) []*kvm.MemSlot {
+	out := inst.VM.MemSlots()
+	slices.SortFunc(out, func(a, b *kvm.MemSlot) int { return cmp.Compare(a.Slot, b.Slot) })
 	return out
 }
 
-type kvmSlot struct {
-	Slot uint32
-	Phys *mem.Phys
+// slotPhys finds the slab behind memslot slot of inst.
+func slotPhys(inst *hypervisor.Instance, slot uint32) (*mem.Phys, bool) {
+	for _, s := range inst.VM.MemSlots() {
+		if s.Slot == slot {
+			return s.Phys, true
+		}
+	}
+	return nil, false
+}
+
+// diffPages copies every PageSize page of src that differs from dst
+// into dst, reporting how many pages it compared and how many moved.
+// what names the pair in the error for a size mismatch.
+func diffPages(what string, dst, src []byte) (scanned, moved int, err error) {
+	if len(src) != len(dst) {
+		return 0, 0, fmt.Errorf("%s size differs (%d != %d)", what, len(src), len(dst))
+	}
+	for off := 0; off < len(src); off += PageSize {
+		end := min(off+PageSize, len(src))
+		scanned++
+		if !bytes.Equal(src[off:end], dst[off:end]) {
+			copy(dst[off:end], src[off:end])
+			moved++
+		}
+	}
+	return scanned, moved, nil
+}
+
+// copyPage copies page idx of src into dst, clipped to src's end, and
+// returns the bytes copied: 0 for a page past the end of src.
+func copyPage(dst, src []byte, idx uint64) int {
+	off := idx * PageSize
+	if off >= uint64(len(src)) {
+		return 0
+	}
+	end := min(off+PageSize, uint64(len(src)))
+	return copy(dst[off:end], src[off:end])
 }
 
 // sparseBlocks captures the non-zero PageSize blocks of data.
@@ -291,6 +355,18 @@ func sparseBlocks(data []byte) []BlockRecord {
 		}
 	}
 	return out
+}
+
+// putBlocks applies sparse blocks to dst with putBlock, failing with
+// ErrSnapshotCorrupt at the first one that does not fit; what names
+// dst in the error.
+func putBlocks(dst []byte, blocks []BlockRecord, what string) error {
+	for _, b := range blocks {
+		if !putBlock(dst, b.Index, b.Data) {
+			return fmt.Errorf("%w: block %d (%d bytes) outside %s", ErrSnapshotCorrupt, b.Index, len(b.Data), what)
+		}
+	}
+	return nil
 }
 
 // putBlock copies one sparse unit into dst at PageSize unit idx. It

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 )
 
 // GPA is a guest physical address.
@@ -36,10 +37,11 @@ type Phys struct {
 	Base GPA
 	Data []byte
 
-	// onWrite, when armed, observes every store into the slab (WriteAt
-	// and the PutU* encoders). The lifecycle dirty-page tracker hangs
-	// off this slot; nil (the default) costs one predicted branch.
-	onWrite func(gpa GPA, n int)
+	// dirty is the dirty-page log: one bit per page, set by every
+	// store through WriteAt and the PutU* encoders while logging is on
+	// (non-nil). KVM's dirty log, which live migration polls, reads
+	// it; nil (the default) costs one predicted branch per store.
+	dirty []uint64
 	// onAccess, when armed, observes every Slice — loads and stores
 	// alike — before the byte window is handed out. The post-copy
 	// migration pager uses it to fetch not-yet-streamed pages on
@@ -47,11 +49,45 @@ type Phys struct {
 	onAccess func(gpa GPA, n int)
 }
 
-// SetWriteHook arms (or, with nil, clears) the slab's single store
-// observer. The slot holds ONE observer — a second SetWriteHook
-// replaces the first — matching the single-owner contract of
-// vclock.Clock.SetOnAdvance: exactly one dirty tracker per slab.
-func (p *Phys) SetWriteHook(fn func(gpa GPA, n int)) { p.onWrite = fn }
+// SetDirtyLog turns dirty-page logging on with an empty log, or off,
+// dropping the log. Turning it on while it is on keeps the log.
+func (p *Phys) SetDirtyLog(on bool) {
+	switch {
+	case !on:
+		p.dirty = nil
+	case p.dirty == nil:
+		pages := (p.Size() + PageSize - 1) / PageSize
+		p.dirty = make([]uint64, (pages+63)/64)
+	}
+}
+
+// DirtyPages returns the indices of the pages stored into since logging
+// began or the log was last cleared, ascending; nil when logging is off
+// or nothing is dirty. With clear set it also empties the log — the
+// KVM_GET_DIRTY_LOG read-and-clear cycle.
+func (p *Phys) DirtyPages(clear bool) []uint64 {
+	var out []uint64
+	for i, w := range p.dirty {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, uint64(i)*64+uint64(bits.TrailingZeros64(w)))
+		}
+		if clear {
+			p.dirty[i] = 0
+		}
+	}
+	return out
+}
+
+// markDirty logs the pages a store of n bytes at gpa touched.
+func (p *Phys) markDirty(gpa GPA, n int) {
+	if p.dirty == nil || n <= 0 {
+		return
+	}
+	off := uint64(gpa - p.Base)
+	for pg := off / PageSize; pg <= (off+uint64(n)-1)/PageSize; pg++ {
+		p.dirty[pg/64] |= 1 << (pg % 64)
+	}
+}
 
 // SetAccessHook arms (or clears) the slab's single access observer,
 // fired on every Slice before bytes are handed out. Observers must not
@@ -112,9 +148,7 @@ func (p *Phys) ReadAt(gpa GPA, buf []byte) { copy(buf, p.Slice(gpa, len(buf))) }
 // WriteAt copies buf into the slab at gpa.
 func (p *Phys) WriteAt(gpa GPA, buf []byte) {
 	copy(p.Slice(gpa, len(buf)), buf)
-	if p.onWrite != nil {
-		p.onWrite(gpa, len(buf))
-	}
+	p.markDirty(gpa, len(buf))
 }
 
 // U16 reads a little-endian uint16 at gpa.
@@ -129,25 +163,19 @@ func (p *Phys) U64(gpa GPA) uint64 { return binary.LittleEndian.Uint64(p.Slice(g
 // PutU16 writes a little-endian uint16 at gpa.
 func (p *Phys) PutU16(gpa GPA, v uint16) {
 	binary.LittleEndian.PutUint16(p.Slice(gpa, 2), v)
-	if p.onWrite != nil {
-		p.onWrite(gpa, 2)
-	}
+	p.markDirty(gpa, 2)
 }
 
 // PutU32 writes a little-endian uint32 at gpa.
 func (p *Phys) PutU32(gpa GPA, v uint32) {
 	binary.LittleEndian.PutUint32(p.Slice(gpa, 4), v)
-	if p.onWrite != nil {
-		p.onWrite(gpa, 4)
-	}
+	p.markDirty(gpa, 4)
 }
 
 // PutU64 writes a little-endian uint64 at gpa.
 func (p *Phys) PutU64(gpa GPA, v uint64) {
 	binary.LittleEndian.PutUint64(p.Slice(gpa, 8), v)
-	if p.onWrite != nil {
-		p.onWrite(gpa, 8)
-	}
+	p.markDirty(gpa, 8)
 }
 
 // PhysReader is the read-side view of guest physical memory. The guest

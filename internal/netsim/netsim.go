@@ -149,7 +149,6 @@ type Switch struct {
 	stats SwitchStats
 
 	faults *faults.Injector
-	taps   *faults.Taps
 
 	trace        *obs.Tracer
 	ctrForwarded *obs.Counter
@@ -189,25 +188,20 @@ func (s *Switch) Observe(t *obs.Tracer, reg *obs.Registry) {
 	}
 }
 
-// SetFaults wires the host's fault-injection plane into the switch:
-// each link delivery becomes a "net:link" crossing an injected fault
-// turns into a link drop (counted like a DropNth loss). A nil injector
-// (or never calling SetFaults) keeps the data path check-free.
+// SetFaults wires the host's crossing plane into the switch: each
+// egress link delivery becomes a "net:link" crossing, which an
+// injected fault turns into a link drop (counted like a DropNth loss)
+// and a tap observes, delivered or dropped. A nil plane (or never
+// calling SetFaults) keeps the data path check- and observation-free.
 func (s *Switch) SetFaults(in *faults.Injector) { s.faults = in }
-
-// SetTaps wires the host's crossing-observation hub into the switch:
-// every egress link delivery (or drop) becomes a "net:link" crossing
-// in recorded sessions. Nil (or never calling SetTaps) keeps the data
-// path observation-free.
-func (s *Switch) SetTaps(t *faults.Taps) { s.taps = t }
 
 // tapLink reports one link crossing; err is nil for a delivery,
 // faults.Dropped (or the injected fault) for a loss.
 func (s *Switch) tapLink(out *Port, frame []byte, err error) {
-	if !s.taps.Active() {
+	if !s.faults.Observing() {
 		return
 	}
-	s.taps.Crossing(faults.OpNetLink,
+	s.faults.Observe(faults.OpNetLink,
 		faults.NewDigest().U64(uint64(out.id)).U64(uint64(len(frame))),
 		faults.NewDigest().Bytes(frame), err)
 }

@@ -152,13 +152,6 @@ func (m *Mapper) StartJournal() {
 	m.journal = m.journal[:0]
 }
 
-// Journal returns the recorded entry writes in store order.
-func (m *Mapper) Journal() []EntryWrite {
-	out := make([]EntryWrite, len(m.journal))
-	copy(out, m.journal)
-	return out
-}
-
 // UndoJournal restores every journalled entry to its prior value, in
 // reverse store order, through the mapper's own PhysIO view. The
 // journal is consumed. Table pages the mapper *allocated* (from the

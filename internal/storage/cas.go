@@ -112,20 +112,3 @@ func (c *CasFS) DedupStats() DedupStats {
 		SharedWrites:  c.cas.shared,
 	}
 }
-
-func init() {
-	RegisterFS("memory", func(cfg Config) (FS, error) {
-		return NewMemFS(memOptFromConfig(cfg)), nil
-	})
-	RegisterFS("cas", func(cfg Config) (FS, error) {
-		return NewCasFS(memOptFromConfig(cfg)), nil
-	})
-}
-
-func memOptFromConfig(cfg Config) MemOptions {
-	var opt MemOptions
-	if cfg.Size > 0 {
-		opt.Blocks = (cfg.Size + PageSize - 1) / PageSize
-	}
-	return opt
-}

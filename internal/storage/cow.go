@@ -589,9 +589,3 @@ func (n *cowNode) SetTimes(atime, mtime uint64) error {
 	}
 	return n.up.SetTimes(atime, mtime)
 }
-
-func init() {
-	RegisterFS("cow", func(cfg Config) (FS, error) {
-		return NewCowFS(cfg.Lower), nil
-	})
-}

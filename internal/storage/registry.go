@@ -14,58 +14,34 @@ import (
 // backend documents which fields it reads. Unused fields are ignored,
 // so one Config can be handed to any registered backend.
 type Config struct {
-	// Size is the capacity in bytes for capacity-tracking backends
-	// (0 picks a 256 MiB default).
+	// Size is the capacity in bytes of a block store built without a
+	// Base image.
 	Size int64
-	// Lower is the read-only lower layer for stacking backends.
-	Lower FS
 	// Base is the seed image for block backends: its current content
 	// becomes the store's initial state.
 	Base BlockBackend
-	// Clock, Costs, Faults and Taps wire the remote backend into the
-	// host's deterministic planes: per-op latency/bandwidth is charged
-	// to Clock, faults are consulted through Faults, and every op is
-	// observable (record/replay) through Taps.
+	// Clock, Costs and Faults wire the remote backend into the host's
+	// deterministic planes: per-op latency/bandwidth is charged to
+	// Clock, and every op is checked against the fault plan of, and
+	// observed (record/replay) by, the crossing plane Faults.
 	Clock  *vclock.Clock
 	Costs  *vclock.Costs
 	Faults *faults.Injector
-	Taps   *faults.Taps
 	// RemoteLat / RemoteBW override the remote link model (zero
 	// values fall back to Costs.RemoteOpLat / Costs.RemoteLinkBW).
 	RemoteLat time.Duration
 	RemoteBW  float64
 }
 
-var (
-	fsBackends    = map[string]func(Config) (FS, error){}
-	blockBackends = map[string]func(Config) (BlockBackend, error){}
-)
+var blockBackends = map[string]func(Config) (BlockBackend, error){}
 
-// RegisterFS adds a filesystem backend constructor under name
+// RegisterBlock adds a block-store backend constructor under name
 // (database/sql style; called from init functions).
-func RegisterFS(name string, open func(Config) (FS, error)) {
-	if _, dup := fsBackends[name]; dup {
-		panic("storage: duplicate FS backend " + name)
-	}
-	fsBackends[name] = open
-}
-
-// RegisterBlock adds a block-store backend constructor under name.
 func RegisterBlock(name string, open func(Config) (BlockBackend, error)) {
 	if _, dup := blockBackends[name]; dup {
 		panic("storage: duplicate block backend " + name)
 	}
 	blockBackends[name] = open
-}
-
-// OpenFS constructs the named filesystem backend.
-func OpenFS(name string, cfg Config) (FS, error) {
-	open, ok := fsBackends[name]
-	if !ok {
-		return nil, fmt.Errorf("storage: unknown FS backend %q (have %v): %w",
-			name, FSBackends(), fserr.ErrNotSupported)
-	}
-	return open(cfg)
 }
 
 // OpenBlock constructs the named block-store backend.
@@ -76,16 +52,6 @@ func OpenBlock(name string, cfg Config) (BlockBackend, error) {
 			name, BlockBackends(), fserr.ErrNotSupported)
 	}
 	return open(cfg)
-}
-
-// FSBackends lists the registered filesystem backend names, sorted.
-func FSBackends() []string {
-	out := make([]string, 0, len(fsBackends))
-	for n := range fsBackends {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // BlockBackends lists the registered block backend names, sorted.

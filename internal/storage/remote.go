@@ -12,8 +12,8 @@ import (
 // store (S3/minio-flavoured: GET/PUT of object chunks plus a flush
 // barrier). Every operation charges a round-trip latency and payload
 // serialisation time to the virtual clock — exactly the netsim link
-// model — consults the fault injector under the remote:* crossing
-// classes, and reports each crossing to the tap hub so remote sessions
+// model — and passes each operation through the host's crossing plane
+// under the remote:* crossing classes, so remote sessions fault,
 // record and replay like any other host crossing. All fields are
 // optional; the zero value is a free, fault-less, unobserved link.
 type RemoteLink struct {
@@ -21,7 +21,6 @@ type RemoteLink struct {
 	Lat    time.Duration // per-op round-trip latency
 	BW     float64       // payload bandwidth, bytes/sec
 	Faults *faults.Injector
-	Taps   *faults.Taps
 }
 
 // LinkFromConfig assembles the link from a backend Config, falling
@@ -29,7 +28,7 @@ type RemoteLink struct {
 func LinkFromConfig(cfg Config) RemoteLink {
 	l := RemoteLink{
 		Clock: cfg.Clock, Lat: cfg.RemoteLat, BW: cfg.RemoteBW,
-		Faults: cfg.Faults, Taps: cfg.Taps,
+		Faults: cfg.Faults,
 	}
 	if cfg.Costs != nil {
 		if l.Lat == 0 {
@@ -43,7 +42,7 @@ func LinkFromConfig(cfg Config) RemoteLink {
 }
 
 // xfer performs one remote operation: charge latency + bandwidth for
-// n payload bytes, consult the injector, observe the crossing. key
+// n payload bytes, check the crossing plane, observe the crossing. key
 // identifies the object ("i<ino>/p<page>" for file pages); payload is
 // digested for the tap, never retained.
 func (l *RemoteLink) xfer(op faults.Op, key string, payload []byte) error {
@@ -54,13 +53,13 @@ func (l *RemoteLink) xfer(op faults.Op, key string, payload []byte) error {
 		}
 	}
 	err := l.Faults.Check(op)
-	if l.Taps.Active() {
+	if l.Faults.Observing() {
 		args := faults.NewDigest().Str(string(op)).Str(key).U64(uint64(len(payload)))
 		result := faults.NewDigest()
 		if err == nil {
 			result = result.Bytes(payload)
 		}
-		l.Taps.Crossing(op, args, result, err)
+		l.Faults.Observe(op, args, result, err)
 	}
 	if err != nil {
 		return fmt.Errorf("remote %s %s: %w", op, key, err)
@@ -162,10 +161,4 @@ func (n *remoteNode) WriteAt(buf []byte, off int64) (int, error) {
 		return 0, err
 	}
 	return n.Node.WriteAt(buf, off)
-}
-
-func init() {
-	RegisterFS("remote", func(cfg Config) (FS, error) {
-		return NewRemoteFS(memOptFromConfig(cfg), LinkFromConfig(cfg)), nil
-	})
 }

@@ -199,9 +199,6 @@ func TestBlockRegistrySeedsFromBase(t *testing.T) {
 	if _, err := OpenBlock("nvme-of", Config{}); !errors.Is(err, fserr.ErrNotSupported) {
 		t.Errorf("unknown block backend: %v, want ErrNotSupported", err)
 	}
-	if _, err := OpenFS("tmpfs9", Config{}); !errors.Is(err, fserr.ErrNotSupported) {
-		t.Errorf("unknown fs backend: %v, want ErrNotSupported", err)
-	}
 }
 
 // --- remote backend -----------------------------------------------------
@@ -279,10 +276,10 @@ type recordTap struct{ ops []faults.Op }
 func (r *recordTap) Crossing(c faults.Crossing) { r.ops = append(r.ops, c.Op) }
 
 func TestRemoteCrossingsObserved(t *testing.T) {
-	taps := &faults.Taps{}
+	plane := faults.NewInjector(nil, vclock.New(), obs.Track{})
 	tap := &recordTap{}
-	taps.Arm(tap)
-	link := RemoteLink{Taps: taps}
+	plane.SetTap(tap)
+	link := RemoteLink{Faults: plane}
 	fs := NewRemoteFS(MemOptions{}, link)
 	n, err := fs.Root().Create("obj", 0o644, 0, 0)
 	if err != nil {
@@ -355,14 +352,6 @@ func TestMemFSInodeAndBlockLimits(t *testing.T) {
 }
 
 func TestFSBackendsRegistry(t *testing.T) {
-	got := FSBackends()
-	want := map[string]bool{"memory": true, "cas": true, "cow": true, "remote": true}
-	for _, name := range got {
-		delete(want, name)
-	}
-	if len(want) != 0 {
-		t.Errorf("missing FS backends: %v (have %v)", want, got)
-	}
 	gotB := BlockBackends()
 	wantB := map[string]bool{"memory": true, "cas": true, "cow": true, "remote": true}
 	for _, name := range gotB {

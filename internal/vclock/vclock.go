@@ -23,7 +23,6 @@ import (
 type Clock struct {
 	mu        sync.Mutex
 	now       time.Duration
-	onAdvance *clockObserver   // the SetOnAdvance slot
 	observers []*clockObserver // Observe registrations, in order
 }
 
@@ -47,55 +46,29 @@ func (c *Clock) Now() time.Duration {
 
 // Advance moves the clock forward by d. Negative d panics: virtual
 // time never rewinds. Observers run outside the clock lock, in
-// registration order, with the SetOnAdvance slot first.
+// registration order.
 func (c *Clock) Advance(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("vclock: negative advance %v", d))
 	}
 	c.mu.Lock()
 	c.now += d
-	primary := c.onAdvance
-	rest := c.observers // copy-on-write: safe to range outside the lock
+	observers := c.observers // copy-on-write: safe to range outside the lock
 	c.mu.Unlock()
 	if d == 0 {
 		return
 	}
-	if primary != nil {
-		primary.f(d)
-	}
-	for _, o := range rest {
+	for _, o := range observers {
 		o.f(d)
 	}
 }
 
-// SetOnAdvance fills (or, with nil, clears) the clock's single
-// primary-observer slot, called (outside the clock lock, with the
-// advanced amount) after every positive Advance.
-//
-// Contract: the slot holds ONE observer; a second SetOnAdvance
-// replaces the first silently. That is fine for a single owner
-// re-registering (the tracer across Enable/Disable cycles) but wrong
-// for two independent subsystems — the second would disconnect the
-// first without either noticing. Subsystems that merely want to watch
-// the clock alongside others must use Observe, which composes;
-// SetOnAdvance is kept for the single-owner case and for backward
-// compatibility.
-func (c *Clock) SetOnAdvance(f func(time.Duration)) {
-	c.mu.Lock()
-	if f == nil {
-		c.onAdvance = nil
-	} else {
-		c.onAdvance = &clockObserver{f: f}
-	}
-	c.mu.Unlock()
-}
-
-// Observe registers an additional advance observer and returns its
-// remove function. Unlike SetOnAdvance, Observe tolerates any number
-// of concurrent registrations: each caller detaches exactly its own
-// observer, in O(observers), and never disturbs the others. Remove is
-// idempotent. Observers fire in registration order, after the
-// SetOnAdvance slot.
+// Observe registers an advance observer, called (outside the clock
+// lock, with the advanced amount) after every positive Advance, and
+// returns its remove function. Any number of subsystems may observe
+// one clock: each caller detaches exactly its own observer, in
+// O(observers), and never disturbs the others. Remove is idempotent.
+// Observers fire in registration order.
 func (c *Clock) Observe(f func(time.Duration)) (remove func()) {
 	if f == nil {
 		return func() {}

@@ -182,10 +182,10 @@ func TestMustValidatePanics(t *testing.T) {
 	c.MustValidate()
 }
 
-func TestSetOnAdvance(t *testing.T) {
+func TestObserveSkipsZeroAndStopsOnRemove(t *testing.T) {
 	c := New()
 	var total time.Duration
-	c.SetOnAdvance(func(d time.Duration) { total += d })
+	remove := c.Observe(func(d time.Duration) { total += d })
 	c.Advance(10)
 	c.Advance(0) // zero advances must not fire the observer
 	c.Advance(5)
@@ -195,7 +195,7 @@ func TestSetOnAdvance(t *testing.T) {
 	if c.Now() != 15 {
 		t.Fatalf("clock at %v, want 15ns", c.Now())
 	}
-	c.SetOnAdvance(nil)
+	remove()
 	c.Advance(7)
 	if total != 15 {
 		t.Fatalf("observer fired after removal: %v", total)
@@ -204,42 +204,25 @@ func TestSetOnAdvance(t *testing.T) {
 
 func TestObserveComposes(t *testing.T) {
 	c := New()
-	var primary, a, b time.Duration
-	c.SetOnAdvance(func(d time.Duration) { primary += d })
+	var a, b time.Duration
 	removeA := c.Observe(func(d time.Duration) { a += d })
 	removeB := c.Observe(func(d time.Duration) { b += d })
 	c.Advance(10)
-	if primary != 10 || a != 10 || b != 10 {
-		t.Fatalf("observers saw primary=%v a=%v b=%v, want 10ns each", primary, a, b)
+	if a != 10 || b != 10 {
+		t.Fatalf("observers saw a=%v b=%v, want 10ns each", a, b)
 	}
 	// Removing one observer must not disturb the others.
 	removeA()
 	c.Advance(5)
-	if primary != 15 || a != 10 || b != 15 {
-		t.Fatalf("after removeA: primary=%v a=%v b=%v", primary, a, b)
+	if a != 10 || b != 15 {
+		t.Fatalf("after removeA: a=%v b=%v", a, b)
 	}
 	// Remove is idempotent.
 	removeA()
 	removeB()
 	c.Advance(3)
-	if primary != 18 || a != 10 || b != 15 {
-		t.Fatalf("after removal: primary=%v a=%v b=%v", primary, a, b)
-	}
-}
-
-func TestSetOnAdvanceReRegistration(t *testing.T) {
-	// The SetOnAdvance slot replaces: the documented single-owner
-	// contract. Observers registered with Observe survive the swap.
-	c := New()
-	var old, new_, side time.Duration
-	c.SetOnAdvance(func(d time.Duration) { old += d })
-	remove := c.Observe(func(d time.Duration) { side += d })
-	defer remove()
-	c.Advance(4)
-	c.SetOnAdvance(func(d time.Duration) { new_ += d })
-	c.Advance(6)
-	if old != 4 || new_ != 6 || side != 10 {
-		t.Fatalf("old=%v new=%v side=%v, want 4/6/10", old, new_, side)
+	if a != 10 || b != 15 {
+		t.Fatalf("after removal: a=%v b=%v", a, b)
 	}
 }
 

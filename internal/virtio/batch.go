@@ -44,8 +44,8 @@ func serviceQueue(dev *MMIODev, q int, batch bool, serve serveFn, serveBatch ser
 	sp.End2("queue", int64(q), "chains", served)
 	// One record/replay crossing per service pass, mirroring the
 	// granularity at which the fault plane intercepts the data path.
-	if dev.Taps.Active() && dev.TapOp != "" {
-		dev.Taps.Crossing(dev.TapOp,
+	if dev.Faults.Observing() && dev.TapOp != "" {
+		dev.Faults.Observe(dev.TapOp,
 			faults.NewDigest().U64(uint64(dev.ID)).U64(uint64(q)),
 			faults.NewDigest().U64(uint64(served)), nil)
 	}

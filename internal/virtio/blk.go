@@ -53,13 +53,6 @@ type BlkDevice struct {
 	// timing exactly.
 	Batch bool
 
-	// Faults is the host's fault-injection plane (nil when disabled).
-	// An injected "vq:blk" fault degrades gracefully: the request
-	// completes with BlkStatusIOErr in its status byte — exactly what
-	// the guest driver sees from a failing disk — and the service pass
-	// keeps going.
-	Faults *faults.Injector
-
 	// Requests counts processed requests (harness metric).
 	Requests int64
 }
@@ -110,7 +103,7 @@ func (b *BlkDevice) serve(dq *DeviceQueue, chain *Chain) uint32 {
 	if len(chain.Elems) < 2 {
 		return 1
 	}
-	if err := b.Faults.Check(faults.OpVQBlk); err != nil {
+	if err := b.Dev.Faults.Check(faults.OpVQBlk); err != nil {
 		return 1 // status stays BlkStatusIOErr; the pass continues
 	}
 	hdr := make([]byte, blkHdrSize)
@@ -226,7 +219,7 @@ func (b *BlkDevice) serveBatch(dq *DeviceQueue, chains []*Chain) ([]uint32, func
 // values mirror serve: status byte and the payload byte count (reads
 // only — the used length becomes written+1 like the legacy path).
 func (b *BlkDevice) executeBatched(chain *Chain, hdr []byte, outs [][]byte, scatter []mem.Vec) (byte, uint32, []mem.Vec) {
-	if err := b.Faults.Check(faults.OpVQBlk); err != nil {
+	if err := b.Dev.Faults.Check(faults.OpVQBlk); err != nil {
 		// Degrade, don't wedge: this request fails with an IO-error
 		// status byte, the rest of the burst is served normally.
 		return BlkStatusIOErr, 0, scatter

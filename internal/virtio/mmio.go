@@ -109,11 +109,15 @@ type MMIODev struct {
 	IRQs   *obs.Counter
 	ReqLat []*obs.Histogram
 
-	// Taps, when non-nil, receives one TapOp crossing per virtqueue
-	// service pass (the record/replay hook). TapOp is the crossing
-	// class name ("vq:blk", "vq:cons", "vq:net").
-	Taps  *faults.Taps
-	TapOp faults.Op
+	// Faults, when non-nil, is the host's crossing plane: the blk and
+	// net data paths check their requests against its fault plan (an
+	// injected "vq:blk" fault completes the request with an IO-error
+	// status byte, a "vq:net" fault drops the frame; the service pass
+	// keeps going either way), and its tap observes one TapOp crossing
+	// per virtqueue service pass (the record/replay hook). TapOp is the
+	// crossing class name ("vq:blk", "vq:cons", "vq:net").
+	Faults *faults.Injector
+	TapOp  faults.Op
 
 	mu          sync.Mutex
 	queues      []queueState

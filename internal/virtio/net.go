@@ -46,12 +46,6 @@ type NetDevice struct {
 	// per-chain legacy timing exactly.
 	Batch bool
 
-	// Faults is the host's fault-injection plane (nil when disabled).
-	// An injected "vq:net" fault degrades gracefully: the transmitted
-	// frame is dropped — exactly what a lossy NIC does — but its chain
-	// still completes and the service pass keeps going.
-	Faults *faults.Injector
-
 	mu      sync.Mutex
 	pending [][]byte // inbound frames waiting for rx buffers
 }
@@ -248,7 +242,7 @@ func (n *NetDevice) serveTxChain(dq *DeviceQueue, chain *Chain) (uint32, func(),
 		pkt = append(pkt, buf...)
 		total += d.Len
 	}
-	if err := n.Faults.Check(faults.OpVQNet); err != nil {
+	if err := n.Dev.Faults.Check(faults.OpVQNet); err != nil {
 		// Degrade, don't wedge: the frame is lost but the chain still
 		// completes, like a real NIC dropping on a saturated link.
 		return total, nil, true
@@ -288,7 +282,7 @@ func (n *NetDevice) serveTxBatch(dq *DeviceQueue, chains []*Chain) ([]uint32, fu
 		}
 	}
 	for i := range pkts {
-		if err := n.Faults.Check(faults.OpVQNet); err != nil {
+		if err := n.Dev.Faults.Check(faults.OpVQNet); err != nil {
 			pkts[i] = nil // drop this frame; its chain still completes
 		}
 	}
