@@ -125,7 +125,7 @@ func BenchmarkE5Fio(b *testing.B) {
 // and virtual-time totals for both modes.
 func BenchmarkE5FastPath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, modes, err := eval.RunFioFastPath()
+		modes, err := eval.RunFioFastPath()
 		if err != nil {
 			b.Fatal(err)
 		}

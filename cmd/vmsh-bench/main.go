@@ -1,8 +1,11 @@
 // Command vmsh-bench regenerates every table and figure of the
-// paper's evaluation (§6) and prints measured-vs-paper for each:
+// paper's evaluation (§6) and this repository's extensions as ledger
+// rows (internal/ledger), printing each row with the paper's value
+// where the paper reports one:
 //
 //	E1  xfstests robustness          (§6.1)
-//	E2  hypervisor support           (Table 1)
+//	E2  hypervisor support           (Table 1, plus the paper's
+//	                                  future work implemented)
 //	E3  kernel support               (Table 1)
 //	E4  Phoronix relative slowdown   (Figure 5)
 //	E5  fio throughput + IOPS        (Figure 6a/6b)
@@ -10,9 +13,9 @@
 //	E7  image de-bloating            (Figure 8)
 //	E7n virtio-net sweep             (network)
 //	E8  single-fault attach sweep    (robustness)
-//	E9  fleet storm                  (parallel engine: events/sec sweep
-//	                                  across -fleet-workers, determinism
-//	                                  digest compared at every count)
+//	E9  fleet storm                  (parallel engine: determinism
+//	                                  digest compared at every count of
+//	                                  the -fleet-workers sweep)
 //	E10 record/replay determinism    (bit-identical vtime, RAM, metrics)
 //	E11 live migration               (downtime and pages-on-wire vs
 //	                                  dirty rate, stop-and-copy vs
@@ -20,12 +23,15 @@
 //	                                  session survival, record-verify
 //	                                  across the migration)
 //
-// E4, E5 and E7n additionally print a fast-path-vs-legacy comparison:
-// the same workload with the batched virtqueue service on and off.
+// E4, E5 and E7n include the batched virtqueue fast path's comparison
+// against the legacy per-chain service on the same workload.
 //
-// With -json PATH the ledger rows (internal/ledger) of the E1, E5, E9
-// and E11 runs are also written to PATH; BENCH_vtime.json is the
-// committed ledger that tools/benchdiff gates a fresh one against.
+// An experiment that fails prints the rows it measured, then vmsh-bench
+// exits 1. E9's wall-clock throughput is host cost, not virtual time:
+// it goes to stderr, one line per worker count, and never into a row.
+// With -json PATH the rows of every selected experiment are also
+// written to PATH; BENCH_vtime.json is the committed ledger that
+// tools/benchdiff gates a fresh one against.
 // With -trace PATH a traced E5 fast-path run additionally exports a
 // Chrome trace-event JSON file (virtual time), loadable in Perfetto or
 // chrome://tracing; combined with
@@ -40,18 +46,122 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 
+	"vmsh/internal/core"
 	"vmsh/internal/debloat"
 	"vmsh/internal/eval"
 	"vmsh/internal/ledger"
 	"vmsh/internal/obs"
 )
 
-// experiments are the ids -only accepts, in run order.
-var experiments = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e7n", "e8", "e9", "e10", "e11"}
+var (
+	faultSeed    = flag.Int64("fault-seed", 42, "seed for the E8 fault sweep")
+	fleetVMs     = flag.Int("fleet-vms", 1000, "E9: total VM lifecycles in the fleet storm")
+	fleetWorkers = flag.String("fleet-workers", "1,2,4,8,16", "E9: comma-separated worker-count sweep")
+	fleetSeed    = flag.Int64("fleet-seed", 42, "E9: fleet storm seed")
+	migrateSeed  = flag.Int64("migrate-seed", 42, "E11: migration sweep seed")
+)
+
+// experiment is one id -only accepts: what it regenerates, and how.
+type experiment struct {
+	id, title string
+	run       func() ([]ledger.Row, error)
+}
+
+// experiments are every experiment, in run order.
+var experiments = []experiment{
+	{"e1", "§6.1 xfstests quick group (619 tests): classic trio and storage backends", func() ([]ledger.Row, error) {
+		classic, err := eval.RunXfstests()
+		if err != nil {
+			return nil, err
+		}
+		backends, err := eval.RunXfstestsBackends()
+		if err != nil {
+			return nil, err
+		}
+		return eval.XfstestsRows(append(classic.Results(), backends...)), nil
+	}},
+	{"e2", "Table 1 hypervisor support, plus the paper's future work implemented", func() ([]ledger.Row, error) {
+		return eval.GeneralityRows("e2", append(eval.RunHypervisorMatrix(), eval.RunExtensionMatrix()...)), nil
+	}},
+	{"e3", "Table 1 LTS kernel support", func() ([]ledger.Row, error) {
+		return eval.GeneralityRows("e3", eval.RunKernelMatrix()), nil
+	}},
+	{"e4", "Figure 5 Phoronix disk suite: vmsh-blk slowdown vs qemu-blk (lower is better), vmsh-blk virtual time legacy vs fast path", func() ([]ledger.Row, error) {
+		legacy, err := eval.RunPhoronix()
+		if err != nil {
+			return nil, err
+		}
+		fast, err := eval.RunPhoronixOpts(core.Options{})
+		if err != nil {
+			return nil, err
+		}
+		return eval.PhoronixRows(legacy, fast), nil
+	}},
+	{"e5", "Figure 6 fio throughput (256 KiB) and IOPS (4 KiB); vmsh-blk fast path vs legacy (ioregionfd, QD 32)", func() ([]ledger.Row, error) {
+		direct, err := eval.RunFioDirect()
+		if err != nil {
+			return nil, err
+		}
+		file, err := eval.RunFioFileIO()
+		if err != nil {
+			return nil, err
+		}
+		modes, err := eval.RunFioFastPath()
+		if err != nil {
+			return nil, err
+		}
+		return eval.FioRows(direct, file, modes), nil
+	}},
+	{"e6", "Figure 7 console echo round-trip latency", func() ([]ledger.Row, error) {
+		lat, err := eval.RunConsoleLatency()
+		if err != nil {
+			return nil, err
+		}
+		return eval.ConsoleRows(lat), nil
+	}},
+	{"e7", "Figure 8 VM image size reduction", func() ([]ledger.Row, error) {
+		rs, err := debloat.RunAll()
+		if err != nil {
+			return nil, err
+		}
+		return debloat.Rows(rs), nil
+	}},
+	{"e7n", "virtio-net goodput and RTT across the link cost model and on the legacy device path", func() ([]ledger.Row, error) {
+		results, err := eval.RunNetwork(42)
+		if err != nil {
+			return nil, err
+		}
+		return eval.NetworkRows(results), nil
+	}},
+	{"e8", "single-fault attach sweep: rollback, retry and degradation", func() ([]ledger.Row, error) {
+		return eval.RunFaultSweep(*faultSeed)
+	}},
+	{"e9", "fleet storm on the parallel engine, digest across the worker sweep", runFleetStorm},
+	{"e10", "deterministic record/replay of host crossings", func() ([]ledger.Row, error) {
+		return eval.RunRecordReplay(*faultSeed)
+	}},
+	{"e11", "snapshot/restore and live migration with post-copy streaming", func() ([]ledger.Row, error) {
+		res, err := eval.RunMigration(*migrateSeed)
+		return res.Rows(), err
+	}},
+}
+
+// ids lists the experiment ids in run order.
+func ids() []string {
+	var out []string
+	for _, e := range experiments {
+		out = append(out, e.id)
+	}
+	return out
+}
 
 // parseOnly turns "e1,e5" into the selected ids. An empty spec selects
 // none, and main then runs every experiment but e9.
@@ -60,14 +170,69 @@ func parseOnly(spec string) (map[string]bool, error) {
 	if spec == "" {
 		return want, nil
 	}
+	valid := ids()
 	for _, id := range strings.Split(spec, ",") {
 		id = strings.TrimSpace(strings.ToLower(id))
-		if !slices.Contains(experiments, id) {
-			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", id, strings.Join(experiments, ","))
+		if !slices.Contains(valid, id) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", id, strings.Join(valid, ","))
 		}
 		want[id] = true
 	}
 	return want, nil
+}
+
+// runFleetStorm runs E9 over -fleet-workers and reports each run's
+// wall-clock throughput on stderr. More workers than GOMAXPROCS cannot
+// run in parallel, so a speedup there is scheduling and GC noise and
+// is left out.
+func runFleetStorm() ([]ledger.Row, error) {
+	sweep, err := parseWorkerSweep(*fleetWorkers)
+	if err != nil {
+		return nil, err
+	}
+	res, err := eval.RunFleetStorm(*fleetVMs, sweep, *fleetSeed)
+	if len(res.Runs) == 0 {
+		return nil, err
+	}
+	procs := runtime.GOMAXPROCS(0)
+	for _, run := range res.Runs {
+		speedup := ""
+		if run.Workers <= procs {
+			speedup = fmt.Sprintf(", speedup %.2fx", res.Runs[0].WallMS/run.WallMS)
+		}
+		fmt.Fprintf(os.Stderr, "e9 workers=%d: wall %.0f ms, %.2f events/s, %.1f VMs/s%s, digest %s\n",
+			run.Workers, run.WallMS, run.EventsPerSec, run.VMsPerSec, speedup, run.Digest)
+	}
+	return res.Rows(), err
+}
+
+// formatValue renders a row value: whole numbers without decimals,
+// other numbers to two places, strings quoted and bools as they are.
+func formatValue(v any) string {
+	switch x := v.(type) {
+	case float64:
+		if x == math.Trunc(x) {
+			return strconv.FormatFloat(x, 'f', 0, 64)
+		}
+		return strconv.FormatFloat(x, 'f', 2, 64)
+	case string:
+		return strconv.Quote(x)
+	}
+	return fmt.Sprint(v)
+}
+
+// printRows renders one experiment's rows as a text table: key, value
+// and unit, and the paper's value where the row has one.
+func printRows(w io.Writer, e experiment, rows []ledger.Row) {
+	fmt.Fprintf(w, "== %s — %s ==\n", strings.ToUpper(e.id), e.title)
+	for _, r := range rows {
+		paper := ""
+		if r.Paper != 0 {
+			paper = "  [paper ~" + formatValue(r.Paper) + "]"
+		}
+		fmt.Fprintf(w, "  %-44s %12s %s%s\n", r.Key, formatValue(r.Value), r.Unit, paper)
+	}
+	fmt.Fprintln(w)
 }
 
 // parseWorkerSweep turns "1,2,4,8,16" into the E9 worker counts.
@@ -198,15 +363,10 @@ func writeFleetObservability(tracePath, profilePath string, vms, workers int, se
 }
 
 func main() {
-	only := flag.String("only", "", "comma-separated experiment ids ("+strings.Join(experiments, ",")+"); empty = all but e9")
-	jsonPath := flag.String("json", "", "also write the E1/E5/E9/E11 ledger rows to this path (BENCH_vtime.json is the committed one)")
+	only := flag.String("only", "", "comma-separated experiment ids ("+strings.Join(ids(), ",")+"); empty = all but e9")
+	jsonPath := flag.String("json", "", "also write every selected experiment's ledger rows to this path (BENCH_vtime.json is the committed one)")
 	tracePath := flag.String("trace", "", "write Chrome trace-event JSON (Perfetto) to this path: a traced E5 fast-path sweep, or with -only e9 the merged fleet trace")
 	profilePath := flag.String("profile", "", "write a folded-stacks vtime profile (flamegraph input) to this path and print the top stacks; follows -trace's E5-or-fleet selection")
-	faultSeed := flag.Int64("fault-seed", 42, "seed for the E8 fault sweep")
-	fleetVMs := flag.Int("fleet-vms", 1000, "E9: total VM lifecycles in the fleet storm")
-	fleetWorkers := flag.String("fleet-workers", "1,2,4,8,16", "E9: comma-separated worker-count sweep")
-	fleetSeed := flag.Int64("fleet-seed", 42, "E9: fleet storm seed")
-	migrateSeed := flag.Int64("migrate-seed", 42, "E11: migration sweep seed")
 	flag.Parse()
 
 	want, err := parseOnly(*only)
@@ -228,150 +388,16 @@ func main() {
 	}
 
 	var rows []ledger.Row
-	emit := func(t *eval.Table) {
-		fmt.Print(t.Format())
-		fmt.Println()
-	}
-
-	if sel("e1") {
-		res, err := eval.RunXfstests()
+	for _, e := range experiments {
+		if !sel(e.id) {
+			continue
+		}
+		got, err := e.run()
+		printRows(os.Stdout, e, got)
 		if err != nil {
-			fail("E1", err)
+			fail(strings.ToUpper(e.id), err)
 		}
-		emit(eval.XfstestsTable(res))
-		bres, err := eval.RunXfstestsBackends()
-		if err != nil {
-			fail("E1b", err)
-		}
-		emit(eval.XfstestsBackendsTable(bres))
-		rows = append(rows, eval.XfstestsRows(append(res.Results(), bres...))...)
-	}
-
-	if sel("e2") || sel("e3") {
-		var hv, kern []eval.GeneralityRow
-		if sel("e2") {
-			hv = eval.RunHypervisorMatrix()
-		}
-		if sel("e3") {
-			kern = eval.RunKernelMatrix()
-		}
-		emit(eval.GeneralityTable(hv, kern))
-		if sel("e2") {
-			extTable := eval.GeneralityTable(eval.RunExtensionMatrix(), nil)
-			extTable.ID = "Extensions"
-			extTable.Title = "paper future work, implemented"
-			emit(extTable)
-		}
-	}
-
-	if sel("e4") {
-		rows, err := eval.RunPhoronix()
-		if err != nil {
-			fail("E4", err)
-		}
-		emit(eval.PhoronixTable(rows))
-		cmp, err := eval.RunPhoronixCompare()
-		if err != nil {
-			fail("E4", err)
-		}
-		emit(cmp)
-	}
-
-	if sel("e5") {
-		direct, err := eval.RunFioDirect()
-		if err != nil {
-			fail("E5", err)
-		}
-		file, err := eval.RunFioFileIO()
-		if err != nil {
-			fail("E5", err)
-		}
-		thr, iops := eval.FioTables(direct, file)
-		emit(thr)
-		emit(iops)
-		fp, modes, err := eval.RunFioFastPath()
-		if err != nil {
-			fail("E5", err)
-		}
-		emit(fp)
-		rows = append(rows, eval.FastPathRows(modes)...)
-	}
-
-	if sel("e6") {
-		lat, err := eval.RunConsoleLatency()
-		if err != nil {
-			fail("E6", err)
-		}
-		emit(eval.ConsoleTable(lat))
-	}
-
-	if sel("e7") {
-		rs, err := debloat.RunAll()
-		if err != nil {
-			fail("E7", err)
-		}
-		fmt.Println("== E7 / Figure 8 — VM image size reduction ==")
-		fmt.Print(debloat.FormatResults(rs))
-		fmt.Println()
-	}
-
-	if sel("e7n") {
-		tbl, _, err := eval.RunNetwork(42)
-		if err != nil {
-			fail("E7n", err)
-		}
-		emit(tbl)
-		cmp, err := eval.RunNetworkCompare(42)
-		if err != nil {
-			fail("E7n", err)
-		}
-		emit(cmp)
-	}
-
-	if sel("e8") {
-		tbl, err := eval.RunFaultSweep(*faultSeed)
-		if tbl != nil {
-			emit(tbl)
-		}
-		if err != nil {
-			fail("E8", err)
-		}
-	}
-
-	if sel("e9") {
-		sweep, err := parseWorkerSweep(*fleetWorkers)
-		if err != nil {
-			fail("E9", err)
-		}
-		tbl, fleet, err := eval.RunFleetStorm(*fleetVMs, sweep, *fleetSeed)
-		if tbl != nil {
-			emit(tbl)
-		}
-		if err != nil {
-			fail("E9", err)
-		}
-		rows = append(rows, fleet.Rows()...)
-	}
-
-	if sel("e10") {
-		tbl, err := eval.RunRecordReplay(*faultSeed)
-		if tbl != nil {
-			emit(tbl)
-		}
-		if err != nil {
-			fail("E10", err)
-		}
-	}
-
-	if sel("e11") {
-		tbl, migration, err := eval.RunMigration(*migrateSeed)
-		if tbl != nil {
-			emit(tbl)
-		}
-		if err != nil {
-			fail("E11", err)
-		}
-		rows = append(rows, migration.Rows()...)
+		rows = append(rows, got...)
 	}
 
 	if *tracePath != "" || *profilePath != "" {

@@ -8,6 +8,7 @@ import (
 
 	"vmsh/internal/core"
 	"vmsh/internal/hostsim"
+	"vmsh/internal/ledger"
 	"vmsh/internal/netsim"
 	"vmsh/internal/replay"
 	"vmsh/internal/workloads"
@@ -117,12 +118,14 @@ func diffMaps(a, b map[string]int64) int {
 	return n
 }
 
-// RunRecordReplay regenerates the E10 record/replay table: record a
-// full session, replay it from the log alone, verify a live re-run
-// against it, and diagnose two kinds of log damage.
-func RunRecordReplay(seed int64) (*Table, error) {
-	tbl := &Table{ID: "E10 / record-replay",
-		Title: "deterministic record/replay of host crossings"}
+// RunRecordReplay regenerates E10's ledger: record a full session,
+// replay it from the log alone, verify a live re-run against it, and
+// diagnose two kinds of log damage. The crossings recorded and
+// verified are costs; everything else — the census, the must-be-zero deltas and
+// mismatches, the diagnosis flags — is an invariant. On failure the
+// rows come back with the error.
+func RunRecordReplay(seed int64) ([]ledger.Row, error) {
+	l := ledger.Builder{Exp: "e10"}
 
 	// Leg 0: the recorded run.
 	var sink memSink
@@ -215,62 +218,51 @@ func RunRecordReplay(seed int64) (*Table, error) {
 	}
 	semDiv := replay.VerifyLogs(mutated2, lg)
 
-	tbl.Rows = append(tbl.Rows,
-		Row{Name: "host crossings recorded", Measured: float64(len(lg.Records)), Unit: "ops"},
-		Row{Name: "crossing classes in log", Measured: float64(len(res.PerOp)), Unit: "classes"},
-		Row{Name: "record overhead on virtual time", Measured: float64(liveVT - bareVT), Unit: "ns",
-			Note: "(must be 0: recording is invisible)"},
-		Row{Name: "replayed vs live vtime delta", Measured: float64(int64(res.VTime) - liveVT), Unit: "ns",
-			Note: "(must be 0: bit-identical)"},
-		Row{Name: "RAM hash mismatches, replay vs live", Measured: float64(ramDiffs), Unit: "slots",
-			Note: "(must be 0)"},
-		Row{Name: "metric mismatches, replay vs live", Measured: float64(metricDiffs), Unit: "keys",
-			Note: "(must be 0)"},
-		Row{Name: "verified re-run vtime delta", Measured: float64(verifyVT - liveVT), Unit: "ns",
-			Note: "(must be 0)"},
-		Row{Name: "crossings verified live", Measured: float64(ver.Matched()), Unit: "ops"},
-		Row{Name: "corrupted log diagnosed", Measured: b2f(corruptDetected), Unit: "bool",
-			Note: "(divergence report, not a panic)"},
-		Row{Name: "mutated op diagnosed", Measured: b2f(semDiv != nil), Unit: "bool"},
-	)
+	l.Cost("crossings_recorded", float64(len(lg.Records)), "crossings")
+	l.Invariant("crossing_classes", float64(len(res.PerOp)), "classes")
+	// Each delta and mismatch count must be 0: recording is invisible,
+	// and replay and a verified re-run are bit-identical to the live
+	// run.
+	l.Invariant("record_vtime_delta_ns", float64(liveVT-bareVT), "ns")
+	l.Invariant("replay_vtime_delta_ns", float64(int64(res.VTime)-liveVT), "ns")
+	l.Invariant("replay_ram_mismatches", float64(ramDiffs), "slots")
+	l.Invariant("replay_metric_mismatches", float64(metricDiffs), "keys")
+	l.Invariant("verify_vtime_delta_ns", float64(verifyVT-liveVT), "ns")
+	l.Cost("crossings_verified", float64(ver.Matched()), "crossings")
+	// A damaged log yields a divergence report, not a panic.
+	l.Invariant("corrupt_log_diagnosed", corruptDetected, "bool")
+	l.Invariant("mutated_op_diagnosed", semDiv != nil, "bool")
 
 	if liveVT != bareVT {
-		return tbl, fmt.Errorf("e10: recording shifted virtual time by %dns", liveVT-bareVT)
+		return l.Rows, fmt.Errorf("e10: recording shifted virtual time by %dns", liveVT-bareVT)
 	}
 	if int64(res.VTime) != liveVT {
-		return tbl, fmt.Errorf("e10: replayed vtime %dns != live %dns", int64(res.VTime), liveVT)
+		return l.Rows, fmt.Errorf("e10: replayed vtime %dns != live %dns", int64(res.VTime), liveVT)
 	}
 	if ramDiffs != 0 {
-		return tbl, fmt.Errorf("e10: %d RAM hash mismatches between replay and live run", ramDiffs)
+		return l.Rows, fmt.Errorf("e10: %d RAM hash mismatches between replay and live run", ramDiffs)
 	}
 	if metricDiffs != 0 {
-		return tbl, fmt.Errorf("e10: %d metric mismatches between replay and live run", metricDiffs)
+		return l.Rows, fmt.Errorf("e10: %d metric mismatches between replay and live run", metricDiffs)
 	}
 	if verDiv != nil {
-		return tbl, fmt.Errorf("e10: live re-run diverged from recording: %v", verDiv)
+		return l.Rows, fmt.Errorf("e10: live re-run diverged from recording: %v", verDiv)
 	}
 	if verifyVT != liveVT {
-		return tbl, fmt.Errorf("e10: verified re-run vtime %dns != recorded %dns", verifyVT, liveVT)
+		return l.Rows, fmt.Errorf("e10: verified re-run vtime %dns != recorded %dns", verifyVT, liveVT)
 	}
 	if ver.Matched() != len(lg.Records) {
-		return tbl, fmt.Errorf("e10: verifier matched %d of %d crossings", ver.Matched(), len(lg.Records))
+		return l.Rows, fmt.Errorf("e10: verifier matched %d of %d crossings", ver.Matched(), len(lg.Records))
 	}
 	if !corruptDetected {
-		return tbl, fmt.Errorf("e10: corrupted log not diagnosed as a divergence (got %v)", cerr)
+		return l.Rows, fmt.Errorf("e10: corrupted log not diagnosed as a divergence (got %v)", cerr)
 	}
 	if semDiv == nil {
-		return tbl, fmt.Errorf("e10: mutated log verified clean against the original")
+		return l.Rows, fmt.Errorf("e10: mutated log verified clean against the original")
 	}
 	if semDiv.ExpectedOp != newOp || semDiv.ActualOp != origOp {
-		return tbl, fmt.Errorf("e10: divergence names ops %q/%q, want %q/%q",
+		return l.Rows, fmt.Errorf("e10: divergence names ops %q/%q, want %q/%q",
 			semDiv.ExpectedOp, semDiv.ActualOp, newOp, origOp)
 	}
-	return tbl, nil
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
+	return l.Rows, nil
 }

@@ -3,12 +3,11 @@ package eval
 import "testing"
 
 func TestE10RecordReplay(t *testing.T) {
-	tbl, err := RunRecordReplay(42)
+	rows, err := RunRecordReplay(42)
+	for _, r := range rows {
+		t.Logf("%s = %v %s", r.Key, r.Value, r.Unit)
+	}
 	if err != nil {
-		if tbl != nil {
-			t.Log("\n" + tbl.Format())
-		}
 		t.Fatal(err)
 	}
-	t.Log("\n" + tbl.Format())
 }

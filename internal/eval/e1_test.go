@@ -1,13 +1,19 @@
 package eval
 
 import (
+	"sync"
 	"testing"
 
 	"vmsh/internal/ledger"
 )
 
+// firstXfstests is the first run of the classic trio.
+// TestE1Xfstests checks it and TestE1Deterministic compares a rerun
+// against it, so tier-1 runs the trio at most twice.
+var firstXfstests = sync.OnceValues(RunXfstests)
+
 func TestE1Xfstests(t *testing.T) {
-	r, err := RunXfstests()
+	r, err := firstXfstests()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +57,7 @@ func TestE1Deterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full E1 runs")
 	}
-	rows := func() []ledger.Row {
-		classic, err := RunXfstests()
+	rows := func(classic *XfstestsResults, err error) []ledger.Row {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,5 +67,5 @@ func TestE1Deterministic(t *testing.T) {
 		}
 		return XfstestsRows(append(classic.Results(), backends...))
 	}
-	sameRows(t, rows(), rows())
+	sameRows(t, rows(firstXfstests()), rows(RunXfstests()))
 }

@@ -113,21 +113,3 @@ func mountAt(kern *guestos.Kernel, dev guestos.BlockDev, path string) error {
 	kern.InitProc.NS.AddMount(path, guestos.SFS{FS: fs})
 	return nil
 }
-
-// XfstestsTable renders the E1 comparison.
-func XfstestsTable(r *XfstestsResults) *Table {
-	mk := func(res xfstests.Result) Row {
-		return Row{
-			Name:     res.Env,
-			Measured: float64(res.Failed),
-			Unit:     "failed",
-			Note: fmt.Sprintf("(%d passed, %d skipped of %d)",
-				res.Passed, res.Skipped, res.Total),
-		}
-	}
-	rows := []Row{mk(r.Native), mk(r.QemuBlk), mk(r.VmshBlk)}
-	rows[0].Paper = 0 // all pass natively
-	rows[1].Paper = 3 // 3 quota tests
-	rows[2].Paper = 3
-	return &Table{ID: "E1 / §6.1", Title: "xfstests quick group (619 tests)", Rows: rows}
-}

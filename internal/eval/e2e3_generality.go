@@ -10,6 +10,7 @@ import (
 	"vmsh/internal/guestos"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
+	"vmsh/internal/ledger"
 )
 
 // GeneralityRow is one Table 1 entry.
@@ -107,16 +108,15 @@ func RunKernelMatrix() []GeneralityRow {
 	return rows
 }
 
-// GeneralityTable renders Table 1.
-func GeneralityTable(hvRows, kernRows []GeneralityRow) *Table {
-	t := &Table{ID: "E2+E3 / Table 1", Title: "hypervisor and kernel support"}
-	for _, r := range append(hvRows, kernRows...) {
-		v := 0.0
-		note := "UNSUPPORTED: " + r.Detail
-		if r.Supported {
-			v, note = 1.0, r.Detail
-		}
-		t.Rows = append(t.Rows, Row{Name: r.Target, Measured: v, Unit: "ok", Note: note})
+// GeneralityRows is a Table 1 ledger under exp: per target, whether
+// attach + console worked and the outcome text (the error on failure),
+// both invariants. The error text is deterministic, so a changed
+// failure mode fails the gate as surely as a lost target.
+func GeneralityRows(exp string, rows []GeneralityRow) []ledger.Row {
+	l := ledger.Builder{Exp: exp}
+	for _, r := range rows {
+		l.Invariant(r.Target+".ok", r.Supported, "bool")
+		l.Invariant(r.Target+".detail", r.Detail, "text")
 	}
-	return t
+	return l.Rows
 }

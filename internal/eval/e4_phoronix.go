@@ -11,6 +11,7 @@ import (
 	"vmsh/internal/guestos"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
+	"vmsh/internal/ledger"
 	"vmsh/internal/simplefs"
 	"vmsh/internal/workloads"
 )
@@ -28,8 +29,8 @@ type PhoronixRow struct {
 // filesystem served by qemu-blk versus the same filesystem served by
 // vmsh-blk, inside the same guest.
 // The legacy device path is pinned so the figure keeps the paper's
-// measured shape; RunPhoronixOpts selects the fast path for the
-// comparison column.
+// measured shape; RunPhoronixOpts with the default options runs the
+// fast path for PhoronixRows' comparison column.
 func RunPhoronix() ([]PhoronixRow, error) {
 	return RunPhoronixOpts(core.Options{LegacyVirtio: true})
 }
@@ -106,32 +107,6 @@ func RunPhoronixOpts(extra core.Options) ([]PhoronixRow, error) {
 	return rows, nil
 }
 
-// RunPhoronixCompare reruns the vmsh-blk side of E4 with the batched
-// fast path on and off and prints per-benchmark virtual-time columns.
-// Figure 5 proper stays pinned to the legacy path (RunPhoronix); this
-// table shows what the fast path buys on the same suite.
-func RunPhoronixCompare() (*Table, error) {
-	legacy, err := RunPhoronixOpts(core.Options{LegacyVirtio: true})
-	if err != nil {
-		return nil, err
-	}
-	fast, err := RunPhoronixOpts(core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{ID: "E4 / fast path",
-		Title: "Phoronix vmsh-blk virtual time, batched fast path vs legacy"}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	for i, lr := range legacy {
-		fr := fast[i]
-		t.Rows = append(t.Rows,
-			Row{Name: "fast " + fr.Name, Measured: ms(fr.VmshBlk), Unit: "ms"},
-			Row{Name: "legacy " + lr.Name, Measured: ms(lr.VmshBlk), Unit: "ms"},
-		)
-	}
-	return t, nil
-}
-
 // PhoronixStats summarises Figure 5: mean, standard deviation, and
 // the worst row.
 func PhoronixStats(rows []PhoronixRow) (mean, stddev, worst float64, worstName string) {
@@ -153,16 +128,24 @@ func PhoronixStats(rows []PhoronixRow) (mean, stddev, worst float64, worstName s
 	return
 }
 
-// PhoronixTable renders Figure 5.
-func PhoronixTable(rows []PhoronixRow) *Table {
-	t := &Table{ID: "E4 / Figure 5", Title: "Phoronix disk suite, vmsh-blk relative to qemu-blk (lower is better)"}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, Row{Name: r.Name, Measured: r.Relative, Unit: "x"})
+// PhoronixRows is E4's ledger, from a legacy-path run (Figure 5
+// proper, RunPhoronix) and a fast-path run of the same suite. Per
+// benchmark: the Figure 5 slowdown of vmsh-blk against qemu-blk and
+// vmsh-blk's virtual time in both modes, all costs. Then the figure's
+// summary: average and worst slowdown (costs), their spread and the
+// worst benchmark's name (invariants).
+func PhoronixRows(legacy, fast []PhoronixRow) []ledger.Row {
+	l := ledger.Builder{Exp: "e4"}
+	for i, r := range legacy {
+		l.Cost(r.Name+".relative", r.Relative, "x")
+		l.Cost(r.Name+".legacy_ns", float64(r.VmshBlk), "ns")
+		l.Cost(r.Name+".fast_ns", float64(fast[i].VmshBlk), "ns")
 	}
-	mean, stddev, worst, worstName := PhoronixStats(rows)
-	t.Rows = append(t.Rows,
-		Row{Name: "AVERAGE", Measured: mean, Unit: "x", Paper: 1.5, Note: fmt.Sprintf("± %.2f (paper ± 0.6)", stddev)},
-		Row{Name: "WORST (" + worstName + ")", Measured: worst, Unit: "x", Paper: 3.7, Note: "paper worst: fio 2MB direct"},
-	)
-	return t
+	mean, stddev, worst, worstName := PhoronixStats(legacy)
+	l.Cost("average", mean, "x").Paper = 1.5
+	l.Invariant("stddev", stddev, "x").Paper = 0.6
+	// The paper's worst rows are fio direct IO at 2 MB.
+	l.Cost("worst", worst, "x").Paper = 3.7
+	l.Invariant("worst_bench", worstName, "text")
+	return l.Rows
 }

@@ -9,6 +9,7 @@ import (
 	"vmsh/internal/guestos"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
+	"vmsh/internal/ledger"
 	"vmsh/internal/simplefs"
 	"vmsh/internal/workloads"
 )
@@ -188,26 +189,33 @@ func RunFioFileIO() ([]FioSetup, error) {
 	return setups, nil
 }
 
-// FioTables renders Figure 6a (throughput) and 6b (IOPS).
-func FioTables(direct, file []FioSetup) (*Table, *Table) {
-	thr := &Table{ID: "E5 / Figure 6a", Title: "fio throughput (256 KiB sequential), MB/s"}
-	iops := &Table{ID: "E5 / Figure 6b", Title: "fio IOPS (4 KiB sequential), kIOPS"}
-	addAll := func(prefix string, setups []FioSetup) {
+// fioRate is a Figure 6 job's rate as the figure plots it:
+// throughput in MB/s for the 256 KiB jobs (6a), kIOPS for the 4 KiB
+// ones (6b).
+func fioRate(r workloads.FioResult) (float64, string) {
+	if r.Spec.BS == 4096 {
+		return r.IOPS / 1000, "kIOPS"
+	}
+	return r.MBps, "MB/s"
+}
+
+// FioRows is E5's ledger: every Figure 6 setup's rate per job (direct
+// and file IO), then the fast-path sweep's rows (FastPathRows) and its
+// crossing and interrupt reductions, legacy over fast. Rates and
+// reductions are invariants: a model change moves them either way.
+func FioRows(direct, file []FioSetup, modes []FastPathMode) []ledger.Row {
+	l := ledger.Builder{Exp: "e5"}
+	for _, setups := range [][]FioSetup{direct, file} {
 		for _, s := range setups {
 			for _, r := range s.Results {
-				row := Row{Name: prefix + s.Name + " " + r.Spec.RW}
-				switch r.Spec.BS {
-				case 256 * 1024:
-					row.Measured, row.Unit = r.MBps, "MB/s"
-					thr.Rows = append(thr.Rows, row)
-				case 4096:
-					row.Measured, row.Unit = r.IOPS/1000, "kIOPS"
-					iops.Rows = append(iops.Rows, row)
-				}
+				v, unit := fioRate(r)
+				l.Invariant(s.Name+"."+r.Spec.Name, v, unit)
 			}
 		}
 	}
-	addAll("", direct)
-	addAll("", file)
-	return thr, iops
+	l.Rows = append(l.Rows, FastPathRows(modes)...)
+	fast, legacy := modes[0], modes[1]
+	l.Invariant("procvm_call_reduction", float64(legacy.ProcVMCalls)/float64(fast.ProcVMCalls), "x")
+	l.Invariant("interrupt_reduction", float64(legacy.Interrupts)/float64(fast.Interrupts), "x")
+	return l.Rows
 }

@@ -10,6 +10,7 @@ import (
 	"vmsh/internal/guestos"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
+	"vmsh/internal/ledger"
 )
 
 // ConsoleLatencies holds Figure 7's three bars.
@@ -112,13 +113,13 @@ func RunConsoleLatency() (*ConsoleLatencies, error) {
 	return out, nil
 }
 
-// ConsoleTable renders Figure 7.
-func ConsoleTable(l *ConsoleLatencies) *Table {
+// ConsoleRows is E6's ledger: each transport's mean echo round trip
+// in ms, the unit of Figure 7 and of its paper values, as costs.
+func ConsoleRows(l *ConsoleLatencies) []ledger.Row {
+	r := ledger.Builder{Exp: "e6"}
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	return &Table{ID: "E6 / Figure 7", Title: "console echo round-trip latency",
-		Rows: []Row{
-			{Name: "native", Measured: ms(l.Native), Unit: "ms", Paper: 0.15},
-			{Name: "ssh", Measured: ms(l.SSH), Unit: "ms", Paper: 0.9},
-			{Name: "vmsh-console", Measured: ms(l.VMSH), Unit: "ms", Paper: 0.9},
-		}}
+	r.Cost("native_ms", ms(l.Native), "ms").Paper = 0.15
+	r.Cost("ssh_ms", ms(l.SSH), "ms").Paper = 0.9
+	r.Cost("vmsh_console_ms", ms(l.VMSH), "ms").Paper = 0.9
+	return r.Rows
 }

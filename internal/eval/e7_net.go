@@ -10,38 +10,39 @@ import (
 	"vmsh/internal/guestos"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
+	"vmsh/internal/ledger"
 	"vmsh/internal/netsim"
 	"vmsh/internal/workloads"
 )
 
 // NetScenario is one sweep point of the E7 network experiment: the
-// same seeded traffic mix replayed under different link cost models.
+// same seeded traffic mix replayed under different link cost models,
+// or with the device's legacy per-chain service instead of the
+// batched fast path.
 type NetScenario struct {
-	Name string
-	Link netsim.LinkParams
+	Name   string
+	Link   netsim.LinkParams
+	Legacy bool
 }
 
 // StandardE7Scenarios sweeps the cost-model axes: the default link,
-// one axis scaled 10x at a time, and a lossy link.
+// one axis scaled 10x at a time, a lossy link, and the default link
+// on the legacy device path (the fast path's comparison column).
 func StandardE7Scenarios() []NetScenario {
 	return []NetScenario{
 		{Name: "base link", Link: netsim.LinkParams{}},
 		{Name: "10x bandwidth", Link: netsim.LinkParams{BandwidthBps: 1.25e10}},
 		{Name: "10x latency", Link: netsim.LinkParams{Latency: 250 * time.Microsecond}},
 		{Name: "drop 1-in-16", Link: netsim.LinkParams{DropNth: 16}},
+		{Name: "legacy base link", Link: netsim.LinkParams{}, Legacy: true},
 	}
 }
 
 // netAttachPair launches two guests on one host, attaches VMSH to both
-// with a shared switch (both ports under the scenario's link model) and
+// with a shared switch (both ports under the given link model) and
 // returns the guest-side interfaces the traffic generator drives.
-func netAttachPair(h *hostsim.Host, sw *netsim.Switch, link netsim.LinkParams) ([2]*guestos.Iface, error) {
-	return netAttachPairMode(h, sw, link, false)
-}
-
-// netAttachPairMode additionally selects the device path: legacy=true
-// pins the per-chain service loop for the fast-vs-legacy columns.
-func netAttachPairMode(h *hostsim.Host, sw *netsim.Switch, link netsim.LinkParams, legacy bool) ([2]*guestos.Iface, error) {
+// legacy pins the per-chain device service loop.
+func netAttachPair(h *hostsim.Host, sw *netsim.Switch, link netsim.LinkParams, legacy bool) ([2]*guestos.Iface, error) {
 	var ifaces [2]*guestos.Iface
 	for i := 0; i < 2; i++ {
 		inst, err := hypervisor.Launch(h, hypervisor.Config{
@@ -76,68 +77,41 @@ func netAttachPairMode(h *hostsim.Host, sw *netsim.Switch, link netsim.LinkParam
 
 // RunNetwork regenerates the E7 network sweep: the standard seeded
 // traffic mix between two VMSH-attached guests, replayed per scenario.
-// Every run is purely virtual-clock driven, so the same seed yields a
-// byte-identical table.
-func RunNetwork(seed int64) (*Table, []workloads.NetResult, error) {
-	tbl := &Table{ID: "E7 / network",
-		Title: "virtio-net throughput and RTT across the link cost model"}
+// Every run is purely virtual-clock driven, so the same seed yields
+// identical results.
+func RunNetwork(seed int64) ([]workloads.NetResult, error) {
 	var results []workloads.NetResult
 	for _, sc := range StandardE7Scenarios() {
 		h := hostsim.NewHost()
 		sw := netsim.New(h.Clock, h.Costs)
-		ifaces, err := netAttachPair(h, sw, sc.Link)
+		ifaces, err := netAttachPair(h, sw, sc.Link, sc.Legacy)
 		if err != nil {
-			return nil, nil, fmt.Errorf("e7 %s: %w", sc.Name, err)
+			return nil, fmt.Errorf("e7 %s: %w", sc.Name, err)
 		}
 		spec := workloads.StandardNetSpec(seed)
 		spec.Name = sc.Name
 		r, err := workloads.NetTraffic(h.Clock, ifaces[0], ifaces[1], spec)
 		if err != nil {
-			return nil, nil, fmt.Errorf("e7 %s: %w", sc.Name, err)
+			return nil, fmt.Errorf("e7 %s: %w", sc.Name, err)
 		}
 		results = append(results, r)
-		us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+	}
+	return results, nil
+}
+
+// NetworkRows is E7n's ledger, per scenario: the stream's goodput (a
+// rate, invariant), the mean echo round trip (a cost) and the share of
+// echoes lost, an invariant fixed by the scenario's drop rule.
+func NetworkRows(results []workloads.NetResult) []ledger.Row {
+	l := ledger.Builder{Exp: "e7n"}
+	for _, r := range results {
 		loss := 0.0
 		if r.PingsSent > 0 {
 			loss = 100 * float64(r.PingsLost) / float64(r.PingsSent)
 		}
-		tbl.Rows = append(tbl.Rows,
-			Row{Name: sc.Name + " goodput", Measured: r.MBps, Unit: "MB/s"},
-			Row{Name: sc.Name + " rtt mean", Measured: us(r.RTTMean), Unit: "us"},
-			Row{Name: sc.Name + " echo loss", Measured: loss, Unit: "%"},
-		)
+		l.Invariant(r.Spec.Name+".goodput", r.MBps, "MB/s")
+		l.Cost(r.Spec.Name+".rtt_mean_ns", float64(r.RTTMean), "ns")
+		l.Invariant(r.Spec.Name+".echo_loss", loss, "%")
 	}
-	return tbl, results, nil
-}
-
-// RunNetworkCompare replays the base-link traffic mix with the device
-// fast path on and off — the E7n fast-vs-legacy virtual-time columns.
-// Both runs share the seed, so the delta is purely the crossing and
-// interrupt batching.
-func RunNetworkCompare(seed int64) (*Table, error) {
-	tbl := &Table{ID: "E7n / fast path",
-		Title: "virtio-net batched fast path vs legacy per-chain service (base link)"}
-	for _, m := range []struct {
-		name   string
-		legacy bool
-	}{{"fast", false}, {"legacy", true}} {
-		h := hostsim.NewHost()
-		sw := netsim.New(h.Clock, h.Costs)
-		ifaces, err := netAttachPairMode(h, sw, netsim.LinkParams{}, m.legacy)
-		if err != nil {
-			return nil, fmt.Errorf("e7n %s: %w", m.name, err)
-		}
-		spec := workloads.StandardNetSpec(seed)
-		spec.Name = m.name
-		r, err := workloads.NetTraffic(h.Clock, ifaces[0], ifaces[1], spec)
-		if err != nil {
-			return nil, fmt.Errorf("e7n %s: %w", m.name, err)
-		}
-		us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-		tbl.Rows = append(tbl.Rows,
-			Row{Name: m.name + " goodput", Measured: r.MBps, Unit: "MB/s"},
-			Row{Name: m.name + " rtt mean", Measured: us(r.RTTMean), Unit: "us"},
-		)
-	}
-	return tbl, nil
+	return l.Rows
 }

@@ -11,6 +11,7 @@ import (
 	"vmsh/internal/fsimage"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
+	"vmsh/internal/ledger"
 	"vmsh/internal/netsim"
 	"vmsh/internal/workloads"
 )
@@ -261,7 +262,7 @@ func netDegradation(seed int64) (drops int64, mbps float64, err error) {
 	))
 	sw := netsim.New(h.Clock, h.Costs)
 	sw.SetFaults(h.Faults)
-	ifaces, err := netAttachPair(h, sw, netsim.LinkParams{})
+	ifaces, err := netAttachPair(h, sw, netsim.LinkParams{}, false)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -280,14 +281,16 @@ func netDegradation(seed int64) (drops int64, mbps float64, err error) {
 	return drops, r.MBps, nil
 }
 
-// RunFaultSweep regenerates the E8 robustness table: the crossing
-// census, the armed-vs-off virtual-time determinism check, the
-// single-fault rollback sweep, the transient-retry sweep and the
-// device-degradation traffic run. Everything is virtual-clock driven,
-// so the same seed yields a byte-identical table.
-func RunFaultSweep(seed int64) (*Table, error) {
-	tbl := &Table{ID: "E8 / fault sweep",
-		Title: "single-fault attach sweep: rollback, retry and degradation"}
+// RunFaultSweep regenerates E8's ledger: the crossing census, the
+// armed-vs-off virtual-time determinism check, the single-fault
+// rollback sweep, the transient-retry sweep and the device-degradation
+// traffic run. Everything is virtual-clock driven, so the same seed
+// yields identical rows. The crossings per attach are a cost; the rest
+// — counts fixed by the census, must-be-zero deltas and violations,
+// the degraded run's drops and goodput — are invariants. On failure
+// the rows measured so far come back with the error.
+func RunFaultSweep(seed int64) ([]ledger.Row, error) {
+	l := ledger.Builder{Exp: "e8"}
 
 	stats, armedVT, err := recordCrossings(seed)
 	if err != nil {
@@ -304,14 +307,12 @@ func RunFaultSweep(seed int64) (*Table, error) {
 	for _, cs := range stats {
 		total += cs.Count
 	}
-	tbl.Rows = append(tbl.Rows,
-		Row{Name: "crossing classes (op x stage)", Measured: float64(len(stats)), Unit: "classes"},
-		Row{Name: "host crossings per attach", Measured: float64(total), Unit: "ops"},
-		Row{Name: "vtime delta, plan armed vs off", Measured: float64(armedVT - cleanVT), Unit: "ns",
-			Note: "(must be 0: an empty plan is invisible)"},
-	)
+	l.Invariant("crossing_classes", float64(len(stats)), "classes")
+	l.Cost("crossings_per_attach", float64(total), "crossings")
+	// Must be 0: an empty plan is invisible.
+	l.Invariant("armed_plan_vtime_delta_ns", float64(armedVT-cleanVT), "ns")
 	if armedVT != cleanVT {
-		return tbl, fmt.Errorf("e8: armed-but-empty plan shifted virtual time by %dns", armedVT-cleanVT)
+		return l.Rows, fmt.Errorf("e8: armed-but-empty plan shifted virtual time by %dns", armedVT-cleanVT)
 	}
 
 	var violations []string
@@ -341,21 +342,19 @@ func RunFaultSweep(seed int64) (*Table, error) {
 
 	drops, mbps, err := netDegradation(seed)
 	if err != nil {
-		return tbl, fmt.Errorf("e8: %w", err)
+		return l.Rows, fmt.Errorf("e8: %w", err)
 	}
 
-	tbl.Rows = append(tbl.Rows,
-		Row{Name: "single-fault points swept", Measured: float64(swept), Unit: "points"},
-		Row{Name: "faults tolerated in-line", Measured: float64(tolerated), Unit: "points"},
-		Row{Name: "transient faults retried to success", Measured: float64(retried), Unit: "points"},
-		Row{Name: "rollback/retry violations", Measured: float64(len(violations)), Unit: "points",
-			Note: "(must be 0)"},
-		Row{Name: "net faults: frames dropped, link up", Measured: float64(drops), Unit: "frames"},
-		Row{Name: "net goodput under faults", Measured: mbps, Unit: "MB/s"},
-	)
+	l.Invariant("points_swept", float64(swept), "points")
+	l.Invariant("points_tolerated", float64(tolerated), "points")
+	l.Invariant("points_retried", float64(retried), "points")
+	// Must be 0.
+	l.Invariant("violations", float64(len(violations)), "points")
+	l.Invariant("net_frames_dropped", float64(drops), "frames")
+	l.Invariant("net_goodput", mbps, "MB/s")
 	if len(violations) > 0 {
-		return tbl, fmt.Errorf("e8: %d invariant violations:\n  %s",
+		return l.Rows, fmt.Errorf("e8: %d invariant violations:\n  %s",
 			len(violations), strings.Join(violations, "\n  "))
 	}
-	return tbl, nil
+	return l.Rows, nil
 }

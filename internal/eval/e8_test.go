@@ -1,39 +1,51 @@
 package eval
 
-import "testing"
+import (
+	"testing"
+
+	"vmsh/internal/ledger"
+)
+
+// rowValue returns the value of rows' row key, failing the test when
+// there is none.
+func rowValue(t *testing.T, rows []ledger.Row, key string) any {
+	t.Helper()
+	for _, r := range rows {
+		if r.Key == key {
+			return r.Value
+		}
+	}
+	t.Fatalf("no row %q", key)
+	return nil
+}
 
 // TestE8FaultSweep runs the full single-fault sweep: every crossing
 // class of a clean attach gets faulted once, and every point must
 // either roll back byte-identically or absorb the fault. The sweep
 // itself errors on any violation, so the test body is a thin wrapper.
 func TestE8FaultSweep(t *testing.T) {
-	tbl, err := RunFaultSweep(42)
+	rows, err := RunFaultSweep(42)
+	for _, r := range rows {
+		t.Logf("%s = %v %s", r.Key, r.Value, r.Unit)
+	}
 	if err != nil {
-		if tbl != nil {
-			t.Log("\n" + tbl.Format())
-		}
 		t.Fatal(err)
 	}
-	t.Log("\n" + tbl.Format())
-	rows := map[string]float64{}
-	for _, r := range tbl.Rows {
-		rows[r.Name] = r.Measured
+	if v := rowValue(t, rows, "crossing_classes").(float64); v < 5 {
+		t.Fatalf("suspiciously few crossing classes: %v", v)
 	}
-	if rows["crossing classes (op x stage)"] < 5 {
-		t.Fatalf("suspiciously few crossing classes: %v", rows["crossing classes (op x stage)"])
+	if v := rowValue(t, rows, "violations"); v != 0.0 {
+		t.Fatalf("violations: %v", v)
 	}
-	if rows["rollback/retry violations"] != 0 {
-		t.Fatalf("violations: %v", rows["rollback/retry violations"])
+	if v := rowValue(t, rows, "armed_plan_vtime_delta_ns"); v != 0.0 {
+		t.Fatalf("armed plan perturbed virtual time by %vns", v)
 	}
-	if rows["vtime delta, plan armed vs off"] != 0 {
-		t.Fatalf("armed plan perturbed virtual time by %vns", rows["vtime delta, plan armed vs off"])
-	}
-	if rows["net faults: frames dropped, link up"] == 0 {
+	if v := rowValue(t, rows, "net_frames_dropped"); v == 0.0 {
 		t.Fatal("net degradation leg dropped nothing")
 	}
 }
 
-// TestE8Deterministic replays the sweep table with the same seed and
+// TestE8Deterministic replays the sweep with the same seed and
 // requires identical rows — the whole fault plane is seeded.
 func TestE8Deterministic(t *testing.T) {
 	if testing.Short() {
@@ -47,7 +59,5 @@ func TestE8Deterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Format() != b.Format() {
-		t.Fatalf("same-seed sweeps diverged:\n%s\nvs\n%s", a.Format(), b.Format())
-	}
+	sameRows(t, a, b)
 }

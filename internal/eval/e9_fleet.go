@@ -5,8 +5,9 @@
 //
 //   - throughput: wall-clock events/sec and VM cycles/sec scale with
 //     the worker pool, bounded by GOMAXPROCS: beyond it the sweep
-//     measures the engine's overhead, not parallel speedup, and the
-//     table prints no speedup;
+//     measures the engine's overhead, not parallel speedup. These are
+//     host cost, not virtual time, so they are reported per run and
+//     never become ledger rows;
 //   - determinism: the virtual-time results are bit-identical at every
 //     worker count — per-shard final vtimes, per-VM guest RAM hashes,
 //     and the merged metrics registry fold into one digest that must
@@ -17,7 +18,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"runtime"
+	"slices"
 	"time"
 
 	"vmsh/internal/blockdev"
@@ -58,25 +59,30 @@ type FleetStormResult struct {
 	// VTimesMS is each shard's final virtual time in ms (shard order);
 	// identical across the worker sweep, recorded from the first run.
 	VTimesMS []float64
+	// Deterministic: every run of the sweep gave the first run's
+	// digest.
+	Deterministic bool
 }
 
-// Rows is E9's ledger: the configuration and the digest as invariants,
-// and the event and message counts and virtual times as costs.
-// Wall-clock throughput stays out: it measures the host, not the model.
+// Rows is E9's ledger: the configuration, the digest and whether it
+// held across the worker sweep as invariants, and the event and
+// message counts and virtual times as costs. Wall-clock throughput
+// stays out: it measures the host, not the model.
 func (r *FleetStormResult) Rows() []ledger.Row {
-	l := ledgerRows{exp: "e9"}
-	l.invariant("vms", float64(r.VMs), "vms")
-	l.invariant("shards", float64(r.Shards), "shards")
-	l.invariant("seed", float64(r.Seed), "seed")
+	l := ledger.Builder{Exp: "e9"}
+	l.Invariant("vms", float64(r.VMs), "vms")
+	l.Invariant("shards", float64(r.Shards), "shards")
+	l.Invariant("seed", float64(r.Seed), "seed")
 	run := r.Runs[0]
-	l.invariant("digest", run.Digest, "fnv64a")
-	l.cost("events", float64(run.Events), "events")
-	l.cost("messages", float64(run.Messages), "messages")
-	l.cost("max_vtime_ms", run.MaxVTimeMS, "ms")
+	l.Invariant("digest", run.Digest, "fnv64a")
+	l.Invariant("deterministic", r.Deterministic, "bool")
+	l.Cost("events", float64(run.Events), "events")
+	l.Cost("messages", float64(run.Messages), "messages")
+	l.Cost("max_vtime_ms", run.MaxVTimeMS, "ms")
 	for i, vt := range r.VTimesMS {
-		l.cost(fmt.Sprintf("shard%d.vtime_ms", i), vt, "ms")
+		l.Cost(fmt.Sprintf("shard%d.vtime_ms", i), vt, "ms")
 	}
-	return l.rows
+	return l.Rows
 }
 
 // fleetShardPlan is the per-shard storm schedule, fixed before the
@@ -300,42 +306,28 @@ func fleetStormOnce(vms, shards, workers int, seed int64, store string, trace bo
 // DefaultFleetWorkerSweep is the E9 worker-count sweep.
 var DefaultFleetWorkerSweep = []int{1, 2, 4, 8, 16}
 
+// fleetShards is the storm's shard count: vms/20, clamped to
+// [workers, 64] so every worker has a shard to run, and to at most one
+// shard per VM.
+func fleetShards(vms, workers int) int {
+	return min(max(vms/20, workers), 64, vms)
+}
+
 // RunFleetStorm regenerates E9: the same vms-sized storm at every
 // worker count in sweep (DefaultFleetWorkerSweep when nil), asserting
 // bit-identical virtual-time results while measuring wall-clock
-// throughput. Shards default to vms/20 clamped to [workersMax, 64] so
-// every worker count in the sweep has shards to spread across.
-func RunFleetStorm(vms int, sweep []int, seed int64) (*Table, *FleetStormResult, error) {
+// throughput. Shards follow fleetShards at the sweep's largest worker
+// count. On failure the runs made so far come back with the error.
+func RunFleetStorm(vms int, sweep []int, seed int64) (*FleetStormResult, error) {
 	if len(sweep) == 0 {
 		sweep = DefaultFleetWorkerSweep
 	}
-	maxW := 1
-	for _, w := range sweep {
-		if w > maxW {
-			maxW = w
-		}
-	}
-	shards := vms / 20
-	if shards < maxW {
-		shards = maxW
-	}
-	if shards > 64 {
-		shards = 64
-	}
-	if shards > vms {
-		shards = vms
-	}
-
-	res := &FleetStormResult{VMs: vms, Shards: shards, Seed: seed}
-	tbl := &Table{ID: "E9 / fleet storm",
-		Title: fmt.Sprintf("%d-VM attach/detach storm, %d shards, parallel engine", vms, shards)}
-
-	procs := runtime.GOMAXPROCS(0)
-	diverged := false
+	shards := fleetShards(vms, slices.Max(sweep))
+	res := &FleetStormResult{VMs: vms, Shards: shards, Seed: seed, Deterministic: true}
 	for idx, w := range sweep {
 		run, eng, err := fleetStormOnce(vms, shards, w, seed, "", false)
 		if err != nil {
-			return tbl, res, fmt.Errorf("E9 workers=%d: %w", w, err)
+			return res, fmt.Errorf("E9 workers=%d: %w", w, err)
 		}
 		if idx == 0 {
 			// vtimes are worker-invariant; record once.
@@ -344,34 +336,14 @@ func RunFleetStorm(vms int, sweep []int, seed int64) (*Table, *FleetStormResult,
 			}
 		}
 		res.Runs = append(res.Runs, run)
-		base := res.Runs[0]
-		det := "det=ok"
-		if run.Digest != base.Digest {
-			det = "DETERMINISM BROKEN"
-			diverged = true
+		if run.Digest != res.Runs[0].Digest {
+			res.Deterministic = false
 		}
-		// More workers than GOMAXPROCS cannot run in parallel, so a
-		// speedup there is scheduling and GC noise: leave it out.
-		speedup := ""
-		if w <= procs {
-			speedup = fmt.Sprintf(" speedup=%.2fx", base.WallMS/run.WallMS)
-		}
-		tbl.Rows = append(tbl.Rows, Row{
-			Name:     fmt.Sprintf("events/sec @ workers=%d", w),
-			Measured: run.EventsPerSec,
-			Unit:     "ev/s",
-			Note: fmt.Sprintf("wall=%.0fms%s vms/s=%.1f %s",
-				run.WallMS, speedup, run.VMsPerSec, det),
-		})
 	}
-	if diverged {
-		return tbl, res, fmt.Errorf("E9: virtual-time results diverged across worker counts")
+	if !res.Deterministic {
+		return res, fmt.Errorf("E9: virtual-time results diverged across worker counts")
 	}
-	tbl.Rows = append(tbl.Rows, Row{
-		Name: "determinism across worker sweep", Measured: 1, Unit: "bool",
-		Note: "digest " + res.Runs[0].Digest + " identical at every worker count",
-	})
-	return tbl, res, nil
+	return res, nil
 }
 
 // TraceFleetStorm runs the E9 storm once with the fleet trace plane
@@ -381,16 +353,7 @@ func RunFleetStorm(vms int, sweep []int, seed int64) (*Table, *FleetStormResult,
 // Returns the merged fleet trace, its vtime profile, and the traced
 // run record. Shard count follows the same rule as RunFleetStorm.
 func TraceFleetStorm(vms, workers int, seed int64) (*obs.MergedTrace, *obs.Profile, FleetStormRun, error) {
-	shards := vms / 20
-	if shards < workers {
-		shards = workers
-	}
-	if shards > 64 {
-		shards = 64
-	}
-	if shards > vms {
-		shards = vms
-	}
+	shards := fleetShards(vms, workers)
 	traced, eng, err := fleetStormOnce(vms, shards, workers, seed, "", true)
 	if err != nil {
 		return nil, nil, traced, fmt.Errorf("E9 traced run: %w", err)

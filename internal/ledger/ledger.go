@@ -1,6 +1,7 @@
-// Package ledger is the one artifact schema of the evaluation: flat
-// metric rows {exp, key, value, unit, kind}. vmsh-bench -json writes a
-// ledger (the committed one is BENCH_vtime.json) and tools/benchdiff
+// Package ledger is the one row type of the evaluation: flat metric
+// rows {exp, key, value, unit, kind, paper}. Every experiment emits its
+// results as rows; vmsh-bench prints them and with -json writes them as
+// a ledger (the committed one is BENCH_vtime.json), and tools/benchdiff
 // gates a fresh run against it with Diff, one rule per kind.
 package ledger
 
@@ -14,11 +15,13 @@ import (
 type Kind string
 
 const (
-	// Cost rows are virtual-time costs (time, crossings, bytes, pages):
+	// Cost rows are virtual-time costs where less is better (time,
+	// latency, crossings, interrupts, bytes, pages, slowdown ratios):
 	// growth past the threshold fails and a shrink is a note.
 	Cost Kind = "cost"
 	// Invariant rows (configuration, test counts, correctness flags,
-	// digests) fail on any change, at any threshold.
+	// error text, digests, must-be-zero deltas, rates) fail on any
+	// change, at any threshold.
 	Invariant Kind = "invariant"
 )
 
@@ -32,6 +35,34 @@ type Row struct {
 	Value any    `json:"value"`
 	Unit  string `json:"unit"`
 	Kind  Kind   `json:"kind"`
+	// Paper is the value the paper reports for this metric, in Unit,
+	// or 0 when it reports none. It is reference only: Check and Diff
+	// ignore it.
+	Paper float64 `json:"paper,omitempty"`
+}
+
+// Builder collects one experiment's rows in order. Cost and Invariant
+// return the row they appended, valid until the next append, so a
+// caller can set its Paper value.
+type Builder struct {
+	Exp  string
+	Rows []Row
+}
+
+// Cost appends a cost row.
+func (b *Builder) Cost(key string, v float64, unit string) *Row {
+	return b.add(key, v, unit, Cost)
+}
+
+// Invariant appends an invariant row; v is a float64, an exact string
+// or a bool.
+func (b *Builder) Invariant(key string, v any, unit string) *Row {
+	return b.add(key, v, unit, Invariant)
+}
+
+func (b *Builder) add(key string, v any, unit string, kind Kind) *Row {
+	b.Rows = append(b.Rows, Row{Exp: b.Exp, Key: key, Value: v, Unit: unit, Kind: kind})
+	return &b.Rows[len(b.Rows)-1]
 }
 
 // name is the row's display name, "exp.key".
@@ -121,7 +152,7 @@ func (r *Report) note(format string, args ...any) {
 // unit and kind. An invariant fails on any change. A cost fails when
 // it grew by more than thresholdPct percent, and on any growth from a
 // baseline of 0; a shrink or an allowed growth is a note. A row only
-// the candidate has is a note.
+// the candidate has is a note. Paper values are not compared.
 func Diff(base, cand []Row, thresholdPct float64) Report {
 	var r Report
 	byID := make(map[[2]string]Row, len(cand))

@@ -49,6 +49,7 @@ func TestDiff(t *testing.T) {
 		{"unit change fails", with(Row{Exp: "x", Key: "vtime", Value: 1000.0, Unit: "ms", Kind: Cost}), 0, 1, 0},
 		{"missing baseline row fails", base[1:], 1000, 1, 0},
 		{"candidate-only row is a note", append(with(), cost("new", 5)), 0, 0, 1},
+		{"paper-only change passes silently", with(Row{Exp: "x", Key: "vtime", Value: 1000.0, Unit: "ns", Kind: Cost, Paper: 900}), 0, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := Diff(base, tc.cand, tc.threshold)
@@ -62,7 +63,8 @@ func TestDiff(t *testing.T) {
 
 func TestMarshalRoundTrip(t *testing.T) {
 	rows := []Row{cost("vtime", 5653.058224), inv("digest", "c5c2d24c87928b87"), inv("ok", true),
-		{Exp: "y", Key: "vtime", Value: 88368704.0, Unit: "ns", Kind: Cost}}
+		{Exp: "y", Key: "vtime", Value: 88368704.0, Unit: "ns", Kind: Cost},
+		{Exp: "y", Key: "average", Value: 1.66, Unit: "x", Kind: Cost, Paper: 1.5}}
 	b, err := Marshal(rows)
 	if err != nil {
 		t.Fatal(err)
@@ -80,6 +82,14 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 	if r := Diff(rows, got, 0); len(r.Regressions)+len(r.Notes) != 0 {
 		t.Fatalf("decoded rows differ: %+v", r)
+	}
+	for i := range rows {
+		if got[i].Paper != rows[i].Paper {
+			t.Errorf("%s: paper %v decoded as %v", rows[i].name(), rows[i].Paper, got[i].Paper)
+		}
+	}
+	if n := strings.Count(string(b), `"paper"`); n != 1 {
+		t.Fatalf("want paper on exactly the one row that has it, got %d:\n%s", n, b)
 	}
 	if n := strings.Count(string(b), "\n"); n != len(rows)+2 {
 		t.Fatalf("want one row per line, got %d lines:\n%s", n, b)

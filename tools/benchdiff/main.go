@@ -7,9 +7,10 @@
 // Both files are flat ledger rows (internal/ledger), and one rule per
 // row kind decides: a cost row fails when it grew by more than
 // -threshold percent (from a baseline of 0, on any growth), an
-// invariant row (configuration, test counts, correctness flags, the E9
-// digest) fails on any change at any threshold, and a baseline row
-// missing from the candidate fails. With the default threshold 0 the
+// invariant row (configuration, test counts, correctness flags, error
+// text, must-be-zero deltas, rates, the E9 digest) fails on any change
+// at any threshold, and a baseline row missing from the candidate
+// fails. A row's paper value is not compared. With the default threshold 0 the
 // gate demands bit-identical results, which the deterministic
 // simulation guarantees.
 package main

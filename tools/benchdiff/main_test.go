@@ -168,8 +168,9 @@ func TestE11LostBooleansFail(t *testing.T) {
 func TestE11MissingLegFails(t *testing.T) {
 	cand := e11Result()
 	cand.Legs = cand.Legs[:1]
-	// The leg's hash flag, downtime, total time, pages and bytes.
-	wantRegressions(t, gate(t, e11Result().Rows(), cand.Rows(), 0), 5)
+	// The leg's hash flag, downtime, total time, pages (all, before
+	// the pause and after it) and bytes.
+	wantRegressions(t, gate(t, e11Result().Rows(), cand.Rows(), 0), 7)
 }
 
 func TestE11SeedMismatchFails(t *testing.T) {
