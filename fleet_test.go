@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"vmsh"
+	"vmsh/internal/mem"
 	"vmsh/internal/netsim"
 )
 
@@ -63,7 +64,12 @@ func fleetRun(t *testing.T, shards, workers int) ([]time.Duration, [][]uint64, s
 			}
 			for _, s := range vm.VM.MemSlots() {
 				h := fnv.New64a()
-				h.Write(s.Phys.Data)
+				page := make([]byte, mem.PageSize)
+				for off := uint64(0); off < s.Phys.Size(); off += mem.PageSize {
+					b := page[:min(mem.PageSize, s.Phys.Size()-off)]
+					s.Phys.ReadAt(s.Phys.Base+mem.GPA(off), b)
+					h.Write(b)
+				}
 				rams[i] = append(rams[i], h.Sum64())
 			}
 			return nil

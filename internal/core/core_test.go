@@ -337,3 +337,32 @@ func TestShaOverConsole(t *testing.T) {
 		t.Fatalf("not a sha256: %q", out)
 	}
 }
+
+// TestVMSHBlkPastImageEndIsIOErr drives the vmsh-blk device from the
+// guest driver with sectors the image does not have: a request past the
+// end, or straddling it, must complete with an IO-error status (never a
+// panic, never a short read reported as success), on both the batched
+// and the legacy service paths.
+func TestVMSHBlkPastImageEndIsIOErr(t *testing.T) {
+	for _, legacy := range []bool{false, true} {
+		h, inst := launch(t, hypervisor.QEMU, "5.10")
+		attach(t, h, inst, Options{LegacyVirtio: legacy})
+		bd, ok := inst.Kernel.BlockDevByName("vmshblk0")
+		if !ok {
+			t.Fatal("vmshblk0 missing")
+		}
+		size := bd.Size()
+		buf := make([]byte, 4096)
+		for _, off := range []int64{size, size + 1<<20, size - 2048} {
+			if err := bd.ReadAt(off, buf); err == nil {
+				t.Errorf("legacy=%v: read [%d,+%d) of a %d-byte image succeeded", legacy, off, len(buf), size)
+			}
+			if err := bd.WriteAt(off, buf); err == nil {
+				t.Errorf("legacy=%v: write [%d,+%d) of a %d-byte image succeeded", legacy, off, len(buf), size)
+			}
+		}
+		if err := bd.ReadAt(size-int64(len(buf)), buf); err != nil {
+			t.Errorf("legacy=%v: read of the last page failed: %v", legacy, err)
+		}
+	}
+}

@@ -15,30 +15,6 @@ import (
 	"vmsh/internal/virtio"
 )
 
-// fileStore adapts the memory-mapped host image file to the
-// storage.BlockBackend contract with zero charging of its own — the
-// page-cache and device costs stay in mmapBackend, exactly where they
-// were, so the default data path's virtual-time behaviour is
-// bit-identical to the pre-refactor direct access.
-type fileStore struct {
-	f *hostsim.HostFile
-}
-
-func (s *fileStore) ReadAt(off int64, buf []byte) error {
-	copy(buf, s.f.Bytes()[off:])
-	return nil
-}
-
-func (s *fileStore) WriteAt(off int64, buf []byte) error {
-	copy(s.f.Bytes()[off:], buf)
-	return nil
-}
-
-func (s *fileStore) Flush() error      { return nil }
-func (s *fileStore) Size() int64       { return s.f.Size() }
-func (s *fileStore) SupportsFUA() bool { return true }
-func (s *fileStore) SetQueueDepth(int) {}
-
 // mmapBackend serves the vmsh-blk image from a memory-mapped host
 // file — the optimisation §5 credits with doubling Phoronix results.
 // Reads hit the host page cache (device reads only on first touch);
@@ -47,10 +23,11 @@ func (s *fileStore) SetQueueDepth(int) {}
 // attributed to the writer the way dirty throttling does).
 //
 // The byte store behind the cache model is pluggable
-// (Options.Storage): the default fileStore reproduces the historic
-// direct-mmap access byte-for-byte and charge-for-charge; the
-// storage-package backends (memory, cow, cas, remote) swap the medium
-// while this layer keeps the page-cache accounting.
+// (Options.Storage): the default serves the image file's own pages as
+// a storage.MemBlock, which charges nothing itself and range-checks
+// every access like the other backends; the storage-package backends
+// (memory, cow, cas, remote) swap the medium while this layer keeps
+// the page-cache accounting.
 type mmapBackend struct {
 	store storage.BlockBackend
 	size  int64
@@ -285,9 +262,9 @@ func (s *Session) setupDevices(tx *attachTx, scratch uint64, opts Options) error
 
 	// Device instances, running in the VMSH process over the
 	// process_vm view of guest memory. The image byte store is
-	// selectable (Options.Storage); "" / "file" is the historic
-	// direct-mmap path with unchanged charging.
-	var store storage.BlockBackend = &fileStore{f: image}
+	// selectable (Options.Storage); "" / "file" is the direct-mmap
+	// path: the image file's pages, uncharged below the page cache.
+	var store storage.BlockBackend = storage.NewMemBlockOver(image.Pages())
 	if opts.Storage != "" && opts.Storage != "file" {
 		st, err := storage.OpenBlock(opts.Storage, storage.Config{
 			Base:   store,

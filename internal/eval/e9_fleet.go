@@ -16,7 +16,6 @@ package eval
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"slices"
 	"time"
@@ -24,6 +23,7 @@ import (
 	"vmsh/internal/blockdev"
 	"vmsh/internal/core"
 	"vmsh/internal/engine"
+	"vmsh/internal/faults"
 	"vmsh/internal/fsimage"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
@@ -283,12 +283,12 @@ func fleetStormOnce(vms, shards, workers int, seed int64, store string, trace bo
 		return FleetStormRun{}, nil, err
 	}
 	// Fold the full determinism surface into one digest.
-	dig := fnv.New64a()
+	dig := faults.NewDigest()
 	for i, vt := range eng.VTimes() {
-		fmt.Fprintf(dig, "%d:%d:%016x\n", i, vt, digests[i])
+		dig = dig.Str(fmt.Sprintf("%d:%d:%016x\n", i, vt, digests[i]))
 	}
-	dig.Write([]byte(eng.MergedMetrics().Text()))
-	fmt.Fprintf(dig, "events=%d messages=%d\n", stats.Events, stats.Messages)
+	dig = dig.Str(eng.MergedMetrics().Text())
+	dig = dig.Str(fmt.Sprintf("events=%d messages=%d\n", stats.Events, stats.Messages))
 
 	wall := stats.Wall.Seconds()
 	return FleetStormRun{
@@ -299,7 +299,7 @@ func fleetStormOnce(vms, shards, workers int, seed int64, store string, trace bo
 		Events:       stats.Events,
 		Messages:     stats.Messages,
 		MaxVTimeMS:   stats.MaxVTime.Seconds() * 1e3,
-		Digest:       fmt.Sprintf("%016x", dig.Sum64()),
+		Digest:       fmt.Sprintf("%016x", uint64(dig)),
 	}, eng, nil
 }
 

@@ -1,14 +1,36 @@
 package eval
 
-import "testing"
+import (
+	"runtime/metrics"
+	"testing"
+)
+
+// heapAllocBytes reads the cumulative bytes allocated on the heap.
+func heapAllocBytes() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// fleetStormBytesPerLifecycle is the heap allocation budget of one
+// storm VM lifecycle (launch, attach, exec, detach, RAM hash): about
+// 1.5x the 36.5 MB measured with sparse page stores. Dense guest RAM
+// and host images allocated 143 MB per lifecycle.
+const fleetStormBytesPerLifecycle = 52 << 20
 
 // TestFleetStormSmall is E9 at CI scale: a 40-VM storm swept at
-// workers=1 and 2 must complete, report real throughput, and produce
-// identical determinism digests at both worker counts.
+// workers=1 and 2 must complete, report real throughput, produce
+// identical determinism digests at both worker counts, and stay within
+// its heap allocation budget per VM lifecycle.
 func TestFleetStormSmall(t *testing.T) {
+	before := heapAllocBytes()
 	res, err := RunFleetStorm(40, []int{1, 2}, 7)
 	if err != nil {
 		t.Fatal(err)
+	}
+	lifecycles := uint64(40 * len(res.Runs))
+	if per := (heapAllocBytes() - before) / lifecycles; per > fleetStormBytesPerLifecycle {
+		t.Errorf("%d lifecycles allocated %d bytes each, budget %d", lifecycles, per, fleetStormBytesPerLifecycle)
 	}
 	if len(res.Runs) != 2 {
 		t.Fatalf("runs %d, want 2", len(res.Runs))

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -262,5 +263,18 @@ func TestPausedInjectorIsInvisible(t *testing.T) {
 	in.SetPaused(false)
 	if err := in.Check(OpProcVMRead); err == nil {
 		t.Fatal("2nd live crossing did not fault after unpause")
+	}
+}
+
+// TestDigestZeros pins Zeros(n) to FNV-64a over n zero bytes, checked
+// against the standard library, including after non-zero bytes.
+func TestDigestZeros(t *testing.T) {
+	for _, n := range []uint64{0, 1, 2, 7, 4095, 4096, 4097, 3 * 4096, 100000} {
+		h := fnv.New64a()
+		h.Write([]byte("prefix"))
+		h.Write(make([]byte, n))
+		if got, want := NewDigest().Str("prefix").Zeros(n), Digest(h.Sum64()); got != want {
+			t.Errorf("Zeros(%d) = %016x, want %016x", n, got, want)
+		}
 	}
 }

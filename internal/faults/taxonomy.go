@@ -157,6 +157,19 @@ func (d Digest) Bytes(p []byte) Digest {
 	return d
 }
 
+// Zeros folds n zero bytes into the digest. A zero byte leaves the XOR
+// step unchanged, so n of them multiply the state by prime^n mod 2^64,
+// computed by squaring in O(log n) steps rather than n.
+func (d Digest) Zeros(n uint64) Digest {
+	for p := digestPrime; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			d *= p
+		}
+		p *= p
+	}
+	return d
+}
+
 // U64 folds a 64-bit value (little-endian) into the digest.
 func (d Digest) U64(v uint64) Digest {
 	for i := 0; i < 8; i++ {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"vmsh/internal/mem"
 	"vmsh/internal/vclock"
 )
 
@@ -59,8 +60,9 @@ func (d *Disk) Stats() (reads, writes, bytesRead, bytesWritten int64) {
 }
 
 // HostFile is a file on the host filesystem (VM images, the vmsh fs
-// image). Pages can be cached in the host page cache; direct mode
-// bypasses the cache like O_DIRECT.
+// image). Its bytes live in a sparse page store, so an image costs
+// memory only for the pages written with data. Pages can be cached in
+// the host page cache; direct mode bypasses the cache like O_DIRECT.
 type HostFile struct {
 	Name   string
 	disk   *Disk
@@ -69,7 +71,7 @@ type HostFile struct {
 	Direct bool // O_DIRECT: every access hits the device
 
 	mu     sync.Mutex
-	data   []byte
+	data   *mem.Pages
 	cached map[int64]bool // 4KiB page residency in host page cache
 	dirty  map[int64]bool
 }
@@ -84,7 +86,7 @@ func (h *Host) CreateFile(name string, size int64, direct bool) *HostFile {
 		costs:  h.Costs,
 		clock:  h.Clock,
 		Direct: direct,
-		data:   make([]byte, size),
+		data:   mem.NewPages(uint64(size)),
 		cached: make(map[int64]bool),
 		dirty:  make(map[int64]bool),
 	}
@@ -112,7 +114,7 @@ func (f *HostFile) DiskRef() *Disk { return f.disk }
 func (f *HostFile) Size() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return int64(len(f.data))
+	return int64(f.data.Size())
 }
 
 // ReadAt reads into buf at off, charging either device or page-cache
@@ -120,11 +122,11 @@ func (f *HostFile) Size() int64 {
 func (f *HostFile) ReadAt(buf []byte, off int64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if off < 0 || off+int64(len(buf)) > int64(len(f.data)) {
-		return fmt.Errorf("%w: read [%d,+%d) beyond %s (%d bytes)", ErrInval, off, len(buf), f.Name, len(f.data))
+	if off < 0 || off+int64(len(buf)) > int64(f.data.Size()) {
+		return fmt.Errorf("%w: read [%d,+%d) beyond %s (%d bytes)", ErrInval, off, len(buf), f.Name, f.data.Size())
 	}
 	f.charge(off, len(buf), false)
-	copy(buf, f.data[off:])
+	f.data.ReadAt(buf, uint64(off))
 	return nil
 }
 
@@ -132,11 +134,11 @@ func (f *HostFile) ReadAt(buf []byte, off int64) error {
 func (f *HostFile) WriteAt(buf []byte, off int64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if off < 0 || off+int64(len(buf)) > int64(len(f.data)) {
-		return fmt.Errorf("%w: write [%d,+%d) beyond %s (%d bytes)", ErrInval, off, len(buf), f.Name, len(f.data))
+	if off < 0 || off+int64(len(buf)) > int64(f.data.Size()) {
+		return fmt.Errorf("%w: write [%d,+%d) beyond %s (%d bytes)", ErrInval, off, len(buf), f.Name, f.data.Size())
 	}
 	f.charge(off, len(buf), true)
-	copy(f.data[off:], buf)
+	f.data.WriteAt(buf, uint64(off))
 	return nil
 }
 
@@ -183,13 +185,9 @@ func (f *HostFile) Fsync() error {
 	return nil
 }
 
-// Bytes exposes the raw contents (mmap view). Accesses through the
-// returned slice are not charged.
-func (f *HostFile) Bytes() []byte {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.data
-}
+// Pages exposes the raw contents (mmap view). Accesses through the
+// returned store are not charged.
+func (f *HostFile) Pages() *mem.Pages { return f.data }
 
 // HostFileFD is the fd-table wrapper for an open host file.
 type HostFileFD struct {

@@ -219,8 +219,14 @@ func TestRestoreReconstructsRAM(t *testing.T) {
 		t.Fatalf("slot count differs: %d != %d", len(src), len(dst))
 	}
 	for i := range src {
-		if !bytes.Equal(src[i].Phys.Data, dst[i].Phys.Data) {
-			t.Fatalf("memslot %d diverged after restore", src[i].Slot)
+		sp, dp := src[i].Phys.Pages(), dst[i].Phys.Pages()
+		if sp.Size() != dp.Size() {
+			t.Fatalf("memslot %d size differs after restore", src[i].Slot)
+		}
+		for idx := uint64(0); idx < sp.NumPages(); idx++ {
+			if !bytes.Equal(sp.Page(idx), dp.Page(idx)) {
+				t.Fatalf("memslot %d page %d diverged after restore", src[i].Slot, idx)
+			}
 		}
 	}
 }
@@ -335,7 +341,7 @@ func TestMigratePostCopyStreamsOnDemand(t *testing.T) {
 		t.Fatal("pending slot has no destination slab")
 	}
 	before := res.PagesFaulted
-	_ = dp.Slice(dp.Base+mem.GPA(idx*PageSize), 8)
+	_ = dp.U64(dp.Base + mem.GPA(idx*PageSize))
 	if res.PagesFaulted != before+1 {
 		t.Fatalf("access did not fault the page across (faulted=%d)", res.PagesFaulted)
 	}

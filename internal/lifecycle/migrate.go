@@ -3,11 +3,11 @@ package lifecycle
 import (
 	"cmp"
 	"fmt"
-	"hash/fnv"
 	"slices"
 	"time"
 
 	"vmsh/internal/core"
+	"vmsh/internal/faults"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
 	"vmsh/internal/mem"
@@ -195,7 +195,7 @@ func Migrate(src *hypervisor.Instance, dstHost *hostsim.Host, o MigrateOpts) (*R
 		}
 		// The image content is read at cutover, after any final
 		// overlay writes were flushed by the detach.
-		sessState.Blocks = sparseBlocks(img.Bytes())
+		sessState.Blocks = sparseBlocks(img.Pages())
 	}
 
 	// --- cutover: stop_and_copy | postcopy --------------------------
@@ -391,7 +391,7 @@ func (m *migration) syncDivergent() (int, error) {
 		if !ok {
 			continue
 		}
-		n, k, err := diffPages(fmt.Sprintf("memslot %d", sl.Slot), dp.Data, sl.Phys.Data)
+		n, k, err := diffPages(fmt.Sprintf("memslot %d", sl.Slot), dp.Pages(), sl.Phys.Pages())
 		if err != nil {
 			return 0, err
 		}
@@ -416,7 +416,7 @@ func (m *migration) syncDirty() int {
 			continue
 		}
 		for _, idx := range idxs {
-			if copyPage(dp.Data, sp.Data, idx) > 0 {
+			if copyPage(dp.Pages(), sp.Pages(), idx) > 0 {
 				moved++
 			}
 		}
@@ -438,7 +438,7 @@ func (m *migration) syncDisks() error {
 		if err != nil {
 			return fmt.Errorf("destination disk %s: %w", name, err)
 		}
-		scanned, moved, err := diffPages("disk "+name, df.Bytes(), sf.Bytes())
+		scanned, moved, err := diffPages("disk "+name, df.Pages(), sf.Pages())
 		if err != nil {
 			return err
 		}
@@ -452,8 +452,8 @@ func (m *migration) syncDisks() error {
 // slab that has pending pages: any access — guest load/store, device
 // DMA, process_vm introspection — to a not-yet-arrived page fetches it
 // from the source first, paying a request/response round trip on the
-// link. The hook writes straight into the slab's backing array, never
-// back through Slice, so it cannot recurse.
+// link. The hook writes straight into the slab's page store, never
+// back through the slab's accessors, so it cannot recurse.
 func (m *migration) armPager() {
 	for slot, set := range m.pending {
 		if len(set) == 0 {
@@ -486,7 +486,7 @@ func (m *migration) fetchPage(slot uint32, idx uint64) {
 	sp, ok1 := slotPhys(m.src, slot)
 	dp, ok2 := slotPhys(m.dst, slot)
 	if ok1 && ok2 {
-		if n := copyPage(dp.Data, sp.Data, idx); n > 0 {
+		if n := copyPage(dp.Pages(), sp.Pages(), idx); n > 0 {
 			m.charge(n + 16)
 		}
 	}
@@ -508,16 +508,16 @@ func hashWithPending(dst, src *mem.Phys, pending map[uint64]bool) uint64 {
 	if len(pending) == 0 {
 		return dst.Hash()
 	}
-	h := fnv.New64a()
+	d := faults.NewDigest()
 	for off := uint64(0); off < dst.Size(); off += PageSize {
 		end := min(off+PageSize, dst.Size())
+		from := dst.Pages()
 		if pending[off/PageSize] && end <= src.Size() {
-			h.Write(src.Data[off:end])
-		} else {
-			h.Write(dst.Data[off:end])
+			from = src.Pages()
 		}
+		d = from.Fold(d, off, end)
 	}
-	return h.Sum64()
+	return uint64(d)
 }
 
 // sortedKeys returns m's keys in ascending order.

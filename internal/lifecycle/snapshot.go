@@ -74,7 +74,7 @@ func Take(inst *hypervisor.Instance, o TakeOpts) (*Snapshot, error) {
 			ImageSize: img.Size(),
 			Storage:   o.Session.StorageBackend(),
 			Trap:      int(o.Session.Trap()),
-			Blocks:    sparseBlocks(img.Bytes()),
+			Blocks:    sparseBlocks(img.Pages()),
 		}
 		// Quiesce before reading RAM: detach rolls the guest back to
 		// its pre-attach bytes, so the captured state is attach-free.
@@ -94,7 +94,7 @@ func Take(inst *hypervisor.Instance, o TakeOpts) (*Snapshot, error) {
 	s.Cursors = cur
 
 	for _, sl := range slotsByNum(inst) {
-		for _, b := range sparseBlocks(sl.Phys.Data) {
+		for _, b := range sparseBlocks(sl.Phys.Pages()) {
 			s.Pages = append(s.Pages, PageRecord{Slot: sl.Slot, Index: b.Index, Data: b.Data})
 		}
 		s.RAMHashes = append(s.RAMHashes, sl.Phys.Hash())
@@ -105,7 +105,7 @@ func Take(inst *hypervisor.Instance, o TakeOpts) (*Snapshot, error) {
 		if err != nil {
 			return nil, fmt.Errorf("lifecycle snapshot: disk %s: %w", name, err)
 		}
-		s.Disks = append(s.Disks, DiskImage{Name: name, Size: f.Size(), Blocks: sparseBlocks(f.Bytes())})
+		s.Disks = append(s.Disks, DiskImage{Name: name, Size: f.Size(), Blocks: sparseBlocks(f.Pages())})
 	}
 	return s, nil
 }
@@ -138,14 +138,14 @@ func Restore(h *hostsim.Host, s *Snapshot, o RestoreOpts) (*hypervisor.Instance,
 	}
 
 	for _, sl := range inst.VM.MemSlots() {
-		clear(sl.Phys.Data)
+		sl.Phys.Pages().Clear()
 	}
 	for _, pg := range s.Pages {
 		p, ok := slotPhys(inst, pg.Slot)
 		if !ok {
 			return nil, nil, fmt.Errorf("lifecycle restore: %w: page for unknown memslot %d", ErrSnapshotCorrupt, pg.Slot)
 		}
-		if !putBlock(p.Data, pg.Index, pg.Data) {
+		if !putBlock(p.Pages(), pg.Index, pg.Data) {
 			return nil, nil, fmt.Errorf("lifecycle restore: %w: page %d (%d bytes) outside slot %d", ErrSnapshotCorrupt, pg.Index, len(pg.Data), pg.Slot)
 		}
 	}
@@ -168,9 +168,8 @@ func Restore(h *hostsim.Host, s *Snapshot, o RestoreOpts) (*hypervisor.Instance,
 		if err != nil {
 			return nil, nil, fmt.Errorf("lifecycle restore: disk %s: %w", d.Name, err)
 		}
-		data := f.Bytes()
-		clear(data)
-		if err := putBlocks(data, d.Blocks, "disk "+d.Name); err != nil {
+		f.Pages().Clear()
+		if err := putBlocks(f.Pages(), d.Blocks, "disk "+d.Name); err != nil {
 			return nil, nil, fmt.Errorf("lifecycle restore: %w", err)
 		}
 	}
@@ -222,7 +221,7 @@ func checkBounds(s *Snapshot) error {
 // attaches an equivalent vmsh session to the VM process pid.
 func (st *SessionState) reattach(h *hostsim.Host, pid int) (*core.Session, error) {
 	img := h.CreateFile(st.ImageName, st.ImageSize, false)
-	if err := putBlocks(img.Bytes(), st.Blocks, "session image"); err != nil {
+	if err := putBlocks(img.Pages(), st.Blocks, "session image"); err != nil {
 		return nil, err
 	}
 	sess, err := core.New(h).Attach(pid, core.Options{
@@ -319,15 +318,14 @@ func slotPhys(inst *hypervisor.Instance, slot uint32) (*mem.Phys, bool) {
 // diffPages copies every PageSize page of src that differs from dst
 // into dst, reporting how many pages it compared and how many moved.
 // what names the pair in the error for a size mismatch.
-func diffPages(what string, dst, src []byte) (scanned, moved int, err error) {
-	if len(src) != len(dst) {
-		return 0, 0, fmt.Errorf("%s size differs (%d != %d)", what, len(src), len(dst))
+func diffPages(what string, dst, src *mem.Pages) (scanned, moved int, err error) {
+	if src.Size() != dst.Size() {
+		return 0, 0, fmt.Errorf("%s size differs (%d != %d)", what, src.Size(), dst.Size())
 	}
-	for off := 0; off < len(src); off += PageSize {
-		end := min(off+PageSize, len(src))
+	for idx := uint64(0); idx < src.NumPages(); idx++ {
 		scanned++
-		if !bytes.Equal(src[off:end], dst[off:end]) {
-			copy(dst[off:end], src[off:end])
+		if b := src.Page(idx); !bytes.Equal(b, dst.Page(idx)) {
+			dst.SetPage(idx, b)
 			moved++
 		}
 	}
@@ -336,22 +334,21 @@ func diffPages(what string, dst, src []byte) (scanned, moved int, err error) {
 
 // copyPage copies page idx of src into dst, clipped to src's end, and
 // returns the bytes copied: 0 for a page past the end of src.
-func copyPage(dst, src []byte, idx uint64) int {
+func copyPage(dst, src *mem.Pages, idx uint64) int {
 	off := idx * PageSize
-	if off >= uint64(len(src)) {
+	if off >= src.Size() {
 		return 0
 	}
-	end := min(off+PageSize, uint64(len(src)))
-	return copy(dst[off:end], src[off:end])
+	dst.SetPage(idx, src.Page(idx))
+	return int(min(PageSize, src.Size()-off))
 }
 
-// sparseBlocks captures the non-zero PageSize blocks of data.
-func sparseBlocks(data []byte) []BlockRecord {
+// sparseBlocks captures the non-zero PageSize blocks of p.
+func sparseBlocks(p *mem.Pages) []BlockRecord {
 	var out []BlockRecord
-	for off := uint64(0); off < uint64(len(data)); off += PageSize {
-		b := data[off:min(off+PageSize, uint64(len(data)))]
-		if !allZero(b) {
-			out = append(out, BlockRecord{Index: off / PageSize, Data: append([]byte(nil), b...)})
+	for idx := uint64(0); idx < p.NumPages(); idx++ {
+		if b := p.Page(idx); b != nil {
+			out = append(out, BlockRecord{Index: idx, Data: append([]byte(nil), b...)})
 		}
 	}
 	return out
@@ -360,7 +357,7 @@ func sparseBlocks(data []byte) []BlockRecord {
 // putBlocks applies sparse blocks to dst with putBlock, failing with
 // ErrSnapshotCorrupt at the first one that does not fit; what names
 // dst in the error.
-func putBlocks(dst []byte, blocks []BlockRecord, what string) error {
+func putBlocks(dst *mem.Pages, blocks []BlockRecord, what string) error {
 	for _, b := range blocks {
 		if !putBlock(dst, b.Index, b.Data) {
 			return fmt.Errorf("%w: block %d (%d bytes) outside %s", ErrSnapshotCorrupt, b.Index, len(b.Data), what)
@@ -373,31 +370,14 @@ func putBlocks(dst []byte, blocks []BlockRecord, what string) error {
 // reports false, copying nothing, when data is empty, longer than a
 // unit, or does not fit inside dst — idx is bounded before it is
 // scaled, so a huge index cannot wrap to an in-range offset.
-func putBlock(dst []byte, idx uint64, data []byte) bool {
-	if len(data) == 0 || len(data) > PageSize || idx > uint64(len(dst))/PageSize {
+func putBlock(dst *mem.Pages, idx uint64, data []byte) bool {
+	if len(data) == 0 || len(data) > PageSize || idx > dst.Size()/PageSize {
 		return false
 	}
 	off := idx * PageSize
-	if off+uint64(len(data)) > uint64(len(dst)) {
+	if off+uint64(len(data)) > dst.Size() {
 		return false
 	}
-	copy(dst[off:], data)
-	return true
-}
-
-var zeroPage [PageSize]byte
-
-func allZero(b []byte) bool {
-	for len(b) >= PageSize {
-		if !bytes.Equal(b[:PageSize], zeroPage[:]) {
-			return false
-		}
-		b = b[PageSize:]
-	}
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
+	dst.WriteAt(data, off)
 	return true
 }

@@ -5,14 +5,17 @@
 // Guest physical memory is real bytes: page tables, the kernel image,
 // ksymtab sections, virtqueues and the side-loaded library all live in
 // these slabs, and both the guest and (through the simulated
-// process_vm_readv path) VMSH read and write the same bytes.
+// process_vm_readv path) VMSH read and write the same bytes. A slab
+// keeps them in a sparse page store (Pages), which also backs host
+// files and RAM block stores.
 package mem
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/bits"
+
+	"vmsh/internal/faults"
 )
 
 // GPA is a guest physical address.
@@ -34,18 +37,18 @@ func PageAlign(v uint64) uint64 {
 
 // Phys is a contiguous slab of guest physical memory.
 type Phys struct {
-	Base GPA
-	Data []byte
+	Base  GPA
+	pages *Pages
 
 	// dirty is the dirty-page log: one bit per page, set by every
 	// store through WriteAt and the PutU* encoders while logging is on
 	// (non-nil). KVM's dirty log, which live migration polls, reads
 	// it; nil (the default) costs one predicted branch per store.
 	dirty []uint64
-	// onAccess, when armed, observes every Slice — loads and stores
-	// alike — before the byte window is handed out. The post-copy
-	// migration pager uses it to fetch not-yet-streamed pages on
-	// demand; direct Data reads (hashing) deliberately bypass it.
+	// onAccess, when armed, observes every ReadAt, WriteAt, U* and
+	// PutU* — loads and stores alike — before bytes move. The
+	// post-copy migration pager uses it to fetch not-yet-streamed
+	// pages on demand; Pages and hashing deliberately bypass it.
 	onAccess func(gpa GPA, n int)
 }
 
@@ -56,8 +59,7 @@ func (p *Phys) SetDirtyLog(on bool) {
 	case !on:
 		p.dirty = nil
 	case p.dirty == nil:
-		pages := (p.Size() + PageSize - 1) / PageSize
-		p.dirty = make([]uint64, (pages+63)/64)
+		p.dirty = make([]uint64, (p.pages.NumPages()+63)/64)
 	}
 }
 
@@ -90,31 +92,35 @@ func (p *Phys) markDirty(gpa GPA, n int) {
 }
 
 // SetAccessHook arms (or clears) the slab's single access observer,
-// fired on every Slice before bytes are handed out. Observers must not
-// re-enter the slab through Slice/ReadAt/WriteAt (write straight to
-// Data instead), or they recurse.
+// fired on every ReadAt, WriteAt, U* and PutU* before bytes move.
+// Observers must not re-enter the slab through those methods (write
+// through Pages instead), or they recurse.
 func (p *Phys) SetAccessHook(fn func(gpa GPA, n int)) { p.onAccess = fn }
 
-// NewPhys allocates a zeroed slab of the given size at base.
+// NewPhys returns a zeroed slab of the given size at base. No page is
+// materialized until a non-zero store lands in it.
 func NewPhys(base GPA, size uint64) *Phys {
-	return &Phys{Base: base, Data: make([]byte, size)}
+	return &Phys{Base: base, pages: NewPages(size)}
 }
 
+// Pages exposes the slab's page store, indexed by offset from Base.
+// Accesses through it bypass the access hook and the dirty log:
+// snapshot capture, restore and migration move pages this way.
+func (p *Phys) Pages() *Pages { return p.pages }
+
 // Size returns the slab length in bytes.
-func (p *Phys) Size() uint64 { return uint64(len(p.Data)) }
+func (p *Phys) Size() uint64 { return p.pages.Size() }
 
 // End returns the first GPA past the slab.
-func (p *Phys) End() GPA { return p.Base + GPA(len(p.Data)) }
+func (p *Phys) End() GPA { return p.Base + GPA(p.Size()) }
 
 // HashRange returns the FNV-64a of the slab bytes [off, end), clipped
-// to the slab, hashed in one pass. It is the one guest-RAM hash: replay
-// footers, snapshot and migration checks and the E8-E11 determinism
-// digests all compare it.
+// to the slab. It is the one guest-RAM hash: replay footers, snapshot
+// and migration checks and the E8-E11 determinism digests all compare
+// it. Only materialized pages are read.
 func (p *Phys) HashRange(off, end uint64) uint64 {
 	end = min(end, p.Size())
-	h := fnv.New64a()
-	h.Write(p.Data[min(off, end):end])
-	return h.Sum64()
+	return uint64(p.pages.Fold(faults.NewDigest(), min(off, end), end))
 }
 
 // Hash is HashRange over the whole slab.
@@ -129,53 +135,68 @@ func (p *Phys) Contains(gpa GPA, n int) bool {
 	return off+uint64(n) <= p.Size()
 }
 
-// Slice returns the byte window at [gpa, gpa+n). It panics on
-// out-of-range access: that is a simulator bug, not a guest error.
-func (p *Phys) Slice(gpa GPA, n int) []byte {
+// access checks [gpa, gpa+n), fires the access hook and returns the
+// slab offset of gpa. It panics on out-of-range access: that is a
+// simulator bug, not a guest error.
+func (p *Phys) access(gpa GPA, n int) uint64 {
 	if !p.Contains(gpa, n) {
 		panic(fmt.Sprintf("mem: phys access [%#x,+%d) outside slab [%#x,%#x)", gpa, n, p.Base, p.End()))
 	}
 	if p.onAccess != nil {
 		p.onAccess(gpa, n)
 	}
-	off := gpa - p.Base
-	return p.Data[off : uint64(off)+uint64(n)]
+	return uint64(gpa - p.Base)
 }
 
 // ReadAt copies bytes at gpa into buf.
-func (p *Phys) ReadAt(gpa GPA, buf []byte) { copy(buf, p.Slice(gpa, len(buf))) }
+func (p *Phys) ReadAt(gpa GPA, buf []byte) { p.pages.ReadAt(buf, p.access(gpa, len(buf))) }
 
 // WriteAt copies buf into the slab at gpa.
 func (p *Phys) WriteAt(gpa GPA, buf []byte) {
-	copy(p.Slice(gpa, len(buf)), buf)
+	p.pages.WriteAt(buf, p.access(gpa, len(buf)))
 	p.markDirty(gpa, len(buf))
 }
 
 // U16 reads a little-endian uint16 at gpa.
-func (p *Phys) U16(gpa GPA) uint16 { return binary.LittleEndian.Uint16(p.Slice(gpa, 2)) }
+func (p *Phys) U16(gpa GPA) uint16 {
+	var b [2]byte
+	p.ReadAt(gpa, b[:])
+	return binary.LittleEndian.Uint16(b[:])
+}
 
 // U32 reads a little-endian uint32 at gpa.
-func (p *Phys) U32(gpa GPA) uint32 { return binary.LittleEndian.Uint32(p.Slice(gpa, 4)) }
+func (p *Phys) U32(gpa GPA) uint32 {
+	var b [4]byte
+	p.ReadAt(gpa, b[:])
+	return binary.LittleEndian.Uint32(b[:])
+}
 
 // U64 reads a little-endian uint64 at gpa.
-func (p *Phys) U64(gpa GPA) uint64 { return binary.LittleEndian.Uint64(p.Slice(gpa, 8)) }
+func (p *Phys) U64(gpa GPA) uint64 {
+	var b [8]byte
+	p.ReadAt(gpa, b[:])
+	return binary.LittleEndian.Uint64(b[:])
+}
 
 // PutU16 writes a little-endian uint16 at gpa.
 func (p *Phys) PutU16(gpa GPA, v uint16) {
-	binary.LittleEndian.PutUint16(p.Slice(gpa, 2), v)
-	p.markDirty(gpa, 2)
+	var b [2]byte
+	binary.LittleEndian.PutUint16(b[:], v)
+	p.WriteAt(gpa, b[:])
 }
 
 // PutU32 writes a little-endian uint32 at gpa.
 func (p *Phys) PutU32(gpa GPA, v uint32) {
-	binary.LittleEndian.PutUint32(p.Slice(gpa, 4), v)
-	p.markDirty(gpa, 4)
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	p.WriteAt(gpa, b[:])
 }
 
 // PutU64 writes a little-endian uint64 at gpa.
 func (p *Phys) PutU64(gpa GPA, v uint64) {
-	binary.LittleEndian.PutUint64(p.Slice(gpa, 8), v)
-	p.markDirty(gpa, 8)
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	p.WriteAt(gpa, b[:])
 }
 
 // PhysReader is the read-side view of guest physical memory. The guest

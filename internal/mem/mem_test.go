@@ -44,7 +44,7 @@ func TestPhysOutOfRangePanics(t *testing.T) {
 			t.Fatal("out-of-range access did not panic")
 		}
 	}()
-	p.Slice(0x1ff0, 32)
+	p.ReadAt(0x1ff0, make([]byte, 32))
 }
 
 func TestPhysBelowBasePanics(t *testing.T) {
@@ -54,7 +54,7 @@ func TestPhysBelowBasePanics(t *testing.T) {
 			t.Fatal("below-base access did not panic")
 		}
 	}()
-	p.Slice(0xfff, 1)
+	p.U16(0xfff)
 }
 
 func TestSlabIOErrors(t *testing.T) {
@@ -137,27 +137,95 @@ func TestBumpAllocDisjoint(t *testing.T) {
 
 // TestPhysHash pins the guest-RAM hash to FNV-64a over exactly the
 // slab bytes asked for: snapshots, replay footers and the E9 digest
-// compare hashes taken at different sites, so they must agree.
+// compare hashes taken at different sites, so they must agree. The
+// slab mixes materialized pages with absent ones (and a partial last
+// page), and the ranges start and end mid-page and span absent pages.
 func TestPhysHash(t *testing.T) {
-	p := NewPhys(0x1000, 3*PageSize)
-	for i := range p.Data {
-		p.Data[i] = byte(i * 7)
+	const size = 6*PageSize + 100
+	p := NewPhys(0x1000, size)
+	dense := make([]byte, size)
+	for _, pg := range []int{1, 4, 6} {
+		for i := pg * PageSize; i < min((pg+1)*PageSize, size); i++ {
+			dense[i] = byte(i*7 + 1)
+		}
 	}
+	p.WriteAt(0x1000, dense)
 	fnvOf := func(b []byte) uint64 {
 		h := fnv.New64a()
 		h.Write(b)
 		return h.Sum64()
 	}
-	if got, want := p.Hash(), fnvOf(p.Data); got != want {
+	if got, want := p.Hash(), fnvOf(dense); got != want {
 		t.Fatalf("Hash %016x, want %016x", got, want)
 	}
 	for _, c := range []struct{ off, end, wantOff, wantEnd uint64 }{
 		{PageSize, 2 * PageSize, PageSize, 2 * PageSize},
-		{PageSize, 9 * PageSize, PageSize, 3 * PageSize},
-		{4 * PageSize, 9 * PageSize, 3 * PageSize, 3 * PageSize},
+		{PageSize, 9 * PageSize, PageSize, size},
+		{9 * PageSize, 10 * PageSize, size, size},
+		{100, 3*PageSize + 5, 100, 3*PageSize + 5},                   // absent, present, absent, absent
+		{PageSize + 7, 5*PageSize - 9, PageSize + 7, 5*PageSize - 9}, // mid-page across an absent run
+		{2*PageSize + 1, 4*PageSize - 1, 2*PageSize + 1, 4*PageSize - 1},
+		{6*PageSize + 3, size, 6*PageSize + 3, size},
 	} {
-		if got, want := p.HashRange(c.off, c.end), fnvOf(p.Data[c.wantOff:c.wantEnd]); got != want {
+		if got, want := p.HashRange(c.off, c.end), fnvOf(dense[c.wantOff:c.wantEnd]); got != want {
 			t.Errorf("HashRange(%#x, %#x) = %016x, want %016x", c.off, c.end, got, want)
 		}
 	}
+}
+
+// TestPagesSparse checks the store's page accounting: zero stores into
+// absent pages materialize nothing, a non-zero store materializes only
+// the pages it touches, every page reads back what was stored, and the
+// dirty log sees zero stores too.
+func TestPagesSparse(t *testing.T) {
+	p := NewPhys(0, 8*PageSize)
+	p.SetDirtyLog(true)
+	p.WriteAt(0, make([]byte, 8*PageSize))
+	p.PutU64(3*PageSize, 0)
+	if n := materialized(p.Pages()); n != 0 {
+		t.Fatalf("zero stores materialized %d pages", n)
+	}
+	if got := p.DirtyPages(true); len(got) != 8 {
+		t.Fatalf("zero stores dirtied %v, want all 8 pages", got)
+	}
+	msg := []byte("straddles a page boundary")
+	p.WriteAt(2*PageSize-5, msg)
+	if n := materialized(p.Pages()); n != 2 {
+		t.Fatalf("straddling store materialized %d pages, want 2", n)
+	}
+	got := make([]byte, len(msg)+10)
+	p.ReadAt(2*PageSize-10, got)
+	if want := append(append(make([]byte, 5), msg...), make([]byte, 5)...); !bytes.Equal(got, want) {
+		t.Fatalf("read back %q, want %q", got, want)
+	}
+	// A zero store into a materialized page overwrites it.
+	p.WriteAt(2*PageSize-5, make([]byte, len(msg)))
+	p.ReadAt(2*PageSize-10, got)
+	if !bytes.Equal(got, make([]byte, len(got))) || p.Pages().Page(1) != nil {
+		t.Fatal("zeroed bytes still read as data")
+	}
+	pg := p.Pages()
+	pg.SetPage(5, []byte{9})
+	if b := pg.Page(5); len(b) != PageSize || b[0] != 9 || !bytes.Equal(b[1:], make([]byte, PageSize-1)) {
+		t.Fatal("SetPage did not store a zero-padded page")
+	}
+	pg.SetPage(5, nil)
+	if pg.Page(5) != nil || materialized(pg) != 2 {
+		t.Fatal("SetPage(nil) did not drop the page")
+	}
+	pg.Clear()
+	if materialized(pg) != 0 || p.U64(2*PageSize) != 0 {
+		t.Fatal("Clear left data behind")
+	}
+}
+
+// materialized counts the pages the store holds.
+func materialized(s *Pages) int {
+	n := 0
+	for _, p := range s.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
 }

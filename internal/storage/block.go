@@ -5,6 +5,7 @@ import (
 
 	"vmsh/internal/faults"
 	"vmsh/internal/fserr"
+	"vmsh/internal/mem"
 )
 
 // Block-store backends. These model the storage *medium* below a
@@ -20,37 +21,44 @@ func checkRange(size, off int64, n int) error {
 	return nil
 }
 
-// MemBlock is a RAM-backed block store. Writes are durable by
-// construction, so it reports FUA support (quota-style persistence
-// works on top of it).
+// MemBlock is a RAM-backed block store over a sparse page store, so
+// it takes memory only for the pages written with data. Writes are
+// durable by construction, so it reports FUA support (quota-style
+// persistence works on top of it).
 type MemBlock struct {
-	data []byte
+	data *mem.Pages
 	qd   int
 }
 
-// NewMemBlock allocates a zeroed RAM store of size bytes.
-func NewMemBlock(size int64) *MemBlock {
-	return &MemBlock{data: make([]byte, size), qd: 1}
-}
+// NewMemBlock returns a zeroed RAM store of size bytes.
+func NewMemBlock(size int64) *MemBlock { return NewMemBlockOver(mem.NewPages(uint64(size))) }
 
-// NewMemBlockFrom seeds a RAM store with the full content of base.
+// NewMemBlockOver serves an existing page store as a RAM block store;
+// the store and the caller share the bytes (core serves a host image
+// file's mmap view this way).
+func NewMemBlockOver(p *mem.Pages) *MemBlock { return &MemBlock{data: p, qd: 1} }
+
+// NewMemBlockFrom seeds a RAM store with the full content of base,
+// page by page, so base's zero pages stay absent.
 func NewMemBlockFrom(base BlockBackend) (*MemBlock, error) {
 	m := NewMemBlock(base.Size())
-	if err := base.ReadAt(0, m.data); err != nil {
-		return nil, err
+	var page [PageSize]byte
+	for off := int64(0); off < m.Size(); off += PageSize {
+		buf := page[:min(PageSize, m.Size()-off)]
+		if err := base.ReadAt(off, buf); err != nil {
+			return nil, err
+		}
+		m.data.WriteAt(buf, uint64(off))
 	}
 	return m, nil
 }
-
-// Bytes exposes the backing array (tests, image builders).
-func (m *MemBlock) Bytes() []byte { return m.data }
 
 // ReadAt implements BlockBackend.
 func (m *MemBlock) ReadAt(off int64, buf []byte) error {
 	if err := checkRange(m.Size(), off, len(buf)); err != nil {
 		return err
 	}
-	copy(buf, m.data[off:])
+	m.data.ReadAt(buf, uint64(off))
 	return nil
 }
 
@@ -59,7 +67,7 @@ func (m *MemBlock) WriteAt(off int64, buf []byte) error {
 	if err := checkRange(m.Size(), off, len(buf)); err != nil {
 		return err
 	}
-	copy(m.data[off:], buf)
+	m.data.WriteAt(buf, uint64(off))
 	return nil
 }
 
@@ -67,7 +75,7 @@ func (m *MemBlock) WriteAt(off int64, buf []byte) error {
 func (m *MemBlock) Flush() error { return nil }
 
 // Size implements BlockBackend.
-func (m *MemBlock) Size() int64 { return int64(len(m.data)) }
+func (m *MemBlock) Size() int64 { return int64(m.data.Size()) }
 
 // SupportsFUA implements BlockBackend.
 func (m *MemBlock) SupportsFUA() bool { return true }

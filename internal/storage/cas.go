@@ -1,5 +1,7 @@
 package storage
 
+import "vmsh/internal/faults"
+
 // Content-addressed page store: identical 4 KiB pages are stored once
 // and shared via FNV-64a hash keys with refcounts. CasFS is a MemFS
 // whose data plane dedups; its Statfs and quota accounting stay
@@ -27,18 +29,8 @@ func newCasStore() *casStore {
 	return &casStore{byHash: make(map[uint64]*casPage), byRef: make(map[uint64]uint64)}
 }
 
-// pageHash is FNV-64a over the page content.
-func pageHash(data []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
-}
-
 func (s *casStore) write(old uint64, data []byte) uint64 {
-	h := pageHash(data)
+	h := uint64(faults.NewDigest().Bytes(data))
 	s.writes++
 	if old != 0 {
 		if s.byRef[old] == h {

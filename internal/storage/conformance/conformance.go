@@ -19,7 +19,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"os"
 	"sort"
@@ -27,6 +26,7 @@ import (
 	"strings"
 	"testing"
 
+	"vmsh/internal/faults"
 	"vmsh/internal/fserr"
 	"vmsh/internal/storage"
 )
@@ -1011,9 +1011,7 @@ func describe(t *testing.T, base storage.Node) map[string]string {
 				if _, err := child.ReadAt(buf, 0); err != nil {
 					t.Fatalf("describe read %s: %v", p, err)
 				}
-				h := fnv.New64a()
-				h.Write(buf)
-				out[p] = fmt.Sprintf("file:%d:%x", st.Size, h.Sum64())
+				out[p] = fmt.Sprintf("file:%d:%x", st.Size, uint64(faults.NewDigest().Bytes(buf)))
 			}
 		}
 	}

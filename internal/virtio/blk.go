@@ -55,6 +55,26 @@ type BlkDevice struct {
 
 	// Requests counts processed requests (harness metric).
 	Requests int64
+
+	// payload backs the data segments of the request chains one
+	// service pass moves; the next pass reuses it. No segment outlives
+	// its pass: guest-memory writes and every block backend copy the
+	// bytes, and a backend read that succeeds fills its whole segment.
+	payload []byte
+}
+
+// segment hands out the next n bytes of the payload buffer. When the
+// buffer is full it moves to a larger one; segments handed out earlier
+// in the pass keep the old one.
+func (b *BlkDevice) segment(n uint32) []byte {
+	end := len(b.payload) + int(n)
+	if end > cap(b.payload) {
+		b.payload = make([]byte, 0, max(2*cap(b.payload), int(n)))
+		end = int(n)
+	}
+	seg := b.payload[len(b.payload):end:end]
+	b.payload = b.payload[:end]
+	return seg
 }
 
 // NewBlkDevice wires a block device at base with one request queue.
@@ -106,6 +126,7 @@ func (b *BlkDevice) serve(dq *DeviceQueue, chain *Chain) uint32 {
 	if err := b.Dev.Faults.Check(faults.OpVQBlk); err != nil {
 		return 1 // status stays BlkStatusIOErr; the pass continues
 	}
+	b.payload = b.payload[:0]
 	hdr := make([]byte, blkHdrSize)
 	if err := dq.M.ReadPhys(chain.Elems[0].Addr, hdr); err != nil {
 		return 1
@@ -118,7 +139,7 @@ func (b *BlkDevice) serve(dq *DeviceQueue, chain *Chain) uint32 {
 	case BlkTIn:
 		off := int64(sector) * 512
 		for _, d := range data {
-			buf := make([]byte, d.Len)
+			buf := b.segment(d.Len)
 			if err := b.Backend.ReadBlk(off, buf); err != nil {
 				return 1
 			}
@@ -132,7 +153,7 @@ func (b *BlkDevice) serve(dq *DeviceQueue, chain *Chain) uint32 {
 	case BlkTOut:
 		off := int64(sector) * 512
 		for _, d := range data {
-			buf := make([]byte, d.Len)
+			buf := b.segment(d.Len)
 			if err := dq.M.ReadPhys(d.Addr, buf); err != nil {
 				return 1
 			}
@@ -168,6 +189,7 @@ func (b *BlkDevice) serveBatch(dq *DeviceQueue, chains []*Chain) ([]uint32, func
 		bad  bool
 	}
 	reqs := make([]breq, len(chains))
+	b.payload = b.payload[:0]
 	var gather []mem.Vec
 	for i, chain := range chains {
 		b.Requests++
@@ -184,7 +206,7 @@ func (b *BlkDevice) serveBatch(dq *DeviceQueue, chains []*Chain) ([]uint32, func
 			if d.Flags&DescFlagWrite != 0 {
 				continue // device fills these below; nothing to gather
 			}
-			buf := make([]byte, d.Len)
+			buf := b.segment(d.Len)
 			reqs[i].outs = append(reqs[i].outs, buf)
 			gather = append(gather, mem.Vec{GPA: d.Addr, Buf: buf})
 		}
@@ -233,7 +255,7 @@ func (b *BlkDevice) executeBatched(chain *Chain, hdr []byte, outs [][]byte, scat
 		off := int64(sector) * 512
 		written := uint32(0)
 		for _, d := range data {
-			buf := make([]byte, d.Len)
+			buf := b.segment(d.Len)
 			if err := b.Backend.ReadBlk(off, buf); err != nil {
 				return BlkStatusIOErr, 0, scatter
 			}

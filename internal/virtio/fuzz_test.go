@@ -23,7 +23,9 @@ func FuzzVirtqueueDescTable(f *testing.F) {
 		_ = dq.InitRings()
 		_ = dq.Publish(0, []ChainElem{{Addr: 0x100, Len: 32}, {Addr: 0x200, Len: 64, Write: true}})
 		_ = dq.Publish(4, []ChainElem{{Addr: 0x300, Len: 16}})
-		return phys.Data
+		ring := make([]byte, phys.Size())
+		phys.ReadAt(0, ring)
+		return ring
 	}
 	f.Add(uint8(8), seedRing(8))
 	f.Add(uint8(16), seedRing(16))
@@ -39,7 +41,7 @@ func FuzzVirtqueueDescTable(f *testing.F) {
 		size := 1 + int(sizeRaw)%64
 		db, ab, ub := QueueLayout(size)
 		phys := mem.NewPhys(0, uint64(db+ab+ub))
-		copy(phys.Data, raw)
+		phys.WriteAt(0, raw[:min(len(raw), db+ab+ub)])
 		io := mem.SlabIO{Phys: phys}
 		mk := func() *DeviceQueue {
 			return &DeviceQueue{M: io, Size: size, Desc: 0, Avail: mem.GPA(db), Used: mem.GPA(db + ab)}

@@ -62,7 +62,9 @@ func seedRing(size int) []byte {
 	if err := dq.Publish(4, []virtio.ChainElem{{Addr: 0x300, Len: 16}}); err != nil {
 		log.Fatal(err)
 	}
-	return phys.Data
+	ring := make([]byte, phys.Size())
+	phys.ReadAt(0, ring)
+	return ring
 }
 
 func ksymImage(layout ksym.Layout) []byte {
