@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"vmsh/internal/hostsim"
 	"vmsh/internal/kvm"
@@ -26,7 +25,7 @@ type procMem struct {
 	pid   int
 	slots []kvm.MemSlotInfo // sorted by GPA, non-overlapping
 
-	lastHit atomic.Int64 // index of the slot that served the last lookup
+	lastHit int // index of the slot that served the last lookup
 
 	// Fast-path observability: session-registry counters (read via
 	// snapshot in Session.Stats and Session.Metrics).
@@ -54,7 +53,7 @@ func (pm *procMem) addSlot(s kvm.MemSlotInfo) {
 	pm.slots = append(pm.slots, kvm.MemSlotInfo{})
 	copy(pm.slots[i+1:], pm.slots[i:])
 	pm.slots[i] = s
-	pm.lastHit.Store(0)
+	pm.lastHit = 0
 }
 
 // removeSlot drops a slot from the translator (rollback of addSlot,
@@ -63,7 +62,7 @@ func (pm *procMem) removeSlot(slot uint32) {
 	for i, s := range pm.slots {
 		if s.Slot == slot {
 			pm.slots = append(pm.slots[:i], pm.slots[i+1:]...)
-			pm.lastHit.Store(0)
+			pm.lastHit = 0
 			return
 		}
 	}
@@ -71,7 +70,7 @@ func (pm *procMem) removeSlot(slot uint32) {
 
 // slotFor returns the index of the slot containing gpa, or -1.
 func (pm *procMem) slotFor(gpa mem.GPA) int {
-	if i := int(pm.lastHit.Load()); i < len(pm.slots) {
+	if i := pm.lastHit; i < len(pm.slots) {
 		if s := pm.slots[i]; gpa >= s.GPA && uint64(gpa-s.GPA) < s.Size {
 			return i
 		}
@@ -82,7 +81,7 @@ func (pm *procMem) slotFor(gpa mem.GPA) int {
 		return -1
 	}
 	if s := pm.slots[i]; uint64(gpa-s.GPA) < s.Size {
-		pm.lastHit.Store(int64(i))
+		pm.lastHit = i
 		return i
 	}
 	return -1
@@ -132,19 +131,22 @@ func (pm *procMem) hvaFor(gpa mem.GPA, n int) (mem.HVA, error) {
 // exactly one scalar process_vm_readv (the pre-fast-path behaviour);
 // a range straddling slots becomes one vectored call.
 func (pm *procMem) ReadPhys(gpa mem.GPA, buf []byte) error {
-	return pm.ReadPhysVec([]mem.Vec{{GPA: gpa, Buf: buf}})
+	v := [1]mem.Vec{{GPA: gpa, Buf: buf}}
+	return pm.ReadPhysVec(v[:])
 }
 
 // WritePhys implements mem.PhysWriter.
 func (pm *procMem) WritePhys(gpa mem.GPA, buf []byte) error {
-	return pm.WritePhysVec([]mem.Vec{{GPA: gpa, Buf: buf}})
+	v := [1]mem.Vec{{GPA: gpa, Buf: buf}}
+	return pm.WritePhysVec(v[:])
 }
 
 // ReadPhysVec implements mem.PhysVecReader: all segments of all vecs
 // are fetched by a single simulated process_vm_readv, paying one
 // syscall + one base cost + bandwidth over the total byte count.
 func (pm *procMem) ReadPhysVec(vecs []mem.Vec) error {
-	iovs, err := pm.resolveVecs(vecs)
+	var stack [maxStackIovs]hostsim.IoVec
+	iovs, err := pm.resolveVecs(vecs, stack[:0])
 	if err != nil {
 		return err
 	}
@@ -158,7 +160,8 @@ func (pm *procMem) ReadPhysVec(vecs []mem.Vec) error {
 
 // WritePhysVec implements mem.PhysVecWriter.
 func (pm *procMem) WritePhysVec(vecs []mem.Vec) error {
-	iovs, err := pm.resolveVecs(vecs)
+	var stack [maxStackIovs]hostsim.IoVec
+	iovs, err := pm.resolveVecs(vecs, stack[:0])
 	if err != nil {
 		return err
 	}
@@ -170,8 +173,12 @@ func (pm *procMem) WritePhysVec(vecs []mem.Vec) error {
 	return nil
 }
 
-func (pm *procMem) resolveVecs(vecs []mem.Vec) ([]hostsim.IoVec, error) {
-	iovs := make([]hostsim.IoVec, 0, len(vecs))
+// maxStackIovs is how many host segments a crossing resolves into
+// before its iovec array moves to the heap.
+const maxStackIovs = 4
+
+// resolveVecs appends the host segments of vecs to iovs.
+func (pm *procMem) resolveVecs(vecs []mem.Vec, iovs []hostsim.IoVec) ([]hostsim.IoVec, error) {
 	var err error
 	for _, v := range vecs {
 		iovs, err = pm.resolve(v.GPA, len(v.Buf), iovs, v.Buf)

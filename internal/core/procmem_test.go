@@ -281,3 +281,33 @@ func TestProcMemSlotLookup(t *testing.T) {
 		t.Fatalf("new slot not found: idx %d", got)
 	}
 }
+
+// TestProcMemReadPhysAllocs: an 8-byte read inside one memslot, the
+// sideloader's most frequent crossing, allocates nothing on the host.
+func TestProcMemReadPhysAllocs(t *testing.T) {
+	pm, _ := crossingFixture(t)
+	buf := make([]byte, 8)
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := pm.ReadPhys(0x80000, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("8-byte ReadPhys allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestWalkerTranslateAllocs: a page-table walk through the procMem
+// allocates nothing, however many entries it reads.
+func TestWalkerTranslateAllocs(t *testing.T) {
+	_, w := crossingFixture(t)
+	allocs := testing.AllocsPerRun(200, func() {
+		gpa, _, ok, err := w.Translate(kernelGVA + 0x123)
+		if !ok || err != nil || gpa != 0x80123 {
+			t.Fatalf("translate: gpa=%#x ok=%v err=%v", gpa, ok, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Translate allocates %v times per walk, want 0", allocs)
+	}
+}

@@ -120,7 +120,7 @@ func (s *Session) Exec(cmd string) (string, error) {
 	}
 	mark := s.out.Len()
 	s.SendConsole([]byte(cmd + "\n"))
-	outSlice := s.out.String()[mark:]
+	outSlice := string(s.out.Bytes()[mark:])
 	if !strings.HasSuffix(outSlice, guestos.Prompt) {
 		return outSlice, fmt.Errorf("vmsh: shell did not return a prompt (got %q)", outSlice)
 	}

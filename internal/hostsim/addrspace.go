@@ -3,7 +3,6 @@ package hostsim
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"vmsh/internal/faults"
 	"vmsh/internal/mem"
@@ -27,7 +26,6 @@ func (m *Mapping) End() mem.HVA { return m.HVA + mem.HVA(m.Size) }
 
 // AddrSpace is a process's virtual memory map.
 type AddrSpace struct {
-	mu       sync.Mutex
 	mappings []*Mapping
 	nextAnon mem.HVA
 }
@@ -40,8 +38,6 @@ func NewAddrSpace() *AddrSpace {
 
 // MapPhys installs a mapping of slab at hva under the given name.
 func (a *AddrSpace) MapPhys(hva mem.HVA, slab *mem.Phys, name string) (*Mapping, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	m := &Mapping{HVA: hva, Size: slab.Size(), Name: name, Phys: slab}
 	for _, other := range a.mappings {
 		if m.HVA < other.End() && other.HVA < m.End() {
@@ -57,18 +53,14 @@ func (a *AddrSpace) MapPhys(hva mem.HVA, slab *mem.Phys, name string) (*Mapping,
 // kernel-chosen address (the mmap(NULL, ...) path used by injected
 // allocations).
 func (a *AddrSpace) MapAnon(size uint64, name string) (*Mapping, error) {
-	a.mu.Lock()
 	hva := a.nextAnon
 	a.nextAnon += mem.HVA(mem.PageAlign(size) + mem.PageSize)
-	a.mu.Unlock()
 	slab := mem.NewPhys(0, mem.PageAlign(size))
 	return a.MapPhys(hva, slab, name)
 }
 
 // Unmap removes the mapping starting exactly at hva.
 func (a *AddrSpace) Unmap(hva mem.HVA) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	for i, m := range a.mappings {
 		if m.HVA == hva {
 			a.mappings = append(a.mappings[:i], a.mappings[i+1:]...)
@@ -80,8 +72,6 @@ func (a *AddrSpace) Unmap(hva mem.HVA) error {
 
 // Find returns the mapping containing hva.
 func (a *AddrSpace) Find(hva mem.HVA) (*Mapping, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	for _, m := range a.mappings {
 		if hva >= m.HVA && hva < m.End() {
 			return m, true
@@ -92,43 +82,52 @@ func (a *AddrSpace) Find(hva mem.HVA) (*Mapping, bool) {
 
 // Mappings returns a snapshot sorted by address.
 func (a *AddrSpace) Mappings() []*Mapping {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	out := make([]*Mapping, len(a.mappings))
 	copy(out, a.mappings)
 	return out
 }
 
 // read/write perform raw access without cost accounting; the syscall
-// layer charges separately.
+// layer charges separately. A range may span adjacent mappings; an
+// unmapped byte fails the access after the chunks before it moved.
 func (a *AddrSpace) read(hva mem.HVA, buf []byte) error {
-	return a.each(hva, len(buf), func(m *Mapping, off uint64, b []byte) {
-		m.Phys.ReadAt(m.Phys.Base+mem.GPA(off), b)
-	}, buf)
+	for len(buf) > 0 {
+		gpa, slab, n, err := a.chunk(hva, len(buf))
+		if err != nil {
+			return err
+		}
+		slab.ReadAt(gpa, buf[:n])
+		hva += mem.HVA(n)
+		buf = buf[n:]
+	}
+	return nil
 }
 
 func (a *AddrSpace) write(hva mem.HVA, buf []byte) error {
-	return a.each(hva, len(buf), func(m *Mapping, off uint64, b []byte) {
-		m.Phys.WriteAt(m.Phys.Base+mem.GPA(off), b)
-	}, buf)
-}
-
-func (a *AddrSpace) each(hva mem.HVA, n int, f func(m *Mapping, off uint64, b []byte), buf []byte) error {
-	done := 0
-	for done < n {
-		m, ok := a.Find(hva + mem.HVA(done))
-		if !ok {
-			return fmt.Errorf("%w: hva %#x", ErrFault, hva+mem.HVA(done))
+	for len(buf) > 0 {
+		gpa, slab, n, err := a.chunk(hva, len(buf))
+		if err != nil {
+			return err
 		}
-		off := uint64(hva+mem.HVA(done)) - uint64(m.HVA)
-		chunk := int(m.Size - off)
-		if chunk > n-done {
-			chunk = n - done
-		}
-		f(m, off, buf[done:done+chunk])
-		done += chunk
+		slab.WriteAt(gpa, buf[:n])
+		hva += mem.HVA(n)
+		buf = buf[n:]
 	}
 	return nil
+}
+
+// chunk resolves the first piece of an n-byte access at hva: the slab
+// address hva maps to and how many of the n bytes its mapping holds.
+func (a *AddrSpace) chunk(hva mem.HVA, n int) (mem.GPA, *mem.Phys, int, error) {
+	m, ok := a.Find(hva)
+	if !ok {
+		return 0, nil, 0, fmt.Errorf("%w: hva %#x", ErrFault, hva)
+	}
+	off := uint64(hva - m.HVA)
+	if rest := m.Size - off; uint64(n) > rest {
+		n = int(rest)
+	}
+	return m.Phys.Base + mem.GPA(off), m.Phys, n, nil
 }
 
 // ReadMem reads target memory without a permission model — only the
@@ -261,10 +260,12 @@ func (h *Host) ProcessVMWritev(caller *Process, targetPID int, iovs []IoVec) err
 // ProcessVMRead is the scalar process_vm_readv entry point: one
 // segment, same charges as a one-element vector.
 func (h *Host) ProcessVMRead(caller *Process, targetPID int, hva mem.HVA, buf []byte) error {
-	return h.ProcessVMReadv(caller, targetPID, []IoVec{{HVA: hva, Buf: buf}})
+	iov := [1]IoVec{{HVA: hva, Buf: buf}}
+	return h.ProcessVMReadv(caller, targetPID, iov[:])
 }
 
 // ProcessVMWrite is the scalar process_vm_writev entry point.
 func (h *Host) ProcessVMWrite(caller *Process, targetPID int, hva mem.HVA, buf []byte) error {
-	return h.ProcessVMWritev(caller, targetPID, []IoVec{{HVA: hva, Buf: buf}})
+	iov := [1]IoVec{{HVA: hva, Buf: buf}}
+	return h.ProcessVMWritev(caller, targetPID, iov[:])
 }

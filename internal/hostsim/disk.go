@@ -2,7 +2,6 @@ package hostsim
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"vmsh/internal/mem"
@@ -19,7 +18,6 @@ type Disk struct {
 	// amortisation; fio-style workloads set it per run.
 	QueueDepth int
 
-	mu                      sync.Mutex
 	reads, writes           int64
 	bytesRead, bytesWritten int64
 }
@@ -31,22 +29,16 @@ func NewDisk(clock *vclock.Clock, costs *vclock.Costs) *Disk {
 
 // ChargeRead accounts one read command of n bytes.
 func (d *Disk) ChargeRead(n int) {
-	d.mu.Lock()
 	d.reads++
 	d.bytesRead += int64(n)
-	qd := d.QueueDepth
-	d.mu.Unlock()
-	d.clock.Advance(vclock.DeviceTime(n, d.costs.NVMeReadLat, d.costs.NVMeReadBW, d.costs.NVMeSegment, qd))
+	d.clock.Advance(vclock.DeviceTime(n, d.costs.NVMeReadLat, d.costs.NVMeReadBW, d.costs.NVMeSegment, d.QueueDepth))
 }
 
 // ChargeWrite accounts one write command of n bytes.
 func (d *Disk) ChargeWrite(n int) {
-	d.mu.Lock()
 	d.writes++
 	d.bytesWritten += int64(n)
-	qd := d.QueueDepth
-	d.mu.Unlock()
-	d.clock.Advance(vclock.DeviceTime(n, d.costs.NVMeWriteLat, d.costs.NVMeWriteBW, d.costs.NVMeSegment, qd))
+	d.clock.Advance(vclock.DeviceTime(n, d.costs.NVMeWriteLat, d.costs.NVMeWriteBW, d.costs.NVMeSegment, d.QueueDepth))
 }
 
 // ChargeFlush accounts a cache flush.
@@ -54,8 +46,6 @@ func (d *Disk) ChargeFlush() { d.clock.Advance(d.costs.NVMeFlush) }
 
 // Stats returns cumulative command/byte counters.
 func (d *Disk) Stats() (reads, writes, bytesRead, bytesWritten int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.reads, d.writes, d.bytesRead, d.bytesWritten
 }
 
@@ -70,7 +60,6 @@ type HostFile struct {
 	clock  *vclock.Clock
 	Direct bool // O_DIRECT: every access hits the device
 
-	mu     sync.Mutex
 	data   *mem.Pages
 	cached map[int64]bool // 4KiB page residency in host page cache
 	dirty  map[int64]bool
@@ -90,16 +79,12 @@ func (h *Host) CreateFile(name string, size int64, direct bool) *HostFile {
 		cached: make(map[int64]bool),
 		dirty:  make(map[int64]bool),
 	}
-	h.mu.Lock()
 	h.files[name] = f
-	h.mu.Unlock()
 	return f
 }
 
 // OpenFile looks a file up by name.
 func (h *Host) OpenFile(name string) (*HostFile, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	f, ok := h.files[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: host file %s", ErrNoEnt, name)
@@ -111,17 +96,11 @@ func (h *Host) OpenFile(name string) (*HostFile, error) {
 func (f *HostFile) DiskRef() *Disk { return f.disk }
 
 // Size returns the file length.
-func (f *HostFile) Size() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return int64(f.data.Size())
-}
+func (f *HostFile) Size() int64 { return int64(f.data.Size()) }
 
 // ReadAt reads into buf at off, charging either device or page-cache
 // costs depending on mode and residency.
 func (f *HostFile) ReadAt(buf []byte, off int64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if off < 0 || off+int64(len(buf)) > int64(f.data.Size()) {
 		return fmt.Errorf("%w: read [%d,+%d) beyond %s (%d bytes)", ErrInval, off, len(buf), f.Name, f.data.Size())
 	}
@@ -132,8 +111,6 @@ func (f *HostFile) ReadAt(buf []byte, off int64) error {
 
 // WriteAt writes buf at off.
 func (f *HostFile) WriteAt(buf []byte, off int64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if off < 0 || off+int64(len(buf)) > int64(f.data.Size()) {
 		return fmt.Errorf("%w: write [%d,+%d) beyond %s (%d bytes)", ErrInval, off, len(buf), f.Name, f.data.Size())
 	}
@@ -142,7 +119,7 @@ func (f *HostFile) WriteAt(buf []byte, off int64) error {
 	return nil
 }
 
-// charge accounts one access. Called with f.mu held.
+// charge accounts one access.
 func (f *HostFile) charge(off int64, n int, write bool) {
 	if f.Direct {
 		if write {
@@ -174,8 +151,6 @@ func (f *HostFile) charge(off int64, n int, write bool) {
 
 // Fsync writes back all dirty pages.
 func (f *HostFile) Fsync() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	nd := len(f.dirty)
 	if nd > 0 {
 		f.disk.ChargeWrite(nd * hostPage)

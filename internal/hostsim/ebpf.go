@@ -30,9 +30,7 @@ func (h *Host) AttachKProbe(owner *Process, fnName string, fn func(data any)) (*
 	owner.chargeSyscall()
 	h.Faults.Observe(faults.OpKProbe, faults.NewDigest().Str(fnName), faults.NewDigest().U64(1), nil)
 	p := &KProbe{Owner: owner, FnName: fnName, Fn: fn}
-	h.mu.Lock()
 	h.kprobes[fnName] = append(h.kprobes[fnName], p)
-	h.mu.Unlock()
 	return p, nil
 }
 
@@ -42,10 +40,7 @@ func (p *KProbe) Close() { p.closed = true }
 // FireKProbe invokes every live probe on fnName. The kernel-side KVM
 // simulation calls this from its vm ioctl path.
 func (h *Host) FireKProbe(fnName string, data any) {
-	h.mu.Lock()
-	probes := append([]*KProbe(nil), h.kprobes[fnName]...)
-	h.mu.Unlock()
-	for _, p := range probes {
+	for _, p := range h.kprobes[fnName] {
 		if !p.closed {
 			p.Fn(data)
 		}
@@ -55,7 +50,5 @@ func (h *Host) FireKProbe(fnName string, data any) {
 // DropCapability removes a capability from the process, modelling the
 // post-setup privilege drop.
 func (p *Process) DropCapability(c Capability) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	delete(p.Creds.Caps, c)
 }

@@ -2,7 +2,6 @@ package hostsim
 
 import (
 	"fmt"
-	"sync"
 
 	"vmsh/internal/faults"
 	"vmsh/internal/mem"
@@ -36,8 +35,6 @@ type FDEntry struct {
 
 // InstallFD adds fd to the process table and returns its number.
 func (p *Process) InstallFD(fd FD) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	n := p.nextFD
 	p.nextFD++
 	p.fds[n] = &FDEntry{Num: n, FD: fd}
@@ -46,8 +43,6 @@ func (p *Process) InstallFD(fd FD) int {
 
 // FD resolves a descriptor number.
 func (p *Process) FD(n int) (FD, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	e, ok := p.fds[n]
 	if !ok {
 		return nil, ErrBadFD
@@ -57,8 +52,6 @@ func (p *Process) FD(n int) (FD, error) {
 
 // CloseFD removes a descriptor.
 func (p *Process) CloseFD(n int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if _, ok := p.fds[n]; !ok {
 		return ErrBadFD
 	}
@@ -68,8 +61,6 @@ func (p *Process) CloseFD(n int) error {
 
 // FDs returns a snapshot of the table sorted by number.
 func (p *Process) FDs() []*FDEntry {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	out := make([]*FDEntry, 0, len(p.fds))
 	for _, e := range p.fds {
 		out = append(out, e)
@@ -120,7 +111,6 @@ func (h *Host) ProcFDInfo(caller *Process, targetPID int) ([]FDInfo, error) {
 // EventFD models eventfd(2): a 64-bit counter whose writes can be
 // subscribed to kernel-side (KVM irqfd routing).
 type EventFD struct {
-	mu       sync.Mutex
 	count    uint64
 	onSignal func()
 }
@@ -129,27 +119,18 @@ type EventFD struct {
 func (e *EventFD) ProcLink() string { return "anon_inode:[eventfd]" }
 
 // Subscribe registers the kernel-side consumer invoked on each signal.
-func (e *EventFD) Subscribe(fn func()) {
-	e.mu.Lock()
-	e.onSignal = fn
-	e.mu.Unlock()
-}
+func (e *EventFD) Subscribe(fn func()) { e.onSignal = fn }
 
 // Signal adds n to the counter and fires the subscriber.
 func (e *EventFD) Signal(n uint64) {
-	e.mu.Lock()
 	e.count += n
-	fn := e.onSignal
-	e.mu.Unlock()
-	if fn != nil {
-		fn()
+	if e.onSignal != nil {
+		e.onSignal()
 	}
 }
 
 // Drain returns and clears the counter.
 func (e *EventFD) Drain() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	c := e.count
 	e.count = 0
 	return c
@@ -173,7 +154,6 @@ func (e *EventFD) WriteFD(p *Process, data []byte) (int, error) {
 // passing.
 type SockEnd struct {
 	peerName string
-	mu       sync.Mutex
 	msgs     []sockMsg
 	handler  any
 }
@@ -182,18 +162,10 @@ type SockEnd struct {
 // kernel-side ioregionfd router invokes it for each MMIO message
 // instead of queueing bytes (the synchronous equivalent of the VMSH
 // device thread blocking in read(2) on the socket).
-func (s *SockEnd) SetHandler(h any) {
-	s.mu.Lock()
-	s.handler = h
-	s.mu.Unlock()
-}
+func (s *SockEnd) SetHandler(h any) { s.handler = h }
 
 // Handler returns the attached service routine.
-func (s *SockEnd) Handler() any {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.handler
-}
+func (s *SockEnd) Handler() any { return s.handler }
 
 type sockMsg struct {
 	data []byte
@@ -205,15 +177,11 @@ func (s *SockEnd) ProcLink() string { return "socket:[" + s.peerName + "]" }
 
 // deliver enqueues a message (called on the peer).
 func (s *SockEnd) deliver(data []byte, fds []FD) {
-	s.mu.Lock()
 	s.msgs = append(s.msgs, sockMsg{data: append([]byte(nil), data...), fds: fds})
-	s.mu.Unlock()
 }
 
 // Recv pops one message; ok=false when empty.
 func (s *SockEnd) Recv() (data []byte, fds []FD, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(s.msgs) == 0 {
 		return nil, nil, false
 	}
@@ -245,7 +213,6 @@ func (s *SockPairFD) Send(data []byte, fds []FD) { s.Peer.deliver(data, fds) }
 type UnixListener struct {
 	Path  string
 	Owner *Process
-	mu    sync.Mutex
 	conns []*SockPairFD // owner-side ends of accepted connections
 }
 
@@ -254,8 +221,6 @@ func (l *UnixListener) ProcLink() string { return "socket:[" + l.Path + "]" }
 
 // BindUnix registers a listener at path owned by p.
 func (h *Host) BindUnix(p *Process, path string) (*UnixListener, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if _, exists := h.listeners[path]; exists {
 		return nil, fmt.Errorf("%w: %s already bound", ErrInval, path)
 	}
@@ -268,23 +233,17 @@ func (h *Host) BindUnix(p *Process, path string) (*UnixListener, error) {
 // connectUnix is the connect(2) half: returns the client end, queueing
 // the server end on the listener.
 func (h *Host) connectUnix(path string) (*SockPairFD, error) {
-	h.mu.Lock()
 	l, ok := h.listeners[path]
-	h.mu.Unlock()
 	if !ok {
 		return nil, ErrConnRefuse
 	}
 	client, server := NewSockPair(path)
-	l.mu.Lock()
 	l.conns = append(l.conns, server)
-	l.mu.Unlock()
 	return client, nil
 }
 
 // Accept pops one pending connection (owner side).
 func (l *UnixListener) Accept() (*SockPairFD, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if len(l.conns) == 0 {
 		return nil, false
 	}
@@ -306,8 +265,4 @@ func (m *MemFD) ProcLink() string { return m.Link }
 // UnbindUnix removes a listener previously registered with BindUnix.
 // The attach rollback path uses it so a re-attach after a fault can
 // bind the same abstract socket name again.
-func (h *Host) UnbindUnix(path string) {
-	h.mu.Lock()
-	delete(h.listeners, path)
-	h.mu.Unlock()
-}
+func (h *Host) UnbindUnix(path string) { delete(h.listeners, path) }

@@ -10,13 +10,21 @@
 // the kernel: it never touches guest or hypervisor Go objects
 // directly. That keeps the paper's trust and interface boundaries
 // intact even though everything runs in one Go process.
+//
+// Ownership: a Host, its clock and everything it hands out (processes,
+// address spaces, fds, sockets, the disk and its files) are
+// single-owner and take no locks. One goroutine at a time drives a
+// host. The parallel engine gives each shard's host to exactly one
+// worker per window and its barrier orders the windows; every other
+// caller drives a host from one goroutine. Code that shares a host
+// between goroutines must hand it over through a synchronising
+// operation (a channel, a WaitGroup), never use it concurrently.
 package hostsim
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"vmsh/internal/arch"
 	"vmsh/internal/faults"
@@ -107,7 +115,6 @@ type Host struct {
 	// fully inert.
 	Faults *faults.Injector
 
-	mu        sync.Mutex
 	procs     map[int]*Process
 	nextPID   int
 	attachSeq int
@@ -177,16 +184,12 @@ func (h *Host) SetFaultPlan(p *faults.Plan) {
 // — so guest-visible bytes stay identical between two same-seed runs
 // in one OS process, which record/replay verification depends on.
 func (h *Host) NextAttachSeq() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.attachSeq++
 	return h.attachSeq
 }
 
 // NewProcess registers a new process.
 func (h *Host) NewProcess(name string, creds Creds) *Process {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	pid := h.nextPID
 	h.nextPID++
 	p := &Process{
@@ -205,16 +208,12 @@ func (h *Host) NewProcess(name string, creds Creds) *Process {
 
 // Process looks up a pid.
 func (h *Host) Process(pid int) (*Process, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	p, ok := h.procs[pid]
 	return p, ok
 }
 
 // Pids returns all live pids in ascending order.
 func (h *Host) Pids() []int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	out := make([]int, 0, len(h.procs))
 	for pid, p := range h.procs {
 		if !p.exited {
@@ -227,8 +226,6 @@ func (h *Host) Pids() []int {
 
 // Exit removes a process from the table.
 func (h *Host) Exit(p *Process) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	p.exited = true
 	delete(h.procs, p.PID)
 }
@@ -244,7 +241,6 @@ type Process struct {
 	// struct layouts.
 	Arch arch.Arch
 
-	mu      sync.Mutex
 	threads []*Thread
 	nextTID int
 	fds     map[int]*FDEntry
@@ -300,8 +296,6 @@ func (r *Regs) InstrPtr(a arch.Arch) uint64 {
 
 // NewThread adds a thread to the process.
 func (p *Process) NewThread() *Thread {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	t := &Thread{TID: p.PID*10 + p.nextTID, Comm: fmt.Sprintf("%s/%d", p.Name, p.nextTID)}
 	p.nextTID++
 	p.threads = append(p.threads, t)
@@ -310,15 +304,13 @@ func (p *Process) NewThread() *Thread {
 
 // Threads returns a snapshot of the thread list.
 func (p *Process) Threads() []*Thread {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	out := make([]*Thread, len(p.threads))
 	copy(out, p.threads)
 	return out
 }
 
 // MainThread returns the first thread.
-func (p *Process) MainThread() *Thread { return p.Threads()[0] }
+func (p *Process) MainThread() *Thread { return p.threads[0] }
 
 // SeccompPolicy is a per-process allowlist of syscall numbers. A nil
 // policy allows everything; a non-nil policy kills the process on a
@@ -356,24 +348,17 @@ func (p *Process) chargeSyscall() {
 	c := p.host.Costs
 	p.host.Clock.Advance(c.Syscall)
 	p.host.ctrSyscalls.Inc()
-	if tr := p.tracerRef(); tr != nil && tr.syscallTax {
+	if tr := p.tracer; tr != nil && tr.syscallTax {
 		p.host.Clock.Advance(2 * c.PtraceStop)
 		p.host.ctrPtraceStops.Add(2)
 	}
 }
 
-func (p *Process) tracerRef() *Tracer {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.tracer
-}
-
 // Traced reports whether a tracer is attached.
-func (p *Process) Traced() bool { return p.tracerRef() != nil }
+func (p *Process) Traced() bool { return p.tracer != nil }
 
 // SyscallTaxed reports whether the wrap_syscall tax currently applies
 // to this process's syscalls (used by the KVM dispatch path).
 func (p *Process) SyscallTaxed() bool {
-	tr := p.tracerRef()
-	return tr != nil && tr.syscallTax
+	return p.tracer != nil && p.tracer.syscallTax
 }

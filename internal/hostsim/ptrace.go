@@ -32,8 +32,6 @@ func (p *Process) Attach(target *Process) (*Tracer, error) {
 	if !mayAccess(p, target) {
 		return nil, fmt.Errorf("ptrace attach pid %d: %w", target.PID, ErrPerm)
 	}
-	target.mu.Lock()
-	defer target.mu.Unlock()
 	if target.tracer != nil {
 		return nil, fmt.Errorf("ptrace attach pid %d: already traced", target.PID)
 	}
@@ -256,8 +254,6 @@ func (tr *Tracer) Detach() error {
 	}
 	_ = tr.ResumeAll()
 	tr.detached = true
-	tr.target.mu.Lock()
 	tr.target.tracer = nil
-	tr.target.mu.Unlock()
 	return nil
 }

@@ -170,9 +170,7 @@ func (h *Host) doSyscall(p *Process, nr uint64, args []uint64) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		p.mu.Lock()
 		p.fds[fdn] = &FDEntry{Num: fdn, FD: client}
-		p.mu.Unlock()
 		return 0, nil
 
 	case SysSendmsg:

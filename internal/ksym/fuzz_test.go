@@ -12,7 +12,8 @@ import (
 // probing, so in the worst case they are attacker-chosen. Whatever it
 // sees, Scan must return an error or an internally coherent result:
 // non-empty NUL-free names, values in the canonical kernel half, a
-// table window that lies inside the image. Never a panic.
+// table window that lies inside the image. Never a panic. And always
+// the same answer as refScan.
 func FuzzKsymtabParse(f *testing.F) {
 	// Seed with a real built image per layout (truncated to keep the
 	// corpus small: the strings+table area is what matters).
@@ -31,6 +32,7 @@ func FuzzKsymtabParse(f *testing.F) {
 	f.Add(make([]byte, 64))
 
 	f.Fuzz(func(t *testing.T, img []byte) {
+		checkSameScan(t, "fuzz input", img)
 		res, err := Scan(img, imgBase)
 		if err != nil {
 			return

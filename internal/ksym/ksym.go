@@ -11,6 +11,7 @@
 package ksym
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -194,20 +195,28 @@ func Scan(img []byte, base mem.GVA) (*ScanResult, error) {
 // section: the region of consecutive printable C strings surrounding
 // the first anchor hit.
 func findStrings(img []byte) (int, int) {
-	hit := -1
+	return stringsAround(img, anchorHit(img))
+}
+
+// anchorHit returns the offset of the first anchor found, trying the
+// anchors in order, each NUL-delimited first and then at the very
+// start of the section; -1 when img holds none.
+func anchorHit(img []byte) int {
 	for _, a := range Anchors {
 		needle := append(append([]byte{0}, a...), 0)
-		if i := indexBytes(img, needle); i >= 0 {
-			hit = i + 1
-			break
+		if i := bytes.Index(img, needle); i >= 0 {
+			return i + 1
 		}
-		// Anchor may also sit at the very start of the section.
-		needle = append([]byte(a), 0)
-		if i := indexBytes(img, needle); i >= 0 {
-			hit = i
-			break
+		if i := bytes.Index(img, needle[1:]); i >= 0 {
+			return i
 		}
 	}
+	return -1
+}
+
+// stringsAround grows the window of whole NUL-terminated strings
+// around the anchor at hit; hit < 0 yields (-1, -1).
+func stringsAround(img []byte, hit int) (int, int) {
 	if hit < 0 {
 		return -1, -1
 	}
@@ -249,13 +258,10 @@ func isStringByte(b byte) bool {
 		(b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || (b >= '0' && b <= '9')
 }
 
-func indexBytes(hay, needle []byte) int {
-	return strings.Index(string(hay), string(needle))
-}
-
 // findTable scans img for the longest run of entries in the given
 // layout whose name references land on string starts inside the
-// strings window.
+// strings window. Candidates are the aligned offsets nameInWindow
+// passes; only those pay for a full decodeEntry.
 func findTable(img []byte, base mem.GVA, layout Layout, strStart, strEnd int) (start, count int) {
 	es := layout.EntrySize()
 	align := 4
@@ -263,14 +269,9 @@ func findTable(img []byte, base mem.GVA, layout Layout, strStart, strEnd int) (s
 		align = 8
 	}
 	bestStart, bestCount := 0, 0
-	i := 0
+	i := nameInWindow(img, base, layout, 0, strStart, strEnd)
 	for i+es <= len(img) {
-		if _, _, ok := decodeEntry(img, base, layout, i, strStart, strEnd); !ok {
-			i += align
-			continue
-		}
-		runStart := i
-		run := 0
+		runStart, run := i, 0
 		for i+es <= len(img) {
 			if _, _, ok := decodeEntry(img, base, layout, i, strStart, strEnd); !ok {
 				break
@@ -281,9 +282,42 @@ func findTable(img []byte, base mem.GVA, layout Layout, strStart, strEnd int) (s
 		if run > bestCount {
 			bestStart, bestCount = runStart, run
 		}
-		i += align
+		// Empty or not, a run resumes the search one step past where
+		// it stopped.
+		i = nameInWindow(img, base, layout, i+align, strStart, strEnd)
 	}
 	return bestStart, bestCount
+}
+
+// nameInWindow returns the first offset from i on, stepping by the
+// layout's alignment, whose whole entry lies in img and whose name
+// reference lands in [strStart, strEnd): decodeEntry's first test,
+// run as a tight loop. It returns an offset whose entry overruns img
+// when there is none.
+func nameInWindow(img []byte, base mem.GVA, layout Layout, i, strStart, strEnd int) int {
+	// decodeEntry's nameOff is taken mod 2^64, so lo <= nameOff < hi
+	// is one unsigned comparison against the window's span.
+	lo, span := uint64(strStart), uint64(strEnd-strStart)
+	switch layout {
+	case LayoutAbsolute:
+		// nameOff = name - base.
+		b := uint64(base) + lo
+		for ; i+16 <= len(img); i += 8 {
+			if binary.LittleEndian.Uint64(img[i+8:i+16])-b < span {
+				return i
+			}
+		}
+	default:
+		// nameOff = i + 4 + sign-extended s32 at i+4.
+		es := layout.EntrySize()
+		for ; i+es <= len(img); i += 4 {
+			rel := int64(int32(binary.LittleEndian.Uint32(img[i+4 : i+8])))
+			if uint64(int64(i)+4+rel)-lo < span {
+				return i
+			}
+		}
+	}
+	return i
 }
 
 // decodeEntry validates and decodes one candidate entry at img[off:].

@@ -9,6 +9,7 @@
 package pagetable
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"vmsh/internal/mem"
@@ -268,6 +269,20 @@ type Walker struct {
 	Root mem.GPA
 	// Fmt selects the descriptor encoding; nil means x86-64.
 	Fmt Format
+
+	// ent receives each table entry, so one Walker serves one
+	// goroutine at a time. A buffer passed through the PhysReader
+	// interface escapes, so a local one would cost a heap allocation
+	// per entry read.
+	ent [8]byte
+}
+
+// entry reads the table entry at gpa.
+func (w *Walker) entry(gpa mem.GPA) (uint64, error) {
+	if err := w.R.ReadPhys(gpa, w.ent[:]); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(w.ent[:]), nil
 }
 
 func (w *Walker) fmt() Format {
@@ -286,7 +301,7 @@ func (w *Walker) Translate(gva mem.GVA) (gpa mem.GPA, flags uint64, ok bool, err
 	f := w.fmt()
 	table := w.Root
 	for level := levels - 1; level > 0; level-- {
-		ent, err := mem.ReadU64(w.R, table+mem.GPA(index(gva, level)*8))
+		ent, err := w.entry(table + mem.GPA(index(gva, level)*8))
 		if err != nil {
 			return 0, 0, false, err
 		}
@@ -295,7 +310,7 @@ func (w *Walker) Translate(gva mem.GVA) (gpa mem.GPA, flags uint64, ok bool, err
 		}
 		table = f.Addr(ent)
 	}
-	ent, err := mem.ReadU64(w.R, table+mem.GPA(index(gva, 0)*8))
+	ent, err := w.entry(table + mem.GPA(index(gva, 0)*8))
 	if err != nil {
 		return 0, 0, false, err
 	}

@@ -15,6 +15,7 @@ package simplefs
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"vmsh/internal/blockdev"
@@ -102,6 +103,11 @@ type FS struct {
 	quota    map[uint32]*QuotaUsage
 	inodes   map[uint32]*Inode // live inode objects by number
 	readOnly bool
+
+	// quotaUIDs and quotaBuf are persistQuota's scratch, reused
+	// across charges.
+	quotaUIDs []uint32
+	quotaBuf  []byte
 
 	// allocation cursors: next-fit hints so allocation does not
 	// rescan the bitmap from the start every time.
@@ -407,16 +413,22 @@ func (f *FS) quotaCharge(uid uint32, blocks, inodes int64) {
 const quotaEntSize = 20 // uid u32 + blocks u64 + inodes u64
 
 func (f *FS) persistQuota() error {
-	uids := make([]uint32, 0, len(f.quota))
+	uids := f.quotaUIDs[:0]
 	for uid := range f.quota {
 		uids = append(uids, uid)
 	}
-	sort.Slice(uids, func(i, j int) bool { return uids[i] < uids[j] })
+	slices.Sort(uids)
+	f.quotaUIDs = uids
 	maxEnts := int(f.sb.QuotaBlks) * BlockSize / quotaEntSize
 	if len(uids) > maxEnts {
 		uids = uids[:maxEnts]
 	}
-	buf := make([]byte, int(f.sb.QuotaBlks)*BlockSize)
+	if n := int(f.sb.QuotaBlks) * BlockSize; len(f.quotaBuf) != n {
+		f.quotaBuf = make([]byte, n)
+	} else {
+		clear(f.quotaBuf)
+	}
+	buf := f.quotaBuf
 	for i, uid := range uids {
 		q := f.quota[uid]
 		off := i * quotaEntSize

@@ -12,16 +12,17 @@ package vclock
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"time"
 )
 
-// Clock is a monotonic virtual clock. It is safe for concurrent use;
-// the simulation hands control between goroutines strictly (unbuffered
-// channels, or the engine's one-worker-per-shard windows), so advancing
-// order is deterministic.
+// Clock is a monotonic virtual clock. It is single-owner and takes no
+// lock: one goroutine at a time advances and reads it. The engine
+// hands each shard's host, and with it the host's clock, to exactly
+// one worker per window, and the window barrier orders one window's
+// owner before the next; every other caller drives its host from one
+// goroutine. That ownership, not a mutex, makes the advancing order
+// deterministic.
 type Clock struct {
-	mu        sync.Mutex
 	now       time.Duration
 	observers []*clockObserver // Observe registrations, in order
 }
@@ -38,52 +39,43 @@ type clockObserver struct {
 func New() *Clock { return &Clock{} }
 
 // Now returns the current virtual time since boot.
-func (c *Clock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
+func (c *Clock) Now() time.Duration { return c.now }
 
 // Advance moves the clock forward by d. Negative d panics: virtual
-// time never rewinds. Observers run outside the clock lock, in
-// registration order.
+// time never rewinds. Observers run in registration order, over the
+// slice published before the first of them runs.
 func (c *Clock) Advance(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("vclock: negative advance %v", d))
 	}
-	c.mu.Lock()
 	c.now += d
-	observers := c.observers // copy-on-write: safe to range outside the lock
-	c.mu.Unlock()
 	if d == 0 {
 		return
 	}
-	for _, o := range observers {
+	for _, o := range c.observers {
 		o.f(d)
 	}
 }
 
-// Observe registers an advance observer, called (outside the clock
-// lock, with the advanced amount) after every positive Advance, and
-// returns its remove function. Any number of subsystems may observe
-// one clock: each caller detaches exactly its own observer, in
-// O(observers), and never disturbs the others. Remove is idempotent.
-// Observers fire in registration order.
+// Observe registers an advance observer, called (with the advanced
+// amount) after every positive Advance, and returns its remove
+// function. Any number of subsystems may observe one clock: each
+// caller detaches exactly its own observer, in O(observers), and never
+// disturbs the others. Remove is idempotent. Observers fire in
+// registration order.
 func (c *Clock) Observe(f func(time.Duration)) (remove func()) {
 	if f == nil {
 		return func() {}
 	}
 	o := &clockObserver{f: f}
-	c.mu.Lock()
-	// Copy-on-write: Advance ranges over the slice outside the lock,
-	// so mutation must never touch a published backing array.
+	// Copy-on-write: an Advance in progress ranges over the published
+	// slice, so an observer may add or remove observers (itself
+	// included) without disturbing that Advance.
 	next := make([]*clockObserver, len(c.observers)+1)
 	copy(next, c.observers)
 	next[len(next)-1] = o
 	c.observers = next
-	c.mu.Unlock()
 	return func() {
-		c.mu.Lock()
 		for i, cur := range c.observers {
 			if cur == o {
 				next := make([]*clockObserver, 0, len(c.observers)-1)
@@ -93,7 +85,6 @@ func (c *Clock) Observe(f func(time.Duration)) (remove func()) {
 				break
 			}
 		}
-		c.mu.Unlock()
 	}
 }
 
