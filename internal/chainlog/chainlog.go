@@ -12,6 +12,9 @@
 // flipped, dropped or reordered line breaks the chain at the first bad
 // line. The formats on top own their record schemas, render their lines
 // canonically, and say which line is the footer that ends the stream.
+// Their hot records are written and read field by field with this
+// package's canonical codec (AppendString, AppendHex16, Scanner), which
+// accepts only the exact bytes it writes.
 package chainlog
 
 import (
@@ -41,10 +44,11 @@ func (e *Error) Error() string { return fmt.Sprintf("element %d: %s", e.Elem, e.
 // Hex16 formats a digest as fixed-width lowercase hex.
 func Hex16(v uint64) string {
 	var buf [16]byte
-	return string(appendHex16(buf[:0], v))
+	return string(AppendHex16(buf[:0], v))
 }
 
-func appendHex16(b []byte, v uint64) []byte {
+// AppendHex16 appends Hex16(v) to b.
+func AppendHex16(b []byte, v uint64) []byte {
 	const digits = "0123456789abcdef"
 	for shift := 60; shift >= 0; shift -= 4 {
 		b = append(b, digits[v>>shift&0xf])
@@ -75,10 +79,11 @@ const ckSuffixLen = len(ckField) + 16 + 2
 // Writer emits a chained stream. Errors are sticky: after the first
 // failed write every call is a no-op and Flush reports it.
 type Writer struct {
-	bw  *bufio.Writer
-	ck  uint64
-	n   int64
-	err error
+	bw   *bufio.Writer
+	ck   uint64
+	n    int64
+	err  error
+	tail [ckSuffixLen + 1]byte // the current line's ,"ck":"…"} and newline
 }
 
 // NewWriter writes the header {"magic":magic,"v":version<fields>} to w.
@@ -97,8 +102,7 @@ func NewWriter(w io.Writer, magic string, version int, fields string) *Writer {
 // without its closing brace; Line adds the "ck" field and the brace.
 func (w *Writer) Line(prefix []byte) {
 	w.ck = fold(w.ck, prefix)
-	var buf [ckSuffixLen + 1]byte
-	tail := appendHex16(append(buf[:0], ckField...), w.ck)
+	tail := AppendHex16(append(w.tail[:0], ckField...), w.ck)
 	w.write(prefix)
 	w.write(append(tail, '"', '}', '\n'))
 }
@@ -121,16 +125,33 @@ func (w *Writer) Flush() (int64, error) {
 	return w.n, w.err
 }
 
+// Prefix returns a line Read handed over without its "ck" member and
+// closing brace: the bytes Writer.Line was given, which the chain
+// covers.
+func Prefix(line []byte) []byte { return line[:len(line)-ckSuffixLen] }
+
+// Unmarshal decodes a line Read handed over with encoding/json, for a
+// format's cold records. A failure is element elem's unparseable-line
+// *Error.
+func Unmarshal(elem int, line []byte, v any) error {
+	if err := json.Unmarshal(line, v); err != nil {
+		return &Error{Elem: elem, Reason: "unparseable line: " + err.Error()}
+	}
+	return nil
+}
+
 // Read checks the framing of a chained stream. It decodes the header
 // into hdr (when non-nil) after checking its magic and version, then
-// decodes every later non-blank line, checksum verified, into a fresh L
-// and hands it to fn with its element number. fn returns end=true for
-// the footer, after which only blank lines may follow. Framing damage —
-// empty input, a bad header, an unparseable line, a broken chain,
-// truncation before the footer, trailing data after it — is an *Error;
-// a magic or version mismatch is a plain error; an error from fn is
-// returned unchanged.
-func Read[L any](r io.Reader, magic string, version int, hdr any, fn func(elem int, l *L) (end bool, err error)) error {
+// hands every later non-blank line, checksum verified, to fn with its
+// element number. The line is the whole JSON object, its "ck" member
+// included, and is valid only until fn returns; fn decodes it and
+// reports a line it cannot take as an unparseable-line *Error. fn
+// returns end=true for the footer, after which only blank lines may
+// follow. Framing damage — empty input, a bad header, a line without a
+// "ck" member, a broken chain, truncation before the footer, trailing
+// data after it — is an *Error; a magic or version mismatch is a plain
+// error; an error from fn is returned unchanged.
+func Read(r io.Reader, magic string, version int, hdr any, fn func(elem int, line []byte) (end bool, err error)) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	scanErr := func(elem int) error {
@@ -183,18 +204,14 @@ func Read[L any](r io.Reader, magic string, version int, hdr any, fn func(elem i
 		if n < 1 || !bytes.HasPrefix(line[n:], []byte(ckField)) || !bytes.HasSuffix(line, []byte(`"}`)) {
 			return &Error{Elem: elem, Reason: "unparseable line: no trailing \"ck\" field"}
 		}
-		lineCk, err := ParseHex16(string(line[n+len(ckField) : len(line)-2]))
+		lineCk, err := strconv.ParseUint(string(line[n+len(ckField):len(line)-2]), 16, 64)
 		if err != nil {
 			return &Error{Elem: elem, Reason: "bad checksum field: " + err.Error()}
 		}
 		if ck = fold(ck, line[:n]); ck != lineCk {
 			return &Error{Elem: elem, Reason: fmt.Sprintf("checksum chain mismatch (want %s, line has %s)", Hex16(ck), Hex16(lineCk))}
 		}
-		var l L
-		if err := json.Unmarshal(line, &l); err != nil {
-			return &Error{Elem: elem, Reason: "unparseable line: " + err.Error()}
-		}
-		if ended, err = fn(elem, &l); err != nil {
+		if ended, err = fn(elem, line); err != nil {
 			return err
 		}
 	}

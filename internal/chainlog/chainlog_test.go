@@ -2,10 +2,12 @@ package chainlog_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"vmsh/internal/chainlog"
 	"vmsh/internal/faults"
@@ -198,6 +200,60 @@ func TestFramingEdgeCases(t *testing.T) {
 	}
 }
 
+// TestNonCanonicalLinesRefused: a hand-edited record line whose
+// re-encoding differs from its own bytes is refused as a typed
+// unparseable line, though encoding/json would decode it; the records
+// that stay on encoding/json still take such an edit.
+func TestNonCanonicalLinesRefused(t *testing.T) {
+	cases := []struct {
+		format, name string
+		line         string // prefix of the line to edit
+		old, new     string
+		refused      bool
+	}{
+		{"replay", "extra whitespace", `{"s":1,`, `"op":`, `"op": `, true},
+		{"replay", "reordered keys", `{"s":1,`, `"op":"ptrace:attach","st":"attach"`, `"st":"attach","op":"ptrace:attach"`, true},
+		{"replay", "escaped plain ASCII", `{"s":1,`, `"op":"ptrace:attach"`, `"op":"ptrace:\u0061ttach"`, true},
+		{"replay", "footer keeps encoding/json", `{"end":true`, `"n":3`, `"n": 3`, false},
+		{"snapshot", "explicit slot 0", `{"t":"page"`, `{"t":"page",`, `{"t":"page","slot":0,`, true},
+		{"snapshot", "extra whitespace", `{"t":"page"`, `{"t":"page"`, `{"t": "page"`, true},
+		{"snapshot", "reordered keys", `{"t":"block"`, `"idx":2,"data":"AgICAgICAgI=","disk":"vda"`, `"disk":"vda","idx":2,"data":"AgICAgICAgI="`, true},
+		{"snapshot", "escaped plain ASCII", `{"t":"block"`, `"disk":"vda"`, `"disk":"v\u0064a"`, true},
+		{"snapshot", "disk record keeps encoding/json", `{"t":"disk"`, `,"disk":`, `, "disk":`, false},
+	}
+	fs := map[string]format{}
+	for _, f := range formats(t) {
+		fs[f.name] = f
+	}
+	for _, tc := range cases {
+		t.Run(tc.format+"/"+tc.name, func(t *testing.T) {
+			f := fs[tc.format]
+			lines := strings.Split(strings.TrimSuffix(string(f.valid), "\n"), "\n")
+			edited := false
+			for i, l := range lines {
+				if strings.HasPrefix(l, tc.line) && strings.Contains(l, tc.old) {
+					lines[i], edited = strings.Replace(l, tc.old, tc.new, 1), true
+					break
+				}
+			}
+			if !edited {
+				t.Fatalf("no line %q… holds %q", tc.line, tc.old)
+			}
+			got, err := f.recode(join(rechain(lines)))
+			if !tc.refused {
+				if err != nil || !bytes.Equal(got, f.valid) {
+					t.Fatalf("edit not taken: %v", err)
+				}
+				return
+			}
+			reason, ok := f.corrupt(err)
+			if !ok || !strings.HasPrefix(reason, "unparseable line") {
+				t.Fatalf("want a typed unparseable line, got %T %v", err, err)
+			}
+		})
+	}
+}
+
 // TestWriterStickyError: a failing sink surfaces from Flush.
 func TestWriterStickyError(t *testing.T) {
 	w := chainlog.NewWriter(failWriter{}, "m", 1, "")
@@ -212,3 +268,25 @@ func TestWriterStickyError(t *testing.T) {
 type failWriter struct{}
 
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestAppendStringEveryByte: AppendString writes json.Marshal's bytes
+// for every byte value, and the Scanner reads back exactly the strings
+// that round-trip through JSON.
+func TestAppendStringEveryByte(t *testing.T) {
+	for c := 0; c < 256; c++ {
+		s := "a" + string([]byte{byte(c)}) + "z"
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := chainlog.AppendString(nil, s)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("byte %#x: got %s, want %s", c, got, want)
+		}
+		sc := chainlog.NewScanner(got)
+		v := sc.Str()
+		if err := sc.Done(1); (err == nil) != utf8.ValidString(s) || err == nil && string(v) != s {
+			t.Fatalf("byte %#x: scanned %q, %v", c, v, err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"vmsh/internal/faults"
 	"vmsh/internal/fsimage"
 	"vmsh/internal/guestos"
 	"vmsh/internal/hostsim"
@@ -153,4 +154,23 @@ func TestRawConsoleBytes(t *testing.T) {
 		t.Fatalf("console output: %q", out)
 	}
 	_ = inst
+}
+
+// TestPersistentBlkFaultFailsExec: once the vmsh-blk device fails every
+// request, a command reading the overlay gets an I/O error; the guest
+// kernel does not panic reading the mount's root inode.
+func TestPersistentBlkFaultFailsExec(t *testing.T) {
+	h, inst := launch(t, hypervisor.QEMU, "5.10")
+	rule, err := faults.ParseRule("vq:blk:nth=2,err=eio,persistent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := attach(t, h, inst, Options{Fault: faults.NewPlan(1, rule)})
+	out, err := sess.Exec("cat /var/lib/vmsh/etc/hostname")
+	if err == nil && strings.Contains(out, "guest-under-test") {
+		t.Fatalf("read the file through a failed device: %q", out)
+	}
+	if h.Faults.Injected() == 0 {
+		t.Fatal("the plan never failed a vmsh-blk request")
+	}
 }

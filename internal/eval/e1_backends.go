@@ -78,16 +78,24 @@ func RunXfstestsBackends() ([]xfstests.Result, error) {
 		Clock: h.Clock, Costs: h.Costs, Faults: h.Faults,
 	})
 
+	cow, err := storage.NewCowFS(nil)
+	if err != nil {
+		return nil, err
+	}
+	overlay, err := storage.NewCowFS(guestos.SFS{FS: lowerFS})
+	if err != nil {
+		return nil, err
+	}
 	envs := []struct {
 		name string
 		fs   storage.FS
 	}{
 		{"memory", storage.NewMemFS(storage.MemOptions{})},
-		{"cow", storage.NewCowFS(nil)},
+		{"cow", cow},
 		{"cas", storage.NewCasFS(storage.MemOptions{})},
 		{"remote", storage.NewRemoteFS(storage.MemOptions{}, link)},
 		{"fsimage", guestos.SFS{FS: imgFS}},
-		{"overlay", storage.NewCowFS(guestos.SFS{FS: lowerFS})},
+		{"overlay", overlay},
 	}
 
 	suite := xfstests.Suite()

@@ -1,6 +1,8 @@
 package guestos
 
 import (
+	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -178,12 +180,19 @@ func TestLongestPrefixMountResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The file lives on the inner fs, not the outer.
-	root := inner.Root()
+	root, err := inner.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := root.Lookup("f"); err != nil {
 		t.Fatal("file did not land on the longest-prefix mount")
 	}
 	outer, _ := p.NS.findMount("/mnt")
-	if _, err := outer.FS.Root().Lookup("f"); err == nil {
+	outerRoot, err := outer.FS.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := outerRoot.Lookup("f"); err == nil {
 		t.Fatal("file leaked to the outer mount")
 	}
 }
@@ -411,5 +420,21 @@ func TestShellRedirection(t *testing.T) {
 	tty.InputFromHost([]byte("cat /tmp/out.txt\n"))
 	if !strings.Contains(out.String(), "hello world") {
 		t.Fatalf("redirection output: %q", out.String())
+	}
+}
+
+// TestFillRandomMatchesRandRead: the boot image's filler writes the
+// bytes rand.Read writes, at every length modulo 7 and image size.
+func TestFillRandomMatchesRandRead(t *testing.T) {
+	for _, seed := range []int64{0, 1, 1234, -7, 1234 ^ 0x5eed} {
+		for _, n := range []int{0, 1, 6, 7, 8, 13, 4 << 20, 4<<20 + 3} {
+			want := make([]byte, n)
+			rand.New(rand.NewSource(seed)).Read(want)
+			got := make([]byte, n)
+			fillRandom(got, rand.NewSource(seed))
+			if !bytes.Equal(got, want) {
+				t.Fatalf("seed %d, %d bytes: fill differs from rand.Read", seed, n)
+			}
+		}
 	}
 }

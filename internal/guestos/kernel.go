@@ -7,6 +7,7 @@
 package guestos
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"time"
@@ -217,8 +218,7 @@ func Boot(cfg Config) (*Kernel, error) {
 	img := make([]byte, kernelImageSize)
 	// Deterministic non-zero filler so the scanner faces realistic
 	// noise rather than zero pages.
-	filler := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
-	filler.Read(img)
+	fillRandom(img, rand.NewSource(cfg.Seed^0x5eed))
 	banner := fmt.Sprintf("Linux version %s.0 (vmsh-sim@host) #1 SMP %s", ver, k.Arch)
 	copy(img[bannerOff:], append([]byte(banner), 0))
 
@@ -301,6 +301,23 @@ func Boot(cfg Config) (*Kernel, error) {
 	cfg.VM.SetExecutor(k)
 	cfg.VM.SetIRQHandler(k.HandleIRQ)
 	return k, nil
+}
+
+// fillRandom fills p with the bytes a fresh rand.New(src).Read(p)
+// writes, seven little-endian bytes per Int63, without Read's
+// byte-at-a-time loop.
+func fillRandom(p []byte, src rand.Source) {
+	i := 0
+	// Each store's eighth byte is overwritten by the next value.
+	for ; i+8 <= len(p); i += 7 {
+		binary.LittleEndian.PutUint64(p[i:], uint64(src.Int63()))
+	}
+	if i < len(p) {
+		for v := src.Int63(); i < len(p); i++ {
+			p[i] = byte(v)
+			v >>= 8
+		}
+	}
 }
 
 // kernelAPINames returns the exported surface, the 12 functions the

@@ -21,7 +21,7 @@ type procFS struct {
 func newProcFS(k *Kernel) *procFS { return &procFS{k: k} }
 
 // Root implements FileSystem.
-func (p *procFS) Root() FSNode { return &procDir{fs: p, kind: procRootDir} }
+func (p *procFS) Root() (FSNode, error) { return &procDir{fs: p, kind: procRootDir}, nil }
 
 // Sync implements FileSystem.
 func (p *procFS) Sync() error { return nil }

@@ -1,7 +1,6 @@
 package guestos
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -34,13 +33,14 @@ func NewRootFS() *storage.MemFS {
 // SFS adapts *simplefs.FS to FileSystem.
 type SFS struct{ FS *simplefs.FS }
 
-// Root implements FileSystem.
-func (s SFS) Root() FSNode {
+// Root implements FileSystem. Reading the root inode goes to the disk,
+// so a failing device fails it.
+func (s SFS) Root() (FSNode, error) {
 	root, err := s.FS.Root()
 	if err != nil {
-		panic(fmt.Sprintf("guestos: simplefs root: %v", err))
+		return nil, err
 	}
-	return sfsNode{root}
+	return sfsNode{root}, nil
 }
 
 // Sync implements FileSystem.
@@ -230,7 +230,10 @@ func (k *Kernel) resolveDepth(ns *MountNamespace, path string, follow bool, dept
 	if m == nil {
 		return nil, fserr.ErrNotFound
 	}
-	node := m.FS.Root()
+	node, err := m.FS.Root()
+	if err != nil {
+		return nil, err
+	}
 	if rel == "" {
 		return node, nil
 	}

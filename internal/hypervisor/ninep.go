@@ -53,7 +53,7 @@ func (fs *NinePFS) chargeData(n int) {
 }
 
 // Root implements guestos.FileSystem.
-func (fs *NinePFS) Root() guestos.FSNode { return fs.root }
+func (fs *NinePFS) Root() (guestos.FSNode, error) { return fs.root, nil }
 
 // Sync implements guestos.FileSystem; host-side fsync writes the
 // dirty host page cache back to the device.

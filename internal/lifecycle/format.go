@@ -2,14 +2,21 @@
 // (internal/chainlog). The header carries the label and capture vtime;
 // every later line is a typed record ("t" field) with its own link of
 // the checksum chain, and the "footer" record ends the stream. Encoding
-// the same Snapshot twice yields byte-identical output.
+// the same Snapshot twice yields byte-identical output. The page, block
+// and simage records, nearly every line, are written and parsed by hand
+// in exactly the form json.Marshal gives a snapLine, and read back only
+// in that form; the other records go through encoding/json.
 package lifecycle
 
 import (
+	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 
 	"vmsh/internal/chainlog"
 	"vmsh/internal/hostsim"
@@ -128,6 +135,69 @@ type snapLine struct {
 	RAMHashes []uint64 `json:"ram,omitempty"`
 }
 
+// appendPayload renders a page, block or simage record up to
+// (excluding) its "ck" member, as json.Marshal renders the snapLine:
+// each member left out when zero, a slot only on a page and a disk only
+// on a block.
+func appendPayload(b []byte, l *snapLine) []byte {
+	b = append(append(append(b, `{"t":"`...), l.T...), '"')
+	if l.T == "page" && l.Slot != 0 {
+		b = strconv.AppendUint(append(b, `,"slot":`...), uint64(l.Slot), 10)
+	}
+	if l.Index != 0 {
+		b = strconv.AppendUint(append(b, `,"idx":`...), l.Index, 10)
+	}
+	if len(l.Data) > 0 {
+		b = append(base64.StdEncoding.AppendEncode(append(b, `,"data":"`...), l.Data), '"')
+	}
+	if l.T == "block" && l.Disk != "" {
+		b = chainlog.AppendString(append(b, `,"disk":`...), l.Disk)
+	}
+	return b
+}
+
+// payloadType reports which of page, block and simage a line opens, or
+// "".
+func payloadType(line []byte) string {
+	switch {
+	case bytes.HasPrefix(line, []byte(`{"t":"page",`)):
+		return "page"
+	case bytes.HasPrefix(line, []byte(`{"t":"block",`)):
+		return "block"
+	case bytes.HasPrefix(line, []byte(`{"t":"simage",`)):
+		return "simage"
+	}
+	return ""
+}
+
+// parsePayload is appendPayload's inverse: it takes a record only in
+// exactly the form appendPayload writes.
+func parsePayload(elem int, line []byte, t string, l *snapLine) error {
+	s := chainlog.NewScanner(chainlog.Prefix(line))
+	l.T = t
+	s.Lit(`{"t":"`)
+	s.Lit(t)
+	s.Lit(`"`)
+	if t == "page" && s.Opt(`,"slot":`) {
+		slot := s.Uint64()
+		s.Want(slot != 0 && slot <= math.MaxUint32)
+		l.Slot = uint32(slot)
+	}
+	if s.Opt(`,"idx":`) {
+		l.Index = s.Uint64()
+		s.Want(l.Index != 0)
+	}
+	if s.Opt(`,"data":`) {
+		l.Data = s.Base64()
+		s.Want(len(l.Data) > 0)
+	}
+	if t == "block" && s.Opt(`,"disk":`) {
+		l.Disk = string(s.Str())
+		s.Want(l.Disk != "")
+	}
+	return s.Done(elem)
+}
+
 // WriteTo encodes the snapshot in canonical form. It implements
 // io.WriterTo.
 func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
@@ -145,6 +215,13 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 			cw.Line(b[:len(b)-1]) // the chain writer closes the object
 		}
 	}
+	var line []byte
+	payload := func(l snapLine) {
+		if err == nil {
+			line = appendPayload(line[:0], &l)
+			cw.Line(line)
+		}
+	}
 
 	cfg := s.Config
 	emit(snapLine{T: "config", Config: &cfg})
@@ -155,19 +232,19 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 		emit(snapLine{T: "cursors", Cursors: &s.Cursors[i]})
 	}
 	for _, p := range s.Pages {
-		emit(snapLine{T: "page", Slot: p.Slot, Index: p.Index, Data: p.Data})
+		payload(snapLine{T: "page", Slot: p.Slot, Index: p.Index, Data: p.Data})
 	}
 	for _, d := range s.Disks {
 		emit(snapLine{T: "disk", Disk: d.Name, Size: d.Size})
 		for _, b := range d.Blocks {
-			emit(snapLine{T: "block", Disk: d.Name, Index: b.Index, Data: b.Data})
+			payload(snapLine{T: "block", Disk: d.Name, Index: b.Index, Data: b.Data})
 		}
 	}
 	if s.Session != nil {
 		emit(snapLine{T: "session", Image: s.Session.ImageName, Size: s.Session.ImageSize,
 			Storage: s.Session.Storage, Trap: s.Session.Trap})
 		for _, b := range s.Session.Blocks {
-			emit(snapLine{T: "simage", Index: b.Index, Data: b.Data})
+			payload(snapLine{T: "simage", Index: b.Index, Data: b.Data})
 		}
 	}
 	emit(snapLine{T: "footer", RAMHashes: s.RAMHashes})
@@ -181,9 +258,26 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 // Read decodes and integrity-checks a snapshot stream. A magic or
 // version mismatch returns a plain error (the caller has the wrong
 // kind of file); structural damage — a broken checksum chain, a
-// truncated stream, an out-of-place record — wraps
-// ErrSnapshotCorrupt.
+// truncated stream, a page, block or simage record not in WriteTo's
+// exact form, an out-of-place record — wraps ErrSnapshotCorrupt.
 func Read(r io.Reader) (*Snapshot, error) {
+	return read(r, func(elem int, line []byte, l *snapLine) error {
+		if t := payloadType(line); t != "" {
+			return parsePayload(elem, line, t, l)
+		}
+		if err := chainlog.Unmarshal(elem, line, l); err != nil {
+			return err
+		}
+		if l.T == "page" || l.T == "block" || l.T == "simage" {
+			return &chainlog.Error{Elem: elem, Reason: "unparseable line: a " + l.T + " record not in canonical form"}
+		}
+		return nil
+	})
+}
+
+// read checks the records decode yields; decode fills a zeroed snapLine
+// from one verified line.
+func read(r io.Reader, decode func(elem int, line []byte, l *snapLine) error) (*Snapshot, error) {
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrSnapshotCorrupt, fmt.Sprintf(format, args...))
 	}
@@ -193,7 +287,12 @@ func Read(r io.Reader) (*Snapshot, error) {
 	}
 	s := &Snapshot{}
 	diskByName := map[string]int{}
-	err := chainlog.Read(r, Magic, Version, &hdr, func(n int, l *snapLine) (bool, error) {
+	var l snapLine
+	err := chainlog.Read(r, Magic, Version, &hdr, func(n int, line []byte) (bool, error) {
+		l = snapLine{}
+		if err := decode(n, line, &l); err != nil {
+			return false, err
+		}
 		switch l.T {
 		case "footer":
 			if len(l.RAMHashes) > 0 { // "ram":[] stays nil, as it re-encodes

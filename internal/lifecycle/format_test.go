@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"vmsh/internal/chainlog/chainlogtest"
 	"vmsh/internal/hypervisor"
 )
 
@@ -35,8 +36,11 @@ func encodeSnapshot(t testing.TB, s *Snapshot) []byte {
 	return buf.Bytes()
 }
 
-// FuzzSnapshotRead: Read never panics on arbitrary bytes, and any
+// FuzzSnapshotRead: Read never panics on arbitrary bytes, agrees with
+// the encoding/json reference decoder (checkAgainstReference), and any
 // snapshot it accepts re-encodes and re-reads to an equal Snapshot.
+// Each input is also read with its checksums recomputed, so fuzzed
+// edits reach the line decoders.
 func FuzzSnapshotRead(f *testing.F) {
 	tiny := encodeSnapshot(f, tinySnapshot())
 	f.Add(tiny)
@@ -44,16 +48,23 @@ func FuzzSnapshotRead(f *testing.F) {
 	f.Add([]byte(v1Header + "\n"))
 	f.Add([]byte("not a snapshot"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Read(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		again, err := Read(bytes.NewReader(encodeSnapshot(t, s)))
-		if err != nil {
-			t.Fatalf("canonical re-encoding rejected: %v", err)
-		}
-		if !reflect.DeepEqual(s, again) {
-			t.Fatalf("re-read snapshot differs:\n%+v\n%+v", s, again)
-		}
+		checkSnapshot(t, data)
+		checkSnapshot(t, chainlogtest.Rechain(data))
 	})
+}
+
+func checkSnapshot(t *testing.T, data []byte) {
+	t.Helper()
+	s, err := Read(bytes.NewReader(data))
+	checkAgainstReference(t, data, s, err)
+	if err != nil {
+		return
+	}
+	again, err := Read(bytes.NewReader(encodeSnapshot(t, s)))
+	if err != nil {
+		t.Fatalf("canonical re-encoding rejected: %v", err)
+	}
+	if !reflect.DeepEqual(s, again) {
+		t.Fatalf("re-read snapshot differs:\n%+v\n%+v", s, again)
+	}
 }

@@ -20,18 +20,21 @@
 //	{"end":true,"n":N,"vt":NS,"ram":[H16...],"m":{...},"ck":H16}
 //
 // Every line is hand-marshalled in fixed key order with sorted metric
-// keys, so encode→decode→encode is byte-identical. Each "ck" chains
-// over the previous element's checksum and the line's own content;
-// any flipped byte surfaces as a structured *Divergence from Read,
-// never a panic.
+// keys, so encode→decode→encode is byte-identical. Record lines, nearly
+// every line of a log, are also parsed by hand, and only in exactly the
+// form Encode writes them; the footer goes through encoding/json. Each
+// "ck" chains over the previous element's checksum and the line's own
+// content; any flipped byte surfaces as a structured *Divergence from
+// Read, never a panic.
 package replay
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"vmsh/internal/chainlog"
@@ -91,6 +94,17 @@ type Divergence struct {
 	ExpectedErr  string
 	ActualErr    string
 	VTimeDelta   int64 // actual vtime minus expected vtime, ns
+
+	framing *chainlog.Error // the damage Read found in the file, if that is the cause
+}
+
+// Unwrap returns the *chainlog.Error behind a divergence Read reports
+// for a damaged file, or nil.
+func (d *Divergence) Unwrap() error {
+	if d.framing == nil {
+		return nil
+	}
+	return d.framing
 }
 
 // Error implements error.
@@ -107,19 +121,53 @@ func (d *Divergence) Error() string {
 	return b.String()
 }
 
-// jq marshals a string as JSON (never fails for valid UTF-8 input).
-func jq(s string) string {
-	b, err := json.Marshal(s)
-	if err != nil {
-		return `""`
-	}
-	return string(b)
-}
+// recordStart opens every record line; any other line is the footer.
+const recordStart = `{"s":`
 
 // appendRecord renders a record line up to (excluding) its "ck" field.
 func appendRecord(b []byte, r Record) []byte {
-	return fmt.Appendf(b, `{"s":%d,"op":%s,"st":%s,"os":%d,"a":"%s","r":"%s","e":%s,"vt":%d`,
-		r.Seq, jq(r.Op), jq(r.Stage), r.OpSeq, chainlog.Hex16(r.Args), chainlog.Hex16(r.Result), jq(r.Err), r.VTime)
+	b = strconv.AppendInt(append(b, recordStart...), int64(r.Seq), 10)
+	b = chainlog.AppendString(append(b, `,"op":`...), r.Op)
+	b = chainlog.AppendString(append(b, `,"st":`...), r.Stage)
+	b = strconv.AppendInt(append(b, `,"os":`...), int64(r.OpSeq), 10)
+	b = chainlog.AppendHex16(append(b, `,"a":"`...), r.Args)
+	b = chainlog.AppendHex16(append(b, `","r":"`...), r.Result)
+	b = chainlog.AppendString(append(b, `","e":`...), r.Err)
+	return strconv.AppendInt(append(b, `,"vt":`...), r.VTime, 10)
+}
+
+// parseRecord is appendRecord's inverse: it takes a record line only in
+// exactly the form appendRecord writes. names interns the strings, so a
+// log's records share one copy of each op, stage and error class.
+func parseRecord(seq int, line []byte, names map[string]string) (Record, error) {
+	s := chainlog.NewScanner(chainlog.Prefix(line))
+	var r Record
+	s.Lit(recordStart)
+	r.Seq = s.Int()
+	s.Lit(`,"op":`)
+	r.Op = intern(names, s.Str())
+	s.Lit(`,"st":`)
+	r.Stage = intern(names, s.Str())
+	s.Lit(`,"os":`)
+	r.OpSeq = s.Int()
+	s.Lit(`,"a":`)
+	r.Args = s.Hex16()
+	s.Lit(`,"r":`)
+	r.Result = s.Hex16()
+	s.Lit(`,"e":`)
+	r.Err = intern(names, s.Str())
+	s.Lit(`,"vt":`)
+	r.VTime = s.Int64()
+	return r, s.Done(seq)
+}
+
+func intern(names map[string]string, b []byte) string {
+	if v, ok := names[string(b)]; ok {
+		return v
+	}
+	v := string(b)
+	names[v] = v
+	return v
 }
 
 // appendFooter renders the footer line up to (excluding) its "ck".
@@ -141,7 +189,7 @@ func appendFooter(b []byte, f Footer) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = fmt.Appendf(b, `%s:%d`, jq(k), f.Metrics[k])
+		b = fmt.Appendf(chainlog.AppendString(b, k), `:%d`, f.Metrics[k])
 	}
 	return append(b, '}')
 }
@@ -149,7 +197,7 @@ func appendFooter(b []byte, f Footer) []byte {
 // Encode writes the log in canonical form. Encoding the same Log value
 // twice yields byte-identical output.
 func (lg *Log) Encode(w io.Writer) error {
-	cw := chainlog.NewWriter(w, Magic, lg.Version, fmt.Sprintf(`,"label":%s,"seed":%d`, jq(lg.Label), lg.Seed))
+	cw := chainlog.NewWriter(w, Magic, lg.Version, fmt.Sprintf(`,"label":%s,"seed":%d`, chainlog.AppendString(nil, lg.Label), lg.Seed))
 	var line []byte
 	for _, r := range lg.Records {
 		line = appendRecord(line[:0], r)
@@ -160,7 +208,9 @@ func (lg *Log) Encode(w io.Writer) error {
 	return err
 }
 
-// jsonElem is the decode shape shared by record and footer lines.
+// jsonElem is the footer's decode shape. It keeps the record members,
+// so a footer carrying one of the wrong type is refused as it always
+// was.
 type jsonElem struct {
 	// record
 	S  int    `json:"s"`
@@ -185,13 +235,53 @@ var validErrClasses = map[string]bool{
 	"enosys": true, "eintr": true, "eagain": true,
 }
 
-// Read decodes and validates a log. Framing damage (syntax, checksum-
-// chain breaks, truncation, trailing data) and structural violations
-// (non-contiguous sequence numbers, vtime regressions, unknown crossing
-// classes) are all reported as a *Divergence error identifying the
-// first bad element; a version or magic mismatch is reported as a plain
-// error so callers can distinguish skew from corruption.
+// footer converts a decoded footer line.
+func (el *jsonElem) footer(seq int) (*Footer, error) {
+	f := &Footer{Crossings: el.N, VTime: el.Vt, Metrics: el.M}
+	if f.Metrics == nil {
+		f.Metrics = map[string]int64{}
+	}
+	for _, h := range el.RAM {
+		v, err := chainlog.ParseHex16(h)
+		if err != nil {
+			return nil, &Divergence{Seq: seq, Reason: "bad RAM hash: " + err.Error()}
+		}
+		f.RAM = append(f.RAM, v)
+	}
+	return f, nil
+}
+
+// Read decodes and validates a log. Framing damage (syntax, a record
+// line not in Encode's exact form, checksum-chain breaks, truncation,
+// trailing data) and structural violations (non-contiguous sequence
+// numbers, vtime regressions, unknown crossing classes) are all
+// reported as a *Divergence error identifying the first bad element;
+// one caused by framing damage wraps its *chainlog.Error. A version or
+// magic mismatch is reported as a plain error so callers can
+// distinguish skew from corruption.
 func Read(r io.Reader) (*Log, error) {
+	names := make(map[string]string)
+	return read(r, func(seq int, line []byte) (Record, *Footer, error) {
+		if bytes.HasPrefix(line, []byte(recordStart)) {
+			rec, err := parseRecord(seq, line, names)
+			return rec, nil, err
+		}
+		var el jsonElem
+		if err := chainlog.Unmarshal(seq, line, &el); err != nil {
+			return Record{}, nil, err
+		}
+		if !el.End {
+			return Record{}, nil, &chainlog.Error{Elem: seq, Reason: "unparseable line: a record not in canonical form"}
+		}
+		f, err := el.footer(seq)
+		return Record{}, f, err
+	})
+}
+
+// read validates the elements decode yields: decode turns one verified
+// line into a record, or into the footer (non-nil) when the line ends
+// the log.
+func read(r io.Reader, decode func(seq int, line []byte) (Record, *Footer, error)) (*Log, error) {
 	var hdr struct {
 		Label string `json:"label"`
 		Seed  uint64 `json:"seed"`
@@ -199,35 +289,21 @@ func Read(r io.Reader) (*Log, error) {
 	lg := &Log{Version: Version}
 	opSeq := make(map[string]int)
 	lastVT := int64(0)
-	err := chainlog.Read(r, Magic, Version, &hdr, func(seq int, el *jsonElem) (bool, error) {
-		if el.End {
-			f := Footer{Crossings: el.N, VTime: el.Vt, Metrics: el.M}
-			if f.Metrics == nil {
-				f.Metrics = map[string]int64{}
-			}
-			for _, h := range el.RAM {
-				v, err := chainlog.ParseHex16(h)
-				if err != nil {
-					return false, &Divergence{Seq: seq, Reason: "bad RAM hash: " + err.Error()}
-				}
-				f.RAM = append(f.RAM, v)
-			}
+	err := chainlog.Read(r, Magic, Version, &hdr, func(seq int, line []byte) (bool, error) {
+		rec, f, err := decode(seq, line)
+		if err != nil {
+			return false, err
+		}
+		if f != nil {
 			if f.Crossings != len(lg.Records) {
 				return false, &Divergence{Seq: seq, Reason: fmt.Sprintf("footer says %d crossings, log has %d", f.Crossings, len(lg.Records))}
 			}
 			if f.VTime < lastVT {
 				return false, &Divergence{Seq: seq, Reason: "footer vtime precedes last crossing", VTimeDelta: f.VTime - lastVT}
 			}
-			lg.Footer = f
+			lg.Footer = *f
 			return true, nil
 		}
-		args, aerr := chainlog.ParseHex16(el.A)
-		res, rerr := chainlog.ParseHex16(el.R)
-		if aerr != nil || rerr != nil {
-			return false, &Divergence{Seq: seq, Reason: "bad digest field"}
-		}
-		rec := Record{Seq: el.S, Op: el.Op, Stage: el.St, OpSeq: el.Os,
-			Args: args, Result: res, Err: el.E, VTime: el.Vt}
 		if rec.Seq != seq {
 			return false, &Divergence{Seq: seq, Reason: fmt.Sprintf("sequence gap: record says #%d", rec.Seq)}
 		}
@@ -251,7 +327,7 @@ func Read(r io.Reader) (*Log, error) {
 	})
 	var ce *chainlog.Error
 	if errors.As(err, &ce) {
-		return nil, &Divergence{Seq: ce.Elem, Reason: ce.Reason}
+		return nil, &Divergence{Seq: ce.Elem, Reason: ce.Reason, framing: ce}
 	}
 	if err != nil {
 		return nil, err

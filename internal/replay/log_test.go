@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vmsh/internal/chainlog/chainlogtest"
 )
 
 // sampleLog is a small, fully valid log touching several crossing
@@ -299,9 +301,11 @@ func TestVerifyLogsDetectsEveryField(t *testing.T) {
 	}
 }
 
-// FuzzReplayLog: Read never panics on arbitrary bytes, and anything it
-// accepts re-encodes canonically (encode∘decode is the identity on the
-// wire).
+// FuzzReplayLog: Read never panics on arbitrary bytes, agrees with the
+// encoding/json reference decoder (checkAgainstReference), and anything
+// it accepts re-encodes canonically (encode∘decode is the identity on
+// the wire). Each input is also read with its checksums recomputed, so
+// fuzzed edits reach the line decoders.
 func FuzzReplayLog(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add(mustEncode(sampleLog()))
@@ -315,24 +319,31 @@ func FuzzReplayLog(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		lg, err := Read(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := lg.Encode(&buf); err != nil {
-			t.Fatalf("accepted log fails to re-encode: %v", err)
-		}
-		lg2, err := Read(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("canonical re-encoding rejected: %v", err)
-		}
-		if d := VerifyLogs(lg, lg2); d != nil {
-			t.Fatalf("re-decoded log differs: %v", d)
-		}
-		// A well-formed log must also replay without error.
-		if _, err := Run(lg); err != nil {
-			t.Fatalf("accepted log fails to replay: %v", err)
-		}
+		checkLog(t, data)
+		checkLog(t, chainlogtest.Rechain(data))
 	})
+}
+
+func checkLog(t *testing.T, data []byte) {
+	t.Helper()
+	lg, err := Read(bytes.NewReader(data))
+	checkAgainstReference(t, data, lg, err)
+	if err != nil {
+		return
+	}
+	var buf bytes.Buffer
+	if err := lg.Encode(&buf); err != nil {
+		t.Fatalf("accepted log fails to re-encode: %v", err)
+	}
+	lg2, err := Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("canonical re-encoding rejected: %v", err)
+	}
+	if d := VerifyLogs(lg, lg2); d != nil {
+		t.Fatalf("re-decoded log differs: %v", d)
+	}
+	// A well-formed log must also replay without error.
+	if _, err := Run(lg); err != nil {
+		t.Fatalf("accepted log fails to replay: %v", err)
+	}
 }

@@ -122,7 +122,7 @@ func Run(t *testing.T, b Backend) {
 			if err != nil {
 				t.Fatalf("open %s: %v", b.Name, err)
 			}
-			dir, err := fs.Root().Mkdir(scratchDir, 0o755, 0, 0)
+			dir, err := MustRoot(t, fs).Mkdir(scratchDir, 0o755, 0, 0)
 			if err != nil {
 				t.Fatalf("mkdir scratch: %v", err)
 			}
@@ -138,6 +138,16 @@ func Run(t *testing.T, b Backend) {
 }
 
 // --- helpers ------------------------------------------------------------
+
+// MustRoot returns fs's root, failing the test if it cannot be read.
+func MustRoot(t testing.TB, fs storage.FS) storage.Node {
+	t.Helper()
+	root, err := fs.Root()
+	if err != nil {
+		t.Fatalf("root: %v", err)
+	}
+	return root
+}
 
 func mustCreate(t *testing.T, dir storage.Node, name string) storage.Node {
 	t.Helper()
@@ -828,22 +838,23 @@ func checkModel(t *testing.T, fs storage.FS, dir storage.Node, f Features) {
 	ref := storage.NewMemFS(storage.MemOptions{CaseFold: !f.CaseSensitive})
 	rng := rand.New(rand.NewSource(0xC0FFEE))
 	ops := opCount()
+	refRoot := MustRoot(t, ref)
 
 	for i := 0; i < ops; i++ {
 		op := RandomOp(rng, f)
-		errRef := op.Apply(ref.Root())
+		errRef := op.Apply(refRoot)
 		errGot := op.Apply(dir)
 		if (errRef == nil) != (errGot == nil) {
 			t.Fatalf("op %d %s: reference err=%v, backend err=%v", i, op, errRef, errGot)
 		}
 		if i%50 == 49 {
-			CompareTrees(t, ref.Root(), dir, fmt.Sprintf("after op %d", i))
+			CompareTrees(t, refRoot, dir, fmt.Sprintf("after op %d", i))
 			if t.Failed() {
 				t.FailNow()
 			}
 		}
 	}
-	CompareTrees(t, ref.Root(), dir, "final")
+	CompareTrees(t, refRoot, dir, "final")
 }
 
 // ModelOp is one random mutation, replayable against any FS.
@@ -1042,7 +1053,7 @@ func checkRemount(t *testing.T, b Backend) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	root, err := fs.Root().Mkdir(scratchDir, 0o755, 0, 0)
+	root, err := MustRoot(t, fs).Mkdir(scratchDir, 0o755, 0, 0)
 	if err != nil {
 		t.Fatalf("mkdir scratch: %v", err)
 	}
@@ -1067,7 +1078,7 @@ func checkRemount(t *testing.T, b Backend) {
 			t.Fatalf("remount: %v", err)
 		}
 	}
-	reroot, err := remounted.Root().Lookup(scratchDir)
+	reroot, err := MustRoot(t, remounted).Lookup(scratchDir)
 	if err != nil {
 		t.Fatalf("scratch lost across remount: %v", err)
 	}

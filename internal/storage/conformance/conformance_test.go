@@ -85,7 +85,7 @@ func TestConformance(t *testing.T) {
 			Name:     "cow",
 			Features: memFeatures,
 			Open: func() (storage.FS, error) {
-				return storage.NewCowFS(nil), nil
+				return storage.NewCowFS(nil)
 			},
 		},
 		{
@@ -100,7 +100,7 @@ func TestConformance(t *testing.T) {
 				seedLayer(l1, "mid", "from-l1")
 				l2 := storage.NewMemFS(storage.MemOptions{})
 				seedLayer(l2, "top", "from-l2")
-				return storage.Stack(l0, l1, l2), nil
+				return storage.Stack(l0, l1, l2)
 			},
 		},
 		{
@@ -178,7 +178,10 @@ func TestConformance(t *testing.T) {
 // seedLayer drops a small marker tree into a layer before it is
 // frozen under a stack.
 func seedLayer(fs *storage.MemFS, dir, marker string) {
-	root := fs.Root()
+	root, err := fs.Root()
+	if err != nil {
+		panic(err)
+	}
 	d, err := root.Mkdir(dir, 0o755, 0, 0)
 	if err != nil {
 		panic(err)

@@ -31,50 +31,59 @@ type CowFS struct {
 }
 
 // NewCowFS stacks a fresh writable in-memory layer over lower. A nil
-// lower yields an empty writable overlay.
-func NewCowFS(lower FS) *CowFS {
+// lower yields an empty writable overlay. It fails when lower cannot
+// read its root.
+func NewCowFS(lower FS) (*CowFS, error) {
 	if lower == nil {
 		empty := NewMemFS(MemOptions{})
 		empty.Seal()
 		lower = empty
 	}
-	c := &CowFS{
-		lower: lower,
-		upper: NewMemFS(MemOptions{}),
-		loMap: make(map[uint64]*cowNode),
-		upMap: make(map[uint64]*cowNode),
+	return union(lower, NewMemFS(MemOptions{}))
+}
+
+// union builds the copy-on-write view of upper over lower.
+func union(lower, upper FS) (*CowFS, error) {
+	lo, err := lower.Root()
+	if err != nil {
+		return nil, err
 	}
-	c.nextID = 1
-	c.root = &cowNode{fs: c, id: 1, lo: lower.Root(), up: c.upper.Root(),
-		children: make(map[string]*cowNode)}
-	return c
+	up, err := upper.Root()
+	if err != nil {
+		return nil, err
+	}
+	c := &CowFS{
+		lower:  lower,
+		upper:  upper,
+		loMap:  make(map[uint64]*cowNode),
+		upMap:  make(map[uint64]*cowNode),
+		nextID: 1,
+	}
+	c.root = &cowNode{fs: c, id: 1, lo: lo, up: up, children: make(map[string]*cowNode)}
+	return c, nil
 }
 
 // Stack folds layers (bottom first) into one overlay with a fresh
 // writable top. Intermediate layers are treated as read-only unions;
-// at least one layer is required.
-func Stack(layers ...FS) *CowFS {
+// at least one layer is required. It fails when a layer cannot read
+// its root.
+func Stack(layers ...FS) (*CowFS, error) {
 	if len(layers) == 0 {
 		return NewCowFS(nil)
 	}
 	fs := layers[0]
 	for _, l := range layers[1:] {
-		ro := &CowFS{
-			lower: fs,
-			upper: l,
-			loMap: make(map[uint64]*cowNode),
-			upMap: make(map[uint64]*cowNode),
+		ro, err := union(fs, l)
+		if err != nil {
+			return nil, err
 		}
-		ro.nextID = 1
-		ro.root = &cowNode{fs: ro, id: 1, lo: fs.Root(), up: l.Root(),
-			children: make(map[string]*cowNode)}
 		fs = ro
 	}
 	return NewCowFS(fs)
 }
 
 // Root implements FS.
-func (c *CowFS) Root() Node { return c.root }
+func (c *CowFS) Root() (Node, error) { return c.root, nil }
 
 // Sync implements FS.
 func (c *CowFS) Sync() error { return c.upper.Sync() }

@@ -30,19 +30,19 @@ func TestCowStackProperty(t *testing.T) {
 		t.Run(fmt.Sprintf("depth-%d", depth), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(0xBEEF + depth)))
 			ref := storage.NewMemFS(storage.MemOptions{})
-			var cur storage.FS = storage.NewCowFS(nil)
+			var cur storage.FS = cow(t, nil)
 
 			for layer := 0; layer < depth; layer++ {
 				for i := 0; i < opsPerLayer; i++ {
 					op := conformance.RandomOp(rng, feats)
-					errRef := op.Apply(ref.Root())
-					errCow := op.Apply(cur.Root())
+					errRef := op.Apply(conformance.MustRoot(t, ref))
+					errCow := op.Apply(conformance.MustRoot(t, cur))
 					if (errRef == nil) != (errCow == nil) {
 						t.Fatalf("layer %d op %d %s: reference err=%v, cow err=%v",
 							layer, i, op, errRef, errCow)
 					}
 				}
-				conformance.CompareTrees(t, ref.Root(), cur.Root(),
+				conformance.CompareTrees(t, conformance.MustRoot(t, ref), conformance.MustRoot(t, cur),
 					fmt.Sprintf("depth %d layer %d", depth, layer))
 				if t.Failed() {
 					t.FailNow()
@@ -50,7 +50,7 @@ func TestCowStackProperty(t *testing.T) {
 				if layer < depth-1 {
 					// Freeze the written state as the next lower layer and
 					// keep mutating through a fresh writable top.
-					cur = storage.NewCowFS(cur)
+					cur = cow(t, cur)
 				}
 			}
 		})
@@ -70,8 +70,11 @@ func TestStackUnionView(t *testing.T) {
 	l0.Seal()
 	l1.Seal()
 
-	st := storage.Stack(l0, l1)
-	root := st.Root()
+	st, err := storage.Stack(l0, l1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := conformance.MustRoot(t, st)
 
 	// Upper layer wins for the shared name.
 	if got := slurp(t, root, "shared"); got != "from-l1" {
@@ -100,10 +103,10 @@ func TestStackUnionView(t *testing.T) {
 		t.Fatalf("write shared: %v", err)
 	}
 
-	if got := slurp(t, l1.Root(), "shared"); got != "from-l1" {
+	if got := slurp(t, conformance.MustRoot(t, l1), "shared"); got != "from-l1" {
 		t.Errorf("layer 1 mutated through the stack: %q", got)
 	}
-	if got := slurp(t, l0.Root(), "only-l0"); got != "zero" {
+	if got := slurp(t, conformance.MustRoot(t, l0), "only-l0"); got != "zero" {
 		t.Errorf("layer 0 mutated through the stack: %q", got)
 	}
 	if got := slurp(t, root, "shared"); got != "rewritten" {
@@ -116,7 +119,7 @@ func TestStackUnionView(t *testing.T) {
 
 func mkFile(t *testing.T, fs *storage.MemFS, name, content string) {
 	t.Helper()
-	n, err := fs.Root().Create(name, 0o644, 0, 0)
+	n, err := conformance.MustRoot(t, fs).Create(name, 0o644, 0, 0)
 	if err != nil {
 		t.Fatalf("create %s: %v", name, err)
 	}
@@ -136,4 +139,13 @@ func slurp(t *testing.T, dir storage.Node, name string) string {
 		t.Fatalf("read %s: %v", name, err)
 	}
 	return string(buf)
+}
+
+func cow(t *testing.T, lower storage.FS) *storage.CowFS {
+	t.Helper()
+	c, err := storage.NewCowFS(lower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }

@@ -108,7 +108,7 @@ func newMemFS(opt MemOptions, store pageStore) *MemFS {
 func (m *MemFS) Seal() { m.sealed = true }
 
 // Root implements FS.
-func (m *MemFS) Root() Node { return m.root }
+func (m *MemFS) Root() (Node, error) { return m.root, nil }
 
 // Sync implements FS (memory is always in sync).
 func (m *MemFS) Sync() error { return nil }

@@ -84,8 +84,12 @@ func NewRemoteFS(opt MemOptions, link RemoteLink) *RemoteFS {
 }
 
 // Root implements FS, wrapping nodes so data ops cross the link.
-func (r *RemoteFS) Root() Node {
-	return &remoteNode{Node: r.MemFS.Root(), fs: r}
+func (r *RemoteFS) Root() (Node, error) {
+	root, err := r.MemFS.Root()
+	if err != nil {
+		return nil, err
+	}
+	return &remoteNode{Node: root, fs: r}, nil
 }
 
 // Sync implements FS: a flush barrier across the link.

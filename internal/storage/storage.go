@@ -94,7 +94,7 @@ type Node interface {
 
 // FS is a mountable filesystem (guestos.FileSystem is an alias).
 type FS interface {
-	Root() Node
+	Root() (Node, error)
 	Sync() error
 	Statfs() StatfsInfo
 	QuotaReport() ([]QuotaUsage, error)

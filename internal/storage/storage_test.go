@@ -24,7 +24,7 @@ func fillPage(seed byte) []byte {
 
 func TestCasFSDedup(t *testing.T) {
 	fs := NewCasFS(MemOptions{})
-	root := fs.Root()
+	root := mustRoot(t, fs)
 	page := fillPage(0xAA)
 
 	// Ten files, identical content: one physical page.
@@ -79,7 +79,7 @@ func TestCasFSDedup(t *testing.T) {
 
 func TestCasFSRewriteSameContent(t *testing.T) {
 	fs := NewCasFS(MemOptions{})
-	n, err := fs.Root().Create("f", 0o644, 0, 0)
+	n, err := mustRoot(t, fs).Create("f", 0o644, 0, 0)
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -207,7 +207,7 @@ func TestRemoteChargesLink(t *testing.T) {
 	clock := vclock.New()
 	link := RemoteLink{Clock: clock, Lat: time.Millisecond, BW: 1e6} // 1 MB/s
 	fs := NewRemoteFS(MemOptions{}, link)
-	n, err := fs.Root().Create("obj", 0o644, 0, 0)
+	n, err := mustRoot(t, fs).Create("obj", 0o644, 0, 0)
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -254,7 +254,7 @@ func TestRemoteFaultInjection(t *testing.T) {
 	}), clock, obs.Track{})
 	link := RemoteLink{Clock: clock, Faults: in}
 	fs := NewRemoteFS(MemOptions{}, link)
-	n, err := fs.Root().Create("obj", 0o644, 0, 0)
+	n, err := mustRoot(t, fs).Create("obj", 0o644, 0, 0)
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -281,7 +281,7 @@ func TestRemoteCrossingsObserved(t *testing.T) {
 	plane.SetTap(tap)
 	link := RemoteLink{Faults: plane}
 	fs := NewRemoteFS(MemOptions{}, link)
-	n, err := fs.Root().Create("obj", 0o644, 0, 0)
+	n, err := mustRoot(t, fs).Create("obj", 0o644, 0, 0)
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -310,12 +310,12 @@ func TestRemoteCrossingsObserved(t *testing.T) {
 
 func TestMemFSSealRejectsWrites(t *testing.T) {
 	fs := NewMemFS(MemOptions{})
-	n, err := fs.Root().Create("f", 0o644, 0, 0)
+	n, err := mustRoot(t, fs).Create("f", 0o644, 0, 0)
 	if err != nil {
 		t.Fatalf("create: %v", err)
 	}
 	fs.Seal()
-	if _, err := fs.Root().Create("g", 0o644, 0, 0); !errors.Is(err, fserr.ErrReadOnly) {
+	if _, err := mustRoot(t, fs).Create("g", 0o644, 0, 0); !errors.Is(err, fserr.ErrReadOnly) {
 		t.Errorf("create on sealed fs: %v, want ErrReadOnly", err)
 	}
 	// Reads still work.
@@ -327,7 +327,7 @@ func TestMemFSSealRejectsWrites(t *testing.T) {
 
 func TestMemFSInodeAndBlockLimits(t *testing.T) {
 	fs := NewMemFS(MemOptions{Blocks: 4, Inodes: 3})
-	root := fs.Root()
+	root := mustRoot(t, fs)
 	// Root consumed one inode; two more fit.
 	if _, err := root.Create("a", 0o644, 0, 0); err != nil {
 		t.Fatalf("create a: %v", err)
@@ -360,4 +360,13 @@ func TestFSBackendsRegistry(t *testing.T) {
 	if len(wantB) != 0 {
 		t.Errorf("missing block backends: %v (have %v)", wantB, gotB)
 	}
+}
+
+func mustRoot(t *testing.T, fs FS) Node {
+	t.Helper()
+	root, err := fs.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root
 }
