@@ -214,8 +214,10 @@ func TestNonCanonicalLinesRefused(t *testing.T) {
 		{"replay", "extra whitespace", `{"s":1,`, `"op":`, `"op": `, true},
 		{"replay", "reordered keys", `{"s":1,`, `"op":"ptrace:attach","st":"attach"`, `"st":"attach","op":"ptrace:attach"`, true},
 		{"replay", "escaped plain ASCII", `{"s":1,`, `"op":"ptrace:attach"`, `"op":"ptrace:\u0061ttach"`, true},
+		{"replay", "upper-case digest", `{"s":1,`, `"a":"0000000000000001"`, `"a":"000000000000000A"`, true},
 		{"replay", "footer keeps encoding/json", `{"end":true`, `"n":3`, `"n": 3`, false},
 		{"snapshot", "explicit slot 0", `{"t":"page"`, `{"t":"page",`, `{"t":"page","slot":0,`, true},
+		{"snapshot", "explicit idx 0", `{"t":"simage"`, `{"t":"simage",`, `{"t":"simage","idx":0,`, true},
 		{"snapshot", "extra whitespace", `{"t":"page"`, `{"t":"page"`, `{"t": "page"`, true},
 		{"snapshot", "reordered keys", `{"t":"block"`, `"idx":2,"data":"AgICAgICAgI=","disk":"vda"`, `"disk":"vda","idx":2,"data":"AgICAgICAgI="`, true},
 		{"snapshot", "escaped plain ASCII", `{"t":"block"`, `"disk":"vda"`, `"disk":"v\u0064a"`, true},

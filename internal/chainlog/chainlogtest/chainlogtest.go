@@ -1,5 +1,5 @@
 // Package chainlogtest helps test the formats built on chainlog: it
-// re-links an edited stream's checksum chain, finds a stream's elements
+// re-links an edited stream's checksum chain, lists a stream's elements
 // as chainlog.Read numbers them, and draws strings that need every
 // escape encoding/json writes.
 package chainlogtest
@@ -41,18 +41,16 @@ func Rechain(data []byte) []byte {
 	return bytes.Join(ls, []byte("\n"))
 }
 
-// Elem returns element elem of a stream: 1-based, counting non-blank
-// lines after the header.
-func Elem(data []byte, elem int) []byte {
+// Elems returns a stream's elements, the non-blank lines after the
+// header: chainlog.Read's element n is Elems(data)[n-1].
+func Elems(data []byte) [][]byte {
+	var out [][]byte
 	for _, l := range lines(data)[1:] {
-		if len(bytes.TrimSpace(l)) == 0 {
-			continue
-		}
-		if elem--; elem == 0 {
-			return l
+		if len(bytes.TrimSpace(l)) > 0 {
+			out = append(out, l)
 		}
 	}
-	return nil
+	return out
 }
 
 // RandString draws strings that need every escape json.Marshal writes:

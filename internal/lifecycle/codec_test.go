@@ -81,13 +81,16 @@ func TestPayloadCodecMatchesReference(t *testing.T) {
 }
 
 // checkAgainstReference holds Read to the reference decoder on one
-// input: the same verdict and an equal snapshot, except that Read may
-// refuse a line the reference takes when re-encoding the reference's
-// value of that line gives other bytes. That refusal is
-// ErrSnapshotCorrupt wrapping an unparseable-line *chainlog.Error.
+// input: the same verdict and an equal snapshot, with every page, block
+// and simage line it takes in the reference encoder's exact form,
+// except that Read may refuse a line the reference takes when
+// re-encoding the reference's value of that line gives other bytes.
+// That refusal is ErrSnapshotCorrupt wrapping an unparseable-line
+// *chainlog.Error.
 func checkAgainstReference(t *testing.T, data []byte, s *Snapshot, err error) {
 	t.Helper()
 	ref, refErr := refRead(bytes.NewReader(data))
+	elems := chainlogtest.Elems(data)
 	switch {
 	case err == nil && refErr != nil:
 		t.Fatalf("accepted a snapshot the reference refuses: %v", refErr)
@@ -95,12 +98,25 @@ func checkAgainstReference(t *testing.T, data []byte, s *Snapshot, err error) {
 		if !reflect.DeepEqual(s, ref) {
 			t.Fatalf("decoded snapshot differs from the reference's:\n%+v\n%+v", s, ref)
 		}
+		for i, line := range elems {
+			var l snapLine
+			if err := chainlog.Unmarshal(i+1, line, &l); err != nil {
+				t.Fatalf("reference refuses line %d it accepted: %v", i+1, err)
+			}
+			hot := l.T == "page" || l.T == "block" || l.T == "simage"
+			if hot && !bytes.Equal(refRecord(t, l), chainlog.Prefix(line)) {
+				t.Fatalf("accepted a non-canonical %s line %d: %s", l.T, i+1, line)
+			}
+		}
 	case refErr == nil:
 		var ce *chainlog.Error
 		if !errors.Is(err, ErrSnapshotCorrupt) || !errors.As(err, &ce) || !strings.HasPrefix(ce.Reason, "unparseable line") {
 			t.Fatalf("refused a snapshot the reference accepts, not as an unparseable line: %v", err)
 		}
-		line := chainlogtest.Elem(data, ce.Elem)
+		if ce.Elem < 1 || ce.Elem > len(elems) {
+			t.Fatalf("refused element %d of %d", ce.Elem, len(elems))
+		}
+		line := elems[ce.Elem-1]
 		var l snapLine
 		if err := chainlog.Unmarshal(ce.Elem, line, &l); err != nil {
 			t.Fatalf("reference refuses line %d it accepted: %v", ce.Elem, err)

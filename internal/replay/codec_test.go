@@ -94,13 +94,15 @@ func TestRecordCodecMatchesReference(t *testing.T) {
 }
 
 // checkAgainstReference holds Read to the reference decoder on one
-// input: the same verdict and an equal log, except that Read may refuse
-// a line the reference takes when re-encoding the reference's value of
-// that line gives other bytes. That refusal is an unparseable-line
-// *Divergence wrapping its *chainlog.Error.
+// input: the same verdict and an equal log, with every record line it
+// takes in the reference encoder's exact form, except that Read may
+// refuse a line the reference takes when re-encoding the reference's
+// value of that line gives other bytes. That refusal is an
+// unparseable-line *Divergence wrapping its *chainlog.Error.
 func checkAgainstReference(t *testing.T, data []byte, lg *Log, err error) {
 	t.Helper()
 	ref, refErr := refRead(bytes.NewReader(data))
+	elems := chainlogtest.Elems(data)
 	switch {
 	case err == nil && refErr != nil:
 		t.Fatalf("accepted a log the reference refuses: %v", refErr)
@@ -108,13 +110,21 @@ func checkAgainstReference(t *testing.T, data []byte, lg *Log, err error) {
 		if !reflect.DeepEqual(lg, ref) {
 			t.Fatalf("decoded log differs from the reference's:\n%+v\n%+v", lg, ref)
 		}
+		for i, r := range lg.Records {
+			if !bytes.Equal(refAppendRecord(nil, r), chainlog.Prefix(elems[i])) {
+				t.Fatalf("accepted a non-canonical record line %d: %s", i+1, elems[i])
+			}
+		}
 	case refErr == nil:
 		var div *Divergence
 		var ce *chainlog.Error
 		if !errors.As(err, &div) || !errors.As(err, &ce) || !strings.HasPrefix(ce.Reason, "unparseable line") {
 			t.Fatalf("refused a log the reference accepts, not as an unparseable line: %T %v", err, err)
 		}
-		line := chainlogtest.Elem(data, ce.Elem)
+		if ce.Elem < 1 || ce.Elem > len(elems) {
+			t.Fatalf("refused element %d of %d", ce.Elem, len(elems))
+		}
+		line := elems[ce.Elem-1]
 		rec, f, derr := refDecode(ce.Elem, line)
 		if derr != nil {
 			t.Fatalf("reference refuses line %d it accepted: %v", ce.Elem, derr)
