@@ -147,10 +147,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "image: %v\n", err)
 		os.Exit(1)
 	}
-	attachOpts := []vmsh.Option{vmsh.WithImage(img), vmsh.WithTrap(trapMode)}
-	if *storage != "" && *storage != "file" {
-		attachOpts = append(attachOpts, vmsh.WithStorageBackend(*storage))
-	}
+	attachOpts := []vmsh.Option{vmsh.WithImage(img), vmsh.WithTrap(trapMode),
+		vmsh.WithStorageBackend(*storage)}
 	if *trace != "" || *profile != "" {
 		attachOpts = append(attachOpts, vmsh.WithTrace())
 	}

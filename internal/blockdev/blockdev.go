@@ -32,8 +32,7 @@ func CheckAligned(off int64, n int) error {
 // HostFileDevice serves a device directly from a host file — the
 // "native" baseline with no virtualisation in the path.
 type HostFileDevice struct {
-	F  *hostsim.HostFile
-	qd int
+	F *hostsim.HostFile
 	// FUA is supported by the NVMe-class device itself.
 	fua bool
 }
@@ -41,7 +40,7 @@ type HostFileDevice struct {
 // NewHostFileDevice wraps a host file; direct files model the raw
 // partition access the paper's native runs use.
 func NewHostFileDevice(f *hostsim.HostFile) *HostFileDevice {
-	return &HostFileDevice{F: f, qd: 1, fua: true}
+	return &HostFileDevice{F: f, fua: true}
 }
 
 // ReadAt implements Device.
@@ -74,6 +73,5 @@ func (d *HostFileDevice) SetQueueDepth(qd int) {
 	if qd < 1 {
 		qd = 1
 	}
-	d.qd = qd
 	d.F.DiskRef().QueueDepth = qd
 }

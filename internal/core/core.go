@@ -113,10 +113,10 @@ type Options struct {
 	// backend, restoring the unoptimised bounce-buffer copies — the
 	// ablation for the optimisation §5 says doubled Phoronix scores.
 	BounceCopy bool
-	// Storage selects the block store serving the vmsh-blk image
-	// ("" or "file" = the historic direct-mmap path; otherwise a
-	// registered storage backend: "memory", "cow", "cas", "remote" —
-	// each seeded with the image's content). Unknown names fail the
+	// Storage names the block store serving the vmsh-blk image, as
+	// storage.OpenBlock knows them ("" or "file" = the historic
+	// direct-mmap path; "memory", "cow", "cas", "remote" — each
+	// seeded with the image's content). Unknown names fail the
 	// attach transaction.
 	Storage string
 	// PCITransport registers the devices with MSI-routed irqfds (the

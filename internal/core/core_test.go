@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -340,9 +341,10 @@ func TestShaOverConsole(t *testing.T) {
 
 // TestVMSHBlkPastImageEndIsIOErr drives the vmsh-blk device from the
 // guest driver with sectors the image does not have: a request past the
-// end, or straddling it, must complete with an IO-error status (never a
-// panic, never a short read reported as success), on both the batched
-// and the legacy service paths.
+// end, straddling it, or so far out that its end overflows int64 must
+// complete with an IO-error status (never a panic, never a short read
+// reported as success), on both the batched and the legacy service
+// paths.
 func TestVMSHBlkPastImageEndIsIOErr(t *testing.T) {
 	for _, legacy := range []bool{false, true} {
 		h, inst := launch(t, hypervisor.QEMU, "5.10")
@@ -353,7 +355,7 @@ func TestVMSHBlkPastImageEndIsIOErr(t *testing.T) {
 		}
 		size := bd.Size()
 		buf := make([]byte, 4096)
-		for _, off := range []int64{size, size + 1<<20, size - 2048} {
+		for _, off := range []int64{size, size + 1<<20, size - 2048, math.MaxInt64 / 512 * 512} {
 			if err := bd.ReadAt(off, buf); err == nil {
 				t.Errorf("legacy=%v: read [%d,+%d) of a %d-byte image succeeded", legacy, off, len(buf), size)
 			}

@@ -70,8 +70,12 @@ func (m *mmapBackend) chargeBounce(n int) {
 	m.host.Clock.Advance(time.Duration(blocks)*2*c.Syscall + vclock.Copy(n, c.ProcessVMBW))
 }
 
-// ReadBlk implements virtio.BlkBackend.
+// ReadBlk implements virtio.BlkBackend. An access outside the image
+// is refused before touch charges it.
 func (m *mmapBackend) ReadBlk(off int64, buf []byte) error {
+	if err := storage.CheckRange(m.size, off, len(buf)); err != nil {
+		return err
+	}
 	if m.bounce {
 		m.chargeBounce(len(buf))
 	}
@@ -83,6 +87,9 @@ func (m *mmapBackend) ReadBlk(off int64, buf []byte) error {
 
 // WriteBlk implements virtio.BlkBackend.
 func (m *mmapBackend) WriteBlk(off int64, buf []byte) error {
+	if err := storage.CheckRange(m.size, off, len(buf)); err != nil {
+		return err
+	}
 	if m.bounce {
 		m.chargeBounce(len(buf))
 	}
@@ -262,21 +269,13 @@ func (s *Session) setupDevices(tx *attachTx, scratch uint64, opts Options) error
 
 	// Device instances, running in the VMSH process over the
 	// process_vm view of guest memory. The image byte store is
-	// selectable (Options.Storage); "" / "file" is the direct-mmap
-	// path: the image file's pages, uncharged below the page cache.
-	var store storage.BlockBackend = storage.NewMemBlockOver(image.Pages())
-	if opts.Storage != "" && opts.Storage != "file" {
-		st, err := storage.OpenBlock(opts.Storage, storage.Config{
-			Base:   store,
-			Size:   image.Size(),
-			Clock:  h.Clock,
-			Costs:  h.Costs,
-			Faults: h.Faults,
-		})
-		if err != nil {
-			return fmt.Errorf("storage backend %q: %w", opts.Storage, err)
-		}
-		store = st
+	// selectable (Options.Storage) over the image file's own pages,
+	// which the default serves directly, uncharged below the page
+	// cache.
+	store, err := storage.OpenBlock(opts.Storage, storage.NewMemBlockOver(image.Pages()),
+		storage.NewRemoteLink(h.Clock, h.Costs, h.Faults))
+	if err != nil {
+		return fmt.Errorf("storage backend %q: %w", opts.Storage, err)
 	}
 	backend := &mmapBackend{store: store, size: store.Size(), host: h,
 		resident: make(map[int64]bool), bounce: opts.BounceCopy}

@@ -74,9 +74,7 @@ func RunXfstestsBackends() ([]xfstests.Result, error) {
 		return nil, err
 	}
 
-	link := storage.LinkFromConfig(storage.Config{
-		Clock: h.Clock, Costs: h.Costs, Faults: h.Faults,
-	})
+	link := storage.NewRemoteLink(h.Clock, h.Costs, h.Faults)
 
 	cow, err := storage.NewCowFS(nil)
 	if err != nil {

@@ -98,10 +98,18 @@ func (f *HostFile) DiskRef() *Disk { return f.disk }
 // Size returns the file length.
 func (f *HostFile) Size() int64 { return int64(f.data.Size()) }
 
+// inRange reports whether [off, off+n) lies inside the file. It never
+// computes the end, so an offset near math.MaxInt64 cannot wrap back
+// into range.
+func (f *HostFile) inRange(off int64, n int) bool {
+	size := f.Size()
+	return off >= 0 && int64(n) <= size && off <= size-int64(n)
+}
+
 // ReadAt reads into buf at off, charging either device or page-cache
 // costs depending on mode and residency.
 func (f *HostFile) ReadAt(buf []byte, off int64) error {
-	if off < 0 || off+int64(len(buf)) > int64(f.data.Size()) {
+	if !f.inRange(off, len(buf)) {
 		return fmt.Errorf("%w: read [%d,+%d) beyond %s (%d bytes)", ErrInval, off, len(buf), f.Name, f.data.Size())
 	}
 	f.charge(off, len(buf), false)
@@ -111,7 +119,7 @@ func (f *HostFile) ReadAt(buf []byte, off int64) error {
 
 // WriteAt writes buf at off.
 func (f *HostFile) WriteAt(buf []byte, off int64) error {
-	if off < 0 || off+int64(len(buf)) > int64(f.data.Size()) {
+	if !f.inRange(off, len(buf)) {
 		return fmt.Errorf("%w: write [%d,+%d) beyond %s (%d bytes)", ErrInval, off, len(buf), f.Name, f.data.Size())
 	}
 	f.charge(off, len(buf), true)

@@ -2,8 +2,11 @@ package hypervisor
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"testing"
 
+	"vmsh/internal/fserr"
 	"vmsh/internal/fsimage"
 	"vmsh/internal/guestos"
 	"vmsh/internal/hostsim"
@@ -172,6 +175,53 @@ func TestNinePShare(t *testing.T) {
 	got, err := p.ReadFile("/mnt/9p/shared.txt")
 	if err != nil || string(got) != "via 9p" {
 		t.Fatalf("%q %v", got, err)
+	}
+}
+
+// TestNinePNegativeTruncateIsEINVAL: a guest truncate to a negative
+// size on the share fails with EINVAL.
+func TestNinePNegativeTruncateIsEINVAL(t *testing.T) {
+	h := hostsim.NewHost()
+	inst, err := Launch(h, Config{Kind: QEMU, RootFS: fsimage.GuestRoot("x"), NinePShare: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := inst.NewGuestProc("t")
+	if err := p.WriteFile("/mnt/9p/f", []byte("data"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Truncate("/mnt/9p/f", -1); !errors.Is(err, fserr.ErrInvalid) {
+		t.Fatalf("truncate to -1: %v, want EINVAL", err)
+	}
+}
+
+// TestQemuBlkPastImageEndIsIOErr is the qemu-blk twin of core's
+// vmsh-blk test: a request past the end of the disk, straddling it, or
+// so far out that its end overflows int64 fails with an IO error —
+// never a panic — and the last page still reads.
+func TestQemuBlkPastImageEndIsIOErr(t *testing.T) {
+	h := hostsim.NewHost()
+	inst, err := Launch(h, Config{Kind: QEMU, RootFS: fsimage.GuestRoot("x"),
+		ExtraDisks: []DiskSpec{{GuestName: "vdb", Size: 1 << 20}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bd, ok := inst.GuestDisk("vdb")
+	if !ok {
+		t.Fatal("vdb missing")
+	}
+	size := bd.Size()
+	buf := make([]byte, 4096)
+	for _, off := range []int64{size, size - 2048, math.MaxInt64 / 512 * 512} {
+		if err := bd.ReadAt(off, buf); err == nil {
+			t.Errorf("read [%d,+%d) of a %d-byte disk succeeded", off, len(buf), size)
+		}
+		if err := bd.WriteAt(off, buf); err == nil {
+			t.Errorf("write [%d,+%d) of a %d-byte disk succeeded", off, len(buf), size)
+		}
+	}
+	if err := bd.ReadAt(size-int64(len(buf)), buf); err != nil {
+		t.Errorf("read of the last page failed: %v", err)
 	}
 }
 

@@ -1,13 +1,11 @@
 package hypervisor
 
 import (
-	"sort"
 	"time"
 
 	"vmsh/internal/fserr"
-	"vmsh/internal/guestos"
 	"vmsh/internal/hostsim"
-	"vmsh/internal/simplefs"
+	"vmsh/internal/storage"
 	"vmsh/internal/vclock"
 )
 
@@ -16,9 +14,12 @@ import (
 // a per-operation protocol round trip. Stacking the guest page cache
 // (the VFS layer adds it) on top of the host's is what makes qemu-9p's
 // IOPS collapse in Figure 6b.
+//
+// The share's tree is a storage.MemFS, sized like the guest's
+// in-memory root; NinePFS adds only what the protocol costs.
 type NinePFS struct {
+	*storage.MemFS
 	host *hostsim.Host
-	root *ninePNode
 	// dirtyBytes tracks data sitting in the host page cache awaiting
 	// writeback to the actual disk.
 	dirtyBytes int
@@ -26,9 +27,7 @@ type NinePFS struct {
 
 // NewNinePFS creates an empty share.
 func NewNinePFS(h *hostsim.Host) *NinePFS {
-	fs := &NinePFS{host: h}
-	fs.root = &ninePNode{fs: fs, ino: 1, isDir: true, children: map[string]*ninePNode{}}
-	return fs
+	return &NinePFS{MemFS: storage.NewMemFS(storage.MemOptions{Blocks: 1 << 20, Inodes: 1 << 20}), host: h}
 }
 
 // charge accounts one 9p message round trip.
@@ -46,17 +45,23 @@ func (fs *NinePFS) chargeData(n int) {
 		msgs = 1
 	}
 	c := fs.host.Costs
-	fs.host.Clock.Advance(time0(c.NinePOp, msgs))
+	fs.host.Clock.Advance(c.NinePOp * time.Duration(msgs))
 	fs.host.Clock.Advance(vclock.Copy(n, c.MemcpyBW)) // server-side copy
 	pages := (n + 4095) / 4096
-	fs.host.Clock.Advance(time0(c.PageCacheHit, pages)) // host page cache
+	fs.host.Clock.Advance(c.PageCacheHit * time.Duration(pages)) // host page cache
 }
 
-// Root implements guestos.FileSystem.
-func (fs *NinePFS) Root() (guestos.FSNode, error) { return fs.root, nil }
+// Root implements storage.FS.
+func (fs *NinePFS) Root() (storage.Node, error) {
+	root, err := fs.MemFS.Root()
+	if err != nil {
+		return nil, err
+	}
+	return &ninePNode{Node: root, fs: fs}, nil
+}
 
-// Sync implements guestos.FileSystem; host-side fsync writes the
-// dirty host page cache back to the device.
+// Sync implements storage.FS; host-side fsync writes the dirty host
+// page cache back to the device.
 func (fs *NinePFS) Sync() error {
 	fs.charge()
 	if fs.dirtyBytes > 0 {
@@ -66,14 +71,8 @@ func (fs *NinePFS) Sync() error {
 	return nil
 }
 
-// Statfs implements guestos.FileSystem.
-func (fs *NinePFS) Statfs() simplefs.StatfsInfo {
-	return simplefs.StatfsInfo{BlockSize: 4096, Blocks: 1 << 24, BlocksFree: 1 << 24,
-		Inodes: 1 << 20, InodesFree: 1 << 20}
-}
-
-// QuotaReport implements guestos.FileSystem.
-func (fs *NinePFS) QuotaReport() ([]simplefs.QuotaUsage, error) {
+// QuotaReport implements storage.FS: the share reports no quota.
+func (fs *NinePFS) QuotaReport() ([]storage.QuotaUsage, error) {
 	return nil, fserr.ErrNotSupported
 }
 
@@ -82,186 +81,112 @@ func (fs *NinePFS) QuotaReport() ([]simplefs.QuotaUsage, error) {
 // which is the "two stacked file systems" cost of §6.3-C.
 func (fs *NinePFS) ReadAheadPages() int64 { return 1 }
 
+// ninePNode charges the protocol on a MemFS node: one round trip per
+// namespace operation, truncate and attribute change, the payload for
+// every read and write. Attributes are cached client-side
+// (cache=loose), so Stat costs nothing. Namespace operations re-wrap
+// the nodes they return.
 type ninePNode struct {
-	fs       *NinePFS
-	ino      uint64
-	isDir    bool
-	data     []byte
-	children map[string]*ninePNode
-	nextIno  uint64
+	storage.Node
+	fs *NinePFS
 }
 
-func (n *ninePNode) Stat() simplefs.FileInfo {
-	// Attributes are cached client-side (cache=loose), so stat does
-	// not pay a protocol round trip.
-	mode := uint32(simplefs.ModeFile | 0o644)
-	if n.isDir {
-		mode = simplefs.ModeDir | 0o755
+func (n *ninePNode) wrap(inner storage.Node, err error) (storage.Node, error) {
+	if err != nil {
+		return nil, err
 	}
-	return simplefs.FileInfo{Ino: uint32(n.ino), Mode: mode, Nlink: 1, Size: int64(len(n.data))}
+	return &ninePNode{Node: inner, fs: n.fs}, nil
 }
 
-func (n *ninePNode) IsDir() bool     { return n.isDir }
-func (n *ninePNode) IsSymlink() bool { return false }
-
-func (n *ninePNode) Lookup(name string) (guestos.FSNode, error) {
+func (n *ninePNode) Lookup(name string) (storage.Node, error) {
 	n.fs.charge()
-	if !n.isDir {
-		return nil, fserr.ErrNotDir
-	}
-	c, ok := n.children[name]
-	if !ok {
-		return nil, fserr.ErrNotFound
-	}
-	return c, nil
+	return n.wrap(n.Node.Lookup(name))
 }
 
-func (n *ninePNode) Create(name string, perm, uid, gid uint32) (guestos.FSNode, error) {
+func (n *ninePNode) Create(name string, perm, uid, gid uint32) (storage.Node, error) {
 	n.fs.charge()
-	if !n.isDir {
-		return nil, fserr.ErrNotDir
-	}
-	if _, ok := n.children[name]; ok {
-		return nil, fserr.ErrExists
-	}
-	n.fs.root.nextIno++
-	c := &ninePNode{fs: n.fs, ino: n.fs.root.nextIno + 1}
-	n.children[name] = c
-	return c, nil
+	return n.wrap(n.Node.Create(name, perm, uid, gid))
 }
 
-func (n *ninePNode) Mkdir(name string, perm, uid, gid uint32) (guestos.FSNode, error) {
+func (n *ninePNode) Mkdir(name string, perm, uid, gid uint32) (storage.Node, error) {
 	n.fs.charge()
-	if _, ok := n.children[name]; ok {
-		return nil, fserr.ErrExists
-	}
-	n.fs.root.nextIno++
-	c := &ninePNode{fs: n.fs, ino: n.fs.root.nextIno + 1, isDir: true, children: map[string]*ninePNode{}}
-	n.children[name] = c
-	return c, nil
+	return n.wrap(n.Node.Mkdir(name, perm, uid, gid))
 }
 
-func (n *ninePNode) Symlink(name, target string, uid, gid uint32) (guestos.FSNode, error) {
+// Symlink is refused: the share is exported without symlink support.
+func (n *ninePNode) Symlink(name, target string, uid, gid uint32) (storage.Node, error) {
 	return nil, fserr.ErrNotSupported
 }
-func (n *ninePNode) Readlink() (string, error)                { return "", fserr.ErrInvalid }
-func (n *ninePNode) Link(t guestos.FSNode, name string) error { return fserr.ErrNotSupported }
+
+// Link is refused: the share is exported without hard links.
+func (n *ninePNode) Link(target storage.Node, name string) error { return fserr.ErrNotSupported }
 
 func (n *ninePNode) Unlink(name string) error {
 	n.fs.charge()
-	c, ok := n.children[name]
-	if !ok {
-		return fserr.ErrNotFound
-	}
-	if c.isDir {
-		return fserr.ErrIsDir
-	}
-	delete(n.children, name)
-	return nil
+	return n.Node.Unlink(name)
 }
 
 func (n *ninePNode) Rmdir(name string) error {
 	n.fs.charge()
-	c, ok := n.children[name]
-	if !ok {
-		return fserr.ErrNotFound
-	}
-	if !c.isDir {
-		return fserr.ErrNotDir
-	}
-	if len(c.children) > 0 {
-		return fserr.ErrNotEmpty
-	}
-	delete(n.children, name)
-	return nil
+	return n.Node.Rmdir(name)
 }
 
-func (n *ninePNode) Rename(oldName string, dst guestos.FSNode, newName string) error {
+func (n *ninePNode) Rename(oldName string, dst storage.Node, newName string) error {
 	n.fs.charge()
-	d, ok := dst.(*ninePNode)
-	if !ok {
-		return fserr.ErrXDev
+	if d, ok := dst.(*ninePNode); ok {
+		dst = d.Node
 	}
-	src, ok := n.children[oldName]
-	if !ok {
-		return fserr.ErrNotFound
-	}
-	delete(n.children, oldName)
-	d.children[newName] = src
-	return nil
+	return n.Node.Rename(oldName, dst, newName)
 }
 
-func (n *ninePNode) ReadDir() ([]simplefs.DirEntry, error) {
+func (n *ninePNode) ReadDir() ([]storage.DirEntry, error) {
 	n.fs.charge()
-	if !n.isDir {
-		return nil, fserr.ErrNotDir
-	}
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]simplefs.DirEntry, 0, len(names))
-	for _, name := range names {
-		c := n.children[name]
-		typ := uint32(simplefs.ModeFile)
-		if c.isDir {
-			typ = simplefs.ModeDir
-		}
-		out = append(out, simplefs.DirEntry{Ino: uint32(c.ino), Type: typ, Name: name})
-	}
-	return out, nil
+	return n.Node.ReadDir()
 }
 
+// ReadAt charges the bytes read; a read at or past EOF moves nothing
+// and costs nothing.
 func (n *ninePNode) ReadAt(buf []byte, off int64) (int, error) {
-	if n.isDir {
-		return 0, fserr.ErrIsDir
+	nr, err := n.Node.ReadAt(buf, off)
+	if err == nil && nr > 0 {
+		n.fs.chargeData(nr)
 	}
-	if off >= int64(len(n.data)) {
-		return 0, nil
-	}
-	nn := copy(buf, n.data[off:])
-	n.fs.chargeData(nn)
-	return nn, nil
+	return nr, err
 }
 
+// WriteAt charges the bytes written, which stay dirty in the host page
+// cache until Sync or the writeback throttle.
 func (n *ninePNode) WriteAt(buf []byte, off int64) (int, error) {
-	if n.isDir {
-		return 0, fserr.ErrIsDir
+	nw, err := n.Node.WriteAt(buf, off)
+	if err != nil {
+		return nw, err
 	}
-	end := off + int64(len(buf))
-	if end > int64(len(n.data)) {
-		grown := make([]byte, end)
-		copy(grown, n.data)
-		n.data = grown
-	}
-	copy(n.data[off:], buf)
-	n.fs.chargeData(len(buf))
-	n.fs.dirtyBytes += len(buf)
+	n.fs.chargeData(nw)
+	n.fs.dirtyBytes += nw
 	// The host kernel throttles writers once too much is dirty.
 	if n.fs.dirtyBytes >= 64<<20 {
 		n.fs.host.Disk.ChargeWrite(n.fs.dirtyBytes)
 		n.fs.dirtyBytes = 0
 	}
-	return len(buf), nil
+	return nw, nil
 }
 
 func (n *ninePNode) Truncate(size int64) error {
 	n.fs.charge()
-	if size <= int64(len(n.data)) {
-		n.data = n.data[:size]
-		return nil
-	}
-	grown := make([]byte, size)
-	copy(grown, n.data)
-	n.data = grown
-	return nil
+	return n.Node.Truncate(size)
 }
 
-func (n *ninePNode) Chmod(perm uint32) error     { n.fs.charge(); return nil }
-func (n *ninePNode) Chown(uid, gid uint32) error { n.fs.charge(); return nil }
-func (n *ninePNode) SetTimes(a, m uint64) error  { n.fs.charge(); return nil }
-func (n *ninePNode) ID() uint64                  { return n.ino }
+func (n *ninePNode) Chmod(perm uint32) error {
+	n.fs.charge()
+	return n.Node.Chmod(perm)
+}
 
-// time0 multiplies a duration by a count.
-func time0(d time.Duration, n int) time.Duration { return d * time.Duration(n) }
+func (n *ninePNode) Chown(uid, gid uint32) error {
+	n.fs.charge()
+	return n.Node.Chown(uid, gid)
+}
+
+func (n *ninePNode) SetTimes(atime, mtime uint64) error {
+	n.fs.charge()
+	return n.Node.SetTimes(atime, mtime)
+}

@@ -13,10 +13,34 @@ import (
 // owns charging, matching the mmap page-cache model in core), while
 // the remote store charges its link like the remote FS backend.
 
-func checkRange(size, off int64, n int) error {
-	if off < 0 || off+int64(n) > size {
-		return fmt.Errorf("storage: access [%d,%d) beyond device size %d: %w",
-			off, off+int64(n), size, fserr.ErrInvalid)
+// OpenBlock builds the named block store over base, the image it
+// serves: "" and "file" serve base as given, "memory" and "cas" copy
+// it, "cow" stacks private pages over it and "remote" uploads it
+// behind link. Any other name fails with fserr.ErrNotSupported.
+func OpenBlock(name string, base BlockBackend, link RemoteLink) (BlockBackend, error) {
+	switch name {
+	case "", "file":
+		return base, nil
+	case "memory":
+		return NewMemBlockFrom(base)
+	case "cow":
+		return NewCowBlock(base), nil
+	case "cas":
+		return NewCasBlockFrom(base)
+	case "remote":
+		return NewRemoteBlock(base, link)
+	}
+	return nil, fmt.Errorf("storage: unknown block backend %q: %w", name, fserr.ErrNotSupported)
+}
+
+// CheckRange rejects an access to [off, off+n) that does not lie
+// inside a store of size bytes with an error wrapping
+// fserr.ErrInvalid. It never computes the access's end, so an offset
+// near math.MaxInt64 cannot wrap back into range.
+func CheckRange(size, off int64, n int) error {
+	if off < 0 || int64(n) > size || off > size-int64(n) {
+		return fmt.Errorf("storage: access of %d bytes at %d beyond device size %d: %w",
+			n, off, size, fserr.ErrInvalid)
 	}
 	return nil
 }
@@ -27,7 +51,6 @@ func checkRange(size, off int64, n int) error {
 // persistence works on top of it).
 type MemBlock struct {
 	data *mem.Pages
-	qd   int
 }
 
 // NewMemBlock returns a zeroed RAM store of size bytes.
@@ -36,7 +59,7 @@ func NewMemBlock(size int64) *MemBlock { return NewMemBlockOver(mem.NewPages(uin
 // NewMemBlockOver serves an existing page store as a RAM block store;
 // the store and the caller share the bytes (core serves a host image
 // file's mmap view this way).
-func NewMemBlockOver(p *mem.Pages) *MemBlock { return &MemBlock{data: p, qd: 1} }
+func NewMemBlockOver(p *mem.Pages) *MemBlock { return &MemBlock{data: p} }
 
 // NewMemBlockFrom seeds a RAM store with the full content of base,
 // page by page, so base's zero pages stay absent.
@@ -55,7 +78,7 @@ func NewMemBlockFrom(base BlockBackend) (*MemBlock, error) {
 
 // ReadAt implements BlockBackend.
 func (m *MemBlock) ReadAt(off int64, buf []byte) error {
-	if err := checkRange(m.Size(), off, len(buf)); err != nil {
+	if err := CheckRange(m.Size(), off, len(buf)); err != nil {
 		return err
 	}
 	m.data.ReadAt(buf, uint64(off))
@@ -64,7 +87,7 @@ func (m *MemBlock) ReadAt(off int64, buf []byte) error {
 
 // WriteAt implements BlockBackend.
 func (m *MemBlock) WriteAt(off int64, buf []byte) error {
-	if err := checkRange(m.Size(), off, len(buf)); err != nil {
+	if err := CheckRange(m.Size(), off, len(buf)); err != nil {
 		return err
 	}
 	m.data.WriteAt(buf, uint64(off))
@@ -80,13 +103,8 @@ func (m *MemBlock) Size() int64 { return int64(m.data.Size()) }
 // SupportsFUA implements BlockBackend.
 func (m *MemBlock) SupportsFUA() bool { return true }
 
-// SetQueueDepth implements BlockBackend.
-func (m *MemBlock) SetQueueDepth(qd int) {
-	if qd < 1 {
-		qd = 1
-	}
-	m.qd = qd
-}
+// SetQueueDepth implements BlockBackend; RAM has no queue to size.
+func (m *MemBlock) SetQueueDepth(int) {}
 
 // CowBlock is a copy-on-write block store: reads fall through to an
 // immutable base, writes land in private pages. The base is never
@@ -94,12 +112,11 @@ func (m *MemBlock) SetQueueDepth(qd int) {
 type CowBlock struct {
 	base  BlockBackend
 	dirty map[int64][]byte // page index -> PageSize private copy
-	qd    int
 }
 
 // NewCowBlock stacks a writable page layer over base.
 func NewCowBlock(base BlockBackend) *CowBlock {
-	return &CowBlock{base: base, dirty: make(map[int64][]byte), qd: 1}
+	return &CowBlock{base: base, dirty: make(map[int64][]byte)}
 }
 
 // DirtyPages reports how many pages have diverged from the base.
@@ -129,7 +146,7 @@ func (c *CowBlock) pageFor(page int64, create bool) ([]byte, error) {
 
 // ReadAt implements BlockBackend.
 func (c *CowBlock) ReadAt(off int64, buf []byte) error {
-	if err := checkRange(c.Size(), off, len(buf)); err != nil {
+	if err := CheckRange(c.Size(), off, len(buf)); err != nil {
 		return err
 	}
 	for len(buf) > 0 {
@@ -156,7 +173,7 @@ func (c *CowBlock) ReadAt(off int64, buf []byte) error {
 
 // WriteAt implements BlockBackend.
 func (c *CowBlock) WriteAt(off int64, buf []byte) error {
-	if err := checkRange(c.Size(), off, len(buf)); err != nil {
+	if err := CheckRange(c.Size(), off, len(buf)); err != nil {
 		return err
 	}
 	for len(buf) > 0 {
@@ -187,13 +204,8 @@ func (c *CowBlock) Size() int64 { return c.base.Size() }
 // SupportsFUA implements BlockBackend.
 func (c *CowBlock) SupportsFUA() bool { return true }
 
-// SetQueueDepth implements BlockBackend.
-func (c *CowBlock) SetQueueDepth(qd int) {
-	if qd < 1 {
-		qd = 1
-	}
-	c.qd = qd
-}
+// SetQueueDepth implements BlockBackend; RAM has no queue to size.
+func (c *CowBlock) SetQueueDepth(int) {}
 
 // CasBlock is a content-addressed block store: every page is stored
 // once in an FNV-64a chunk store with refcounts; identical pages
@@ -202,7 +214,6 @@ type CasBlock struct {
 	size  int64
 	pages map[int64]uint64 // page index -> ref (0 = zero page)
 	cas   *casStore
-	qd    int
 }
 
 // NewCasBlock allocates a deduplicating store of size bytes.
@@ -241,7 +252,7 @@ func (c *CasBlock) DedupStats() DedupStats {
 
 // ReadAt implements BlockBackend.
 func (c *CasBlock) ReadAt(off int64, buf []byte) error {
-	if err := checkRange(c.size, off, len(buf)); err != nil {
+	if err := CheckRange(c.size, off, len(buf)); err != nil {
 		return err
 	}
 	for len(buf) > 0 {
@@ -266,7 +277,7 @@ func (c *CasBlock) ReadAt(off int64, buf []byte) error {
 
 // WriteAt implements BlockBackend.
 func (c *CasBlock) WriteAt(off int64, buf []byte) error {
-	if err := checkRange(c.size, off, len(buf)); err != nil {
+	if err := CheckRange(c.size, off, len(buf)); err != nil {
 		return err
 	}
 	var scratch [PageSize]byte
@@ -311,13 +322,8 @@ func (c *CasBlock) Size() int64 { return c.size }
 // SupportsFUA implements BlockBackend.
 func (c *CasBlock) SupportsFUA() bool { return true }
 
-// SetQueueDepth implements BlockBackend.
-func (c *CasBlock) SetQueueDepth(qd int) {
-	if qd < 1 {
-		qd = 1
-	}
-	c.qd = qd
-}
+// SetQueueDepth implements BlockBackend; RAM has no queue to size.
+func (c *CasBlock) SetQueueDepth(int) {}
 
 // RemoteBlock is the simulated remote disk: a local RAM mirror whose
 // every access crosses a RemoteLink — latency and bandwidth charged to
@@ -369,33 +375,5 @@ func (r *RemoteBlock) Size() int64 { return r.mirror.Size() }
 // writes only once durable.
 func (r *RemoteBlock) SupportsFUA() bool { return true }
 
-// SetQueueDepth implements BlockBackend.
-func (r *RemoteBlock) SetQueueDepth(qd int) { r.mirror.SetQueueDepth(qd) }
-
-func init() {
-	RegisterBlock("memory", func(cfg Config) (BlockBackend, error) {
-		if cfg.Base != nil {
-			return NewMemBlockFrom(cfg.Base)
-		}
-		return NewMemBlock(cfg.Size), nil
-	})
-	RegisterBlock("cow", func(cfg Config) (BlockBackend, error) {
-		if cfg.Base == nil {
-			return NewCowBlock(NewMemBlock(cfg.Size)), nil
-		}
-		return NewCowBlock(cfg.Base), nil
-	})
-	RegisterBlock("cas", func(cfg Config) (BlockBackend, error) {
-		if cfg.Base != nil {
-			return NewCasBlockFrom(cfg.Base)
-		}
-		return NewCasBlock(cfg.Size), nil
-	})
-	RegisterBlock("remote", func(cfg Config) (BlockBackend, error) {
-		base := cfg.Base
-		if base == nil {
-			base = NewMemBlock(cfg.Size)
-		}
-		return NewRemoteBlock(base, LinkFromConfig(cfg))
-	})
-}
+// SetQueueDepth implements BlockBackend; the link has no queue to size.
+func (r *RemoteBlock) SetQueueDepth(int) {}

@@ -5,6 +5,8 @@ import (
 
 	"vmsh/internal/fsimage"
 	"vmsh/internal/guestos"
+	"vmsh/internal/hostsim"
+	"vmsh/internal/hypervisor"
 	"vmsh/internal/simplefs"
 	"vmsh/internal/storage"
 	"vmsh/internal/storage/conformance"
@@ -154,6 +156,21 @@ func TestConformance(t *testing.T) {
 					return nil, err
 				}
 				return guestos.SFS{FS: mounted}, nil
+			},
+		},
+		{
+			// QEMU's 9p host share: a MemFS behind the protocol's cost
+			// layer, exported without symlinks, hard links or quota.
+			Name: "9p",
+			Features: conformance.Features{
+				CaseSensitive: true,
+				SparseFiles:   true,
+				Accounting:    true,
+				Persist:       true,
+				MaxNameLen:    255,
+			},
+			Open: func() (storage.FS, error) {
+				return hypervisor.NewNinePFS(hostsim.NewHost()), nil
 			},
 		},
 		{

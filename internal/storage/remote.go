@@ -23,22 +23,11 @@ type RemoteLink struct {
 	Faults *faults.Injector
 }
 
-// LinkFromConfig assembles the link from a backend Config, falling
-// back to the cost model's RemoteOpLat/RemoteLinkBW.
-func LinkFromConfig(cfg Config) RemoteLink {
-	l := RemoteLink{
-		Clock: cfg.Clock, Lat: cfg.RemoteLat, BW: cfg.RemoteBW,
-		Faults: cfg.Faults,
-	}
-	if cfg.Costs != nil {
-		if l.Lat == 0 {
-			l.Lat = cfg.Costs.RemoteOpLat
-		}
-		if l.BW == 0 {
-			l.BW = cfg.Costs.RemoteLinkBW
-		}
-	}
-	return l
+// NewRemoteLink wires a link into a host's planes: it charges clock
+// the cost model's RemoteOpLat and RemoteLinkBW and passes every
+// operation through the crossing plane.
+func NewRemoteLink(clock *vclock.Clock, costs *vclock.Costs, plane *faults.Injector) RemoteLink {
+	return RemoteLink{Clock: clock, Lat: costs.RemoteOpLat, BW: costs.RemoteLinkBW, Faults: plane}
 }
 
 // xfer performs one remote operation: charge latency + bandwidth for

@@ -7,8 +7,9 @@
 // layer stacking (cow.go), content-addressed/dedup (cas.go) and a
 // simulated remote object store whose latency and bandwidth are
 // charged through the virtual clock like netsim links (remote.go) —
-// plus the matching block-store implementations (block.go) selectable
-// at attach time via core.Options.Storage / vmsh.WithStorageBackend.
+// plus the matching block-store implementations (block.go), which
+// OpenBlock selects by name at attach time (core.Options.Storage /
+// vmsh.WithStorageBackend).
 //
 // Every backend is driven through one conformance suite
 // (storage/conformance) and the E1 xfstests families; see DESIGN §14.

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -175,29 +176,61 @@ func TestCasBlockDedupAndHoles(t *testing.T) {
 	}
 }
 
-func TestBlockRegistrySeedsFromBase(t *testing.T) {
+func TestOpenBlockSeedsFromBase(t *testing.T) {
 	base := NewMemBlock(4 * PageSize)
 	if err := base.WriteAt(PageSize, fillPage(9)); err != nil {
 		t.Fatalf("seed: %v", err)
 	}
-	for _, name := range []string{"memory", "cow", "cas", "remote"} {
-		blk, err := OpenBlock(name, Config{Base: base, Size: base.Size()})
+	for _, name := range []string{"", "file", "memory", "cow", "cas", "remote"} {
+		blk, err := OpenBlock(name, base, RemoteLink{})
 		if err != nil {
-			t.Fatalf("open %s: %v", name, err)
+			t.Fatalf("open %q: %v", name, err)
 		}
 		if blk.Size() != base.Size() {
-			t.Errorf("%s: size %d, want %d", name, blk.Size(), base.Size())
+			t.Errorf("%q: size %d, want %d", name, blk.Size(), base.Size())
 		}
 		buf := make([]byte, PageSize)
 		if err := blk.ReadAt(PageSize, buf); err != nil {
-			t.Fatalf("%s read: %v", name, err)
+			t.Fatalf("%q read: %v", name, err)
 		}
 		if !bytes.Equal(buf, fillPage(9)) {
-			t.Errorf("%s did not seed from base image", name)
+			t.Errorf("%q did not seed from base image", name)
 		}
 	}
-	if _, err := OpenBlock("nvme-of", Config{}); !errors.Is(err, fserr.ErrNotSupported) {
+	for _, name := range []string{"", "file"} {
+		if blk, _ := OpenBlock(name, base, RemoteLink{}); blk != BlockBackend(base) {
+			t.Errorf("%q: got %T, want base served as given", name, blk)
+		}
+	}
+	if _, err := OpenBlock("nvme-of", base, RemoteLink{}); !errors.Is(err, fserr.ErrNotSupported) {
 		t.Errorf("unknown block backend: %v, want ErrNotSupported", err)
+	}
+}
+
+// TestBlockStoresRejectOverflowingRange: an access whose end lies past
+// math.MaxInt64 is out of range on every store — an error, never a
+// panic and never a write that lands somewhere.
+func TestBlockStoresRejectOverflowingRange(t *testing.T) {
+	base := NewMemBlock(4 * PageSize)
+	for _, name := range []string{"memory", "cow", "cas", "remote"} {
+		blk, err := OpenBlock(name, base, RemoteLink{})
+		if err != nil {
+			t.Fatalf("open %s: %v", name, err)
+		}
+		for _, off := range []int64{math.MaxInt64 / 512 * 512, math.MaxInt64 - 1} {
+			if err := blk.WriteAt(off, fillPage(7)); !errors.Is(err, fserr.ErrInvalid) {
+				t.Errorf("%s: write at %d: %v, want ErrInvalid", name, off, err)
+			}
+			if err := blk.ReadAt(off, make([]byte, PageSize)); !errors.Is(err, fserr.ErrInvalid) {
+				t.Errorf("%s: read at %d: %v, want ErrInvalid", name, off, err)
+			}
+		}
+		for off := int64(0); off < blk.Size(); off += PageSize {
+			buf := make([]byte, PageSize)
+			if err := blk.ReadAt(off, buf); err != nil || !bytes.Equal(buf, make([]byte, PageSize)) {
+				t.Errorf("%s: page at %d changed (%v)", name, off, err)
+			}
+		}
 	}
 }
 
@@ -348,17 +381,6 @@ func TestMemFSInodeAndBlockLimits(t *testing.T) {
 	}
 	if _, err := n.WriteAt(make([]byte, 4*PageSize), 0); err != nil {
 		t.Errorf("write at exactly the cap: %v", err)
-	}
-}
-
-func TestFSBackendsRegistry(t *testing.T) {
-	gotB := BlockBackends()
-	wantB := map[string]bool{"memory": true, "cas": true, "cow": true, "remote": true}
-	for _, name := range gotB {
-		delete(wantB, name)
-	}
-	if len(wantB) != 0 {
-		t.Errorf("missing block backends: %v (have %v)", wantB, gotB)
 	}
 }
 

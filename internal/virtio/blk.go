@@ -3,6 +3,7 @@ package virtio
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
 	"vmsh/internal/faults"
@@ -137,7 +138,10 @@ func (b *BlkDevice) serve(dq *DeviceQueue, chain *Chain) uint32 {
 
 	switch typ {
 	case BlkTIn:
-		off := int64(sector) * 512
+		off, ok := sectorOffset(sector)
+		if !ok {
+			return 1
+		}
 		for _, d := range data {
 			buf := b.segment(d.Len)
 			if err := b.Backend.ReadBlk(off, buf); err != nil {
@@ -151,7 +155,10 @@ func (b *BlkDevice) serve(dq *DeviceQueue, chain *Chain) uint32 {
 		}
 		status = BlkStatusOK
 	case BlkTOut:
-		off := int64(sector) * 512
+		off, ok := sectorOffset(sector)
+		if !ok {
+			return 1
+		}
 		for _, d := range data {
 			buf := b.segment(d.Len)
 			if err := dq.M.ReadPhys(d.Addr, buf); err != nil {
@@ -173,6 +180,16 @@ func (b *BlkDevice) serve(dq *DeviceQueue, chain *Chain) uint32 {
 		return 1
 	}
 	return written + 1
+}
+
+// sectorOffset converts a request header's sector to a byte offset.
+// A sector above math.MaxInt64/512 has no int64 offset — multiplying
+// would wrap, and sector 2^55 would name byte 0 — so it is refused.
+func sectorOffset(sector uint64) (int64, bool) {
+	if sector > math.MaxInt64/512 {
+		return 0, false
+	}
+	return int64(sector) * 512, true
 }
 
 // serveBatch executes a burst of request chains with two guest-memory
@@ -252,7 +269,10 @@ func (b *BlkDevice) executeBatched(chain *Chain, hdr []byte, outs [][]byte, scat
 
 	switch typ {
 	case BlkTIn:
-		off := int64(sector) * 512
+		off, ok := sectorOffset(sector)
+		if !ok {
+			return BlkStatusIOErr, 0, scatter
+		}
 		written := uint32(0)
 		for _, d := range data {
 			buf := b.segment(d.Len)
@@ -265,7 +285,10 @@ func (b *BlkDevice) executeBatched(chain *Chain, hdr []byte, outs [][]byte, scat
 		}
 		return BlkStatusOK, written, scatter
 	case BlkTOut:
-		off := int64(sector) * 512
+		off, ok := sectorOffset(sector)
+		if !ok {
+			return BlkStatusIOErr, 0, scatter
+		}
 		oi := 0
 		for _, d := range data {
 			if d.Flags&DescFlagWrite != 0 {

@@ -2,6 +2,7 @@ package virtio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -152,6 +153,74 @@ func TestBlkUnalignedRejected(t *testing.T) {
 	}
 	if err := d.ReadAt(0, make([]byte, 100)); err == nil {
 		t.Fatal("unaligned length accepted")
+	}
+}
+
+// rawBlkRequest publishes one request with a hand-built header, so a
+// test can send a sector the driver's int64 offsets cannot express. It
+// returns the status byte and the payload buffer as the device left it
+// (pre-filled with 0xee so untouched bytes show).
+func rawBlkRequest(t *testing.T, d *BlkDriver, typ uint32, sector uint64, n int) (byte, []byte) {
+	t.Helper()
+	hdrGPA, dataGPA := d.bounce, d.bounce+mem.PageSize
+	statusGPA := d.bounce + mem.GPA(d.bounceSz-mem.PageSize)
+	hdr := make([]byte, blkHdrSize)
+	binary.LittleEndian.PutUint32(hdr[0:], typ)
+	binary.LittleEndian.PutUint64(hdr[8:], sector)
+	payload := bytes.Repeat([]byte{0xee}, n)
+	for _, w := range []struct {
+		gpa mem.GPA
+		b   []byte
+	}{{hdrGPA, hdr}, {dataGPA, payload}, {statusGPA, []byte{0xff}}} {
+		if err := d.env.Mem.WritePhys(w.gpa, w.b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.q.Publish(0, []ChainElem{
+		{Addr: hdrGPA, Len: blkHdrSize},
+		{Addr: dataGPA, Len: uint32(n), Write: typ == BlkTIn},
+		{Addr: statusGPA, Len: 1, Write: true},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	d.env.Bus.MMIOWrite(d.base+RegQueueNotify, 4, 0)
+	if !d.completed[0] {
+		t.Fatal("request did not complete")
+	}
+	delete(d.completed, 0)
+	var status [1]byte
+	if err := d.env.Mem.ReadPhys(statusGPA, status[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.env.Mem.ReadPhys(dataGPA, payload); err != nil {
+		t.Fatal(err)
+	}
+	return status[0], payload
+}
+
+// TestBlkWrappingSectorIsIOErr: sector 2^55 has no int64 byte offset —
+// 2^55 * 512 wraps to 0 — so a request for it must fail with an
+// IO-error status on both service paths, never read or write sector 0.
+func TestBlkWrappingSectorIsIOErr(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		d, dev, backend, _ := setupBlk(t)
+		dev.Batch = batch
+		sector0 := bytes.Repeat([]byte("s0"), 256)
+		copy(backend.data, sector0)
+
+		status, got := rawBlkRequest(t, d, BlkTIn, 1<<55, 512)
+		if status != BlkStatusIOErr {
+			t.Errorf("batch=%v: read of sector 2^55: status %d, want IOERR", batch, status)
+		}
+		if bytes.Equal(got, sector0) {
+			t.Errorf("batch=%v: read of sector 2^55 returned sector 0's bytes", batch)
+		}
+		if status, _ := rawBlkRequest(t, d, BlkTOut, 1<<55, 512); status != BlkStatusIOErr {
+			t.Errorf("batch=%v: write of sector 2^55: status %d, want IOERR", batch, status)
+		}
+		if !bytes.Equal(backend.data[:512], sector0) {
+			t.Errorf("batch=%v: write of sector 2^55 overwrote sector 0", batch)
+		}
 	}
 }
 

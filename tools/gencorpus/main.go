@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 
 	"vmsh"
-	"vmsh/internal/fsimage"
 	"vmsh/internal/ksym"
 	"vmsh/internal/mem"
 	"vmsh/internal/virtio"
@@ -175,21 +174,6 @@ func main() {
 		marshal(ksymImage(ksym.LayoutPosRelNS)),
 		marshal([]byte("kernel_read\x00filp_open\x00")),
 		marshal(make([]byte, 64)),
-	})
-
-	// fsimage: genuinely packed archives plus truncations and junk.
-	tool := fsimage.Pack(fsimage.ToolImage())
-	writeCorpus("internal/fsimage/testdata/fuzz/FuzzFsImageParse", [][]byte{
-		marshal(fsimage.Pack(fsimage.Manifest{})),
-		marshal(tool),
-		marshal(fsimage.Pack(fsimage.GuestRoot("corpus"))),
-		marshal(fsimage.Pack(fsimage.Manifest{
-			"/s": {Symlink: "target"},
-			"/d": {Mode: 0o600, UID: 7, GID: 8, Data: []byte("data")},
-		})),
-		marshal(tool[:len(tool)/2]),
-		marshal([]byte("VMSHIMG1\xff\xff\xff\xff")),
-		marshal([]byte{}),
 	})
 
 	// lifecycle: a real snapshot, its truncation, a v1 header and junk.
