@@ -636,11 +636,15 @@ func (f *File) Fsync() error {
 	return f.fs.Sync()
 }
 
-// Truncate resizes the file, dropping cached pages beyond the end and
-// zeroing the cached tail of a straddling page (otherwise a later
-// size extension would expose stale bytes the filesystem already
-// zeroed on disk).
+// Truncate resizes the file. Once the filesystem has accepted the new
+// size, it drops cached pages beyond the end and zeroes the cached
+// tail of a straddling page (otherwise a later size extension would
+// expose stale bytes the filesystem already zeroed on disk). A refused
+// truncate leaves the cache, dirty pages included, as it was.
 func (f *File) Truncate(size int64) error {
+	if err := f.node.Truncate(size); err != nil {
+		return err
+	}
 	if f.cache != nil {
 		for p := range f.cache.pages {
 			if p*cachePage >= size {
@@ -656,7 +660,7 @@ func (f *File) Truncate(size int64) error {
 			}
 		}
 	}
-	return f.node.Truncate(size)
+	return nil
 }
 
 // Close flushes buffered state lazily (Linux keeps dirty pages; the

@@ -179,7 +179,8 @@ func TestNinePShare(t *testing.T) {
 }
 
 // TestNinePNegativeTruncateIsEINVAL: a guest truncate to a negative
-// size on the share fails with EINVAL.
+// size fails with EINVAL and leaves the file as it was, dirty
+// page-cache pages included, on the share and on the guest root.
 func TestNinePNegativeTruncateIsEINVAL(t *testing.T) {
 	h := hostsim.NewHost()
 	inst, err := Launch(h, Config{Kind: QEMU, RootFS: fsimage.GuestRoot("x"), NinePShare: true})
@@ -187,11 +188,16 @@ func TestNinePNegativeTruncateIsEINVAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := inst.NewGuestProc("t")
-	if err := p.WriteFile("/mnt/9p/f", []byte("data"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Truncate("/mnt/9p/f", -1); !errors.Is(err, fserr.ErrInvalid) {
-		t.Fatalf("truncate to -1: %v, want EINVAL", err)
+	for _, path := range []string{"/mnt/9p/f", "/tmp/f"} {
+		if err := p.WriteFile(path, []byte("data"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Truncate(path, -1); !errors.Is(err, fserr.ErrInvalid) {
+			t.Fatalf("%s: truncate to -1: %v, want EINVAL", path, err)
+		}
+		if got, err := p.ReadFile(path); err != nil || string(got) != "data" {
+			t.Errorf("%s after the refused truncate: %q, %v; want \"data\"", path, got, err)
+		}
 	}
 }
 

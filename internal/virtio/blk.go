@@ -2,7 +2,6 @@ package virtio
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"time"
 
@@ -48,19 +47,21 @@ type BlkDevice struct {
 	Clock *vclock.Clock
 	Costs *vclock.Costs
 
-	// Batch enables the fast path: whole-burst virtqueue service with
-	// vectored guest-memory crossings and one coalesced interrupt per
-	// pass. Off (the zero value) reproduces the per-chain legacy
-	// timing exactly.
+	// Batch selects how service passes group their guest-memory
+	// crossings (see service.go): set, a pass serves every pending
+	// chain with vectored crossings and the drain raises one
+	// interrupt; off (the zero value), each chain is a pass of its own
+	// with per-segment crossings and its own interrupt.
 	Batch bool
 
 	// Requests counts processed requests (harness metric).
 	Requests int64
 
-	// payload backs the data segments of the request chains one
-	// service pass moves; the next pass reuses it. No segment outlives
-	// its pass: guest-memory writes and every block backend copy the
-	// bytes, and a backend read that succeeds fills its whole segment.
+	// payload backs the headers, data segments and status bytes of
+	// the request chains one service pass moves; the next pass reuses
+	// it. No segment outlives its pass: guest-memory writes and every
+	// block backend copy the bytes, and a guest-memory or backend read
+	// that succeeds fills its whole segment.
 	payload []byte
 }
 
@@ -96,90 +97,9 @@ func (b *BlkDevice) MMIO(gpa mem.GPA, size int, write bool, value uint64) uint64
 }
 
 // processQueue drains the request queue through the shared service
-// loop; legacy mode replays the historical per-chain crossing pattern,
-// batch mode uses the two-phase gather/scatter path below.
+// loop.
 func (b *BlkDevice) processQueue(q int) {
-	serviceQueue(b.Dev, q, b.Batch, b.serveChain, b.serveBatch, b.SignalIRQ)
-}
-
-// serveChain adapts the legacy per-chain serve to the service loop.
-func (b *BlkDevice) serveChain(dq *DeviceQueue, chain *Chain) (uint32, func(), bool) {
-	return b.serve(dq, chain), nil, true
-}
-
-// serve executes one request chain and returns the written length.
-func (b *BlkDevice) serve(dq *DeviceQueue, chain *Chain) uint32 {
-	b.Requests++
-	if b.Clock != nil {
-		b.Clock.Advance(time.Duration(len(chain.Elems)) * b.Costs.VirtqueueDesc)
-	}
-	status := byte(BlkStatusIOErr)
-	written := uint32(0)
-	defer func() {
-		// Status byte lives in the final descriptor.
-		last := chain.Elems[len(chain.Elems)-1]
-		_ = dq.M.WritePhys(last.Addr, []byte{status})
-	}()
-
-	if len(chain.Elems) < 2 {
-		return 1
-	}
-	if err := b.Dev.Faults.Check(faults.OpVQBlk); err != nil {
-		return 1 // status stays BlkStatusIOErr; the pass continues
-	}
-	b.payload = b.payload[:0]
-	hdr := make([]byte, blkHdrSize)
-	if err := dq.M.ReadPhys(chain.Elems[0].Addr, hdr); err != nil {
-		return 1
-	}
-	typ := binary.LittleEndian.Uint32(hdr[0:])
-	sector := binary.LittleEndian.Uint64(hdr[8:])
-	data := chain.Elems[1 : len(chain.Elems)-1]
-
-	switch typ {
-	case BlkTIn:
-		off, ok := sectorOffset(sector)
-		if !ok {
-			return 1
-		}
-		for _, d := range data {
-			buf := b.segment(d.Len)
-			if err := b.Backend.ReadBlk(off, buf); err != nil {
-				return 1
-			}
-			if err := dq.M.WritePhys(d.Addr, buf); err != nil {
-				return 1
-			}
-			off += int64(d.Len)
-			written += d.Len
-		}
-		status = BlkStatusOK
-	case BlkTOut:
-		off, ok := sectorOffset(sector)
-		if !ok {
-			return 1
-		}
-		for _, d := range data {
-			buf := b.segment(d.Len)
-			if err := dq.M.ReadPhys(d.Addr, buf); err != nil {
-				return 1
-			}
-			if err := b.Backend.WriteBlk(off, buf); err != nil {
-				return 1
-			}
-			off += int64(d.Len)
-		}
-		status = BlkStatusOK
-	case BlkTFlush:
-		if err := b.Backend.FlushBlk(); err != nil {
-			return 1
-		}
-		status = BlkStatusOK
-	default:
-		status = BlkStatusUnsup
-		return 1
-	}
-	return written + 1
+	serviceQueue(b.Dev, q, b.Batch, b.serve, b.SignalIRQ)
 }
 
 // sectorOffset converts a request header's sector to a byte offset.
@@ -192,80 +112,74 @@ func sectorOffset(sector uint64) (int64, bool) {
 	return int64(sector) * 512, true
 }
 
-// serveBatch executes a burst of request chains with two guest-memory
-// crossings: one vectored read gathering every device-readable segment
-// of every chain (request headers and write payloads — the descriptor
-// Write flag identifies them before the header is decoded), then one
-// vectored write scattering read payloads and status bytes back.
-// Per-request accounting (descriptor work, backend charges, Requests)
-// is identical to the legacy path; only the crossing count shrinks.
-func (b *BlkDevice) serveBatch(dq *DeviceQueue, chains []*Chain) ([]uint32, func(), bool) {
-	type breq struct {
-		hdr  []byte
-		outs [][]byte // device-readable payload segments (write data)
-		bad  bool
-	}
-	reqs := make([]breq, len(chains))
+// serve executes a pass of request chains in two phases: it gathers
+// every device-readable segment (request headers and write payloads —
+// the descriptor Write flag identifies them before the header is
+// decoded), executes each request against the backend, then scatters
+// read payloads and status bytes back.
+func (b *BlkDevice) serve(x crossings, chains []Chain) (func(), error) {
 	b.payload = b.payload[:0]
-	var gather []mem.Vec
+	segs := 0
+	for _, chain := range chains {
+		segs += len(chain.Elems)
+	}
+	// reqs[i] is chain i's header followed by its write payload, a
+	// window of gather; nil for a chain too short to carry both a
+	// header and a status byte. gather never outgrows segs, so the
+	// windows stay on its one backing array.
+	reqs := make([][]mem.Vec, len(chains))
+	gather := make([]mem.Vec, 0, segs)
 	for i, chain := range chains {
 		b.Requests++
 		if b.Clock != nil {
 			b.Clock.Advance(time.Duration(len(chain.Elems)) * b.Costs.VirtqueueDesc)
 		}
 		if len(chain.Elems) < 2 {
-			reqs[i].bad = true
 			continue
 		}
-		reqs[i].hdr = make([]byte, blkHdrSize)
-		gather = append(gather, mem.Vec{GPA: chain.Elems[0].Addr, Buf: reqs[i].hdr})
+		start := len(gather)
+		gather = append(gather, mem.Vec{GPA: chain.Elems[0].Addr, Buf: b.segment(blkHdrSize)})
 		for _, d := range chain.Elems[1 : len(chain.Elems)-1] {
-			if d.Flags&DescFlagWrite != 0 {
-				continue // device fills these below; nothing to gather
+			if d.Flags&DescFlagWrite == 0 { // the device fills the others
+				gather = append(gather, mem.Vec{GPA: d.Addr, Buf: b.segment(d.Len)})
 			}
-			buf := b.segment(d.Len)
-			reqs[i].outs = append(reqs[i].outs, buf)
-			gather = append(gather, mem.Vec{GPA: d.Addr, Buf: buf})
 		}
+		reqs[i] = gather[start:]
 	}
-	if len(gather) > 0 {
-		if err := mem.ReadVec(dq.M, gather); err != nil {
-			return nil, nil, false
-		}
+	if err := x.read(gather); err != nil {
+		return nil, err
 	}
 
-	used := make([]uint32, len(chains))
-	var scatter []mem.Vec
+	scatter := make([]mem.Vec, 0, segs)
 	for i, chain := range chains {
 		status := byte(BlkStatusIOErr)
 		written := uint32(0)
-		if !reqs[i].bad {
-			status, written, scatter = b.executeBatched(chain, reqs[i].hdr, reqs[i].outs, scatter)
+		if reqs[i] != nil {
+			status, written, scatter = b.execute(chain, reqs[i], scatter)
 		}
-		// Status byte lives in the final descriptor, as in serve.
-		last := chain.Elems[len(chain.Elems)-1]
-		scatter = append(scatter, mem.Vec{GPA: last.Addr, Buf: []byte{status}})
-		used[i] = written + 1
+		// The status byte lives in the final descriptor.
+		sb := b.segment(1)
+		sb[0] = status
+		scatter = append(scatter, mem.Vec{GPA: chain.Elems[len(chain.Elems)-1].Addr, Buf: sb})
+		chains[i].Used = written + 1
 	}
-	if err := mem.WriteVec(dq.M, scatter); err != nil {
-		return nil, nil, false
-	}
-	return used, nil, true
+	return nil, x.write(scatter)
 }
 
-// executeBatched performs the backend work for one pre-gathered chain,
-// appending device-written payload segments to scatter. The return
-// values mirror serve: status byte and the payload byte count (reads
-// only — the used length becomes written+1 like the legacy path).
-func (b *BlkDevice) executeBatched(chain *Chain, hdr []byte, outs [][]byte, scatter []mem.Vec) (byte, uint32, []mem.Vec) {
+// execute performs the backend work for one gathered chain, req being
+// its header and write payload, and appends device-written payload
+// segments to scatter. It returns the status byte and the payload byte
+// count (reads only; the used length is written+1, counting the status
+// byte).
+func (b *BlkDevice) execute(chain Chain, req []mem.Vec, scatter []mem.Vec) (byte, uint32, []mem.Vec) {
 	if err := b.Dev.Faults.Check(faults.OpVQBlk); err != nil {
 		// Degrade, don't wedge: this request fails with an IO-error
-		// status byte, the rest of the burst is served normally.
+		// status byte, the rest of the pass is served normally.
 		return BlkStatusIOErr, 0, scatter
 	}
+	hdr := req[0].Buf
 	typ := binary.LittleEndian.Uint32(hdr[0:])
 	sector := binary.LittleEndian.Uint64(hdr[8:])
-	data := chain.Elems[1 : len(chain.Elems)-1]
 
 	switch typ {
 	case BlkTIn:
@@ -274,7 +188,7 @@ func (b *BlkDevice) executeBatched(chain *Chain, hdr []byte, outs [][]byte, scat
 			return BlkStatusIOErr, 0, scatter
 		}
 		written := uint32(0)
-		for _, d := range data {
+		for _, d := range chain.Elems[1 : len(chain.Elems)-1] {
 			buf := b.segment(d.Len)
 			if err := b.Backend.ReadBlk(off, buf); err != nil {
 				return BlkStatusIOErr, 0, scatter
@@ -289,19 +203,11 @@ func (b *BlkDevice) executeBatched(chain *Chain, hdr []byte, outs [][]byte, scat
 		if !ok {
 			return BlkStatusIOErr, 0, scatter
 		}
-		oi := 0
-		for _, d := range data {
-			if d.Flags&DescFlagWrite != 0 {
-				continue
-			}
-			if oi >= len(outs) {
+		for _, out := range req[1:] {
+			if err := b.Backend.WriteBlk(off, out.Buf); err != nil {
 				return BlkStatusIOErr, 0, scatter
 			}
-			if err := b.Backend.WriteBlk(off, outs[oi]); err != nil {
-				return BlkStatusIOErr, 0, scatter
-			}
-			off += int64(len(outs[oi]))
-			oi++
+			off += int64(len(out.Buf))
 		}
 		return BlkStatusOK, 0, scatter
 	case BlkTFlush:
@@ -313,6 +219,3 @@ func (b *BlkDevice) executeBatched(chain *Chain, hdr []byte, outs [][]byte, scat
 		return BlkStatusUnsup, 0, scatter
 	}
 }
-
-// Sanity check: a backend must exist for capacity.
-var _ = fmt.Sprintf

@@ -1,8 +1,6 @@
 package virtio
 
 import (
-	"sync"
-
 	"vmsh/internal/mem"
 )
 
@@ -23,13 +21,14 @@ type ConsoleDevice struct {
 	// SignalIRQ delivers interrupts to the guest.
 	SignalIRQ func()
 
-	// Batch enables the fast path on the tx (guest output) queue:
-	// vectored burst reads and one coalesced interrupt per service
-	// pass. The rx fill already coalesces its interrupt per burst.
+	// Batch groups the tx (guest output) queue's crossings as
+	// BlkDevice.Batch does. The rx fill groups per chain whatever
+	// Batch says: every command a session types crosses it, and a
+	// trial that batched it moved E9's fleet digest and failed E11's
+	// record-verify check.
 	Batch bool
 
-	mu      sync.Mutex
-	pending [][]byte // host->guest bytes waiting for rx buffers
+	rx rxQueue // host->guest bytes waiting for rx buffers
 }
 
 // NewConsoleDevice wires a console device at base.
@@ -38,9 +37,9 @@ func NewConsoleDevice(base mem.GPA, m mem.PhysIO) *ConsoleDevice {
 	d := NewMMIODev(base, DeviceIDConsole, 0, []int{64, 64}, m)
 	d.OnNotify = func(q int) {
 		if q == ConsoleTxQ {
-			c.drainTx()
+			serviceQueue(c.Dev, ConsoleTxQ, c.Batch, c.serveTx, c.SignalIRQ)
 		} else {
-			c.flushPending()
+			c.fillRx()
 		}
 	}
 	c.Dev = d
@@ -53,118 +52,34 @@ func (c *ConsoleDevice) MMIO(gpa mem.GPA, size int, write bool, value uint64) ui
 }
 
 // SendToGuest queues host input; it is delivered into rx buffers the
-// guest driver posted, followed by an interrupt.
+// guest driver posted, followed by an interrupt. Input longer than one
+// buffer continues in the next.
 func (c *ConsoleDevice) SendToGuest(data []byte) {
-	c.mu.Lock()
-	c.pending = append(c.pending, append([]byte(nil), data...))
-	c.mu.Unlock()
-	c.flushPending()
+	c.rx.push(append([]byte(nil), data...))
+	c.fillRx()
 }
 
-func (c *ConsoleDevice) flushPending() {
-	if !c.Dev.queueLive(ConsoleRxQ) {
-		return
-	}
-	dq := c.Dev.DeviceQueue(ConsoleRxQ)
-	delivered := false
-	for {
-		c.mu.Lock()
-		if len(c.pending) == 0 {
-			c.mu.Unlock()
-			break
-		}
-		msg := c.pending[0]
-		c.mu.Unlock()
-
-		chain, ok, err := dq.Pop()
-		if err != nil || !ok {
-			break // no posted buffers; retry on next notify
-		}
-		n := uint32(0)
-		for _, d := range chain.Elems {
-			if d.Flags&DescFlagWrite == 0 {
-				continue
-			}
-			chunk := msg
-			if len(chunk) > int(d.Len) {
-				chunk = chunk[:d.Len]
-			}
-			if err := dq.M.WritePhys(d.Addr, chunk); err != nil {
-				return
-			}
-			n += uint32(len(chunk))
-			msg = msg[len(chunk):]
-			if len(msg) == 0 {
-				break
-			}
-		}
-		c.mu.Lock()
-		if len(msg) == 0 {
-			c.pending = c.pending[1:]
-		} else {
-			c.pending[0] = msg
-		}
-		c.mu.Unlock()
-		if err := dq.PushUsed(chain.Head, n); err != nil {
-			return
-		}
-		delivered = true
-	}
-	if delivered {
-		c.Dev.RaiseInterrupt()
-		if c.SignalIRQ != nil {
-			c.SignalIRQ()
-		}
-	}
+func (c *ConsoleDevice) fillRx() {
+	c.rx.fill(c.Dev, ConsoleRxQ, false, true, c.SignalIRQ)
 }
 
-// drainTx consumes guest output through the shared service loop.
-func (c *ConsoleDevice) drainTx() {
-	serviceQueue(c.Dev, ConsoleTxQ, c.Batch, c.serveTxChain, c.serveTxBatch, c.SignalIRQ)
-}
-
-// serveTxChain reads one output chain with per-segment crossings and
-// hands each segment to Output as it arrives (legacy ordering).
-func (c *ConsoleDevice) serveTxChain(dq *DeviceQueue, chain *Chain) (uint32, func(), bool) {
-	total := uint32(0)
-	for _, d := range chain.Elems {
-		buf := make([]byte, d.Len)
-		if err := dq.M.ReadPhys(d.Addr, buf); err != nil {
-			return 0, nil, false
-		}
-		if c.Output != nil {
-			c.Output(buf)
-		}
-		total += d.Len
-	}
-	return total, nil, true
-}
-
-// serveTxBatch gathers every segment of the burst with one vectored
-// read, then delivers the bytes to Output in publication order.
-func (c *ConsoleDevice) serveTxBatch(dq *DeviceQueue, chains []*Chain) ([]uint32, func(), bool) {
-	used := make([]uint32, len(chains))
-	bufs := make([][][]byte, len(chains))
+// serveTx gathers every segment of the pass's output chains, then
+// delivers the bytes to Output in publication order.
+func (c *ConsoleDevice) serveTx(x crossings, chains []Chain) (func(), error) {
 	var gather []mem.Vec
 	for i, chain := range chains {
 		for _, d := range chain.Elems {
-			buf := make([]byte, d.Len)
-			bufs[i] = append(bufs[i], buf)
-			gather = append(gather, mem.Vec{GPA: d.Addr, Buf: buf})
-			used[i] += d.Len
+			gather = append(gather, mem.Vec{GPA: d.Addr, Buf: make([]byte, d.Len)})
+			chains[i].Used += d.Len
 		}
 	}
-	if len(gather) > 0 {
-		if err := mem.ReadVec(dq.M, gather); err != nil {
-			return nil, nil, false
+	if err := x.read(gather); err != nil {
+		return nil, err
+	}
+	if c.Output != nil {
+		for _, v := range gather {
+			c.Output(v.Buf)
 		}
 	}
-	for i := range chains {
-		for _, buf := range bufs[i] {
-			if c.Output != nil {
-				c.Output(buf)
-			}
-		}
-	}
-	return used, nil, true
+	return nil, nil
 }

@@ -180,62 +180,7 @@ func (d *BlkDriver) HandleIRQ() {
 
 // request performs one virtio-blk command of at most segMax bytes.
 func (d *BlkDriver) request(typ uint32, off int64, buf []byte) error {
-	if off%512 != 0 || len(buf)%512 != 0 {
-		return fmt.Errorf("virtio-blk: unaligned request off=%d len=%d", off, len(buf))
-	}
-	d.Requests++
-	hdrGPA := d.bounce
-	dataGPA := d.bounce + mem.PageSize
-	statusGPA := d.bounce + mem.GPA(d.bounceSz-mem.PageSize)
-
-	hdr := make([]byte, blkHdrSize)
-	binary.LittleEndian.PutUint32(hdr[0:], typ)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(off/512))
-	if err := d.env.Mem.WritePhys(hdrGPA, hdr); err != nil {
-		return err
-	}
-	elems := []ChainElem{{Addr: hdrGPA, Len: blkHdrSize}}
-	if len(buf) > 0 {
-		if typ == BlkTOut {
-			// The payload moves through guest memory, but a real
-			// driver DMA-maps the caller's pages rather than copying,
-			// so no memcpy is charged — only the per-descriptor
-			// mapping work below.
-			if err := d.env.Mem.WritePhys(dataGPA, buf); err != nil {
-				return err
-			}
-			elems = append(elems, ChainElem{Addr: dataGPA, Len: uint32(len(buf))})
-		} else {
-			elems = append(elems, ChainElem{Addr: dataGPA, Len: uint32(len(buf)), Write: true})
-		}
-	}
-	elems = append(elems, ChainElem{Addr: statusGPA, Len: 1, Write: true})
-	d.env.Clock.Advance(time.Duration(len(elems)) * d.env.Costs.VirtqueueDesc)
-	if err := d.q.Publish(0, elems); err != nil {
-		return err
-	}
-	// Doorbell: this MMIO write is the VM exit that reaches the device.
-	d.env.Bus.MMIOWrite(d.base+RegQueueNotify, 4, 0)
-
-	// Devices in this simulation complete synchronously, so the
-	// completion interrupt has already run HandleIRQ by now.
-	if !d.completed[0] {
-		return fmt.Errorf("virtio-blk: request did not complete")
-	}
-	delete(d.completed, 0)
-	var status [1]byte
-	if err := d.env.Mem.ReadPhys(statusGPA, status[:]); err != nil {
-		return err
-	}
-	if status[0] != BlkStatusOK {
-		return fmt.Errorf("virtio-blk: device status %d", status[0])
-	}
-	if typ == BlkTIn && len(buf) > 0 {
-		if err := d.env.Mem.ReadPhys(dataGPA, buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return d.submitBurst([]BlkReq{{Typ: typ, Off: off, Buf: buf}})
 }
 
 // BlkReq is one request of a batched submission.
@@ -248,9 +193,9 @@ type BlkReq struct {
 // SubmitBatch publishes a burst of requests as independent descriptor
 // chains behind a single doorbell, the multi-chain counterpart of
 // request. A batching device services the whole burst in one pass
-// (one ring snapshot, vectored data movement, one interrupt); a legacy
-// device simply pops the chains one by one. Bursts that exceed the
-// bounce area or the ring are split transparently.
+// (one ring snapshot, vectored data movement, one interrupt); a
+// per-chain device serves and interrupts them one by one. Bursts that
+// exceed the bounce area or the ring are split transparently.
 func (d *BlkDriver) SubmitBatch(reqs []BlkReq) error {
 	// Oversized payloads split into segMax chains, as ReadAt/WriteAt do.
 	split := make([]BlkReq, 0, len(reqs))
@@ -295,8 +240,11 @@ func (d *BlkDriver) burstFit(reqs []BlkReq) int {
 	return len(reqs)
 }
 
-// submitBurst publishes one pre-validated burst and harvests its
-// synchronous completions.
+// submitBurst publishes one burst that fits the bounce area and the
+// ring behind a single doorbell and harvests its synchronous
+// completions. Request i's header and status byte are the i-th slots
+// of the bounce area's header and status pages; the payloads follow
+// one another, page-aligned, in between.
 func (d *BlkDriver) submitBurst(reqs []BlkReq) error {
 	hdrBase := d.bounce
 	dataBase := d.bounce + mem.PageSize
@@ -322,6 +270,10 @@ func (d *BlkDriver) submitBurst(reqs []BlkReq) error {
 			dataGPAs[i] = dataBase + mem.GPA(dataOff)
 			dataOff += int(mem.PageAlign(uint64(len(r.Buf))))
 			if r.Typ == BlkTOut {
+				// The payload moves through guest memory, but a real
+				// driver DMA-maps the caller's pages rather than
+				// copying, so no memcpy is charged — only the
+				// per-descriptor mapping work below.
 				if err := d.env.Mem.WritePhys(dataGPAs[i], r.Buf); err != nil {
 					return err
 				}
@@ -331,7 +283,7 @@ func (d *BlkDriver) submitBurst(reqs []BlkReq) error {
 			}
 		}
 		elems = append(elems, ChainElem{Addr: statusBase + mem.GPA(i), Len: 1, Write: true})
-		// Per-request descriptor mapping work is unchanged; only the
+		// Each request pays its own descriptor mapping work; only the
 		// doorbell below is shared by the burst.
 		d.env.Clock.Advance(time.Duration(len(elems)) * d.env.Costs.VirtqueueDesc)
 		heads[i] = uint16(slot)
@@ -340,11 +292,14 @@ func (d *BlkDriver) submitBurst(reqs []BlkReq) error {
 		}
 		slot += len(elems)
 	}
+	// Doorbell: this MMIO write is the VM exit that reaches the device.
 	d.env.Bus.MMIOWrite(d.base+RegQueueNotify, 4, 0)
 
+	// Devices in this simulation complete synchronously, so the
+	// completion interrupt has already run HandleIRQ by now.
 	for i, r := range reqs {
 		if !d.completed[heads[i]] {
-			return fmt.Errorf("virtio-blk: batched request %d did not complete", i)
+			return fmt.Errorf("virtio-blk: request %d of %d did not complete", i+1, len(reqs))
 		}
 		delete(d.completed, heads[i])
 		var status [1]byte
@@ -364,29 +319,17 @@ func (d *BlkDriver) submitBurst(reqs []BlkReq) error {
 }
 
 // ReadAt implements blockdev.Device.
-func (d *BlkDriver) ReadAt(off int64, buf []byte) error {
-	for len(buf) > 0 {
-		n := len(buf)
-		if n > d.segMax {
-			n = d.segMax
-		}
-		if err := d.request(BlkTIn, off, buf[:n]); err != nil {
-			return err
-		}
-		off += int64(n)
-		buf = buf[n:]
-	}
-	return nil
-}
+func (d *BlkDriver) ReadAt(off int64, buf []byte) error { return d.requests(BlkTIn, off, buf) }
 
 // WriteAt implements blockdev.Device.
-func (d *BlkDriver) WriteAt(off int64, buf []byte) error {
+func (d *BlkDriver) WriteAt(off int64, buf []byte) error { return d.requests(BlkTOut, off, buf) }
+
+// requests moves buf with one request per segMax bytes, each behind
+// its own doorbell.
+func (d *BlkDriver) requests(typ uint32, off int64, buf []byte) error {
 	for len(buf) > 0 {
-		n := len(buf)
-		if n > d.segMax {
-			n = d.segMax
-		}
-		if err := d.request(BlkTOut, off, buf[:n]); err != nil {
+		n := min(len(buf), d.segMax)
+		if err := d.request(typ, off, buf[:n]); err != nil {
 			return err
 		}
 		off += int64(n)

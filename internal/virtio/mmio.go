@@ -121,7 +121,7 @@ type MMIODev struct {
 
 	mu          sync.Mutex
 	queues      []queueState
-	queueSel    int
+	queueSel    uint64 // as the guest wrote it; see selected
 	status      uint32
 	featSel     uint32
 	driverFeats uint64
@@ -146,12 +146,34 @@ func (d *MMIODev) DriverFeatures() uint64 {
 }
 
 // DeviceQueue returns the device-side view of queue q, creating it
-// from the programmed registers on first use. Ring cursors persist
-// until the driver toggles QueueReady.
+// from the programmed registers on first use, or nil when the device
+// has no queue q. Ring cursors persist until the driver toggles
+// QueueReady.
 func (d *MMIODev) DeviceQueue(q int) *DeviceQueue {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.view(q, false)
+}
+
+// liveQueue is DeviceQueue for a queue the driver has fully
+// configured: ready, with a size between 1 and its maximum. It returns
+// nil for any other q.
+func (d *MMIODev) liveQueue(q int) *DeviceQueue {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.view(q, true)
+}
+
+// view returns queue q's device-side view, creating it on first use.
+// The caller holds d.mu.
+func (d *MMIODev) view(q int, live bool) *DeviceQueue {
+	if q < 0 || q >= len(d.queues) {
+		return nil
+	}
 	st := &d.queues[q]
+	if live && (!st.ready || st.num == 0 || st.num > uint32(st.numMax)) {
+		return nil
+	}
 	if st.dq == nil {
 		st.dq = &DeviceQueue{
 			M:     d.Mem,
@@ -168,11 +190,14 @@ func (d *MMIODev) DeviceQueue(q int) *DeviceQueue {
 	return st.dq
 }
 
-// queueLive reports whether queue q has been fully configured.
-func (d *MMIODev) queueLive(q int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return q < len(d.queues) && d.queues[q].ready && d.queues[q].num > 0
+// selected returns the registers of the queue the guest selected. Past
+// the device's queues it returns a blank queue, so a register read
+// sees 0 and a write goes nowhere. The caller holds d.mu.
+func (d *MMIODev) selected() *queueState {
+	if d.queueSel < uint64(len(d.queues)) {
+		return &d.queues[d.queueSel]
+	}
+	return &queueState{}
 }
 
 // RaiseInterrupt latches the used-buffer interrupt bit. The caller
@@ -186,6 +211,14 @@ func (d *MMIODev) RaiseInterrupt() {
 	d.Trace.Event("irq", "raise")
 }
 
+// interrupt latches the used-buffer interrupt and signals it.
+func (d *MMIODev) interrupt(signal func()) {
+	d.RaiseInterrupt()
+	if signal != nil {
+		signal()
+	}
+}
+
 // InterruptCount reports how many interrupts this device has raised —
 // the IRQ-coalescing observable surfaced through core.Session stats.
 func (d *MMIODev) InterruptCount() int64 {
@@ -195,46 +228,66 @@ func (d *MMIODev) InterruptCount() int64 {
 }
 
 // MMIO implements the register access protocol; it satisfies
-// kvm.MMIOHandler structurally.
+// kvm.MMIOHandler structurally. A write that triggers a device hook
+// takes effect under the device lock; the hook runs after the lock is
+// released, so a hook that panics leaves the device usable and the
+// panic recoverable.
 func (d *MMIODev) MMIO(gpa mem.GPA, size int, write bool, value uint64) uint64 {
 	off := int(gpa - d.Base)
 	if off >= RegConfig {
 		return d.configAccess(off-RegConfig, size, write, value)
 	}
+	if !write {
+		return d.readReg(off)
+	}
+	if d.writeReg(off, value) {
+		if off == RegStatus {
+			d.OnDriverOK()
+		} else {
+			d.OnNotify(int(value))
+		}
+	}
+	return 0
+}
+
+func (d *MMIODev) readReg(off int) uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if !write {
-		switch off {
-		case RegMagicValue:
-			return MagicValue
-		case RegVersion:
-			return 2
-		case RegDeviceID:
-			return uint64(d.ID)
-		case RegVendorID:
-			return 0x564d5348 // "VMSH"
-		case RegDeviceFeatures:
-			if d.featSel == 0 {
-				return d.Features & 0xffffffff
-			}
-			return d.Features >> 32
-		case RegQueueNumMax:
-			if d.queueSel < len(d.queues) {
-				return uint64(d.queues[d.queueSel].numMax)
-			}
-			return 0
-		case RegQueueReady:
-			if d.queueSel < len(d.queues) && d.queues[d.queueSel].ready {
-				return 1
-			}
-			return 0
-		case RegInterruptStatus:
-			return uint64(d.intrStatus)
-		case RegStatus:
-			return uint64(d.status)
+	switch off {
+	case RegMagicValue:
+		return MagicValue
+	case RegVersion:
+		return 2
+	case RegDeviceID:
+		return uint64(d.ID)
+	case RegVendorID:
+		return 0x564d5348 // "VMSH"
+	case RegDeviceFeatures:
+		if d.featSel == 0 {
+			return d.Features & 0xffffffff
+		}
+		return d.Features >> 32
+	case RegQueueNumMax:
+		return uint64(d.selected().numMax)
+	case RegQueueReady:
+		if d.selected().ready {
+			return 1
 		}
 		return 0
+	case RegInterruptStatus:
+		return uint64(d.intrStatus)
+	case RegStatus:
+		return uint64(d.status)
 	}
+	return 0
+}
+
+// writeReg applies a register write and reports whether it triggers
+// the register's hook: OnDriverOK for a Status write that sets
+// DRIVER_OK, OnNotify for a QueueNotify of a queue the device has.
+func (d *MMIODev) writeReg(off int, value uint64) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	switch off {
 	case RegDeviceFeatSel:
 		d.featSel = uint32(value)
@@ -247,47 +300,35 @@ func (d *MMIODev) MMIO(gpa mem.GPA, size int, write bool, value uint64) uint64 {
 			d.driverFeats = d.driverFeats&0xffffffff | value<<32
 		}
 	case RegQueueSel:
-		d.queueSel = int(value)
+		d.queueSel = value
 	case RegQueueNum:
-		if d.queueSel < len(d.queues) {
-			d.queues[d.queueSel].num = uint32(value)
-		}
+		d.selected().num = uint32(value)
 	case RegQueueReady:
-		if d.queueSel < len(d.queues) {
-			d.queues[d.queueSel].ready = value == 1
-			d.queues[d.queueSel].dq = nil // reconfiguration resets cursors
-		}
+		st := d.selected()
+		st.ready = value == 1
+		st.dq = nil // reconfiguration resets cursors
 	case RegQueueDescLow:
-		d.setAddr(&d.queues[d.queueSel].desc, value, false)
+		d.setAddr(&d.selected().desc, value, false)
 	case RegQueueDescHigh:
-		d.setAddr(&d.queues[d.queueSel].desc, value, true)
+		d.setAddr(&d.selected().desc, value, true)
 	case RegQueueDriverLow:
-		d.setAddr(&d.queues[d.queueSel].driver, value, false)
+		d.setAddr(&d.selected().driver, value, false)
 	case RegQueueDriverHigh:
-		d.setAddr(&d.queues[d.queueSel].driver, value, true)
+		d.setAddr(&d.selected().driver, value, true)
 	case RegQueueDeviceLow:
-		d.setAddr(&d.queues[d.queueSel].device, value, false)
+		d.setAddr(&d.selected().device, value, false)
 	case RegQueueDeviceHigh:
-		d.setAddr(&d.queues[d.queueSel].device, value, true)
+		d.setAddr(&d.selected().device, value, true)
 	case RegInterruptACK:
 		d.intrStatus &^= uint32(value)
 	case RegStatus:
 		prev := d.status
 		d.status = uint32(value)
-		if value&StatusDriverOK != 0 && prev&StatusDriverOK == 0 && d.OnDriverOK != nil {
-			d.mu.Unlock()
-			d.OnDriverOK()
-			d.mu.Lock()
-		}
+		return value&StatusDriverOK != 0 && prev&StatusDriverOK == 0 && d.OnDriverOK != nil
 	case RegQueueNotify:
-		if d.OnNotify != nil {
-			q := int(value)
-			d.mu.Unlock()
-			d.OnNotify(q)
-			d.mu.Lock()
-		}
+		return d.OnNotify != nil && value < uint64(len(d.queues))
 	}
-	return 0
+	return false
 }
 
 func (d *MMIODev) setAddr(dst *uint64, value uint64, high bool) {

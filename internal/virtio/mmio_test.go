@@ -1,6 +1,7 @@
 package virtio
 
 import (
+	"errors"
 	"testing"
 
 	"vmsh/internal/mem"
@@ -127,5 +128,74 @@ func TestMMIOConfigSpaceSizes(t *testing.T) {
 	// Past the config space reads zero.
 	if got := d.MMIO(devBase+RegConfig+16, 4, false, 0); got != 0 {
 		t.Fatalf("oob config %#x", got)
+	}
+}
+
+// TestMMIOHookPanicRecovers: a device hook runs outside the device
+// lock, so a panic in a service path reaches the caller as itself —
+// recoverable, with its own value — and the device stays usable.
+func TestMMIOHookPanicRecovers(t *testing.T) {
+	d := newDev()
+	boom := errors.New("service path failed")
+	d.OnNotify = func(int) { panic(boom) }
+	d.OnDriverOK = func() { panic(boom) }
+	for _, w := range []struct {
+		reg   mem.GPA
+		value uint64
+	}{{RegQueueNotify, 0}, {RegStatus, StatusDriverOK}} {
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			d.MMIO(devBase+w.reg, 4, true, w.value)
+			return nil
+		}()
+		if got != boom {
+			t.Fatalf("write %#x: recovered %v, want the hook's own panic", w.reg, got)
+		}
+		if got := d.MMIO(devBase+RegMagicValue, 4, false, 0); got != MagicValue {
+			t.Fatalf("device unusable after the hook panicked: magic %#x", got)
+		}
+	}
+}
+
+// TestMMIOGuestQueueIndexes: queue indexes come from the guest. One
+// past the device's queues, or all-ones from an 8-byte write, selects
+// no queue: its registers read 0 and writes to them go nowhere, and a
+// notify for it reaches no hook.
+func TestMMIOGuestQueueIndexes(t *testing.T) {
+	for _, sel := range []uint64{2, 7, 1 << 32, ^uint64(0)} {
+		d := newDev()
+		notified := 0
+		d.OnNotify = func(int) { notified++ }
+		d.MMIO(devBase+RegQueueSel, 8, true, sel)
+		for _, reg := range []mem.GPA{RegQueueNum, RegQueueDescLow, RegQueueDescHigh,
+			RegQueueDriverLow, RegQueueDriverHigh, RegQueueDeviceLow, RegQueueDeviceHigh, RegQueueReady} {
+			d.MMIO(devBase+reg, 4, true, 1)
+		}
+		if got := d.MMIO(devBase+RegQueueNumMax, 4, false, 0); got != 0 {
+			t.Errorf("queue %#x: QueueNumMax %d, want 0", sel, got)
+		}
+		if got := d.MMIO(devBase+RegQueueReady, 4, false, 0); got != 0 {
+			t.Errorf("queue %#x: QueueReady %d, want 0", sel, got)
+		}
+		for q := 0; q < 2; q++ {
+			if dq := d.DeviceQueue(q); dq.Size != 0 || dq.Desc != 0 || d.liveQueue(q) != nil {
+				t.Errorf("queue %#x: a write reached queue %d", sel, q)
+			}
+		}
+		d.MMIO(devBase+RegQueueNotify, 8, true, sel)
+		if notified != 0 {
+			t.Errorf("queue %#x: notify reached the hook", sel)
+		}
+	}
+	d := newDev()
+	if d.DeviceQueue(-1) != nil || d.DeviceQueue(2) != nil || d.liveQueue(-1) != nil {
+		t.Error("DeviceQueue/liveQueue accepted an index outside the device's queues")
+	}
+	// A size past the queue's maximum never makes it live.
+	d.MMIO(devBase+RegQueueSel, 4, true, 1)
+	d.MMIO(devBase+RegQueueNum, 4, true, 65)
+	d.MMIO(devBase+RegQueueReady, 4, true, 1)
+	if d.liveQueue(1) != nil {
+		t.Error("queue 1 live with 65 entries, maximum 64")
 	}
 }

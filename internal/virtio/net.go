@@ -1,7 +1,6 @@
 package virtio
 
 import (
-	"sync"
 	"time"
 
 	"vmsh/internal/faults"
@@ -41,13 +40,10 @@ type NetDevice struct {
 	// SignalIRQ delivers interrupts to the guest.
 	SignalIRQ func()
 
-	// Batch enables the fast path: vectored burst service of both
-	// queues with one coalesced interrupt per pass. Off reproduces the
-	// per-chain legacy timing exactly.
+	// Batch groups both queues' crossings as BlkDevice.Batch does.
 	Batch bool
 
-	mu      sync.Mutex
-	pending [][]byte // inbound frames waiting for rx buffers
+	rx rxQueue // header-prefixed inbound frames waiting for rx buffers
 }
 
 // NewNetDevice wires a net device at base with the given MAC exposed
@@ -60,9 +56,9 @@ func NewNetDevice(base mem.GPA, macAddr [6]byte, m mem.PhysIO) *NetDevice {
 	d.ConfigSpace = append(append([]byte(nil), macAddr[:]...), 0, 0)
 	d.OnNotify = func(q int) {
 		if q == NetTxQ {
-			n.drainTx()
+			serviceQueue(n.Dev, NetTxQ, n.Batch, n.serveTx, n.SignalIRQ)
 		} else {
-			n.flushPending()
+			n.fillRx()
 		}
 	}
 	n.Dev = d
@@ -77,183 +73,28 @@ func (n *NetDevice) MMIO(gpa mem.GPA, size int, write bool, value uint64) uint64
 // DeliverToGuest queues one inbound Ethernet frame; it is copied into
 // an rx buffer the guest driver posted, followed by an interrupt.
 func (n *NetDevice) DeliverToGuest(frame []byte) {
-	n.mu.Lock()
-	n.pending = append(n.pending, append([]byte(nil), frame...))
-	n.mu.Unlock()
+	msg := make([]byte, NetHdrSize, NetHdrSize+len(frame))
+	msg[10] = 1 // num_buffers = 1, little-endian
+	n.rx.push(append(msg, frame...))
 	// Terminate the frame's causal flow here, before the rx fill: any
 	// reply traffic the guest generates while the interrupt is serviced
 	// starts flows of its own.
 	n.Dev.Trace.FlowEnd("flow", "net.rx")
-	n.flushPending()
+	n.fillRx()
 }
 
-// flushPending moves queued inbound frames into posted rx buffers.
-// One frame per descriptor chain (mergeable rx buffers are not
-// negotiated), prefixed by the virtio-net header.
-func (n *NetDevice) flushPending() {
-	if !n.Dev.queueLive(NetRxQ) {
-		return
-	}
-	dq := n.Dev.DeviceQueue(NetRxQ)
-	if n.Batch {
-		n.flushPendingBatch(dq)
-		return
-	}
-	delivered := false
-	for {
-		n.mu.Lock()
-		if len(n.pending) == 0 {
-			n.mu.Unlock()
-			break
-		}
-		frame := n.pending[0]
-		n.mu.Unlock()
-
-		chain, ok, err := dq.Pop()
-		if err != nil || !ok {
-			break // no posted buffers; retry on next rx-queue notify
-		}
-		hdr := make([]byte, NetHdrSize, NetHdrSize+len(frame))
-		hdr[10] = 1 // num_buffers = 1, little-endian
-		msg := append(hdr, frame...)
-		written := uint32(0)
-		for _, d := range chain.Elems {
-			if d.Flags&DescFlagWrite == 0 {
-				continue
-			}
-			chunk := msg
-			if len(chunk) > int(d.Len) {
-				chunk = chunk[:d.Len]
-			}
-			if err := dq.M.WritePhys(d.Addr, chunk); err != nil {
-				return
-			}
-			written += uint32(len(chunk))
-			msg = msg[len(chunk):]
-			if len(msg) == 0 {
-				break
-			}
-		}
-		// A frame that does not fit its chain is truncated, like
-		// hardware without mergeable buffers; the used length tells
-		// the driver what arrived.
-		n.mu.Lock()
-		n.pending = n.pending[1:]
-		n.mu.Unlock()
-		if err := dq.PushUsed(chain.Head, written); err != nil {
-			return
-		}
-		delivered = true
-	}
-	if delivered {
-		n.Dev.RaiseInterrupt()
-		if n.SignalIRQ != nil {
-			n.SignalIRQ()
-		}
-	}
+// fillRx moves queued inbound frames into posted rx buffers, one frame
+// per descriptor chain (mergeable rx buffers are not negotiated). A
+// frame that does not fit its chain is truncated, like hardware
+// without mergeable buffers.
+func (n *NetDevice) fillRx() {
+	n.rx.fill(n.Dev, NetRxQ, n.Batch, false, n.SignalIRQ)
 }
 
-// flushPendingBatch is the fast-path rx fill: one avail-ring snapshot
-// for the burst, one vectored write carrying every frame (header
-// included), one vectored used-ring publish and a single coalesced
-// interrupt.
-func (n *NetDevice) flushPendingBatch(dq *DeviceQueue) {
-	sp := n.Dev.Trace.Span("vq", "rx_fill")
-	frames := int64(0)
-	defer func() { sp.End1("frames", frames) }()
-	delivered := false
-	for {
-		n.mu.Lock()
-		want := len(n.pending)
-		n.mu.Unlock()
-		if want == 0 {
-			break
-		}
-		chains, err := dq.PopBatch(want)
-		if err != nil || len(chains) == 0 {
-			break
-		}
-		var vecs []mem.Vec
-		entries := make([]UsedElem, len(chains))
-		for i, chain := range chains {
-			n.mu.Lock()
-			frame := n.pending[0]
-			n.pending = n.pending[1:]
-			n.mu.Unlock()
-			hdr := make([]byte, NetHdrSize, NetHdrSize+len(frame))
-			hdr[10] = 1 // num_buffers = 1, little-endian
-			msg := append(hdr, frame...)
-			written := uint32(0)
-			for _, d := range chain.Elems {
-				if d.Flags&DescFlagWrite == 0 {
-					continue
-				}
-				chunk := msg
-				if len(chunk) > int(d.Len) {
-					chunk = chunk[:d.Len]
-				}
-				vecs = append(vecs, mem.Vec{GPA: d.Addr, Buf: chunk})
-				written += uint32(len(chunk))
-				msg = msg[len(chunk):]
-				if len(msg) == 0 {
-					break
-				}
-			}
-			// Oversized frames truncate, as on the legacy path.
-			entries[i] = UsedElem{ID: uint32(chain.Head), Len: written}
-		}
-		if err := mem.WriteVec(dq.M, vecs); err != nil {
-			return
-		}
-		if err := dq.PushUsedBatch(entries); err != nil {
-			return
-		}
-		frames += int64(len(chains))
-		delivered = true
-	}
-	if delivered {
-		n.Dev.RaiseInterrupt()
-		if n.SignalIRQ != nil {
-			n.SignalIRQ()
-		}
-	}
-}
-
-// drainTx consumes guest transmissions and hands the frames to the
-// switch port through the shared service loop.
-func (n *NetDevice) drainTx() {
-	serviceQueue(n.Dev, NetTxQ, n.Batch, n.serveTxChain, n.serveTxBatch, n.SignalIRQ)
-}
-
-// serveTxChain reads one tx chain with per-segment crossings (legacy);
-// the frame is handed to the switch only after the completion is
-// published, preserving the historical clock ordering.
-func (n *NetDevice) serveTxChain(dq *DeviceQueue, chain *Chain) (uint32, func(), bool) {
-	var pkt []byte
-	total := uint32(0)
-	for _, d := range chain.Elems {
-		if d.Flags&DescFlagWrite != 0 {
-			continue // tx chains are device-readable only
-		}
-		buf := make([]byte, d.Len)
-		if err := dq.M.ReadPhys(d.Addr, buf); err != nil {
-			return 0, nil, false
-		}
-		pkt = append(pkt, buf...)
-		total += d.Len
-	}
-	if err := n.Dev.Faults.Check(faults.OpVQNet); err != nil {
-		// Degrade, don't wedge: the frame is lost but the chain still
-		// completes, like a real NIC dropping on a saturated link.
-		return total, nil, true
-	}
-	return total, func() { n.sendPkt(pkt) }, true
-}
-
-// serveTxBatch gathers every readable segment of the burst in one
-// vectored read; frames go to the switch after the batch publish.
-func (n *NetDevice) serveTxBatch(dq *DeviceQueue, chains []*Chain) ([]uint32, func(), bool) {
-	used := make([]uint32, len(chains))
+// serveTx gathers every device-readable segment of the pass's tx
+// chains; the frames go to the switch once the completions are
+// published.
+func (n *NetDevice) serveTx(x crossings, chains []Chain) (func(), error) {
 	pkts := make([][]byte, len(chains))
 	type seg struct {
 		chain, off, n int
@@ -263,11 +104,11 @@ func (n *NetDevice) serveTxBatch(dq *DeviceQueue, chains []*Chain) ([]uint32, fu
 	for i, chain := range chains {
 		for _, d := range chain.Elems {
 			if d.Flags&DescFlagWrite != 0 {
-				continue
+				continue // tx chains are device-readable only
 			}
 			segs = append(segs, seg{chain: i, off: len(pkts[i]), n: int(d.Len), gpa: d.Addr})
 			pkts[i] = append(pkts[i], make([]byte, d.Len)...)
-			used[i] += d.Len
+			chains[i].Used += d.Len
 		}
 	}
 	// The vecs are built after the pkt buffers stop growing, so the
@@ -276,14 +117,15 @@ func (n *NetDevice) serveTxBatch(dq *DeviceQueue, chains []*Chain) ([]uint32, fu
 	for j, s := range segs {
 		gather[j] = mem.Vec{GPA: s.gpa, Buf: pkts[s.chain][s.off : s.off+s.n]}
 	}
-	if len(gather) > 0 {
-		if err := mem.ReadVec(dq.M, gather); err != nil {
-			return nil, nil, false
-		}
+	if err := x.read(gather); err != nil {
+		return nil, err
 	}
 	for i := range pkts {
 		if err := n.Dev.Faults.Check(faults.OpVQNet); err != nil {
-			pkts[i] = nil // drop this frame; its chain still completes
+			// Degrade, don't wedge: the frame is lost but its chain
+			// still completes, like a real NIC dropping on a
+			// saturated link.
+			pkts[i] = nil
 		}
 	}
 	after := func() {
@@ -291,7 +133,7 @@ func (n *NetDevice) serveTxBatch(dq *DeviceQueue, chains []*Chain) ([]uint32, fu
 			n.sendPkt(pkt)
 		}
 	}
-	return used, after, true
+	return after, nil
 }
 
 // sendPkt strips the virtio-net header and forwards the frame. Each

@@ -268,52 +268,85 @@ func (q *DeviceQueue) endReqSpan() {
 type Chain struct {
 	Head  uint16
 	Elems []Desc
+	// Used is how many bytes the device wrote into the chain; the used
+	// ring publishes it.
+	Used uint32
 }
 
-// Pop fetches the next available chain, if any. The avail index and
-// the next ring slot are fetched with one bulk read (one
-// process_vm_readv on the external-device path).
-func (q *DeviceQueue) Pop() (*Chain, bool, error) {
-	slot := int(q.lastAvail) % q.Size
-	hdr := make([]byte, 2+2*(slot+1))
-	if err := q.M.ReadPhys(q.Avail+2, hdr); err != nil {
-		return nil, false, err
+// pop takes up to max available chains for one service pass, grouping
+// its reads as x does. Batched, it reads the avail index together with the whole ring and then every
+// head's descriptor window in one vectored read: chains the guest
+// publishes after that snapshot wait for its next doorbell, which is
+// what makes batching legal under concurrent guest mutation. Per chain,
+// it takes one chain and reads the ring only up to that chain's slot.
+//
+// A malformed head or chain stops the queue there: pop returns the
+// chains before it together with the error and leaves the cursor on
+// it, so every later pass stops at the same chain.
+func (q *DeviceQueue) pop(x crossings, max int) ([]Chain, error) {
+	first := int(q.lastAvail) % q.Size
+	slots := q.Size
+	if !x.batch {
+		max, slots = 1, first+1
 	}
-	availIdx := binary.LittleEndian.Uint16(hdr[:2])
-	if availIdx == q.lastAvail {
-		return nil, false, nil
+	ring := make([]byte, 2+2*slots)
+	if err := x.m.ReadPhys(q.Avail+2, ring); err != nil {
+		return nil, err
 	}
-	head := binary.LittleEndian.Uint16(hdr[2+2*slot:])
-	q.lastAvail++
-	if int(head) >= q.Size {
-		// Guest-controlled ring contents: an out-of-range head is a
-		// malformed ring, never a reason to touch memory past the table.
-		return nil, false, fmt.Errorf("virtio: avail head %d outside %d-entry queue", head, q.Size)
+	pending := int(binary.LittleEndian.Uint16(ring) - q.lastAvail) // u16 arithmetic survives wrap
+	pending = min(pending, max, q.Size)
+
+	var bad error
+	chains := make([]Chain, 0, pending)
+	for i := 0; i < pending; i++ {
+		slot := int(q.lastAvail+uint16(i)) % q.Size
+		head := binary.LittleEndian.Uint16(ring[2+2*slot:])
+		if int(head) >= q.Size {
+			// Guest-controlled ring contents: an out-of-range head is a
+			// malformed ring, never a reason to touch memory past the table.
+			bad = fmt.Errorf("virtio: avail head %d outside %d-entry queue", head, q.Size)
+			break
+		}
+		chains = append(chains, Chain{Head: head})
+	}
+	if len(chains) == 0 {
+		return nil, bad
 	}
 
 	// Chains are typically short and laid out contiguously from the
-	// head, so the device fetches a small descriptor window with one
-	// bulk read (one process_vm_readv for external devices) and only
-	// falls back to per-descriptor reads for chains that jump out of
-	// the window.
-	win := make([]byte, q.windowLen(head)*descSize)
-	if err := q.M.ReadPhys(q.Desc+mem.GPA(int(head)*descSize), win); err != nil {
-		return nil, false, err
+	// head, so each head's descriptor window comes in with the pass's
+	// one window read; parseChain falls back to per-descriptor reads
+	// only for links that jump out of it.
+	wins := make([]byte, len(chains)*descWindow*descSize)
+	vecs := make([]mem.Vec, len(chains))
+	for i, c := range chains {
+		n := min(descWindow, q.Size-int(c.Head)) * descSize // the table ends there
+		vecs[i] = mem.Vec{GPA: q.Desc + mem.GPA(int(c.Head)*descSize), Buf: wins[:n:n]}
+		wins = wins[n:]
 	}
-	chain, err := q.parseChain(head, win)
-	if err != nil {
-		return nil, false, err
+	if err := x.read(vecs); err != nil {
+		return nil, err
 	}
-	return chain, true, nil
+	for i := range chains {
+		elems, err := q.parseChain(chains[i].Head, vecs[i].Buf)
+		if err != nil {
+			bad, chains = err, chains[:i]
+			break
+		}
+		chains[i].Elems = elems
+	}
+	q.lastAvail += uint16(len(chains))
+	return chains, bad
 }
 
-// descWindow is how many descriptors Pop/PopBatch prefetch per head.
+// descWindow is how many descriptors pop prefetches per head.
 const descWindow = 4
 
 // parseChain walks the chain starting at head using the prefetched
 // descriptor window win (winLen descriptors starting at head), falling
-// back to per-descriptor reads for links that jump out of the window.
-func (q *DeviceQueue) parseChain(head uint16, win []byte) (*Chain, error) {
+// back to per-descriptor reads for links that jump out of the window,
+// and returns its descriptors.
+func (q *DeviceQueue) parseChain(head uint16, win []byte) ([]Desc, error) {
 	winLen := len(win) / descSize
 	var elems []Desc
 	idx := head
@@ -346,115 +379,34 @@ func (q *DeviceQueue) parseChain(head uint16, win []byte) (*Chain, error) {
 			return nil, fmt.Errorf("virtio: descriptor chain loop at head %d", head)
 		}
 	}
-	return &Chain{Head: head, Elems: elems}, nil
+	return elems, nil
 }
 
-// windowLen clamps the descriptor prefetch window at the table end.
-func (q *DeviceQueue) windowLen(head uint16) int {
-	w := descWindow
-	if int(head)+w > q.Size {
-		w = q.Size - int(head)
-	}
-	return w
-}
-
-// PopBatch fetches up to max available chains in one service pass.
-// The avail index is snapshotted together with the whole ring in a
-// single bulk read — chains the guest publishes after that snapshot
-// wait for the next doorbell, which is what makes batching legal under
-// concurrent guest mutation. The descriptor windows of every head are
-// then fetched with one vectored read, so a burst of N requests costs
-// two guest-memory crossings instead of 2N.
-func (q *DeviceQueue) PopBatch(max int) ([]*Chain, error) {
-	if max <= 0 || max > q.Size {
-		max = q.Size
-	}
-	hdr := make([]byte, 2+2*q.Size)
-	if err := q.M.ReadPhys(q.Avail+2, hdr); err != nil {
-		return nil, err
-	}
-	availIdx := binary.LittleEndian.Uint16(hdr[:2])
-	pending := int(availIdx - q.lastAvail) // u16 arithmetic survives wrap
-	if pending == 0 {
-		return nil, nil
-	}
-	if pending > max {
-		pending = max
-	}
-	heads := make([]uint16, pending)
-	for i := range heads {
-		slot := int(q.lastAvail+uint16(i)) % q.Size
-		heads[i] = binary.LittleEndian.Uint16(hdr[2+2*slot:])
-		if int(heads[i]) >= q.Size {
-			return nil, fmt.Errorf("virtio: avail head %d outside %d-entry queue", heads[i], q.Size)
-		}
-	}
-	wins := make([][]byte, pending)
-	vecs := make([]mem.Vec, pending)
-	for i, head := range heads {
-		wins[i] = make([]byte, q.windowLen(head)*descSize)
-		vecs[i] = mem.Vec{GPA: q.Desc + mem.GPA(int(head)*descSize), Buf: wins[i]}
-	}
-	if err := mem.ReadVec(q.M, vecs); err != nil {
-		return nil, err
-	}
-	chains := make([]*Chain, pending)
-	for i, head := range heads {
-		c, err := q.parseChain(head, wins[i])
-		if err != nil {
-			return nil, err
-		}
-		chains[i] = c
-	}
-	q.lastAvail += uint16(pending)
-	return chains, nil
-}
-
-// PushUsed publishes a completed chain.
-func (q *DeviceQueue) PushUsed(head uint16, n uint32) error {
-	slot := int(q.usedIdx) % q.Size
-	var b [8]byte
-	binary.LittleEndian.PutUint32(b[0:], uint32(head))
-	binary.LittleEndian.PutUint32(b[4:], n)
-	if err := q.M.WritePhys(q.Used+mem.GPA(4+8*slot), b[:]); err != nil {
-		return err
-	}
-	q.usedIdx++
-	var ib [2]byte
-	binary.LittleEndian.PutUint16(ib[:], q.usedIdx)
-	if err := q.M.WritePhys(q.Used+2, ib[:]); err != nil {
-		return err
-	}
-	q.endReqSpan()
-	return nil
-}
-
-// PushUsedBatch publishes a burst of completions: every used-ring
-// entry plus the index advance go out in one vectored write, so a
-// service pass of N chains costs one guest-memory crossing instead of
-// 2N. The index segment is last in the vector, matching the
-// entries-then-index ordering the split-ring protocol requires.
-func (q *DeviceQueue) PushUsedBatch(entries []UsedElem) error {
-	if len(entries) == 0 {
+// pushUsed publishes a pass's completions: the used-ring entries, then
+// the index, the order the split ring requires. Batched, that is one
+// vectored write; per chain, the entry and the index are a crossing
+// each.
+func (q *DeviceQueue) pushUsed(x crossings, chains []Chain) error {
+	if len(chains) == 0 {
 		return nil
 	}
-	vecs := make([]mem.Vec, 0, len(entries)+1)
-	for i, e := range entries {
+	buf := make([]byte, 8*len(chains)+2)
+	vecs := make([]mem.Vec, 0, len(chains)+1)
+	for i, c := range chains {
 		slot := int(q.usedIdx+uint16(i)) % q.Size
-		b := make([]byte, 8)
-		binary.LittleEndian.PutUint32(b[0:], e.ID)
-		binary.LittleEndian.PutUint32(b[4:], e.Len)
-		vecs = append(vecs, mem.Vec{GPA: q.Used + mem.GPA(4+8*slot), Buf: b})
+		e := buf[8*i : 8*i+8]
+		binary.LittleEndian.PutUint32(e[0:], uint32(c.Head))
+		binary.LittleEndian.PutUint32(e[4:], c.Used)
+		vecs = append(vecs, mem.Vec{GPA: q.Used + mem.GPA(4+8*slot), Buf: e})
 	}
-	idx := q.usedIdx + uint16(len(entries))
-	ib := make([]byte, 2)
-	binary.LittleEndian.PutUint16(ib, idx)
-	vecs = append(vecs, mem.Vec{GPA: q.Used + 2, Buf: ib})
-	if err := mem.WriteVec(q.M, vecs); err != nil {
+	idx := q.usedIdx + uint16(len(chains))
+	binary.LittleEndian.PutUint16(buf[8*len(chains):], idx)
+	vecs = append(vecs, mem.Vec{GPA: q.Used + 2, Buf: buf[8*len(chains):]})
+	if err := x.write(vecs); err != nil {
 		return err
 	}
 	q.usedIdx = idx
-	for range entries {
+	for range chains {
 		q.endReqSpan()
 	}
 	return nil

@@ -9,9 +9,24 @@ import (
 	"vmsh/internal/mem"
 )
 
+// popOne takes the next available chain the way a per-chain service
+// pass does.
+func popOne(q *DeviceQueue) (*Chain, bool, error) {
+	chains, err := q.pop(crossings{m: q.M}, 1)
+	if len(chains) == 0 {
+		return nil, false, err
+	}
+	return &chains[0], true, nil
+}
+
+// pushOne completes one chain the way a per-chain service pass does.
+func pushOne(q *DeviceQueue, head uint16, n uint32) error {
+	return q.pushUsed(crossings{m: q.M}, []Chain{{Head: head, Used: n}})
+}
+
 // TestChainLayoutProperty drives random descriptor chains (varying
 // element counts, lengths and non-contiguous table slots) through the
-// device-side Pop and checks exact recovery — this is the wire format
+// device-side pop and checks exact recovery — this is the wire format
 // everything else rides on.
 func TestChainLayoutProperty(t *testing.T) {
 	slab := mem.NewPhys(0, 8<<20)
@@ -62,7 +77,7 @@ func TestChainLayoutProperty(t *testing.T) {
 
 		// The device recovers every chain, in order, exactly.
 		for _, w := range wants {
-			chain, ok, err := devq.Pop()
+			chain, ok, err := popOne(devq)
 			if err != nil || !ok || chain.Head != w.head {
 				return false
 			}
@@ -82,12 +97,12 @@ func TestChainLayoutProperty(t *testing.T) {
 					return false
 				}
 			}
-			if err := devq.PushUsed(chain.Head, 1); err != nil {
+			if err := pushOne(devq, chain.Head, 1); err != nil {
 				return false
 			}
 		}
 		// Nothing extra.
-		if _, ok, _ := devq.Pop(); ok {
+		if _, ok, _ := popOne(devq); ok {
 			return false
 		}
 		// The driver sees exactly the used entries, in order.
@@ -209,7 +224,7 @@ func TestTwoQueueIndependenceProperty(t *testing.T) {
 		// Each device queue yields exactly its own chains, in order.
 		for q := 0; q < 2; q++ {
 			for _, head := range order[q] {
-				chain, ok, err := devqs[q].Pop()
+				chain, ok, err := popOne(devqs[q])
 				if err != nil || !ok || chain.Head != head {
 					return false
 				}
@@ -218,11 +233,11 @@ func TestTwoQueueIndependenceProperty(t *testing.T) {
 						return false
 					}
 				}
-				if err := devqs[q].PushUsed(chain.Head, 4); err != nil {
+				if err := pushOne(devqs[q], chain.Head, 4); err != nil {
 					return false
 				}
 			}
-			if _, ok, _ := devqs[q].Pop(); ok {
+			if _, ok, _ := popOne(devqs[q]); ok {
 				return false
 			}
 		}
@@ -282,7 +297,7 @@ func TestWriteChainFillProperty(t *testing.T) {
 		}
 
 		// Device side: fill a random prefix of the chain capacity.
-		chain, ok, err := devq.Pop()
+		chain, ok, err := popOne(devq)
 		if err != nil || !ok {
 			return false
 		}
@@ -312,7 +327,7 @@ func TestWriteChainFillProperty(t *testing.T) {
 			}
 			rest = rest[n:]
 		}
-		if err := devq.PushUsed(chain.Head, uint32(fill)); err != nil {
+		if err := pushOne(devq, chain.Head, uint32(fill)); err != nil {
 			return false
 		}
 

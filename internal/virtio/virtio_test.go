@@ -3,6 +3,7 @@ package virtio
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -28,10 +29,26 @@ func (b *directBus) MMIOWrite(gpa mem.GPA, size int, value uint64) {
 // memBackend is an in-memory BlkBackend.
 type memBackend struct{ data []byte }
 
-func (m *memBackend) ReadBlk(off int64, buf []byte) error  { copy(buf, m.data[off:]); return nil }
-func (m *memBackend) WriteBlk(off int64, buf []byte) error { copy(m.data[off:], buf); return nil }
-func (m *memBackend) FlushBlk() error                      { return nil }
-func (m *memBackend) Capacity() int64                      { return int64(len(m.data)) }
+func (m *memBackend) span(off int64, n int) ([]byte, error) {
+	if off < 0 || off > int64(len(m.data))-int64(n) {
+		return nil, fmt.Errorf("memBackend: [%d,+%d) past %d bytes", off, n, len(m.data))
+	}
+	return m.data[off : off+int64(n)], nil
+}
+
+func (m *memBackend) ReadBlk(off int64, buf []byte) error {
+	b, err := m.span(off, len(buf))
+	copy(buf, b)
+	return err
+}
+
+func (m *memBackend) WriteBlk(off int64, buf []byte) error {
+	b, err := m.span(off, len(buf))
+	copy(b, buf)
+	return err
+}
+func (m *memBackend) FlushBlk() error { return nil }
+func (m *memBackend) Capacity() int64 { return int64(len(m.data)) }
 
 func newEnv() (*Env, mem.SlabIO) {
 	slab := mem.NewPhys(0, 64<<20)

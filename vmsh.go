@@ -369,12 +369,6 @@ func WithNet(sw *Switch) Option { return func(o *attachOptions) { o.Net = sw } }
 // latency, deterministic loss). Only meaningful together with WithNet.
 func WithNetLink(link LinkParams) Option { return func(o *attachOptions) { o.NetLink = link } }
 
-// WithLegacyVirtio disables the batched guest-memory fast path for the
-// hosted devices: per-field process_vm crossings, one interrupt per
-// chain — reproducing the pre-fast-path timing exactly (the paper-
-// reproduction experiments pin this on).
-func WithLegacyVirtio() Option { return func(o *attachOptions) { o.LegacyVirtio = true } }
-
 // WithTrace enables the lab-wide virtual-time tracer before the attach
 // begins. Tracing never advances the clock, so results stay
 // bit-identical; export with Lab.Trace().WriteChrome.
