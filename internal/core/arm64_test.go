@@ -86,13 +86,13 @@ func TestARM64AllKernels(t *testing.T) {
 // TestARM64SyscallInjectionABI pins the register convention.
 func TestARM64SyscallInjectionABI(t *testing.T) {
 	h := hostsim.NewHost()
-	target := h.NewProcess("hyp", hostsim.Creds{UID: 1000, Caps: map[hostsim.Capability]bool{}})
+	target := h.NewProcess("hyp", hostsim.Creds{UID: 1000})
 	target.Arch = arch.ARM64
 	tid := target.MainThread()
 	tid.Regs.X[8], tid.Regs.X[0], tid.Regs.PC = 1, 2, 3
 
 	vmsh := h.NewProcess("vmsh", hostsim.Creds{UID: 0,
-		Caps: map[hostsim.Capability]bool{hostsim.CapSysPtrace: true}})
+		Caps: hostsim.Caps(hostsim.CapSysPtrace)})
 	tr, _ := vmsh.Attach(target)
 	_ = tr.InterruptAll()
 	pid, err := tr.InjectSyscall(tid, hostsim.SysGetpid)

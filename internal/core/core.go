@@ -178,10 +178,8 @@ type VMSH struct {
 // New creates the VMSH process with the privileges the prototype
 // needs: ptrace for injection, BPF for the memslot probe (§4.5).
 func New(h *hostsim.Host) *VMSH {
-	proc := h.NewProcess("vmsh", hostsim.Creds{UID: 0, Caps: map[hostsim.Capability]bool{
-		hostsim.CapSysPtrace: true,
-		hostsim.CapBPF:       true,
-	}})
+	proc := h.NewProcess("vmsh", hostsim.Creds{UID: 0,
+		Caps: hostsim.Caps(hostsim.CapSysPtrace, hostsim.CapBPF)})
 	return &VMSH{Host: h, Proc: proc}
 }
 

@@ -302,7 +302,7 @@ func TestPrivilegeDropAfterProbe(t *testing.T) {
 
 func TestAttachNonHypervisorFails(t *testing.T) {
 	h := hostsim.NewHost()
-	plain := h.NewProcess("nginx", hostsim.Creds{UID: 1000, Caps: map[hostsim.Capability]bool{}})
+	plain := h.NewProcess("nginx", hostsim.Creds{UID: 1000})
 	v := New(h)
 	if _, err := v.Attach(plain.PID, Options{Minimal: true}); err == nil {
 		t.Fatal("attached to a non-hypervisor")

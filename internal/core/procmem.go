@@ -92,24 +92,37 @@ func (pm *procMem) slotFor(gpa mem.GPA) int {
 // next. GPA-adjacent slots need not be HVA-adjacent (hypervisors mmap
 // each region independently), which is why a straddling access must
 // become multiple iovec segments rather than one long copy.
-func (pm *procMem) resolve(gpa mem.GPA, n int, out []hostsim.IoVec, buf []byte) ([]hostsim.IoVec, error) {
-	for n > 0 {
+func (pm *procMem) resolve(gpa mem.GPA, buf []byte, out []hostsim.IoVec) ([]hostsim.IoVec, error) {
+	for len(buf) > 0 {
 		i := pm.slotFor(gpa)
 		if i < 0 {
-			return nil, fmt.Errorf("vmsh: gpa [%#x,+%d) not in any memslot", gpa, n)
+			return nil, fmt.Errorf("vmsh: gpa [%#x,+%d) not in any memslot", gpa, len(buf))
 		}
-		s := pm.slots[i]
+		s := &pm.slots[i]
 		off := uint64(gpa - s.GPA)
-		chunk := int(s.Size - off)
-		if chunk > n {
-			chunk = n
-		}
+		chunk := min(uint64(len(buf)), s.Size-off)
 		out = append(out, hostsim.IoVec{HVA: s.HVA + mem.HVA(off), Buf: buf[:chunk]})
 		gpa += mem.GPA(chunk)
 		buf = buf[chunk:]
-		n -= chunk
 	}
 	return out, nil
+}
+
+// Contains implements mem.PhysExtent: whether the memslot table covers
+// [gpa, gpa+n), answered without a crossing. It holds exactly when
+// resolve would succeed.
+func (pm *procMem) Contains(gpa mem.GPA, n int) bool {
+	for n > 0 {
+		i := pm.slotFor(gpa)
+		if i < 0 {
+			return false
+		}
+		s := &pm.slots[i]
+		chunk := min(uint64(n), s.Size-uint64(gpa-s.GPA))
+		gpa += mem.GPA(chunk)
+		n -= int(chunk)
+	}
+	return true
 }
 
 // hvaFor is the single-segment translation used by callers that need a
@@ -146,7 +159,7 @@ func (pm *procMem) WritePhys(gpa mem.GPA, buf []byte) error {
 // syscall + one base cost + bandwidth over the total byte count.
 func (pm *procMem) ReadPhysVec(vecs []mem.Vec) error {
 	var stack [maxStackIovs]hostsim.IoVec
-	iovs, err := pm.resolveVecs(vecs, stack[:0])
+	iovs, n, err := pm.resolveVecs(vecs, stack[:0])
 	if err != nil {
 		return err
 	}
@@ -154,14 +167,14 @@ func (pm *procMem) ReadPhysVec(vecs []mem.Vec) error {
 		return err
 	}
 	pm.calls.Add(1)
-	pm.bytesRead.Add(int64(mem.VecTotal(vecs)))
+	pm.bytesRead.Add(int64(n))
 	return nil
 }
 
 // WritePhysVec implements mem.PhysVecWriter.
 func (pm *procMem) WritePhysVec(vecs []mem.Vec) error {
 	var stack [maxStackIovs]hostsim.IoVec
-	iovs, err := pm.resolveVecs(vecs, stack[:0])
+	iovs, n, err := pm.resolveVecs(vecs, stack[:0])
 	if err != nil {
 		return err
 	}
@@ -169,7 +182,7 @@ func (pm *procMem) WritePhysVec(vecs []mem.Vec) error {
 		return err
 	}
 	pm.calls.Add(1)
-	pm.bytesWritten.Add(int64(mem.VecTotal(vecs)))
+	pm.bytesWritten.Add(int64(n))
 	return nil
 }
 
@@ -177,16 +190,26 @@ func (pm *procMem) WritePhysVec(vecs []mem.Vec) error {
 // before its iovec array moves to the heap.
 const maxStackIovs = 4
 
-// resolveVecs appends the host segments of vecs to iovs.
-func (pm *procMem) resolveVecs(vecs []mem.Vec, iovs []hostsim.IoVec) ([]hostsim.IoVec, error) {
-	var err error
-	for _, v := range vecs {
-		iovs, err = pm.resolve(v.GPA, len(v.Buf), iovs, v.Buf)
-		if err != nil {
-			return nil, err
+// resolveVecs appends the host segments of vecs to iovs and returns
+// them with the byte count of vecs. A lone segment inside the slot
+// that served the last lookup, the walker's every crossing, resolves
+// without the general loop.
+func (pm *procMem) resolveVecs(vecs []mem.Vec, iovs []hostsim.IoVec) ([]hostsim.IoVec, int, error) {
+	if len(vecs) == 1 && len(vecs[0].Buf) > 0 && pm.lastHit < len(pm.slots) {
+		v, s := &vecs[0], &pm.slots[pm.lastHit]
+		if off := uint64(v.GPA - s.GPA); v.GPA >= s.GPA && off < s.Size && uint64(len(v.Buf)) <= s.Size-off {
+			return append(iovs, hostsim.IoVec{HVA: s.HVA + mem.HVA(off), Buf: v.Buf}), len(v.Buf), nil
 		}
 	}
-	return iovs, nil
+	n := 0
+	for _, v := range vecs {
+		var err error
+		if iovs, err = pm.resolve(v.GPA, v.Buf, iovs); err != nil {
+			return nil, 0, err
+		}
+		n += len(v.Buf)
+	}
+	return iovs, n, nil
 }
 
 // maxGPAEnd returns the highest in-use guest physical address; VMSH

@@ -22,10 +22,8 @@ const kernelGVA = mem.GVA(0xffffffff81000000)
 func crossingFixture(tb testing.TB) (*procMem, *pagetable.Walker) {
 	tb.Helper()
 	h := hostsim.NewHost()
-	hyp := h.NewProcess("hyp", hostsim.Creds{UID: 1000, Caps: map[hostsim.Capability]bool{}})
-	self := h.NewProcess("vmsh", hostsim.Creds{UID: 0, Caps: map[hostsim.Capability]bool{
-		hostsim.CapSysPtrace: true,
-	}})
+	hyp := h.NewProcess("hyp", hostsim.Creds{UID: 1000})
+	self := h.NewProcess("vmsh", hostsim.Creds{UID: 0, Caps: hostsim.Caps(hostsim.CapSysPtrace)})
 	const ramHVA, ramSize = mem.HVA(0x7f0000000000), 1 << 20
 	ram := mem.NewPhys(0, ramSize)
 	if _, err := hyp.AS.MapPhys(ramHVA, ram, "ram"); err != nil {

@@ -24,10 +24,8 @@ import (
 func testProcMem(t *testing.T) (*procMem, *hostsim.Process) {
 	t.Helper()
 	h := hostsim.NewHost()
-	hyp := h.NewProcess("hyp", hostsim.Creds{UID: 1000, Caps: map[hostsim.Capability]bool{}})
-	self := h.NewProcess("vmsh", hostsim.Creds{UID: 0, Caps: map[hostsim.Capability]bool{
-		hostsim.CapSysPtrace: true,
-	}})
+	hyp := h.NewProcess("hyp", hostsim.Creds{UID: 1000})
+	self := h.NewProcess("vmsh", hostsim.Creds{UID: 0, Caps: hostsim.Caps(hostsim.CapSysPtrace)})
 	var slots []kvm.MemSlotInfo
 	for i, r := range []struct {
 		gpa  mem.GPA

@@ -17,7 +17,7 @@ import (
 func bootKernel(t *testing.T, version string, seed int64) (*hostsim.Host, *Kernel) {
 	t.Helper()
 	h := hostsim.NewHost()
-	proc := h.NewProcess("hyp", hostsim.Creds{UID: 1000, Caps: map[hostsim.Capability]bool{}})
+	proc := h.NewProcess("hyp", hostsim.Creds{UID: 1000})
 	ram := mem.NewPhys(0, 128<<20)
 	m, err := proc.AS.MapPhys(0x7f0000000000, ram, "guest-ram")
 	if err != nil {

@@ -28,7 +28,7 @@ func bootNetPair(t *testing.T) (*hostsim.Host, *netsim.Switch, [2]*Kernel, [2]*I
 	var kernels [2]*Kernel
 	var ifaces [2]*Iface
 	for i := 0; i < 2; i++ {
-		proc := h.NewProcess("hyp", hostsim.Creds{UID: 1000, Caps: map[hostsim.Capability]bool{}})
+		proc := h.NewProcess("hyp", hostsim.Creds{UID: 1000})
 		ram := mem.NewPhys(0, 128<<20)
 		m, err := proc.AS.MapPhys(0x7f0000000000, ram, "guest-ram")
 		if err != nil {

@@ -3,6 +3,7 @@ package hostsim
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"vmsh/internal/faults"
 	"vmsh/internal/mem"
@@ -177,9 +178,13 @@ func IoVecTotal(iovs []IoVec) int {
 // class (OpProcVMRead/OpProcVMWrite); its variant ("readv"/"writev")
 // names the span on the host:procvm trace track.
 func (h *Host) processVMCommon(caller *Process, op faults.Op, targetPID, totalBytes int) (*Process, error) {
-	target, ok := h.Process(targetPID)
-	if !ok {
-		return nil, ErrNoEnt
+	target := h.lastTarget
+	if target == nil || target.PID != targetPID {
+		var ok bool
+		if target, ok = h.procs[targetPID]; !ok {
+			return nil, ErrNoEnt
+		}
+		h.lastTarget = target
 	}
 	if !mayAccess(caller, target) {
 		return nil, ErrPerm
@@ -189,11 +194,30 @@ func (h *Host) processVMCommon(caller *Process, op faults.Op, targetPID, totalBy
 	}
 	sp := h.trProcVM.Span("procvm", string(op[len("procvm:"):]))
 	caller.chargeSyscall()
-	h.Clock.Advance(h.Costs.ProcessVMBase + vclock.Copy(totalBytes, h.Costs.ProcessVMBW))
+	h.Clock.Advance(h.Costs.ProcessVMBase + h.copyCharge.of(totalBytes, h.Costs.ProcessVMBW))
 	sp.End1("bytes", int64(totalBytes))
 	h.ctrProcVMCalls.Inc()
 	h.ctrProcVMBytes.Add(int64(totalBytes))
 	return target, nil
+}
+
+// copyMemo remembers vclock.Copy's result for the last (size,
+// bandwidth) pair: the page-table walk makes hundreds of thousands of
+// 8-byte crossings in a row. The zero value is a valid memo of
+// Copy(0, 0) = 0.
+type copyMemo struct {
+	n  int
+	bw float64
+	d  time.Duration
+}
+
+// of returns vclock.Copy(n, bw), computing it only when the pair
+// changes.
+func (m *copyMemo) of(n int, bw float64) time.Duration {
+	if n != m.n || bw != m.bw {
+		m.n, m.bw, m.d = n, bw, vclock.Copy(n, bw)
+	}
+	return m.d
 }
 
 // ProcessVMReadv is the vectored process_vm_readv: every segment is

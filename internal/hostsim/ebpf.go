@@ -50,5 +50,5 @@ func (h *Host) FireKProbe(fnName string, data any) {
 // DropCapability removes a capability from the process, modelling the
 // post-setup privilege drop.
 func (p *Process) DropCapability(c Capability) {
-	delete(p.Creds.Caps, c)
+	p.Creds.Caps &^= c.bit()
 }

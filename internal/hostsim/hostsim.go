@@ -70,23 +70,33 @@ func (c Capability) String() string {
 	}
 }
 
-// Creds are a process's credentials.
+// CapSet is a set of capabilities, one bit per Capability.
+type CapSet uint64
+
+// Caps returns the set holding exactly caps.
+func Caps(caps ...Capability) CapSet {
+	var s CapSet
+	for _, c := range caps {
+		s |= c.bit()
+	}
+	return s
+}
+
+// bit is c's member of a CapSet.
+func (c Capability) bit() CapSet { return 1 << uint(c) }
+
+// Has reports whether c is in the set.
+func (s CapSet) Has(c Capability) bool { return s&c.bit() != 0 }
+
+// Creds are a process's credentials. They are a plain value: copying
+// them copies the capability set.
 type Creds struct {
 	UID  int
-	Caps map[Capability]bool
+	Caps CapSet
 }
 
 // Has reports whether the cap is held.
-func (c Creds) Has(cap Capability) bool { return c.Caps[cap] }
-
-// Clone deep-copies the credential set.
-func (c Creds) Clone() Creds {
-	n := Creds{UID: c.UID, Caps: make(map[Capability]bool, len(c.Caps))}
-	for k, v := range c.Caps {
-		n.Caps[k] = v
-	}
-	return n
-}
+func (c Creds) Has(cap Capability) bool { return c.Caps.Has(cap) }
 
 // Host is one simulated machine: process table, virtual clock, cost
 // model, kprobe registry and the backing disk.
@@ -124,6 +134,13 @@ type Host struct {
 
 	trPtrace obs.Track // "host:ptrace" — stops, injected syscalls
 	trProcVM obs.Track // "host:procvm" — cross-address-space copies
+
+	// lastTarget is the process the last process_vm crossing resolved:
+	// VMSH crosses into one hypervisor for a whole attach. Exit clears
+	// it, and pids are never reused, so it never names an exited
+	// process. copyCharge memoises that crossing's bandwidth charge.
+	lastTarget *Process
+	copyCharge copyMemo
 
 	ctrSyscalls    *obs.Counter
 	ctrPtraceStops *obs.Counter
@@ -196,7 +213,7 @@ func (h *Host) NewProcess(name string, creds Creds) *Process {
 		host:   h,
 		PID:    pid,
 		Name:   name,
-		Creds:  creds.Clone(),
+		Creds:  creds,
 		fds:    make(map[int]*FDEntry),
 		nextFD: 3,
 		AS:     NewAddrSpace(),
@@ -228,6 +245,9 @@ func (h *Host) Pids() []int {
 func (h *Host) Exit(p *Process) {
 	p.exited = true
 	delete(h.procs, p.PID)
+	if h.lastTarget == p {
+		h.lastTarget = nil
+	}
 }
 
 // Process is one simulated process.

@@ -7,10 +7,10 @@ import (
 )
 
 func root() Creds {
-	return Creds{UID: 0, Caps: map[Capability]bool{CapSysPtrace: true, CapBPF: true}}
+	return Creds{UID: 0, Caps: Caps(CapSysPtrace, CapBPF)}
 }
 
-func user(uid int) Creds { return Creds{UID: uid, Caps: map[Capability]bool{}} }
+func user(uid int) Creds { return Creds{UID: uid} }
 
 func TestProcessLifecycle(t *testing.T) {
 	h := NewHost()

@@ -2,7 +2,9 @@ package hostsim
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+	"time"
 
 	"vmsh/internal/mem"
 	"vmsh/internal/vclock"
@@ -98,5 +100,67 @@ func TestProcessVMVectoredPermission(t *testing.T) {
 	err := h.ProcessVMReadv(stranger, target.PID, []IoVec{{HVA: hva, Buf: make([]byte, 8)}})
 	if err == nil {
 		t.Fatal("cross-uid read without CAP_SYS_PTRACE succeeded")
+	}
+}
+
+// TestProcessVMForgetsExitedTarget: the host remembers the process its
+// last crossing resolved, but a process that exits is never crossed
+// into again, however recently it was.
+func TestProcessVMForgetsExitedTarget(t *testing.T) {
+	h, caller, target, hva := vmPair(t)
+	buf := make([]byte, 8)
+	if err := h.ProcessVMRead(caller, target.PID, hva, buf); err != nil {
+		t.Fatal(err)
+	}
+	h.Exit(target)
+	if err := h.ProcessVMRead(caller, target.PID, hva, buf); !errors.Is(err, ErrNoEnt) {
+		t.Fatalf("read from an exited process: %v, want ErrNoEnt", err)
+	}
+}
+
+// TestProcessVMPermissionPerCrossing: the access check runs on every
+// crossing, so a caller that drops CAP_SYS_PTRACE between two crossings
+// into another UID's process is refused the second.
+func TestProcessVMPermissionPerCrossing(t *testing.T) {
+	h, caller, target, hva := vmPair(t)
+	buf := make([]byte, 8)
+	if err := h.ProcessVMRead(caller, target.PID, hva, buf); err != nil {
+		t.Fatal(err)
+	}
+	caller.DropCapability(CapSysPtrace)
+	if caller.Creds.Has(CapSysPtrace) || !caller.Creds.Has(CapBPF) {
+		t.Fatalf("DropCapability left caps %b", caller.Creds.Caps)
+	}
+	if err := h.ProcessVMRead(caller, target.PID, hva, buf); !errors.Is(err, ErrPerm) {
+		t.Fatalf("read after dropping CAP_SYS_PTRACE: %v, want ErrPerm", err)
+	}
+}
+
+// TestProcessVMChargeAcrossSizes: crossings of changing sizes charge
+// exactly what the cost model says for each, whatever size came
+// before.
+func TestProcessVMChargeAcrossSizes(t *testing.T) {
+	h, caller, target, hva := vmPair(t)
+	c := h.Costs
+	vectors := [][]IoVec{
+		{{HVA: hva, Buf: make([]byte, 8)}},
+		{{HVA: hva, Buf: make([]byte, 4096)}},
+		{{HVA: hva, Buf: make([]byte, 8)}},
+		{{HVA: hva, Buf: make([]byte, 3)}},
+		{{HVA: hva, Buf: make([]byte, 8)}, {HVA: hva + 0x1000, Buf: make([]byte, 100)}},
+		{{HVA: hva, Buf: make([]byte, 8)}},
+	}
+	var want time.Duration
+	for _, iovs := range vectors {
+		want += c.Syscall + c.ProcessVMBase + vclock.Copy(IoVecTotal(iovs), c.ProcessVMBW)
+	}
+	before := h.Clock.Now()
+	for _, iovs := range vectors {
+		if err := h.ProcessVMReadv(caller, target.PID, iovs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := h.Clock.Now() - before; got != want {
+		t.Fatalf("crossings charged %v, want %v", got, want)
 	}
 }

@@ -142,7 +142,7 @@ func Launch(h *hostsim.Host, cfg Config) (*Instance, error) {
 		cfg.KernelVersion = "5.10"
 	}
 
-	proc := h.NewProcess(cfg.Name, hostsim.Creds{UID: 1000, Caps: map[hostsim.Capability]bool{}})
+	proc := h.NewProcess(cfg.Name, hostsim.Creds{UID: 1000})
 	proc.Arch = cfg.Arch
 	for i := 1; i < cfg.VCPUs; i++ {
 		proc.NewThread()

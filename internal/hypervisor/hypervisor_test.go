@@ -106,7 +106,7 @@ func TestAllKindsLaunch(t *testing.T) {
 			// The KVM fds are discoverable via /proc as the
 			// sideloader requires.
 			root := h.NewProcess("scanner", hostsim.Creds{UID: 0,
-				Caps: map[hostsim.Capability]bool{hostsim.CapSysPtrace: true}})
+				Caps: hostsim.Caps(hostsim.CapSysPtrace)})
 			info, err := h.ProcFDInfo(root, inst.Proc.PID)
 			if err != nil {
 				t.Fatal(err)
@@ -150,7 +150,7 @@ func TestFirecrackerSeccompBlocksInjectedMmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	vmsh := h.NewProcess("vmsh", hostsim.Creds{UID: 0,
-		Caps: map[hostsim.Capability]bool{hostsim.CapSysPtrace: true}})
+		Caps: hostsim.Caps(hostsim.CapSysPtrace)})
 	tr, err := vmsh.Attach(inst.Proc)
 	if err != nil {
 		t.Fatal(err)

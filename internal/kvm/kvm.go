@@ -285,13 +285,24 @@ func (vm *VM) GuestMem() mem.PhysIO { return guestMem{vm} }
 
 type guestMem struct{ vm *VM }
 
+// slotFor returns the memslot holding [gpa, gpa+n). It looks the slot
+// up under the VM lock rather than copying the table: every
+// guest-memory access goes through it.
 func (g guestMem) slotFor(gpa mem.GPA, n int) (*MemSlot, error) {
-	for _, s := range g.vm.MemSlots() {
-		if gpa >= s.GPA && uint64(gpa-s.GPA)+uint64(n) <= s.Size {
+	g.vm.mu.Lock()
+	defer g.vm.mu.Unlock()
+	for _, s := range g.vm.memslots {
+		if off := uint64(gpa - s.GPA); gpa >= s.GPA && off <= s.Size && uint64(n) <= s.Size-off {
 			return s, nil
 		}
 	}
 	return nil, fmt.Errorf("kvm: gpa [%#x,+%d) not backed by any memslot", gpa, n)
+}
+
+// Contains implements mem.PhysExtent.
+func (g guestMem) Contains(gpa mem.GPA, n int) bool {
+	_, err := g.slotFor(gpa, n)
+	return err == nil
 }
 
 func (g guestMem) ReadPhys(gpa mem.GPA, buf []byte) error {

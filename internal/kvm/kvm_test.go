@@ -12,7 +12,7 @@ import (
 func newVM(t *testing.T) (*hostsim.Host, *hostsim.Process, *VM) {
 	t.Helper()
 	h := hostsim.NewHost()
-	hyp := h.NewProcess("qemu", hostsim.Creds{UID: 1000, Caps: map[hostsim.Capability]bool{}})
+	hyp := h.NewProcess("qemu", hostsim.Creds{UID: 1000})
 	vm, _ := CreateVM(hyp, "vm0")
 	// 16 MiB of guest RAM mapped into the hypervisor at a fixed HVA.
 	ram := mem.NewPhys(0, 16<<20)
@@ -25,8 +25,8 @@ func newVM(t *testing.T) (*hostsim.Host, *hostsim.Process, *VM) {
 }
 
 func vmshProc(h *hostsim.Host) *hostsim.Process {
-	return h.NewProcess("vmsh", hostsim.Creds{UID: 0, Caps: map[hostsim.Capability]bool{
-		hostsim.CapSysPtrace: true, hostsim.CapBPF: true}})
+	return h.NewProcess("vmsh", hostsim.Creds{UID: 0,
+		Caps: hostsim.Caps(hostsim.CapSysPtrace, hostsim.CapBPF)})
 }
 
 func TestGuestMemRouting(t *testing.T) {
@@ -45,6 +45,34 @@ func TestGuestMemRouting(t *testing.T) {
 	}
 	if err := g.ReadPhys(17<<20, make([]byte, 1)); err == nil {
 		t.Fatal("read outside all slots succeeded")
+	}
+	if err := g.ReadPhys(^mem.GPA(7), make([]byte, 16)); err == nil {
+		t.Fatal("read of a range that wraps the address space succeeded")
+	}
+}
+
+// TestGuestMemAccessAllocs: a guest-memory access looks its memslot up
+// in place; it copies no slot table and allocates nothing.
+func TestGuestMemAccessAllocs(t *testing.T) {
+	_, _, vm := newVM(t)
+	vm.AddMemSlotDirect(1, 32<<20, 0x7f1000000000, mem.NewPhys(32<<20, 1<<20))
+	g := vm.GuestMem()
+	buf := make([]byte, 64)
+	for _, gpa := range []mem.GPA{0x1000, 32<<20 + 0x80} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := g.WritePhys(gpa, buf); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("WritePhys at %#x: %v allocs, want 0", gpa, n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			if err := g.ReadPhys(gpa, buf); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("ReadPhys at %#x: %v allocs, want 0", gpa, n)
+		}
 	}
 }
 

@@ -132,7 +132,7 @@ func (p *Phys) Contains(gpa GPA, n int) bool {
 		return false
 	}
 	off := uint64(gpa - p.Base)
-	return off+uint64(n) <= p.Size()
+	return off <= p.Size() && uint64(n) <= p.Size()-off
 }
 
 // access checks [gpa, gpa+n), fires the access hook and returns the
@@ -240,6 +240,28 @@ func (s SlabIO) WritePhys(gpa GPA, buf []byte) error {
 	}
 	s.Phys.WriteAt(gpa, buf)
 	return nil
+}
+
+// Contains implements PhysExtent.
+func (s SlabIO) Contains(gpa GPA, n int) bool { return s.Phys.Contains(gpa, n) }
+
+// PhysExtent is implemented by a guest-memory view that can tell,
+// without a crossing and without charging for one, whether it holds a
+// whole range: VMSH's view answers from its memslot table, the guest's
+// from its slab.
+type PhysExtent interface {
+	Contains(gpa GPA, n int) bool
+}
+
+// Holds reports whether r holds [gpa, gpa+n): r's own answer when it
+// implements PhysExtent, else true, leaving the decision to the
+// crossing. Devices ask before allocating a buffer the size a guest
+// descriptor claims.
+func Holds(r PhysReader, gpa GPA, n int) bool {
+	if e, ok := r.(PhysExtent); ok {
+		return e.Contains(gpa, n)
+	}
+	return true
 }
 
 // Vec is one segment of a scatter-gather guest-physical transfer.

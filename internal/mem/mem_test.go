@@ -69,6 +69,13 @@ func TestSlabIOErrors(t *testing.T) {
 	if err := io.WritePhys(0x10, buf); err != nil {
 		t.Fatalf("in-range write failed: %v", err)
 	}
+	// A range whose end wraps past 2^64 is outside the slab too.
+	if err := io.ReadPhys(^GPA(7), buf); err == nil {
+		t.Fatal("expected error reading a range that wraps the address space")
+	}
+	if Holds(io, ^GPA(7), len(buf)) || !Holds(io, 0x10, len(buf)) {
+		t.Fatal("Holds disagrees with the slab's extent")
+	}
 }
 
 func TestReadWriteU64Helpers(t *testing.T) {

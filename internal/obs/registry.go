@@ -6,16 +6,21 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Counter is a named monotonically-increasing int64. A nil *Counter is
 // a valid sink that drops everything, so components can carry counter
 // fields unconditionally and only pay when wired to a registry.
+//
+// Counters and histograms are single-owner plain values, like the
+// host and clock that record into them: the host or session that owns
+// a registry records from one goroutine at a time, and readers on other
+// goroutines (Merge, Snapshot, WriteText) wait for a synchronising
+// handover such as the engine's window barrier.
 type Counter struct {
 	name string
-	v    atomic.Int64
+	v    int64
 }
 
 // Add increments the counter by n.
@@ -23,7 +28,7 @@ func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
-	c.v.Add(n)
+	c.v += n
 }
 
 // Inc increments the counter by one.
@@ -34,7 +39,7 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.v
 }
 
 // Name returns the registered name.
@@ -52,15 +57,16 @@ func (c *Counter) Name() string {
 // overflowing values clamp rather than drop.
 const HistBuckets = 44
 
-// Histogram is a named fixed-bucket virtual-time histogram. Recording
-// is lock-free and allocation-free: one bits.Len64 plus two atomic
-// adds. A nil *Histogram drops everything.
+// Histogram is a named fixed-bucket virtual-time histogram, a
+// single-owner plain value like Counter. Recording is allocation-free:
+// one bits.Len64 and four plain updates. A nil *Histogram drops
+// everything.
 type Histogram struct {
 	name    string
-	buckets [HistBuckets]atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64 // ns
-	max     atomic.Int64 // ns
+	buckets [HistBuckets]int64
+	count   int64
+	sum     int64 // ns
+	max     int64 // ns
 }
 
 // bucketOf maps a duration to its bucket index. Negative durations
@@ -81,15 +87,10 @@ func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {
 		return
 	}
-	h.buckets[bucketOf(d)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(int64(d))
-	for {
-		cur := h.max.Load()
-		if int64(d) <= cur || h.max.CompareAndSwap(cur, int64(d)) {
-			break
-		}
-	}
+	h.buckets[bucketOf(d)]++
+	h.count++
+	h.sum += int64(d)
+	h.max = max(h.max, int64(d))
 }
 
 // Count returns the number of samples; 0 on a nil receiver.
@@ -97,7 +98,7 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	return h.count
 }
 
 // Sum returns the total of all samples.
@@ -105,7 +106,7 @@ func (h *Histogram) Sum() time.Duration {
 	if h == nil {
 		return 0
 	}
-	return time.Duration(h.sum.Load())
+	return time.Duration(h.sum)
 }
 
 // Max returns the largest sample seen.
@@ -113,7 +114,7 @@ func (h *Histogram) Max() time.Duration {
 	if h == nil {
 		return 0
 	}
-	return time.Duration(h.max.Load())
+	return time.Duration(h.max)
 }
 
 // Mean returns the average sample, or 0 with no samples.
@@ -130,7 +131,7 @@ func (h *Histogram) Bucket(i int) int64 {
 	if h == nil || i < 0 || i >= HistBuckets {
 		return 0
 	}
-	return h.buckets[i].Load()
+	return h.buckets[i]
 }
 
 // Name returns the registered name.
@@ -142,8 +143,9 @@ func (h *Histogram) Name() string {
 }
 
 // Registry holds named counters and histograms. Registration takes a
-// lock and may allocate; the returned handles are lock-free. Names are
-// dotted paths ("host.procvm.calls", "blk.req_vlat").
+// lock and may allocate; the returned handles are single-owner plain
+// values (see Counter). Names are dotted paths ("host.procvm.calls",
+// "blk.req_vlat").
 type Registry struct {
 	mu    sync.Mutex
 	ctrs  map[string]*Counter
@@ -196,16 +198,12 @@ func (h *Histogram) merge(src *Histogram) {
 	if h == nil || src == nil {
 		return
 	}
-	for i := 0; i < HistBuckets; i++ {
-		if n := src.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
+	for i, n := range src.buckets {
+		h.buckets[i] += n
 	}
-	h.count.Add(src.count.Load())
-	h.sum.Add(src.sum.Load())
-	if m := src.max.Load(); m > h.max.Load() {
-		h.max.Store(m)
-	}
+	h.count += src.count
+	h.sum += src.sum
+	h.max = max(h.max, src.max)
 }
 
 // Merge folds every counter and histogram of src into r: counters add,
@@ -216,8 +214,8 @@ func (h *Histogram) merge(src *Histogram) {
 // deterministic-aggregation half of the engine's shard-local metrics
 // contract (the conventional call order, shard 0..N-1, additionally
 // fixes registration order so WriteText output is byte-stable). A nil
-// r or src is a no-op. src must be quiescent for a coherent result;
-// the engine merges only after its run barrier.
+// r or src is a no-op. Nothing may record into src while it merges
+// (see Counter); the engine merges only after its run barrier.
 func (r *Registry) Merge(src *Registry) {
 	if r == nil || src == nil {
 		return

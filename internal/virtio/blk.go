@@ -137,9 +137,18 @@ func (b *BlkDevice) serve(x crossings, chains []Chain) (func(), error) {
 		if len(chain.Elems) < 2 {
 			continue
 		}
+		// A data segment is a payload buffer of d.Len bytes whichever
+		// way it moves, so each must lie in guest memory before any is
+		// allocated.
+		data := chain.Elems[1 : len(chain.Elems)-1]
+		for _, d := range data {
+			if err := x.hold(d); err != nil {
+				return nil, err
+			}
+		}
 		start := len(gather)
 		gather = append(gather, mem.Vec{GPA: chain.Elems[0].Addr, Buf: b.segment(blkHdrSize)})
-		for _, d := range chain.Elems[1 : len(chain.Elems)-1] {
+		for _, d := range data {
 			if d.Flags&DescFlagWrite == 0 { // the device fills the others
 				gather = append(gather, mem.Vec{GPA: d.Addr, Buf: b.segment(d.Len)})
 			}

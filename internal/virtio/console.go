@@ -69,6 +69,9 @@ func (c *ConsoleDevice) serveTx(x crossings, chains []Chain) (func(), error) {
 	var gather []mem.Vec
 	for i, chain := range chains {
 		for _, d := range chain.Elems {
+			if err := x.hold(d); err != nil {
+				return nil, err
+			}
 			gather = append(gather, mem.Vec{GPA: d.Addr, Buf: make([]byte, d.Len)})
 			chains[i].Used += d.Len
 		}

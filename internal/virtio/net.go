@@ -106,6 +106,9 @@ func (n *NetDevice) serveTx(x crossings, chains []Chain) (func(), error) {
 			if d.Flags&DescFlagWrite != 0 {
 				continue // tx chains are device-readable only
 			}
+			if err := x.hold(d); err != nil {
+				return nil, err
+			}
 			segs = append(segs, seg{chain: i, off: len(pkts[i]), n: int(d.Len), gpa: d.Addr})
 			pkts[i] = append(pkts[i], make([]byte, d.Len)...)
 			chains[i].Used += d.Len

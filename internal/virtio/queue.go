@@ -240,6 +240,10 @@ type DeviceQueue struct {
 
 	lastAvail uint16
 	usedIdx   uint16
+
+	// ring holds the avail index and ring a pass reads; pop reuses it
+	// from pass to pass, and nothing it returns aliases it.
+	ring []byte
 }
 
 // Cursors snapshots the device-side cursors.
@@ -289,7 +293,10 @@ func (q *DeviceQueue) pop(x crossings, max int) ([]Chain, error) {
 	if !x.batch {
 		max, slots = 1, first+1
 	}
-	ring := make([]byte, 2+2*slots)
+	if cap(q.ring) < 2+2*slots {
+		q.ring = make([]byte, 2+2*q.Size)
+	}
+	ring := q.ring[:2+2*slots]
 	if err := x.m.ReadPhys(q.Avail+2, ring); err != nil {
 		return nil, err
 	}

@@ -23,6 +23,7 @@ package virtio
 // notification.
 
 import (
+	"fmt"
 	"sync"
 
 	"vmsh/internal/faults"
@@ -60,6 +61,17 @@ func (x crossings) group(vecs []mem.Vec, cross func([]mem.Vec) error) error {
 		}
 	}
 	return nil
+}
+
+// hold refuses a descriptor whose buffer guest memory does not hold,
+// before the device allocates the d.Len bytes it claims: a
+// guest-claimed length is not an allocation size. The refusal is a
+// failed guest-memory crossing, so it aborts the pass.
+func (x crossings) hold(d Desc) error {
+	if mem.Holds(x.m, d.Addr, int(d.Len)) {
+		return nil
+	}
+	return fmt.Errorf("virtio: descriptor buffer [%#x,+%d) outside guest memory", d.Addr, d.Len)
 }
 
 // serveFn serves one pass's chains, moving guest memory through x and

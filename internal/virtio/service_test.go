@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 	"testing"
 
 	"vmsh/internal/mem"
@@ -326,4 +327,116 @@ func TestFailedCrossingAbortsPass(t *testing.T) {
 				batch, status[0], c.UsedIdx, dev.Dev.InterruptCount())
 		}
 	}
+}
+
+// TestPopEmptyQueueAllocs: a pass over an empty queue reads the avail
+// ring into the queue's own buffer and allocates nothing.
+func TestPopEmptyQueueAllocs(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		_, dev, _, _ := setupBlk(t)
+		dq := dev.Dev.DeviceQueue(0)
+		x := crossings{m: dq.M, batch: batch}
+		if n := testing.AllocsPerRun(100, func() {
+			if chains, err := dq.pop(x, dq.Size); len(chains) != 0 || err != nil {
+				t.Fatalf("batch=%v: empty queue popped %d chains, err %v", batch, len(chains), err)
+			}
+		}); n != 0 {
+			t.Errorf("batch=%v: popping an empty queue: %v allocs, want 0", batch, n)
+		}
+	}
+}
+
+// hostileClaim is a descriptor length 32 times the 64 MiB of guest
+// memory newEnv provides.
+const hostileClaim = 1 << 31
+
+// TestHostileDescriptorLength: a descriptor whose claimed length runs
+// past guest memory is refused before the device allocates for it. In
+// both groupings the pass aborts as on a failed crossing: nothing
+// panics, no chain completes, nothing is delivered, and the pass
+// allocates far less than the claim.
+func TestHostileDescriptorLength(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// publish wires the device, publishes the hostile chain and
+		// returns the device and the queue to notify.
+		publish func(t *testing.T, env *Env, io mem.SlabIO, batch bool) (*MMIODev, int)
+	}{
+		{"blk read", func(t *testing.T, env *Env, io mem.SlabIO, batch bool) (*MMIODev, int) {
+			return hostileBlk(t, env, io, batch, BlkTIn, true)
+		}},
+		{"blk write", func(t *testing.T, env *Env, io mem.SlabIO, batch bool) (*MMIODev, int) {
+			return hostileBlk(t, env, io, batch, BlkTOut, false)
+		}},
+		{"console tx", func(t *testing.T, env *Env, io mem.SlabIO, batch bool) (*MMIODev, int) {
+			cons := NewConsoleDevice(devBase, io)
+			cons.Batch = batch
+			cons.Output = func([]byte) { t.Error("console delivered output") }
+			env.Bus = &directBus{handler: cons}
+			cd, err := ProbeConsole(env, devBase)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cd.tx.Publish(0, []ChainElem{{Addr: cd.txBuf, Len: hostileClaim}}); err != nil {
+				t.Fatal(err)
+			}
+			return cons.Dev, ConsoleTxQ
+		}},
+		{"net tx", func(t *testing.T, env *Env, io mem.SlabIO, batch bool) (*MMIODev, int) {
+			nd := NewNetDevice(devBase, [6]byte{0x52, 0x56, 0x4d, 0, 0, 1}, io)
+			nd.Batch = batch
+			nd.SendFrame = func([]byte) { t.Error("net sent a frame") }
+			env.Bus = &directBus{handler: nd}
+			nr, err := ProbeNet(env, devBase)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := nr.tx.Publish(0, []ChainElem{{Addr: nr.txBuf, Len: hostileClaim}}); err != nil {
+				t.Fatal(err)
+			}
+			return nd.Dev, NetTxQ
+		}},
+	} {
+		for _, batch := range []bool{false, true} {
+			env, io := newEnv()
+			dev, q := tc.publish(t, env, io, batch)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			env.Bus.MMIOWrite(devBase+RegQueueNotify, 4, uint64(q))
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Errorf("%s, batch=%v: the pass allocated %d bytes for a %d-byte claim", tc.name, batch, grew, hostileClaim)
+			}
+			if c := dev.DeviceQueue(q).Cursors(); c.UsedIdx != 0 || dev.InterruptCount() != 0 {
+				t.Errorf("%s, batch=%v: used index %d, %d interrupts; want the pass aborted", tc.name, batch, c.UsedIdx, dev.InterruptCount())
+			}
+		}
+	}
+}
+
+// hostileBlk wires a blk device and publishes one request of type typ
+// whose data segment claims hostileClaim bytes, device-writable when
+// write is set.
+func hostileBlk(t *testing.T, env *Env, io mem.SlabIO, batch bool, typ uint32, write bool) (*MMIODev, int) {
+	t.Helper()
+	dev := NewBlkDevice(devBase, io, &memBackend{data: make([]byte, 1<<20)}, env.Clock, env.Costs)
+	dev.Batch = batch
+	env.Bus = &directBus{handler: dev}
+	d, err := ProbeBlk(env, devBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr [blkHdrSize]byte
+	binary.LittleEndian.PutUint32(hdr[:], typ)
+	if err := io.WritePhys(d.bounce, hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.q.Publish(0, []ChainElem{
+		{Addr: d.bounce, Len: blkHdrSize},
+		{Addr: d.bounce + mem.PageSize, Len: hostileClaim, Write: write},
+		{Addr: d.bounce + 2*mem.PageSize, Len: 1, Write: true},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return dev.Dev, 0
 }
