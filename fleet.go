@@ -129,7 +129,7 @@ func (f *Fleet) VTimes() []time.Duration { return f.eng.VTimes() }
 func (f *Fleet) Metrics() *obs.Registry { return f.eng.MergedMetrics() }
 
 // Timeline returns all shards' event records merged in deterministic
-// (fired vtime, shard, seq) order.
+// (fired vtime, shard) order, each shard's records in execution order.
 func (f *Fleet) Timeline() []FleetRecord { return f.eng.Timeline() }
 
 // Engine exposes the underlying engine for cross-shard posts, barriers

@@ -107,8 +107,6 @@ type Options struct {
 	// Minimal only side-loads and registers devices without spawning
 	// the overlay (test/diagnostic mode).
 	Minimal bool
-	// KeepPrivileges skips the post-probe CAP_BPF drop (tests only).
-	KeepPrivileges bool
 	// BounceCopy disables the direct process_vm data path in the blk
 	// backend, restoring the unoptimised bounce-buffer copies — the
 	// ablation for the optimisation §5 says doubled Phoronix scores.
@@ -176,7 +174,9 @@ type VMSH struct {
 }
 
 // New creates the VMSH process with the privileges the prototype
-// needs: ptrace for injection, BPF for the memslot probe (§4.5).
+// needs: ptrace for injection, BPF for the memslot probe (§4.5). A
+// VMSH serves one attach: a failed Attach, or the Detach of the
+// session it returns, exits the process.
 func New(h *hostsim.Host) *VMSH {
 	proc := h.NewProcess("vmsh", hostsim.Creds{UID: 0,
 		Caps: hostsim.Caps(hostsim.CapSysPtrace, hostsim.CapBPF)})
@@ -212,6 +212,7 @@ func (v *VMSH) Attach(pid int, opts Options) (*Session, error) {
 	}
 	target, ok := h.Process(pid)
 	if !ok {
+		h.Exit(v.Proc)
 		return nil, &AttachError{PID: pid, Err: ErrNoProcess}
 	}
 	if opts.Trace {
@@ -223,6 +224,7 @@ func (v *VMSH) Attach(pid int, opts Options) (*Session, error) {
 	tx := newAttachTx(h, pid, opts.Retry)
 	fail := func(stage string, err error) (*Session, error) {
 		tx.rollback()
+		h.Exit(v.Proc)
 		if tapped {
 			h.Faults.SetTap(nil)
 			if opts.Record != nil {
@@ -309,11 +311,9 @@ func (v *VMSH) Attach(pid int, opts Options) (*Session, error) {
 			return fmt.Errorf("triggering kvm_vm_ioctl: %w", err)
 		}
 		probe.Close()
-		if !opts.KeepPrivileges {
-			// Privilege drop (§4.5): everything after here runs with
-			// ptrace rights only.
-			v.Proc.DropCapability(hostsim.CapBPF)
-		}
+		// Privilege drop (§4.5): everything after here runs with
+		// ptrace rights only.
+		v.Proc.DropCapability(hostsim.CapBPF)
 		if len(slots) == 0 {
 			return ErrNoMemslots
 		}

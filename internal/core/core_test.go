@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -297,6 +298,32 @@ func TestPrivilegeDropAfterProbe(t *testing.T) {
 	}
 	if !v.Proc.Creds.Has(hostsim.CapSysPtrace) {
 		t.Fatal("ptrace capability should remain")
+	}
+}
+
+// TestVMSHProcessEndsWithSession: each attach runs in its own vmsh
+// process, and Detach or a failed Attach exits it, so attach cycles
+// leave the host's process table as they found it.
+func TestVMSHProcessEndsWithSession(t *testing.T) {
+	h, inst := launch(t, hypervisor.QEMU, "5.10")
+	img := buildToolImage(t, h, "tools.img")
+	before := h.Pids()
+	for i := 0; i < 3; i++ {
+		sess := attach(t, h, inst, Options{Image: img})
+		if err := sess.Detach(); err != nil {
+			t.Fatalf("detach %d: %v", i, err)
+		}
+	}
+	// One attach fails at a stage (no image to serve), after the
+	// transaction has applied side effects; one names no process.
+	if _, err := New(h).Attach(inst.Proc.PID, Options{}); err == nil {
+		t.Fatal("attach without an image succeeded")
+	}
+	if _, err := New(h).Attach(424242, Options{}); err == nil {
+		t.Fatal("attach to a missing pid succeeded")
+	}
+	if got := h.Pids(); !slices.Equal(got, before) {
+		t.Fatalf("pids %v after three attach cycles and two failed attaches, want %v", got, before)
 	}
 }
 

@@ -125,6 +125,15 @@ func (pm *procMem) Contains(gpa mem.GPA, n int) bool {
 	return true
 }
 
+// Size implements mem.PhysExtent: the bytes the memslot table covers.
+func (pm *procMem) Size() uint64 {
+	var n uint64
+	for _, s := range pm.slots {
+		n += s.Size
+	}
+	return n
+}
+
 // hvaFor is the single-segment translation used by callers that need a
 // raw HVA (eventfd signal pages); it still rejects straddling ranges
 // because a single address cannot represent them.

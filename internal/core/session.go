@@ -222,7 +222,8 @@ func (s *Session) teardownTraps() {
 // interrupt, wait for the ack — then drains the attach transaction's
 // undo stack, removing every host-side artefact of the attach (the
 // library memslot and its mapping, the page-table entries, every
-// injected mmap and created fd, traps, ptrace). Detach is idempotent:
+// injected mmap and created fd, traps, ptrace) — and exits the vmsh
+// process. Detach is idempotent:
 // a second call is a no-op, and a Detach after a failed attach finds
 // an already-empty undo stack.
 func (s *Session) Detach() error {
@@ -273,6 +274,7 @@ func (s *Session) Detach() error {
 			s.tracer = nil
 		}
 	}
+	s.v.Host.Exit(s.v.Proc)
 	s.detached = true
 	if s.tapped {
 		s.v.Host.Faults.SetTap(nil)

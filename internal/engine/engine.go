@@ -23,9 +23,9 @@
 // scheduling, so delivery order (and therefore every downstream
 // timestamp) is identical at workers=1 and workers=N.
 //
-// The same (vtime, shard, seq) rule orders the global Timeline: a
-// k-way min-heap merge of the per-shard execution records, giving one
-// deterministic fleet-wide event stream for reporting and replay
+// The global Timeline orders the per-shard execution records by
+// (fired vtime, shard) and, within a shard, by execution order, giving
+// one deterministic fleet-wide event stream for reporting and replay
 // cross-checks. Timing fidelity note: events fire at
 // max(scheduled vtime, shard clock), and cross-shard messages are
 // delivered at the barrier following their send — the conservative
@@ -530,63 +530,28 @@ func (e *Engine) watchdogBarrier(msgsTo []int64) {
 	}
 }
 
-// timelineCursor is one shard's position in the k-way merge.
-type timelineCursor struct {
-	recs []Record
-	pos  int
-}
-
-// cursorHeap orders shard cursors by their head record's
-// (Fired, Shard, Seq) — the global merge rule.
-type cursorHeap []*timelineCursor
-
-func (h cursorHeap) Len() int { return len(h) }
-func (h cursorHeap) Less(i, j int) bool {
-	a, b := h[i].recs[h[i].pos], h[j].recs[h[j].pos]
-	if a.Fired != b.Fired {
-		return a.Fired < b.Fired
-	}
-	if a.Shard != b.Shard {
-		return a.Shard < b.Shard
-	}
-	return a.Seq < b.Seq
-}
-func (h cursorHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *cursorHeap) Push(x any)   { *h = append(*h, x.(*timelineCursor)) }
-func (h *cursorHeap) Pop() any {
-	old := *h
-	n := len(old)
-	c := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return c
-}
-
 // Timeline merges every shard's execution records into one stream
-// ordered by (fire vtime, shard, seq) via a k-way min-heap. Per-shard
-// record sequences are already vtime-sorted (shard clocks are
-// monotonic), so the merge is O(E log S). The result is identical at
-// any worker count.
+// ordered by (fired vtime, shard) and, within a shard, by execution
+// order. That is not seq order: an event scheduled later with an
+// earlier at can fire first at the same vtime. The records are
+// concatenated in shard order and sorted stably, the rule
+// obs.MergedTrace.Events applies to trace events; shard clocks never
+// rewind, so each shard's records are already in fired order. The
+// result is identical at any worker count.
 func (e *Engine) Timeline() []Record {
-	h := make(cursorHeap, 0, len(e.shards))
 	total := 0
 	for _, s := range e.shards {
-		if len(s.records) > 0 {
-			h = append(h, &timelineCursor{recs: s.records})
-			total += len(s.records)
-		}
+		total += len(s.records)
 	}
-	heap.Init(&h)
 	out := make([]Record, 0, total)
-	for h.Len() > 0 {
-		c := h[0]
-		out = append(out, c.recs[c.pos])
-		c.pos++
-		if c.pos == len(c.recs) {
-			heap.Pop(&h)
-		} else {
-			heap.Fix(&h, 0)
-		}
+	for _, s := range e.shards {
+		out = append(out, s.records...)
 	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Fired != out[j].Fired {
+			return out[i].Fired < out[j].Fired
+		}
+		return out[i].Shard < out[j].Shard
+	})
 	return out
 }

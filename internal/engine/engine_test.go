@@ -121,6 +121,42 @@ func TestEventOrderAndVirtualWait(t *testing.T) {
 	}
 }
 
+// TestTimelineExecutionOrderWithinShard: within one shard the Timeline
+// keeps execution order, which is not seq order. On shard 1 a busy
+// event runs the clock to 200us past two pending events; the one
+// scheduled later (higher seq) has the earlier at, so it fires first,
+// and both fire at 200us. Shard 0's event at 200us sorts between them
+// and the busy event by (fired vtime, shard).
+func TestTimelineExecutionOrderWithinShard(t *testing.T) {
+	e := New(2, 2)
+	noop := func(*Shard) error { return nil }
+	e.At(0, 200*time.Microsecond, "s0@200", noop)
+	e.At(0, 300*time.Microsecond, "s0@300", noop)
+	e.At(1, 0, "s1-busy", func(s *Shard) error {
+		s.Host().Clock.Advance(200 * time.Microsecond)
+		return nil
+	})
+	e.At(1, 150*time.Microsecond, "s1-scheduled-first", noop)
+	e.At(1, 100*time.Microsecond, "s1-scheduled-second", noop)
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range e.Timeline() {
+		got = append(got, fmt.Sprintf("%s@%v/s%d#%d", r.Name, r.Fired, r.Shard, r.Seq))
+	}
+	want := []string{
+		"s1-busy@0s/s1#0",
+		"s0@200@200µs/s0#0",
+		"s1-scheduled-second@200µs/s1#2",
+		"s1-scheduled-first@200µs/s1#1",
+		"s0@300@300µs/s0#1",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("timeline\n got %q\nwant %q", got, want)
+	}
+}
+
 func TestTieBreakBySeq(t *testing.T) {
 	e := New(1, 1)
 	var order []string

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
-	"sync"
 
 	"vmsh/internal/fserr"
 	"vmsh/internal/guestlib"
@@ -387,17 +386,12 @@ func (k *Kernel) unregisterVMSHDevice(handle uint64) error {
 // overlay package registers "vmsh-guest" here.
 type GuestProgramFn func(k *Kernel, p *Proc, options string) error
 
-var (
-	guestProgMu sync.Mutex
-	guestProgs  = make(map[string]GuestProgramFn)
-)
+var guestProgs = make(map[string]GuestProgramFn)
 
-// RegisterGuestProgram installs a named program implementation.
-func RegisterGuestProgram(name string, fn GuestProgramFn) {
-	guestProgMu.Lock()
-	defer guestProgMu.Unlock()
-	guestProgs[name] = fn
-}
+// RegisterGuestProgram installs a named program implementation. Call
+// it from an init function: the table is read without a lock by every
+// kernel, on whichever engine worker drives it.
+func RegisterGuestProgram(name string, fn GuestProgramFn) { guestProgs[name] = fn }
 
 // execGuestProgram validates and runs the executable at path. The file
 // must carry the ExeMagic header followed by "name\x00options".
@@ -411,9 +405,7 @@ func (k *Kernel) execGuestProgram(path, arg string) (uint64, error) {
 	}
 	payload := string(data[len(guestlib.ExeMagic):])
 	name, options, _ := strings.Cut(payload, "\x00")
-	guestProgMu.Lock()
 	fn := guestProgs[name]
-	guestProgMu.Unlock()
 	if fn == nil {
 		return 0, fmt.Errorf("ENOEXEC: unknown guest program %q", name)
 	}

@@ -45,8 +45,6 @@ func (f *VMFD) Ioctl(p *hostsim.Process, cmd uint64, arg uint64) (uint64, error)
 			// Real KVM semantics: memory_size 0 deletes the numbered
 			// slot. VMSH's rollback path uses this to take its library
 			// slot back out of the guest physical space.
-			vm.mu.Lock()
-			defer vm.mu.Unlock()
 			for i, s := range vm.memslots {
 				if s.Slot == slot {
 					vm.memslots = append(vm.memslots[:i], vm.memslots[i+1:]...)
@@ -64,10 +62,8 @@ func (f *VMFD) Ioctl(p *hostsim.Process, cmd uint64, arg uint64) (uint64, error)
 		if m.HVA != hva || m.Size < size {
 			return 0, fmt.Errorf("%w: memslot must cover a whole mapping", hostsim.ErrInval)
 		}
-		vm.mu.Lock()
 		for _, s := range vm.memslots {
 			if gpa < s.GPA+mem.GPA(s.Size) && s.GPA < gpa+mem.GPA(size) {
-				vm.mu.Unlock()
 				return 0, fmt.Errorf("%w: memslot overlaps slot %d", hostsim.ErrInval, s.Slot)
 			}
 		}
@@ -76,7 +72,6 @@ func (f *VMFD) Ioctl(p *hostsim.Process, cmd uint64, arg uint64) (uint64, error)
 		if vm.dirtyLog {
 			ns.Phys.SetDirtyLog(true)
 		}
-		vm.mu.Unlock()
 		return 0, nil
 
 	case KVMIrqfd:
@@ -128,9 +123,7 @@ func (f *VMFD) Ioctl(p *hostsim.Process, cmd uint64, arg uint64) (uint64, error)
 		if !ok {
 			return 0, hostsim.ErrInval
 		}
-		vm.mu.Lock()
 		vm.ioregions = append(vm.ioregions, &ioregion{start: gpa, size: size, sock: sock})
-		vm.mu.Unlock()
 		return 0, nil
 
 	default:

@@ -10,7 +10,6 @@ package kvm
 
 import (
 	"fmt"
-	"sync"
 
 	"vmsh/internal/arch"
 	"vmsh/internal/faults"
@@ -105,7 +104,6 @@ type VM struct {
 	// is exactly why Table 1 lists Cloud Hypervisor as unsupported.
 	IRQChipMSIXOnly bool
 
-	mu         sync.Mutex
 	memslots   []*MemSlot
 	vcpus      []*VCPU
 	regions    []*mmioRegion // hypervisor-emulated devices
@@ -167,8 +165,6 @@ func (vm *VM) SetIRQHandler(fn func(gsi uint32)) { vm.irqHandler = fn }
 // ioctl path; hypervisors use it at construction time (they own the
 // VM, no injection involved).
 func (vm *VM) AddMemSlotDirect(slot uint32, gpa mem.GPA, hva mem.HVA, phys *mem.Phys) *MemSlot {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
 	s := &MemSlot{Slot: slot, GPA: gpa, Size: phys.Size(), HVA: hva, Phys: phys}
 	vm.memslots = append(vm.memslots, s)
 	if vm.dirtyLog {
@@ -184,8 +180,6 @@ func (vm *VM) AddMemSlotDirect(slot uint32, gpa mem.GPA, hva mem.HVA, phys *mem.
 // active (the vmsh library slot, say) are tracked from their first
 // byte. Idempotent; tracking adds no virtual-time cost.
 func (vm *VM) StartDirtyTracking() {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
 	if vm.dirtyLog {
 		return
 	}
@@ -200,8 +194,6 @@ func (vm *VM) StartDirtyTracking() {
 // which is what live migration's pre-copy rounds poll. Returns nil
 // when tracking is off.
 func (vm *VM) DirtyLog(clear bool) map[uint32][]uint64 {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
 	if !vm.dirtyLog {
 		return nil
 	}
@@ -214,8 +206,6 @@ func (vm *VM) DirtyLog(clear bool) map[uint32][]uint64 {
 
 // StopDirtyTracking stops every slab's log and drops it.
 func (vm *VM) StopDirtyTracking() {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
 	vm.dirtyLog = false
 	for _, s := range vm.memslots {
 		s.Phys.SetDirtyLog(false)
@@ -224,8 +214,6 @@ func (vm *VM) StopDirtyTracking() {
 
 // MemSlots snapshots the slot list.
 func (vm *VM) MemSlots() []*MemSlot {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
 	out := make([]*MemSlot, len(vm.memslots))
 	copy(out, vm.memslots)
 	return out
@@ -234,7 +222,7 @@ func (vm *VM) MemSlots() []*MemSlot {
 // slotInfo builds the kprobe payload.
 func (vm *VM) slotInfo() []MemSlotInfo {
 	var out []MemSlotInfo
-	for _, s := range vm.MemSlots() {
+	for _, s := range vm.memslots {
 		out = append(out, MemSlotInfo{Slot: s.Slot, GPA: s.GPA, Size: s.Size, HVA: s.HVA})
 	}
 	return out
@@ -242,8 +230,6 @@ func (vm *VM) slotInfo() []MemSlotInfo {
 
 // NewVCPU creates a vCPU and installs its fd in the owner's table.
 func (vm *VM) NewVCPU() (*VCPU, int) {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
 	v := &VCPU{vm: vm, Index: len(vm.vcpus)}
 	vm.vcpus = append(vm.vcpus, v)
 	fd := vm.owner.InstallFD(&VCPUFD{VCPU: v})
@@ -252,8 +238,6 @@ func (vm *VM) NewVCPU() (*VCPU, int) {
 
 // VCPUs snapshots the vCPU list.
 func (vm *VM) VCPUs() []*VCPU {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
 	out := make([]*VCPU, len(vm.vcpus))
 	copy(out, vm.vcpus)
 	return out
@@ -261,15 +245,11 @@ func (vm *VM) VCPUs() []*VCPU {
 
 // RegisterMMIO adds a hypervisor-emulated device region.
 func (vm *VM) RegisterMMIO(start mem.GPA, size uint64, h MMIOHandler, name string) {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
 	vm.regions = append(vm.regions, &mmioRegion{start: start, size: size, h: h, name: name})
 }
 
 // SetWrapTrap installs (or clears, with h == nil) the ptrace MMIO trap.
 func (vm *VM) SetWrapTrap(start mem.GPA, size uint64, h MMIOHandler) {
-	vm.mu.Lock()
-	defer vm.mu.Unlock()
 	if h == nil {
 		vm.wrap = nil
 		return
@@ -285,12 +265,10 @@ func (vm *VM) GuestMem() mem.PhysIO { return guestMem{vm} }
 
 type guestMem struct{ vm *VM }
 
-// slotFor returns the memslot holding [gpa, gpa+n). It looks the slot
-// up under the VM lock rather than copying the table: every
-// guest-memory access goes through it.
+// slotFor returns the memslot holding [gpa, gpa+n). It walks the
+// table in place rather than copying it: every guest-memory access
+// goes through it.
 func (g guestMem) slotFor(gpa mem.GPA, n int) (*MemSlot, error) {
-	g.vm.mu.Lock()
-	defer g.vm.mu.Unlock()
 	for _, s := range g.vm.memslots {
 		if off := uint64(gpa - s.GPA); gpa >= s.GPA && off <= s.Size && uint64(n) <= s.Size-off {
 			return s, nil
@@ -303,6 +281,15 @@ func (g guestMem) slotFor(gpa mem.GPA, n int) (*MemSlot, error) {
 func (g guestMem) Contains(gpa mem.GPA, n int) bool {
 	_, err := g.slotFor(gpa, n)
 	return err == nil
+}
+
+// Size implements mem.PhysExtent: the bytes every memslot holds.
+func (g guestMem) Size() uint64 {
+	var n uint64
+	for _, s := range g.vm.memslots {
+		n += s.Size
+	}
+	return n
 }
 
 func (g guestMem) ReadPhys(gpa mem.GPA, buf []byte) error {
@@ -356,7 +343,9 @@ func (vm *VM) MMIOWrite(gpa mem.GPA, size int, value uint64) {
 //     unrelated exits pay nothing extra because the kernel filters;
 //   - hypervisor-emulated regions pay the usual return to userspace.
 func (vm *VM) dispatchMMIO(gpa mem.GPA, size int, write bool, value uint64) uint64 {
-	ret := vm.dispatchMMIOInner(gpa, size, write, value)
+	sp := vm.trVCPU.Span("kvm", "mmio_exit")
+	ret := vm.exit(gpa, size, write, value)
+	sp.End1("gpa", int64(gpa))
 	// Tap-only "kvm:mmio" crossing (never fault-checked): one record
 	// per exit so replay logs carry the device register traffic.
 	if f := vm.host.Faults; f.Observing() {
@@ -371,81 +360,52 @@ func (vm *VM) dispatchMMIO(gpa mem.GPA, size int, write bool, value uint64) uint
 	return ret
 }
 
-func (vm *VM) dispatchMMIOInner(gpa mem.GPA, size int, write bool, value uint64) uint64 {
+// exit charges one MMIO exit and routes it to the handler that claims
+// gpa.
+func (vm *VM) exit(gpa mem.GPA, size int, write bool, value uint64) uint64 {
 	c := vm.host.Costs
-	sp := vm.trVCPU.Span("kvm", "mmio_exit")
 	vm.host.Clock.Advance(c.VMExit)
-	vm.mu.Lock()
 	vm.ExitsTotal++
-	wrap := vm.wrap
-	taxed := vm.owner.SyscallTaxed()
-	vm.mu.Unlock()
 	vm.ctrExits.Inc()
 
-	if taxed {
+	if vm.owner.SyscallTaxed() {
 		// KVM_RUN returned to a ptraced hypervisor: entry+exit stop.
 		vm.host.Clock.Advance(2 * c.PtraceStop)
-		if wrap != nil && gpa >= wrap.start && gpa < wrap.start+mem.GPA(wrap.size) {
-			vm.mu.Lock()
+		if w := vm.wrap; w != nil && gpa >= w.start && gpa < w.start+mem.GPA(w.size) {
 			vm.ExitsToExternal++
-			vm.mu.Unlock()
 			// The tracer parses the mmap'd kvm_run area, handles the
 			// access in the VMSH process and re-enters KVM_RUN.
 			vm.host.Clock.Advance(c.ContextSwitch)
-			ret := wrap.h.MMIO(gpa, size, write, value)
+			ret := w.h.MMIO(gpa, size, write, value)
 			vm.host.Clock.Advance(c.Syscall) // re-enter KVM_RUN
-			sp.End1("gpa", int64(gpa))
 			return ret
 		}
 	}
 
-	vm.mu.Lock()
-	var ior *ioregion
 	// Newest registration wins, and regions whose serving socket was
 	// closed (handler gone) are dead — the kernel drops an ioregionfd
 	// when its fd closes.
 	for i := len(vm.ioregions) - 1; i >= 0; i-- {
 		r := vm.ioregions[i]
 		if gpa >= r.start && gpa < r.start+mem.GPA(r.size) && r.sock.Peer.Handler() != nil {
-			ior = r
-			break
+			vm.ExitsToExternal++
+			// In-kernel filtering: only this access pays, nothing else.
+			vm.host.Clock.Advance(c.IoregionfdMsg + c.ContextSwitch)
+			if h, _ := r.sock.Peer.Handler().(MMIOHandler); h != nil {
+				return h.MMIO(gpa, size, write, value)
+			}
+			return ^uint64(0)
 		}
-	}
-	vm.mu.Unlock()
-	if ior != nil {
-		vm.mu.Lock()
-		vm.ExitsToExternal++
-		vm.mu.Unlock()
-		// In-kernel filtering: only this access pays, nothing else.
-		vm.host.Clock.Advance(c.IoregionfdMsg + c.ContextSwitch)
-		h, _ := ior.sock.Peer.Handler().(MMIOHandler)
-		if h != nil {
-			ret := h.MMIO(gpa, size, write, value)
-			sp.End1("gpa", int64(gpa))
-			return ret
-		}
-		sp.End1("gpa", int64(gpa))
-		return ^uint64(0)
 	}
 
-	vm.mu.Lock()
-	var reg *mmioRegion
 	for _, r := range vm.regions {
 		if r.contains(gpa) {
-			reg = r
-			break
+			// Exit to the hypervisor's own userspace loop and back.
+			vm.host.Clock.Advance(c.Syscall)
+			return r.h.MMIO(gpa, size, write, value)
 		}
 	}
-	vm.mu.Unlock()
-	if reg != nil {
-		// Exit to the hypervisor's own userspace loop and back.
-		vm.host.Clock.Advance(c.Syscall)
-		ret := reg.h.MMIO(gpa, size, write, value)
-		sp.End1("gpa", int64(gpa))
-		return ret
-	}
 	// Unclaimed MMIO reads float high, writes are dropped.
-	sp.End1("gpa", int64(gpa))
 	return ^uint64(0)
 }
 
@@ -454,7 +414,6 @@ type VCPU struct {
 	vm    *VM
 	Index int
 
-	mu    sync.Mutex
 	Regs  hostsim.Regs
 	Sregs Sregs
 
@@ -465,29 +424,13 @@ type VCPU struct {
 func (v *VCPU) VM() *VM { return v.vm }
 
 // GetRegs returns a copy of the register file.
-func (v *VCPU) GetRegs() hostsim.Regs {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.Regs
-}
+func (v *VCPU) GetRegs() hostsim.Regs { return v.Regs }
 
 // SetRegs replaces the register file.
-func (v *VCPU) SetRegs(r hostsim.Regs) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.Regs = r
-}
+func (v *VCPU) SetRegs(r hostsim.Regs) { v.Regs = r }
 
 // GetSregs returns the special registers.
-func (v *VCPU) GetSregs() Sregs {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.Sregs
-}
+func (v *VCPU) GetSregs() Sregs { return v.Sregs }
 
 // SetSregs replaces the special registers.
-func (v *VCPU) SetSregs(s Sregs) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.Sregs = s
-}
+func (v *VCPU) SetSregs(s Sregs) { v.Sregs = s }

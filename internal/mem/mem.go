@@ -245,23 +245,18 @@ func (s SlabIO) WritePhys(gpa GPA, buf []byte) error {
 // Contains implements PhysExtent.
 func (s SlabIO) Contains(gpa GPA, n int) bool { return s.Phys.Contains(gpa, n) }
 
+// Size implements PhysExtent.
+func (s SlabIO) Size() uint64 { return s.Phys.Size() }
+
 // PhysExtent is implemented by a guest-memory view that can tell,
 // without a crossing and without charging for one, whether it holds a
-// whole range: VMSH's view answers from its memslot table, the guest's
-// from its slab.
+// whole range and how much memory it holds in all: VMSH's view answers
+// from its memslot table, the guest's from its slab. Devices ask
+// before allocating buffers the size guest descriptors claim.
 type PhysExtent interface {
 	Contains(gpa GPA, n int) bool
-}
-
-// Holds reports whether r holds [gpa, gpa+n): r's own answer when it
-// implements PhysExtent, else true, leaving the decision to the
-// crossing. Devices ask before allocating a buffer the size a guest
-// descriptor claims.
-func Holds(r PhysReader, gpa GPA, n int) bool {
-	if e, ok := r.(PhysExtent); ok {
-		return e.Contains(gpa, n)
-	}
-	return true
+	// Size is the number of bytes of guest memory the view holds.
+	Size() uint64
 }
 
 // Vec is one segment of a scatter-gather guest-physical transfer.

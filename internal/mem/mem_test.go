@@ -73,8 +73,8 @@ func TestSlabIOErrors(t *testing.T) {
 	if err := io.ReadPhys(^GPA(7), buf); err == nil {
 		t.Fatal("expected error reading a range that wraps the address space")
 	}
-	if Holds(io, ^GPA(7), len(buf)) || !Holds(io, 0x10, len(buf)) {
-		t.Fatal("Holds disagrees with the slab's extent")
+	if io.Contains(^GPA(7), len(buf)) || !io.Contains(0x10, len(buf)) || io.Size() != 0x1000 {
+		t.Fatal("the PhysExtent view disagrees with the slab's extent")
 	}
 }
 

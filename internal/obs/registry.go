@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -15,9 +14,9 @@ import (
 //
 // Counters and histograms are single-owner plain values, like the
 // host and clock that record into them: the host or session that owns
-// a registry records from one goroutine at a time, and readers on other
-// goroutines (Merge, Snapshot, WriteText) wait for a synchronising
-// handover such as the engine's window barrier.
+// a registry registers and records from one goroutine at a time, and
+// readers on other goroutines (Merge, Snapshot, WriteText) wait for a
+// synchronising handover such as the engine's window barrier.
 type Counter struct {
 	name string
 	v    int64
@@ -142,12 +141,11 @@ func (h *Histogram) Name() string {
 	return h.name
 }
 
-// Registry holds named counters and histograms. Registration takes a
-// lock and may allocate; the returned handles are single-owner plain
-// values (see Counter). Names are dotted paths ("host.procvm.calls",
-// "blk.req_vlat").
+// Registry holds named counters and histograms. Registration may
+// allocate; the registry and the handles it returns are single-owner
+// plain values (see Counter). Names are dotted paths
+// ("host.procvm.calls", "blk.req_vlat").
 type Registry struct {
-	mu    sync.Mutex
 	ctrs  map[string]*Counter
 	hists map[string]*Histogram
 }
@@ -166,8 +164,6 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if c, ok := r.ctrs[name]; ok {
 		return c
 	}
@@ -182,8 +178,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
@@ -220,32 +214,22 @@ func (r *Registry) Merge(src *Registry) {
 	if r == nil || src == nil {
 		return
 	}
-	src.mu.Lock()
-	srcCtrs := make(map[string]*Counter, len(src.ctrs))
-	for n, c := range src.ctrs {
-		srcCtrs[n] = c
+	for _, n := range sortedKeys(src.ctrs) {
+		r.Counter(n).Add(src.ctrs[n].v)
 	}
-	srcHists := make(map[string]*Histogram, len(src.hists))
-	for n, h := range src.hists {
-		srcHists[n] = h
+	for _, n := range sortedKeys(src.hists) {
+		r.Histogram(n).merge(src.hists[n])
 	}
-	src.mu.Unlock()
-	names := make([]string, 0, len(srcCtrs))
-	for n := range srcCtrs {
-		names = append(names, n)
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		r.Counter(n).Add(srcCtrs[n].Value())
-	}
-	names = names[:0]
-	for n := range srcHists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		r.Histogram(n).merge(srcHists[n])
-	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Snapshot returns every counter value plus, for each histogram, its
@@ -255,8 +239,6 @@ func (r *Registry) Snapshot() map[string]int64 {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make(map[string]int64, len(r.ctrs)+3*len(r.hists))
 	for name, c := range r.ctrs {
 		out[name] = c.Value()
@@ -288,24 +270,11 @@ func (r *Registry) WriteText(sb *strings.Builder) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	ctrNames := make([]string, 0, len(r.ctrs))
-	for n := range r.ctrs {
-		ctrNames = append(ctrNames, n)
+	for _, n := range sortedKeys(r.ctrs) {
+		fmt.Fprintf(sb, "%-32s %d\n", n, r.ctrs[n].v)
 	}
-	histNames := make([]string, 0, len(r.hists))
-	for n := range r.hists {
-		histNames = append(histNames, n)
-	}
-	ctrs, hists := r.ctrs, r.hists
-	r.mu.Unlock()
-	sort.Strings(ctrNames)
-	sort.Strings(histNames)
-	for _, n := range ctrNames {
-		fmt.Fprintf(sb, "%-32s %d\n", n, ctrs[n].Value())
-	}
-	for _, n := range histNames {
-		h := hists[n]
+	for _, n := range sortedKeys(r.hists) {
+		h := r.hists[n]
 		fmt.Fprintf(sb, "%-32s count=%d sum=%v mean=%v max=%v\n",
 			n, h.Count(), h.Sum(), h.Mean(), h.Max())
 		for i := 0; i < HistBuckets; i++ {

@@ -2,9 +2,7 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"vmsh/internal/vclock"
@@ -32,7 +30,6 @@ type Telemetry struct {
 	reg      *Registry
 	interval time.Duration
 
-	mu        sync.Mutex
 	next      time.Duration
 	ring      []Sample
 	head      int // index of oldest sample when full
@@ -69,9 +66,7 @@ func NewTelemetry(clock *vclock.Clock, reg *Registry, interval time.Duration, ca
 // sample per crossing: a single large Advance spanning many boundaries
 // still snapshots once (the intermediate instants never existed).
 func (tm *Telemetry) tick(now time.Duration) {
-	tm.mu.Lock()
 	if now < tm.next {
-		tm.mu.Unlock()
 		return
 	}
 	tm.next = now - now%tm.interval + tm.interval
@@ -84,7 +79,6 @@ func (tm *Telemetry) tick(now time.Duration) {
 		tm.full = true
 	}
 	tm.taken++
-	tm.mu.Unlock()
 }
 
 // Stop detaches the clock observer; recorded samples survive.
@@ -92,8 +86,6 @@ func (tm *Telemetry) Stop() {
 	if tm == nil {
 		return
 	}
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
 	if tm.unobserve != nil {
 		tm.unobserve()
 		tm.unobserve = nil
@@ -109,8 +101,6 @@ func (tm *Telemetry) Taken() int64 {
 	if tm == nil {
 		return 0
 	}
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
 	return tm.taken
 }
 
@@ -119,8 +109,6 @@ func (tm *Telemetry) Samples() []Sample {
 	if tm == nil {
 		return nil
 	}
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
 	out := make([]Sample, 0, len(tm.ring))
 	if tm.full {
 		out = append(out, tm.ring[tm.head:]...)
@@ -154,12 +142,7 @@ func (tm *Telemetry) Keys() []string {
 			set[k] = struct{}{}
 		}
 	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return sortedKeys(set)
 }
 
 // WriteText renders the retained series deterministically: one line

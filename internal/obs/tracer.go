@@ -12,15 +12,13 @@
 //
 // The tracer is built to cost nothing while disabled: Track and Span
 // are plain value types, every emit path checks one pointer and one
-// atomic bool before touching any state, and no interface{} boxing or
+// bool before touching any state, and no interface{} boxing or
 // map lookup happens on the hot path (argument helpers take typed
 // int64 values). testing.AllocsPerRun over the disabled paths must
 // report zero.
 package obs
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"vmsh/internal/vclock"
@@ -69,11 +67,12 @@ type asyncOpen struct {
 
 // Tracer records virtual-time spans and events. A nil *Tracer is a
 // valid disabled tracer; a non-nil tracer is also disabled until
-// Enable. All methods are safe for concurrent use.
+// Enable. Like the host and clock it records, a tracer is a
+// single-owner value: drive it from one goroutine at a time.
 type Tracer struct {
 	clock   *vclock.Clock
-	enabled atomic.Bool
-	charged atomic.Int64 // total ns the clock advanced while enabled
+	enabled bool
+	charged time.Duration // total the clock advanced while enabled
 
 	// Flow state. flowBase tags every allocated flow id so ids from
 	// different shard tracers never collide in a merged fleet trace;
@@ -83,10 +82,9 @@ type Tracer struct {
 	// device side can end the flow the driver side began without any
 	// shared simulation state.
 	flowBase uint64
-	flowSeq  atomic.Uint64
-	curFlow  atomic.Uint64
+	flowSeq  uint64
+	curFlow  uint64
 
-	mu        sync.Mutex
 	tracks    []string
 	byName    map[string]TrackID
 	events    []Event
@@ -121,7 +119,8 @@ func (t *Tracer) SetFlowBase(base uint64) {
 // follows the shard's deterministic event order, so ids are identical
 // across same-seed runs at any worker count.
 func (t *Tracer) newFlowID() uint64 {
-	return t.flowBase | t.flowSeq.Add(1)
+	t.flowSeq++
+	return t.flowBase | t.flowSeq
 }
 
 // CurrentFlow returns the ambient flow id the current synchronous call
@@ -130,7 +129,7 @@ func (t *Tracer) CurrentFlow() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.curFlow.Load()
+	return t.curFlow
 }
 
 // AdoptFlow makes id the ambient flow — how a cross-shard bridge
@@ -140,7 +139,7 @@ func (t *Tracer) AdoptFlow(id uint64) {
 	if t == nil {
 		return
 	}
-	t.curFlow.Store(id)
+	t.curFlow = id
 }
 
 // ClearFlow drops the ambient flow.
@@ -148,7 +147,7 @@ func (t *Tracer) ClearFlow() {
 	if t == nil {
 		return
 	}
-	t.curFlow.Store(0)
+	t.curFlow = 0
 }
 
 // Enable starts recording. It also hooks the clock so the tracer
@@ -161,12 +160,10 @@ func (t *Tracer) Enable() {
 	if t == nil {
 		return
 	}
-	t.enabled.Store(true)
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.enabled = true
 	if t.clock != nil && t.unobserve == nil {
 		t.unobserve = t.clock.Observe(func(d time.Duration) {
-			t.charged.Add(int64(d))
+			t.charged += d
 		})
 	}
 }
@@ -177,9 +174,7 @@ func (t *Tracer) Disable() {
 	if t == nil {
 		return
 	}
-	t.enabled.Store(false)
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.enabled = false
 	if t.unobserve != nil {
 		t.unobserve()
 		t.unobserve = nil
@@ -188,7 +183,7 @@ func (t *Tracer) Disable() {
 
 // Enabled reports whether the tracer is currently recording. Safe on a
 // nil receiver, which reports false.
-func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
+func (t *Tracer) Enabled() bool { return t != nil && t.enabled }
 
 // Charged returns the total virtual time the clock advanced while the
 // tracer was enabled.
@@ -196,7 +191,7 @@ func (t *Tracer) Charged() time.Duration {
 	if t == nil {
 		return 0
 	}
-	return time.Duration(t.charged.Load())
+	return t.charged
 }
 
 // Reset drops all recorded events and outstanding async spans; track
@@ -205,24 +200,21 @@ func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	t.events = nil
 	t.async = make(map[uint64]asyncOpen)
 	t.flowq = make(map[uint64][]uint64)
-	t.mu.Unlock()
-	t.charged.Store(0)
-	t.curFlow.Store(0)
+	t.charged = 0
+	t.curFlow = 0
 }
 
 // Track registers (or finds) a named track and returns a handle. The
 // zero Track is valid and permanently disabled. Registration is cheap
-// but takes a lock — call it at construction time, not per event.
+// but looks the name up in a map — call it at construction time, not
+// per event.
 func (t *Tracer) Track(name string) Track {
 	if t == nil {
 		return Track{}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if id, ok := t.byName[name]; ok {
 		return Track{t: t, id: id}
 	}
@@ -238,8 +230,6 @@ func (t *Tracer) Tracks() []string {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make([]string, len(t.tracks))
 	copy(out, t.tracks)
 	return out
@@ -250,8 +240,6 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make([]Event, len(t.events))
 	copy(out, t.events)
 	return out
@@ -265,11 +253,7 @@ func (t *Tracer) now() time.Duration {
 	return t.clock.Now()
 }
 
-func (t *Tracer) append(e Event) {
-	t.mu.Lock()
-	t.events = append(t.events, e)
-	t.mu.Unlock()
-}
+func (t *Tracer) append(e Event) { t.events = append(t.events, e) }
 
 // Track is a handle onto one named track; all emission goes through
 // it. The zero value is disabled, so components can carry a Track
@@ -281,7 +265,7 @@ type Track struct {
 
 // Live reports whether events emitted on this track are recorded right
 // now.
-func (tk Track) Live() bool { return tk.t != nil && tk.t.enabled.Load() }
+func (tk Track) Live() bool { return tk.t != nil && tk.t.enabled }
 
 // Span opens a complete-span measurement; call End (or a variant) to
 // record it. While the tracer is disabled this returns the zero Span
@@ -318,11 +302,8 @@ func (tk Track) Begin(cat, name string, id uint64) {
 		return
 	}
 	now := tk.t.now()
-	tk.t.mu.Lock()
 	tk.t.async[id] = asyncOpen{track: tk.id, cat: cat, name: name, start: now}
-	tk.t.events = append(tk.t.events, Event{Track: tk.id, Phase: PhaseAsyncBegin,
-		Cat: cat, Name: name, TS: now, ID: id})
-	tk.t.mu.Unlock()
+	tk.t.append(Event{Track: tk.id, Phase: PhaseAsyncBegin, Cat: cat, Name: name, TS: now, ID: id})
 }
 
 // AsyncEnd closes the async span opened with id and returns its
@@ -333,16 +314,12 @@ func (tk Track) AsyncEnd(id uint64) (time.Duration, bool) {
 		return 0, false
 	}
 	now := tk.t.now()
-	tk.t.mu.Lock()
 	open, ok := tk.t.async[id]
 	if !ok {
-		tk.t.mu.Unlock()
 		return 0, false
 	}
 	delete(tk.t.async, id)
-	tk.t.events = append(tk.t.events, Event{Track: tk.id, Phase: PhaseAsyncEnd,
-		Cat: open.cat, Name: open.name, TS: now, ID: id})
-	tk.t.mu.Unlock()
+	tk.t.append(Event{Track: tk.id, Phase: PhaseAsyncEnd, Cat: open.cat, Name: open.name, TS: now, ID: id})
 	return now - open.start, true
 }
 
@@ -358,7 +335,7 @@ func (tk Track) FlowBegin(cat, name string) uint64 {
 	id := tk.t.newFlowID()
 	tk.t.append(Event{Track: tk.id, Phase: PhaseFlowBegin, Cat: cat, Name: name,
 		TS: tk.t.now(), ID: id})
-	tk.t.curFlow.Store(id)
+	tk.t.curFlow = id
 	return id
 }
 
@@ -368,7 +345,7 @@ func (tk Track) FlowStep(cat, name string) {
 	if !tk.Live() {
 		return
 	}
-	id := tk.t.curFlow.Load()
+	id := tk.t.curFlow
 	if id == 0 {
 		return
 	}
@@ -382,13 +359,13 @@ func (tk Track) FlowEnd(cat, name string) {
 	if !tk.Live() {
 		return
 	}
-	id := tk.t.curFlow.Load()
+	id := tk.t.curFlow
 	if id == 0 {
 		return
 	}
 	tk.t.append(Event{Track: tk.id, Phase: PhaseFlowEnd, Cat: cat, Name: name,
 		TS: tk.t.now(), ID: id})
-	tk.t.curFlow.Store(0)
+	tk.t.curFlow = 0
 }
 
 // ClearFlow drops the tracer's ambient flow (frame handed off but
@@ -398,7 +375,7 @@ func (tk Track) ClearFlow() {
 	if tk.t == nil {
 		return
 	}
-	tk.t.curFlow.Store(0)
+	tk.t.curFlow = 0
 }
 
 // FlowBeginQ allocates a flow id, records the begin event, and
@@ -411,12 +388,8 @@ func (tk Track) FlowBeginQ(key uint64, cat, name string) {
 		return
 	}
 	id := tk.t.newFlowID()
-	now := tk.t.now()
-	tk.t.mu.Lock()
 	tk.t.flowq[key] = append(tk.t.flowq[key], id)
-	tk.t.events = append(tk.t.events, Event{Track: tk.id, Phase: PhaseFlowBegin,
-		Cat: cat, Name: name, TS: now, ID: id})
-	tk.t.mu.Unlock()
+	tk.t.append(Event{Track: tk.id, Phase: PhaseFlowBegin, Cat: cat, Name: name, TS: tk.t.now(), ID: id})
 }
 
 // FlowEndQ dequeues the oldest flow id under key and records its end
@@ -426,11 +399,8 @@ func (tk Track) FlowEndQ(key uint64, cat, name string) {
 	if !tk.Live() {
 		return
 	}
-	now := tk.t.now()
-	tk.t.mu.Lock()
 	q := tk.t.flowq[key]
 	if len(q) == 0 {
-		tk.t.mu.Unlock()
 		return
 	}
 	id := q[0]
@@ -439,9 +409,7 @@ func (tk Track) FlowEndQ(key uint64, cat, name string) {
 	} else {
 		tk.t.flowq[key] = q[1:]
 	}
-	tk.t.events = append(tk.t.events, Event{Track: tk.id, Phase: PhaseFlowEnd,
-		Cat: cat, Name: name, TS: now, ID: id})
-	tk.t.mu.Unlock()
+	tk.t.append(Event{Track: tk.id, Phase: PhaseFlowEnd, Cat: cat, Name: name, TS: tk.t.now(), ID: id})
 }
 
 // Span is one in-flight complete-span measurement. The zero value is
@@ -456,7 +424,7 @@ type Span struct {
 
 // End records the span.
 func (s Span) End() {
-	if s.t == nil || !s.t.enabled.Load() {
+	if s.t == nil || !s.t.enabled {
 		return
 	}
 	s.t.append(Event{Track: s.track, Phase: PhaseSpan, Cat: s.cat, Name: s.name,
@@ -465,7 +433,7 @@ func (s Span) End() {
 
 // End1 records the span with one typed argument.
 func (s Span) End1(k string, v int64) {
-	if s.t == nil || !s.t.enabled.Load() {
+	if s.t == nil || !s.t.enabled {
 		return
 	}
 	s.t.append(Event{Track: s.track, Phase: PhaseSpan, Cat: s.cat, Name: s.name,
@@ -474,7 +442,7 @@ func (s Span) End1(k string, v int64) {
 
 // End2 records the span with two typed arguments.
 func (s Span) End2(k1 string, v1 int64, k2 string, v2 int64) {
-	if s.t == nil || !s.t.enabled.Load() {
+	if s.t == nil || !s.t.enabled {
 		return
 	}
 	s.t.append(Event{Track: s.track, Phase: PhaseSpan, Cat: s.cat, Name: s.name,

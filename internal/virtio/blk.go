@@ -123,6 +123,20 @@ func (b *BlkDevice) serve(x crossings, chains []Chain) (func(), error) {
 	for _, chain := range chains {
 		segs += len(chain.Elems)
 	}
+	budget := x.budget()
+	for _, chain := range chains {
+		b.Requests++
+		if b.Clock != nil {
+			b.Clock.Advance(time.Duration(len(chain.Elems)) * b.Costs.VirtqueueDesc)
+		}
+		// A data segment is a payload buffer of d.Len bytes whichever
+		// way it moves, so the pass holds each before allocating any.
+		for _, d := range dataSegments(chain) {
+			if err := budget.hold(d); err != nil {
+				return nil, err
+			}
+		}
+	}
 	// reqs[i] is chain i's header followed by its write payload, a
 	// window of gather; nil for a chain too short to carry both a
 	// header and a status byte. gather never outgrows segs, so the
@@ -130,25 +144,12 @@ func (b *BlkDevice) serve(x crossings, chains []Chain) (func(), error) {
 	reqs := make([][]mem.Vec, len(chains))
 	gather := make([]mem.Vec, 0, segs)
 	for i, chain := range chains {
-		b.Requests++
-		if b.Clock != nil {
-			b.Clock.Advance(time.Duration(len(chain.Elems)) * b.Costs.VirtqueueDesc)
-		}
 		if len(chain.Elems) < 2 {
 			continue
 		}
-		// A data segment is a payload buffer of d.Len bytes whichever
-		// way it moves, so each must lie in guest memory before any is
-		// allocated.
-		data := chain.Elems[1 : len(chain.Elems)-1]
-		for _, d := range data {
-			if err := x.hold(d); err != nil {
-				return nil, err
-			}
-		}
 		start := len(gather)
 		gather = append(gather, mem.Vec{GPA: chain.Elems[0].Addr, Buf: b.segment(blkHdrSize)})
-		for _, d := range data {
+		for _, d := range dataSegments(chain) {
 			if d.Flags&DescFlagWrite == 0 { // the device fills the others
 				gather = append(gather, mem.Vec{GPA: d.Addr, Buf: b.segment(d.Len)})
 			}
@@ -175,6 +176,15 @@ func (b *BlkDevice) serve(x crossings, chains []Chain) (func(), error) {
 	return nil, x.write(scatter)
 }
 
+// dataSegments returns the descriptors between a chain's header and
+// its status byte; none for a chain too short to carry both.
+func dataSegments(chain Chain) []Desc {
+	if len(chain.Elems) < 2 {
+		return nil
+	}
+	return chain.Elems[1 : len(chain.Elems)-1]
+}
+
 // execute performs the backend work for one gathered chain, req being
 // its header and write payload, and appends device-written payload
 // segments to scatter. It returns the status byte and the payload byte
@@ -197,7 +207,7 @@ func (b *BlkDevice) execute(chain Chain, req []mem.Vec, scatter []mem.Vec) (byte
 			return BlkStatusIOErr, 0, scatter
 		}
 		written := uint32(0)
-		for _, d := range chain.Elems[1 : len(chain.Elems)-1] {
+		for _, d := range dataSegments(chain) {
 			buf := b.segment(d.Len)
 			if err := b.Backend.ReadBlk(off, buf); err != nil {
 				return BlkStatusIOErr, 0, scatter

@@ -66,12 +66,17 @@ func (c *ConsoleDevice) fillRx() {
 // serveTx gathers every segment of the pass's output chains, then
 // delivers the bytes to Output in publication order.
 func (c *ConsoleDevice) serveTx(x crossings, chains []Chain) (func(), error) {
+	budget := x.budget()
+	for _, chain := range chains {
+		for _, d := range chain.Elems {
+			if err := budget.hold(d); err != nil {
+				return nil, err
+			}
+		}
+	}
 	var gather []mem.Vec
 	for i, chain := range chains {
 		for _, d := range chain.Elems {
-			if err := x.hold(d); err != nil {
-				return nil, err
-			}
 			gather = append(gather, mem.Vec{GPA: d.Addr, Buf: make([]byte, d.Len)})
 			chains[i].Used += d.Len
 		}

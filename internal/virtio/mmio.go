@@ -2,7 +2,6 @@ package virtio
 
 import (
 	"encoding/binary"
-	"sync"
 
 	"vmsh/internal/faults"
 	"vmsh/internal/mem"
@@ -119,7 +118,6 @@ type MMIODev struct {
 	Faults *faults.Injector
 	TapOp  faults.Op
 
-	mu          sync.Mutex
 	queues      []queueState
 	queueSel    uint64 // as the guest wrote it; see selected
 	status      uint32
@@ -139,41 +137,17 @@ func NewMMIODev(base mem.GPA, id uint32, features uint64, queueMax []int, m mem.
 }
 
 // DriverFeatures returns the feature bits the driver acknowledged.
-func (d *MMIODev) DriverFeatures() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.driverFeats
-}
+func (d *MMIODev) DriverFeatures() uint64 { return d.driverFeats }
 
 // DeviceQueue returns the device-side view of queue q, creating it
 // from the programmed registers on first use, or nil when the device
 // has no queue q. Ring cursors persist until the driver toggles
 // QueueReady.
 func (d *MMIODev) DeviceQueue(q int) *DeviceQueue {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.view(q, false)
-}
-
-// liveQueue is DeviceQueue for a queue the driver has fully
-// configured: ready, with a size between 1 and its maximum. It returns
-// nil for any other q.
-func (d *MMIODev) liveQueue(q int) *DeviceQueue {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.view(q, true)
-}
-
-// view returns queue q's device-side view, creating it on first use.
-// The caller holds d.mu.
-func (d *MMIODev) view(q int, live bool) *DeviceQueue {
 	if q < 0 || q >= len(d.queues) {
 		return nil
 	}
 	st := &d.queues[q]
-	if live && (!st.ready || st.num == 0 || st.num > uint32(st.numMax)) {
-		return nil
-	}
 	if st.dq == nil {
 		st.dq = &DeviceQueue{
 			M:     d.Mem,
@@ -190,9 +164,22 @@ func (d *MMIODev) view(q int, live bool) *DeviceQueue {
 	return st.dq
 }
 
+// liveQueue is DeviceQueue for a queue the driver has fully
+// configured: ready, with a size between 1 and its maximum. It returns
+// nil for any other q.
+func (d *MMIODev) liveQueue(q int) *DeviceQueue {
+	if q < 0 || q >= len(d.queues) {
+		return nil
+	}
+	if st := &d.queues[q]; !st.ready || st.num == 0 || st.num > uint32(st.numMax) {
+		return nil
+	}
+	return d.DeviceQueue(q)
+}
+
 // selected returns the registers of the queue the guest selected. Past
 // the device's queues it returns a blank queue, so a register read
-// sees 0 and a write goes nowhere. The caller holds d.mu.
+// sees 0 and a write goes nowhere.
 func (d *MMIODev) selected() *queueState {
 	if d.queueSel < uint64(len(d.queues)) {
 		return &d.queues[d.queueSel]
@@ -203,10 +190,8 @@ func (d *MMIODev) selected() *queueState {
 // RaiseInterrupt latches the used-buffer interrupt bit. The caller
 // signals the actual irq (irqfd or direct injection).
 func (d *MMIODev) RaiseInterrupt() {
-	d.mu.Lock()
 	d.intrStatus |= 1
 	d.intrCount++
-	d.mu.Unlock()
 	d.IRQs.Inc()
 	d.Trace.Event("irq", "raise")
 }
@@ -221,38 +206,23 @@ func (d *MMIODev) interrupt(signal func()) {
 
 // InterruptCount reports how many interrupts this device has raised —
 // the IRQ-coalescing observable surfaced through core.Session stats.
-func (d *MMIODev) InterruptCount() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.intrCount
-}
+func (d *MMIODev) InterruptCount() int64 { return d.intrCount }
 
 // MMIO implements the register access protocol; it satisfies
-// kvm.MMIOHandler structurally. A write that triggers a device hook
-// takes effect under the device lock; the hook runs after the lock is
-// released, so a hook that panics leaves the device usable and the
-// panic recoverable.
+// kvm.MMIOHandler structurally.
 func (d *MMIODev) MMIO(gpa mem.GPA, size int, write bool, value uint64) uint64 {
 	off := int(gpa - d.Base)
-	if off >= RegConfig {
-		return d.configAccess(off-RegConfig, size, write, value)
+	switch {
+	case off >= RegConfig:
+		return d.configAccess(off-RegConfig, size, write)
+	case write:
+		d.writeReg(off, value)
+		return 0
 	}
-	if !write {
-		return d.readReg(off)
-	}
-	if d.writeReg(off, value) {
-		if off == RegStatus {
-			d.OnDriverOK()
-		} else {
-			d.OnNotify(int(value))
-		}
-	}
-	return 0
+	return d.readReg(off)
 }
 
 func (d *MMIODev) readReg(off int) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	switch off {
 	case RegMagicValue:
 		return MagicValue
@@ -282,12 +252,10 @@ func (d *MMIODev) readReg(off int) uint64 {
 	return 0
 }
 
-// writeReg applies a register write and reports whether it triggers
-// the register's hook: OnDriverOK for a Status write that sets
-// DRIVER_OK, OnNotify for a QueueNotify of a queue the device has.
-func (d *MMIODev) writeReg(off int, value uint64) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// writeReg applies a register write, then runs the register's hook:
+// OnDriverOK for a Status write that sets DRIVER_OK, OnNotify for a
+// QueueNotify of a queue the device has.
+func (d *MMIODev) writeReg(off int, value uint64) {
 	switch off {
 	case RegDeviceFeatSel:
 		d.featSel = uint32(value)
@@ -324,11 +292,14 @@ func (d *MMIODev) writeReg(off int, value uint64) bool {
 	case RegStatus:
 		prev := d.status
 		d.status = uint32(value)
-		return value&StatusDriverOK != 0 && prev&StatusDriverOK == 0 && d.OnDriverOK != nil
+		if value&StatusDriverOK != 0 && prev&StatusDriverOK == 0 && d.OnDriverOK != nil {
+			d.OnDriverOK()
+		}
 	case RegQueueNotify:
-		return d.OnNotify != nil && value < uint64(len(d.queues))
+		if d.OnNotify != nil && value < uint64(len(d.queues)) {
+			d.OnNotify(int(value))
+		}
 	}
-	return false
 }
 
 func (d *MMIODev) setAddr(dst *uint64, value uint64, high bool) {
@@ -339,9 +310,7 @@ func (d *MMIODev) setAddr(dst *uint64, value uint64, high bool) {
 	}
 }
 
-func (d *MMIODev) configAccess(off, size int, write bool, value uint64) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+func (d *MMIODev) configAccess(off, size int, write bool) uint64 {
 	if write || off+size > len(d.ConfigSpace) {
 		return 0
 	}

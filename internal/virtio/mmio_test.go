@@ -131,9 +131,10 @@ func TestMMIOConfigSpaceSizes(t *testing.T) {
 	}
 }
 
-// TestMMIOHookPanicRecovers: a device hook runs outside the device
-// lock, so a panic in a service path reaches the caller as itself —
-// recoverable, with its own value — and the device stays usable.
+// TestMMIOHookPanicRecovers: a device hook runs after its register
+// write has taken effect, so a panic in a service path reaches the
+// caller as itself — recoverable, with its own value — and the device
+// stays usable.
 func TestMMIOHookPanicRecovers(t *testing.T) {
 	d := newDev()
 	boom := errors.New("service path failed")

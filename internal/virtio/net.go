@@ -95,30 +95,33 @@ func (n *NetDevice) fillRx() {
 // chains; the frames go to the switch once the completions are
 // published.
 func (n *NetDevice) serveTx(x crossings, chains []Chain) (func(), error) {
-	pkts := make([][]byte, len(chains))
 	type seg struct {
-		chain, off, n int
-		gpa           mem.GPA
+		chain, off int
+		d          Desc
 	}
+	budget := x.budget()
 	var segs []seg
 	for i, chain := range chains {
 		for _, d := range chain.Elems {
 			if d.Flags&DescFlagWrite != 0 {
 				continue // tx chains are device-readable only
 			}
-			if err := x.hold(d); err != nil {
+			if err := budget.hold(d); err != nil {
 				return nil, err
 			}
-			segs = append(segs, seg{chain: i, off: len(pkts[i]), n: int(d.Len), gpa: d.Addr})
-			pkts[i] = append(pkts[i], make([]byte, d.Len)...)
+			segs = append(segs, seg{chain: i, off: int(chains[i].Used), d: d})
 			chains[i].Used += d.Len
 		}
 	}
-	// The vecs are built after the pkt buffers stop growing, so the
-	// subslices point at the final backing arrays.
+	// Every buffer is held: allocate each frame whole, then gather
+	// into it.
+	pkts := make([][]byte, len(chains))
+	for i := range pkts {
+		pkts[i] = make([]byte, chains[i].Used)
+	}
 	gather := make([]mem.Vec, len(segs))
 	for j, s := range segs {
-		gather[j] = mem.Vec{GPA: s.gpa, Buf: pkts[s.chain][s.off : s.off+s.n]}
+		gather[j] = mem.Vec{GPA: s.d.Addr, Buf: pkts[s.chain][s.off : s.off+int(s.d.Len)]}
 	}
 	if err := x.read(gather); err != nil {
 		return nil, err

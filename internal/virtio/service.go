@@ -24,7 +24,6 @@ package virtio
 
 import (
 	"fmt"
-	"sync"
 
 	"vmsh/internal/faults"
 	"vmsh/internal/mem"
@@ -63,15 +62,41 @@ func (x crossings) group(vecs []mem.Vec, cross func([]mem.Vec) error) error {
 	return nil
 }
 
-// hold refuses a descriptor whose buffer guest memory does not hold,
-// before the device allocates the d.Len bytes it claims: a
-// guest-claimed length is not an allocation size. The refusal is a
+// passBudget bounds the buffers one service pass allocates for the
+// lengths its descriptors claim, since a guest-claimed length is not an
+// allocation size: each buffer must lie in guest memory, and because
+// descriptors may overlap, a pass's buffers together may not exceed
+// the guest memory the view holds. A device holds every buffer of a
+// pass before it allocates any. A view without mem.PhysExtent cannot
+// tell, and leaves each buffer to its crossing.
+type passBudget struct {
+	ext  mem.PhysExtent
+	left uint64
+}
+
+// budget starts one pass's bound.
+func (x crossings) budget() passBudget {
+	ext, ok := x.m.(mem.PhysExtent)
+	if !ok {
+		return passBudget{}
+	}
+	return passBudget{ext: ext, left: ext.Size()}
+}
+
+// hold charges d's buffer to the pass, or refuses it. A refusal is a
 // failed guest-memory crossing, so it aborts the pass.
-func (x crossings) hold(d Desc) error {
-	if mem.Holds(x.m, d.Addr, int(d.Len)) {
+func (b *passBudget) hold(d Desc) error {
+	if b.ext == nil {
 		return nil
 	}
-	return fmt.Errorf("virtio: descriptor buffer [%#x,+%d) outside guest memory", d.Addr, d.Len)
+	if !b.ext.Contains(d.Addr, int(d.Len)) {
+		return fmt.Errorf("virtio: descriptor buffer [%#x,+%d) outside guest memory", d.Addr, d.Len)
+	}
+	if uint64(d.Len) > b.left {
+		return fmt.Errorf("virtio: descriptor buffer [%#x,+%d) exceeds what the pass has left of guest memory (%d bytes)", d.Addr, d.Len, b.left)
+	}
+	b.left -= uint64(d.Len)
+	return nil
 }
 
 // serveFn serves one pass's chains, moving guest memory through x and
@@ -138,16 +163,11 @@ func drain(dev *MMIODev, dq *DeviceQueue, batch bool, serve serveFn, signal func
 // rxQueue holds host->guest messages until the guest posts receive
 // buffers for them. Net and console fill their receive queues from it.
 type rxQueue struct {
-	mu      sync.Mutex
 	pending [][]byte
 }
 
 // push queues one message.
-func (r *rxQueue) push(msg []byte) {
-	r.mu.Lock()
-	r.pending = append(r.pending, msg)
-	r.mu.Unlock()
-}
+func (r *rxQueue) push(msg []byte) { r.pending = append(r.pending, msg) }
 
 // fill moves pending messages into the receive buffers the guest
 // posted on queue q of dev, grouping its crossings as batch says, and
@@ -167,14 +187,8 @@ func (r *rxQueue) fill(dev *MMIODev, q int, batch, split bool, signal func()) {
 	x := crossings{m: dq.M, batch: batch}
 	filled := int64(0)
 	defer func() { sp.End1("chains", filled) }()
-	for {
-		r.mu.Lock()
-		want := len(r.pending)
-		r.mu.Unlock()
-		if want == 0 {
-			break
-		}
-		chains, bad := dq.pop(x, want)
+	for len(r.pending) > 0 {
+		chains, bad := dq.pop(x, len(r.pending))
 		if len(chains) == 0 {
 			break
 		}
@@ -201,8 +215,6 @@ func (r *rxQueue) fill(dev *MMIODev, q int, batch, split bool, signal func()) {
 // chain's Used. It returns the writes, how many messages the chains
 // take whole and how many bytes they take of the next one.
 func (r *rxQueue) place(chains []Chain, split bool) (vecs []mem.Vec, taken, cut int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for i, chain := range chains {
 		msg := r.pending[taken][cut:]
 		n := 0
@@ -230,10 +242,8 @@ func (r *rxQueue) place(chains []Chain, split bool) (vecs []mem.Vec, taken, cut 
 // consume drops what a pass delivered: the messages it took whole and
 // cut bytes of the next one.
 func (r *rxQueue) consume(taken, cut int) {
-	r.mu.Lock()
 	r.pending = r.pending[taken:]
 	if cut > 0 {
 		r.pending[0] = r.pending[0][cut:]
 	}
-	r.mu.Unlock()
 }

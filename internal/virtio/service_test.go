@@ -350,25 +350,49 @@ func TestPopEmptyQueueAllocs(t *testing.T) {
 // memory newEnv provides.
 const hostileClaim = 1 << 31
 
+// Every descriptor of an overlapping chain names the same 4 MiB inside
+// newEnv's guest memory, so each lies in guest memory while a queue's
+// worth of them claims many times the memory there is.
+const (
+	overlapGPA = mem.GPA(32 << 20)
+	overlapLen = 4 << 20
+)
+
+// hostileBuffers returns a chain's hostile buffers: one descriptor
+// claiming hostileClaim bytes at gpa, or, with overlap, n descriptors
+// naming the same 4 MiB.
+func hostileBuffers(gpa mem.GPA, n int, write, overlap bool) []ChainElem {
+	if !overlap {
+		return []ChainElem{{Addr: gpa, Len: hostileClaim, Write: write}}
+	}
+	elems := make([]ChainElem, n)
+	for i := range elems {
+		elems[i] = ChainElem{Addr: overlapGPA, Len: overlapLen, Write: write}
+	}
+	return elems
+}
+
 // TestHostileDescriptorLength: a descriptor whose claimed length runs
-// past guest memory is refused before the device allocates for it. In
-// both groupings the pass aborts as on a failed crossing: nothing
-// panics, no chain completes, nothing is delivered, and the pass
-// allocates far less than the claim.
+// past guest memory is refused before the device allocates for it, and
+// so is a pass whose buffers, each inside guest memory, together claim
+// more than the guest memory there is: a queue's worth of descriptors
+// naming the same 4 MiB. In both groupings the pass aborts as on a
+// failed crossing: nothing panics, no chain completes, nothing is
+// delivered, and the pass allocates far less than the claim.
 func TestHostileDescriptorLength(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		// publish wires the device, publishes the hostile chain and
 		// returns the device and the queue to notify.
-		publish func(t *testing.T, env *Env, io mem.SlabIO, batch bool) (*MMIODev, int)
+		publish func(t *testing.T, env *Env, io mem.SlabIO, batch, overlap bool) (*MMIODev, int)
 	}{
-		{"blk read", func(t *testing.T, env *Env, io mem.SlabIO, batch bool) (*MMIODev, int) {
-			return hostileBlk(t, env, io, batch, BlkTIn, true)
+		{"blk read", func(t *testing.T, env *Env, io mem.SlabIO, batch, overlap bool) (*MMIODev, int) {
+			return hostileBlk(t, env, io, batch, overlap, BlkTIn, true)
 		}},
-		{"blk write", func(t *testing.T, env *Env, io mem.SlabIO, batch bool) (*MMIODev, int) {
-			return hostileBlk(t, env, io, batch, BlkTOut, false)
+		{"blk write", func(t *testing.T, env *Env, io mem.SlabIO, batch, overlap bool) (*MMIODev, int) {
+			return hostileBlk(t, env, io, batch, overlap, BlkTOut, false)
 		}},
-		{"console tx", func(t *testing.T, env *Env, io mem.SlabIO, batch bool) (*MMIODev, int) {
+		{"console tx", func(t *testing.T, env *Env, io mem.SlabIO, batch, overlap bool) (*MMIODev, int) {
 			cons := NewConsoleDevice(devBase, io)
 			cons.Batch = batch
 			cons.Output = func([]byte) { t.Error("console delivered output") }
@@ -377,12 +401,12 @@ func TestHostileDescriptorLength(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := cd.tx.Publish(0, []ChainElem{{Addr: cd.txBuf, Len: hostileClaim}}); err != nil {
+			if err := cd.tx.Publish(0, hostileBuffers(cd.txBuf, cd.tx.Size, false, overlap)); err != nil {
 				t.Fatal(err)
 			}
 			return cons.Dev, ConsoleTxQ
 		}},
-		{"net tx", func(t *testing.T, env *Env, io mem.SlabIO, batch bool) (*MMIODev, int) {
+		{"net tx", func(t *testing.T, env *Env, io mem.SlabIO, batch, overlap bool) (*MMIODev, int) {
 			nd := NewNetDevice(devBase, [6]byte{0x52, 0x56, 0x4d, 0, 0, 1}, io)
 			nd.Batch = batch
 			nd.SendFrame = func([]byte) { t.Error("net sent a frame") }
@@ -391,33 +415,36 @@ func TestHostileDescriptorLength(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := nr.tx.Publish(0, []ChainElem{{Addr: nr.txBuf, Len: hostileClaim}}); err != nil {
+			if err := nr.tx.Publish(0, hostileBuffers(nr.txBuf, nr.tx.Size, false, overlap)); err != nil {
 				t.Fatal(err)
 			}
 			return nd.Dev, NetTxQ
 		}},
 	} {
-		for _, batch := range []bool{false, true} {
-			env, io := newEnv()
-			dev, q := tc.publish(t, env, io, batch)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			env.Bus.MMIOWrite(devBase+RegQueueNotify, 4, uint64(q))
-			runtime.ReadMemStats(&after)
-			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
-				t.Errorf("%s, batch=%v: the pass allocated %d bytes for a %d-byte claim", tc.name, batch, grew, hostileClaim)
-			}
-			if c := dev.DeviceQueue(q).Cursors(); c.UsedIdx != 0 || dev.InterruptCount() != 0 {
-				t.Errorf("%s, batch=%v: used index %d, %d interrupts; want the pass aborted", tc.name, batch, c.UsedIdx, dev.InterruptCount())
+		for _, overlap := range []bool{false, true} {
+			for _, batch := range []bool{false, true} {
+				env, io := newEnv()
+				dev, q := tc.publish(t, env, io, batch, overlap)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				env.Bus.MMIOWrite(devBase+RegQueueNotify, 4, uint64(q))
+				runtime.ReadMemStats(&after)
+				if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+					t.Errorf("%s, overlap=%v, batch=%v: the pass allocated %d bytes", tc.name, overlap, batch, grew)
+				}
+				if c := dev.DeviceQueue(q).Cursors(); c.UsedIdx != 0 || dev.InterruptCount() != 0 {
+					t.Errorf("%s, overlap=%v, batch=%v: used index %d, %d interrupts; want the pass aborted",
+						tc.name, overlap, batch, c.UsedIdx, dev.InterruptCount())
+				}
 			}
 		}
 	}
 }
 
 // hostileBlk wires a blk device and publishes one request of type typ
-// whose data segment claims hostileClaim bytes, device-writable when
-// write is set.
-func hostileBlk(t *testing.T, env *Env, io mem.SlabIO, batch bool, typ uint32, write bool) (*MMIODev, int) {
+// whose data segments are hostileBuffers, device-writable when write
+// is set; with overlap they fill the queue.
+func hostileBlk(t *testing.T, env *Env, io mem.SlabIO, batch, overlap bool, typ uint32, write bool) (*MMIODev, int) {
 	t.Helper()
 	dev := NewBlkDevice(devBase, io, &memBackend{data: make([]byte, 1<<20)}, env.Clock, env.Costs)
 	dev.Batch = batch
@@ -431,11 +458,10 @@ func hostileBlk(t *testing.T, env *Env, io mem.SlabIO, batch bool, typ uint32, w
 	if err := io.WritePhys(d.bounce, hdr[:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.q.Publish(0, []ChainElem{
-		{Addr: d.bounce, Len: blkHdrSize},
-		{Addr: d.bounce + mem.PageSize, Len: hostileClaim, Write: write},
-		{Addr: d.bounce + 2*mem.PageSize, Len: 1, Write: true},
-	}); err != nil {
+	elems := []ChainElem{{Addr: d.bounce, Len: blkHdrSize}}
+	elems = append(elems, hostileBuffers(d.bounce+mem.PageSize, d.q.Size-2, write, overlap)...)
+	elems = append(elems, ChainElem{Addr: d.bounce + 2*mem.PageSize, Len: 1, Write: true})
+	if err := d.q.Publish(0, elems); err != nil {
 		t.Fatal(err)
 	}
 	return dev.Dev, 0
