@@ -138,6 +138,22 @@ func (s *Scanner) magnitude() uint64 {
 // Uint64 reads an unsigned decimal integer.
 func (s *Scanner) Uint64() uint64 { return s.magnitude() }
 
+// Uint32 reads an unsigned decimal integer that fits a uint32.
+func (s *Scanner) Uint32() uint32 {
+	v := s.magnitude()
+	s.Want(v <= math.MaxUint32)
+	return uint32(v)
+}
+
+// Bool reads true or false.
+func (s *Scanner) Bool() bool {
+	if s.Opt("true") {
+		return true
+	}
+	s.Lit("false")
+	return false
+}
+
 // Int64 reads a decimal integer: no "-0", nothing outside an int64.
 func (s *Scanner) Int64() int64 {
 	rest := s.b

@@ -221,6 +221,8 @@ func TestNonCanonicalLinesRefused(t *testing.T) {
 		{"snapshot", "extra whitespace", `{"t":"page"`, `{"t":"page"`, `{"t": "page"`, true},
 		{"snapshot", "reordered keys", `{"t":"block"`, `"idx":2,"data":"AgICAgICAgI=","disk":"vda"`, `"disk":"vda","idx":2,"data":"AgICAgICAgI="`, true},
 		{"snapshot", "escaped plain ASCII", `{"t":"block"`, `"disk":"vda"`, `"disk":"v\u0064a"`, true},
+		{"snapshot", "config reordered keys", `{"t":"config"`, `"Kind":0,"Name":"frame"`, `"Name":"frame","Kind":0`, true},
+		{"snapshot", "config extra whitespace", `{"t":"config"`, `"RAMSize":`, `"RAMSize": `, true},
 		{"snapshot", "disk record keeps encoding/json", `{"t":"disk"`, `,"disk":`, `, "disk":`, false},
 	}
 	fs := map[string]format{}

@@ -210,9 +210,22 @@ func (v *VMSH) Attach(pid int, opts Options) (*Session, error) {
 			h.Faults.SetTap(opts.Verify)
 		}
 	}
+	// abandon ends a failed attach on the host: the vmsh process exits
+	// and the tap comes off, sealing and persisting the partial log —
+	// a failed attach is exactly the kind of run worth replaying.
+	abandon := func() {
+		h.Exit(v.Proc)
+		if tapped {
+			h.Faults.SetTap(nil)
+			if opts.Record != nil {
+				opts.Record.Finalize(nil, nil)
+				_ = writeRecording(opts.Record, opts.RecordSink)
+			}
+		}
+	}
 	target, ok := h.Process(pid)
 	if !ok {
-		h.Exit(v.Proc)
+		abandon()
 		return nil, &AttachError{PID: pid, Err: ErrNoProcess}
 	}
 	if opts.Trace {
@@ -224,16 +237,7 @@ func (v *VMSH) Attach(pid int, opts Options) (*Session, error) {
 	tx := newAttachTx(h, pid, opts.Retry)
 	fail := func(stage string, err error) (*Session, error) {
 		tx.rollback()
-		h.Exit(v.Proc)
-		if tapped {
-			h.Faults.SetTap(nil)
-			if opts.Record != nil {
-				// Seal and persist the partial log: a failed attach is
-				// exactly the kind of run worth replaying.
-				opts.Record.Finalize(nil, nil)
-				_ = writeRecording(opts.Record, opts.RecordSink)
-			}
-		}
+		abandon()
 		return nil, &AttachError{Stage: stage, PID: pid, Err: err}
 	}
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"io"
 	"math"
 	"slices"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"vmsh/internal/guestos"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
+	"vmsh/internal/replay"
 )
 
 // buildToolImage creates the attachable fs image on the host disk.
@@ -324,6 +327,36 @@ func TestVMSHProcessEndsWithSession(t *testing.T) {
 	}
 	if got := h.Pids(); !slices.Equal(got, before) {
 		t.Fatalf("pids %v after three attach cycles and two failed attaches, want %v", got, before)
+	}
+}
+
+// bufSink is a record sink that keeps the log in memory.
+type bufSink struct{ bytes.Buffer }
+
+func (*bufSink) Close() error { return nil }
+
+// TestMissingPidAttachSealsRecording: an attach to a pid that does not
+// exist takes its record tap off the host and seals and persists the
+// (empty) recording, as an attach failing at a later stage does, so
+// the host's next crossings are not recorded into a dead attach's log.
+func TestMissingPidAttachSealsRecording(t *testing.T) {
+	h := hostsim.NewHost()
+	rec := replay.NewRecorder(h.Clock, "missing", 0)
+	var sink bufSink
+	_, err := New(h).Attach(424242, Options{Record: rec,
+		RecordSink: func() (io.WriteCloser, error) { return &sink, nil }})
+	if err == nil {
+		t.Fatal("attach to a missing pid succeeded")
+	}
+	if h.Faults.Observing() {
+		t.Fatal("the record tap is still on the host after the failed attach")
+	}
+	lg, err := replay.Read(bytes.NewReader(sink.Bytes()))
+	if err != nil {
+		t.Fatalf("persisted recording: %v", err)
+	}
+	if len(lg.Records) != 0 || lg.Footer.Crossings != 0 {
+		t.Fatalf("recording holds %d crossings, want none", len(lg.Records))
 	}
 }
 

@@ -302,7 +302,7 @@ func (s *Session) RAMHashes() []uint64 {
 	for _, sl := range s.pm.slots {
 		m, ok := s.target.AS.Find(sl.HVA)
 		if !ok {
-			out = append(out, new(mem.Phys).Hash()) // no mapping: no bytes
+			out = append(out, mem.NewPhys(0, 0).Hash()) // no mapping: no bytes
 			continue
 		}
 		off := uint64(sl.HVA - m.HVA)

@@ -2,6 +2,7 @@ package guestos
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -420,6 +421,46 @@ func TestShellRedirection(t *testing.T) {
 	tty.InputFromHost([]byte("cat /tmp/out.txt\n"))
 	if !strings.Contains(out.String(), "hello world") {
 		t.Fatalf("redirection output: %q", out.String())
+	}
+}
+
+// TestBootImageMatchesOneFill: Boot writes the kernel image a chunk at
+// a time, and guest memory holds the bytes of the whole image built at
+// once: one rand.Read fill, then the banner, the cleared ksymtab
+// margins and the sections.
+func TestBootImageMatchesOneFill(t *testing.T) {
+	for _, c := range []struct {
+		version string
+		seed    int64
+	}{{"5.10", 1}, {"5.10", -7}, {"4.19", 42}, {"4.4", 3}} {
+		_, k := bootKernel(t, c.version, c.seed)
+		want := make([]byte, kernelImageSize)
+		rand.New(rand.NewSource(c.seed ^ 0x5eed)).Read(want)
+		banner := fmt.Sprintf("Linux version %s.0 (vmsh-sim@host) #1 SMP %s", k.Version, k.Arch)
+		copy(want[bannerOff:], append([]byte(banner), 0))
+		var syms []ksym.Symbol
+		for i, name := range kernelAPINames() {
+			syms = append(syms, ksym.Symbol{Name: name, Value: k.KernelBase + mem.GVA(symsOff+i*symStride)})
+		}
+		sec, err := ksym.Build(k.Version.KsymLayout(), syms, k.KernelBase+ksymTabOff, k.KernelBase+ksymStrOff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clear(want[ksymTabOff-64 : ksymTabOff+len(sec.Tab)+64])
+		clear(want[ksymStrOff-64 : ksymStrOff+len(sec.Strings)+64])
+		copy(want[ksymTabOff:], sec.Tab)
+		copy(want[ksymStrOff:], sec.Strings)
+		got := make([]byte, kernelImageSize)
+		if err := k.mem.ReadPhys(kernelPhysBase, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			i := 0
+			for got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("%s seed %d: image differs first at byte %#x", c.version, c.seed, i)
+		}
 	}
 }
 

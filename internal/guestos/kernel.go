@@ -215,12 +215,7 @@ func Boot(cfg Config) (*Kernel, error) {
 	k.KernelBase = kaslrBase + mem.GVA(slot*KASLRAlign)
 	k.idleRIP = k.KernelBase + 0x1000
 
-	img := make([]byte, kernelImageSize)
-	// Deterministic non-zero filler so the scanner faces realistic
-	// noise rather than zero pages.
-	fillRandom(img, rand.NewSource(cfg.Seed^0x5eed))
 	banner := fmt.Sprintf("Linux version %s.0 (vmsh-sim@host) #1 SMP %s", ver, k.Arch)
-	copy(img[bannerOff:], append([]byte(banner), 0))
 
 	// Kernel API symbols get addresses inside the image.
 	names := kernelAPINames()
@@ -237,18 +232,17 @@ func Boot(cfg Config) (*Kernel, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Clear a margin around the sections so the consistency scan sees
-	// crisp boundaries, then embed them.
-	for i := ksymTabOff - 64; i < ksymTabOff+len(sec.Tab)+64; i++ {
-		img[i] = 0
-	}
-	for i := ksymStrOff - 64; i < ksymStrOff+len(sec.Strings)+64; i++ {
-		img[i] = 0
-	}
-	copy(img[ksymTabOff:], sec.Tab)
-	copy(img[ksymStrOff:], sec.Strings)
-
-	if err := k.mem.WritePhys(kernelPhysBase, img); err != nil {
+	// Deterministic non-zero filler so the scanner faces realistic
+	// noise rather than zero pages; over it the NUL-terminated banner,
+	// a cleared margin around each ksymtab section so the consistency
+	// scan sees crisp boundaries, and the sections themselves.
+	if err := writeImage(k.mem, cfg.Seed^0x5eed, []imagePart{
+		{bannerOff, append([]byte(banner), 0)},
+		{ksymTabOff - 64, make([]byte, len(sec.Tab)+128)},
+		{ksymStrOff - 64, make([]byte, len(sec.Strings)+128)},
+		{ksymTabOff, sec.Tab},
+		{ksymStrOff, sec.Strings},
+	}); err != nil {
 		return nil, fmt.Errorf("guestos: writing kernel image: %w", err)
 	}
 
@@ -301,6 +295,41 @@ func Boot(cfg Config) (*Kernel, error) {
 	cfg.VM.SetExecutor(k)
 	cfg.VM.SetIRQHandler(k.HandleIRQ)
 	return k, nil
+}
+
+// imageChunk is how much of the kernel image writeImage builds at a
+// time: a whole number of pages, and of the seven filler bytes each
+// Int63 gives, so that filling chunk after chunk from one source gives
+// the bytes one fill of the whole image would.
+const imageChunk = 7 * mem.PageSize
+
+// imagePart is bytes laid over the kernel image's filler at image
+// offset off.
+type imagePart struct {
+	off  int
+	data []byte
+}
+
+// writeImage writes the kernel image into guest memory at
+// kernelPhysBase one chunk at a time: each chunk is filled from the
+// filler source seeded with seed, the parts that reach into it are
+// laid over it in order, and it is written out.
+func writeImage(w mem.PhysWriter, seed int64, parts []imagePart) error {
+	src := rand.NewSource(seed)
+	buf := make([]byte, imageChunk)
+	for off := 0; off < kernelImageSize; off += imageChunk {
+		chunk := buf[:min(imageChunk, kernelImageSize-off)]
+		fillRandom(chunk, src)
+		for _, p := range parts {
+			if lo, hi := max(p.off, off), min(p.off+len(p.data), off+len(chunk)); lo < hi {
+				copy(chunk[lo-off:hi-off], p.data[lo-p.off:])
+			}
+		}
+		if err := w.WritePhys(kernelPhysBase+mem.GPA(off), chunk); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // fillRandom fills p with the bytes a fresh rand.New(src).Read(p)

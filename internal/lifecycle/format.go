@@ -2,10 +2,11 @@
 // (internal/chainlog). The header carries the label and capture vtime;
 // every later line is a typed record ("t" field) with its own link of
 // the checksum chain, and the "footer" record ends the stream. Encoding
-// the same Snapshot twice yields byte-identical output. The page, block
-// and simage records, nearly every line, are written and parsed by hand
-// in exactly the form json.Marshal gives a snapLine, and read back only
-// in that form; the other records go through encoding/json.
+// the same Snapshot twice yields byte-identical output. The config
+// record and the page, block and simage records, nearly every byte, are
+// written by hand in exactly the form json.Marshal gives a snapLine,
+// and read back only in that form; the other records go through
+// encoding/json.
 package lifecycle
 
 import (
@@ -15,10 +16,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 
+	"vmsh/internal/arch"
 	"vmsh/internal/chainlog"
+	"vmsh/internal/fsimage"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
 	"vmsh/internal/kvm"
@@ -179,9 +181,8 @@ func parsePayload(elem int, line []byte, t string, l *snapLine) error {
 	s.Lit(t)
 	s.Lit(`"`)
 	if t == "page" && s.Opt(`,"slot":`) {
-		slot := s.Uint64()
-		s.Want(slot != 0 && slot <= math.MaxUint32)
-		l.Slot = uint32(slot)
+		l.Slot = s.Uint32()
+		s.Want(l.Slot != 0)
 	}
 	if s.Opt(`,"idx":`) {
 		l.Index = s.Uint64()
@@ -195,6 +196,151 @@ func parsePayload(elem int, line []byte, t string, l *snapLine) error {
 		l.Disk = string(s.Str())
 		s.Want(l.Disk != "")
 	}
+	return s.Done(elem)
+}
+
+// configStart opens the config record.
+const configStart = `{"t":"config","config":`
+
+// appendConfig renders the config record up to (excluding) its "ck"
+// member, as json.Marshal renders its snapLine: Config's fields in
+// declaration order under their Go names, the RootFS manifest's paths
+// sorted, file data in base64, and null for a nil manifest, disk list
+// or file data. The manifest's file bytes make it the largest record.
+func appendConfig(b []byte, c *hypervisor.Config) []byte {
+	b = strconv.AppendInt(append(b, configStart+`{"Kind":`...), int64(c.Kind), 10)
+	b = chainlog.AppendString(append(b, `,"Name":`...), c.Name)
+	b = strconv.AppendInt(append(b, `,"Arch":`...), int64(c.Arch), 10)
+	b = chainlog.AppendString(append(b, `,"KernelVersion":`...), c.KernelVersion)
+	b = strconv.AppendUint(append(b, `,"RAMSize":`...), c.RAMSize, 10)
+	b = strconv.AppendInt(append(b, `,"VCPUs":`...), int64(c.VCPUs), 10)
+	b = strconv.AppendInt(append(b, `,"Seed":`...), c.Seed, 10)
+	b = append(b, `,"RootFS":`...)
+	if c.RootFS == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '{')
+		for i, path := range c.RootFS.Paths() {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			e := c.RootFS[path]
+			b = strconv.AppendUint(append(chainlog.AppendString(b, path), `:{"Mode":`...), uint64(e.Mode), 10)
+			b = strconv.AppendUint(append(b, `,"UID":`...), uint64(e.UID), 10)
+			b = strconv.AppendUint(append(b, `,"GID":`...), uint64(e.GID), 10)
+			b = append(b, `,"Data":`...)
+			if e.Data == nil {
+				b = append(b, "null"...)
+			} else {
+				b = append(base64.StdEncoding.AppendEncode(append(b, '"'), e.Data), '"')
+			}
+			b = append(chainlog.AppendString(append(b, `,"Symlink":`...), e.Symlink), '}')
+		}
+		b = append(b, '}')
+	}
+	b = strconv.AppendInt(append(b, `,"RootImageSize":`...), c.RootImageSize, 10)
+	b = append(b, `,"ExtraDisks":`...)
+	if c.ExtraDisks == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, d := range c.ExtraDisks {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = chainlog.AppendString(append(b, `{"GuestName":`...), d.GuestName)
+			b = strconv.AppendInt(append(b, `,"Size":`...), d.Size, 10)
+			b = strconv.AppendBool(append(b, `,"Mkfs":`...), d.Mkfs)
+			b = append(chainlog.AppendString(append(b, `,"MountAt":`...), d.MountAt), '}')
+		}
+		b = append(b, ']')
+	}
+	b = strconv.AppendBool(append(b, `,"NinePShare":`...), c.NinePShare)
+	b = strconv.AppendBool(append(b, `,"DisableSeccomp":`...), c.DisableSeccomp)
+	return append(chainlog.AppendString(append(b, `,"SeccompProfile":`...), c.SeccompProfile), '}')
+}
+
+// parseConfig is appendConfig's inverse: it takes a config record only
+// in exactly the form appendConfig writes, so manifest paths must be
+// strictly ascending.
+func parseConfig(elem int, line []byte, l *snapLine) error {
+	s := chainlog.NewScanner(chainlog.Prefix(line))
+	c := &hypervisor.Config{}
+	l.T, l.Config = "config", c
+	s.Lit(configStart + `{"Kind":`)
+	c.Kind = hypervisor.Kind(s.Int())
+	s.Lit(`,"Name":`)
+	c.Name = string(s.Str())
+	s.Lit(`,"Arch":`)
+	c.Arch = arch.Arch(s.Int())
+	s.Lit(`,"KernelVersion":`)
+	c.KernelVersion = string(s.Str())
+	s.Lit(`,"RAMSize":`)
+	c.RAMSize = s.Uint64()
+	s.Lit(`,"VCPUs":`)
+	c.VCPUs = s.Int()
+	s.Lit(`,"Seed":`)
+	c.Seed = s.Int64()
+	s.Lit(`,"RootFS":`)
+	if !s.Opt("null") {
+		c.RootFS = fsimage.Manifest{}
+		s.Lit("{")
+		// Both loops end at the first member not followed by a comma;
+		// once a scan has failed no Opt matches, so they end there too.
+		prev := ""
+		for more := !s.Opt("}"); more; {
+			path := string(s.Str())
+			s.Want(len(c.RootFS) == 0 || path > prev)
+			var e fsimage.Entry
+			s.Lit(`:{"Mode":`)
+			e.Mode = s.Uint32()
+			s.Lit(`,"UID":`)
+			e.UID = s.Uint32()
+			s.Lit(`,"GID":`)
+			e.GID = s.Uint32()
+			s.Lit(`,"Data":`)
+			if !s.Opt("null") {
+				e.Data = s.Base64()
+			}
+			s.Lit(`,"Symlink":`)
+			e.Symlink = string(s.Str())
+			s.Lit("}")
+			c.RootFS[path], prev = e, path
+			if more = s.Opt(","); !more {
+				s.Lit("}")
+			}
+		}
+	}
+	s.Lit(`,"RootImageSize":`)
+	c.RootImageSize = s.Int64()
+	s.Lit(`,"ExtraDisks":`)
+	if !s.Opt("null") {
+		c.ExtraDisks = []hypervisor.DiskSpec{}
+		s.Lit("[")
+		for more := !s.Opt("]"); more; {
+			var d hypervisor.DiskSpec
+			s.Lit(`{"GuestName":`)
+			d.GuestName = string(s.Str())
+			s.Lit(`,"Size":`)
+			d.Size = s.Int64()
+			s.Lit(`,"Mkfs":`)
+			d.Mkfs = s.Bool()
+			s.Lit(`,"MountAt":`)
+			d.MountAt = string(s.Str())
+			s.Lit("}")
+			c.ExtraDisks = append(c.ExtraDisks, d)
+			if more = s.Opt(","); !more {
+				s.Lit("]")
+			}
+		}
+	}
+	s.Lit(`,"NinePShare":`)
+	c.NinePShare = s.Bool()
+	s.Lit(`,"DisableSeccomp":`)
+	c.DisableSeccomp = s.Bool()
+	s.Lit(`,"SeccompProfile":`)
+	c.SeccompProfile = string(s.Str())
+	s.Lit("}")
 	return s.Done(elem)
 }
 
@@ -223,8 +369,8 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 
-	cfg := s.Config
-	emit(snapLine{T: "config", Config: &cfg})
+	line = appendConfig(line, &s.Config)
+	cw.Line(line)
 	for i := range s.VCPUs {
 		emit(snapLine{T: "vcpu", VCPU: &s.VCPUs[i]})
 	}
@@ -258,17 +404,22 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 // Read decodes and integrity-checks a snapshot stream. A magic or
 // version mismatch returns a plain error (the caller has the wrong
 // kind of file); structural damage — a broken checksum chain, a
-// truncated stream, a page, block or simage record not in WriteTo's
-// exact form, an out-of-place record — wraps ErrSnapshotCorrupt.
+// truncated stream, a config, page, block or simage record not in
+// WriteTo's exact form, an out-of-place record — wraps
+// ErrSnapshotCorrupt.
 func Read(r io.Reader) (*Snapshot, error) {
 	return read(r, func(elem int, line []byte, l *snapLine) error {
 		if t := payloadType(line); t != "" {
 			return parsePayload(elem, line, t, l)
 		}
+		if bytes.HasPrefix(line, []byte(configStart)) {
+			return parseConfig(elem, line, l)
+		}
 		if err := chainlog.Unmarshal(elem, line, l); err != nil {
 			return err
 		}
-		if l.T == "page" || l.T == "block" || l.T == "simage" {
+		switch l.T {
+		case "config", "page", "block", "simage":
 			return &chainlog.Error{Elem: elem, Reason: "unparseable line: a " + l.T + " record not in canonical form"}
 		}
 		return nil

@@ -50,6 +50,16 @@ type Phys struct {
 	// post-copy migration pager uses it to fetch not-yet-streamed
 	// pages on demand; Pages and hashing deliberately bypass it.
 	onAccess func(gpa GPA, n int)
+
+	// memo is the last HashRange result and the range and page-store
+	// generation it was computed at.
+	memo hashMemo
+}
+
+// hashMemo remembers one HashRange result.
+type hashMemo struct {
+	off, end, gen, sum uint64
+	ok                 bool
 }
 
 // SetDirtyLog turns dirty-page logging on with an empty log, or off,
@@ -117,10 +127,20 @@ func (p *Phys) End() GPA { return p.Base + GPA(p.Size()) }
 // HashRange returns the FNV-64a of the slab bytes [off, end), clipped
 // to the slab. It is the one guest-RAM hash: replay footers, snapshot
 // and migration checks and the E8-E11 determinism digests all compare
-// it. Only materialized pages are read.
+// it. Only materialized pages are read, and the last result is
+// remembered: asked for the same range again before any store into the
+// slab (WriteAt, PutU*, or the page store's WriteAt, SetPage or Clear),
+// HashRange returns it without reading a page. Remembering makes it a
+// mutation of the slab under the single-owner rule.
 func (p *Phys) HashRange(off, end uint64) uint64 {
 	end = min(end, p.Size())
-	return uint64(p.pages.Fold(faults.NewDigest(), min(off, end), end))
+	off = min(off, end)
+	if m := p.memo; m.ok && m.off == off && m.end == end && m.gen == p.pages.gen {
+		return m.sum
+	}
+	sum := uint64(p.pages.Fold(faults.NewDigest(), off, end))
+	p.memo = hashMemo{off: off, end: end, gen: p.pages.gen, sum: sum, ok: true}
+	return sum
 }
 
 // Hash is HashRange over the whole slab.

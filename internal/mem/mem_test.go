@@ -2,7 +2,9 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/fnv"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -177,6 +179,99 @@ func TestPhysHash(t *testing.T) {
 		if got, want := p.HashRange(c.off, c.end), fnvOf(dense[c.wantOff:c.wantEnd]); got != want {
 			t.Errorf("HashRange(%#x, %#x) = %016x, want %016x", c.off, c.end, got, want)
 		}
+	}
+}
+
+// TestHashMemoModel holds the remembered RAM hash to a dense model:
+// random stores through the slab (WriteAt, PutU16/32/64) and through
+// its page store (WriteAt, SetPage, Clear) interleave with HashRange
+// and Hash over ranges drawn from a small set, so the same range is
+// asked again both with and without a store in between. Every answer
+// must be FNV-64a over the model's bytes.
+func TestHashMemoModel(t *testing.T) {
+	const base, size = 0x10000, 10*PageSize + 123
+	rng := rand.New(rand.NewSource(1))
+	p := NewPhys(base, size)
+	dense := make([]byte, size)
+	fnvOf := func(b []byte) uint64 {
+		h := fnv.New64a()
+		h.Write(b)
+		return h.Sum64()
+	}
+	// data is n random bytes, all zero one time in four: a zero store
+	// into an absent page materializes nothing but must still count.
+	data := func(n int) []byte {
+		b := make([]byte, n)
+		if rng.Intn(4) != 0 {
+			rng.Read(b)
+		}
+		return b
+	}
+	var ranges [][2]uint64
+	for i := 0; i < 6; i++ {
+		off := uint64(rng.Intn(size + PageSize))
+		ranges = append(ranges, [2]uint64{off, off + uint64(rng.Intn(size))})
+	}
+	ranges = append(ranges, [2]uint64{0, size}, [2]uint64{PageSize, 2 * PageSize})
+	hits := 0
+	for step := 0; step < 20000; step++ {
+		off := uint64(rng.Intn(size))
+		switch rng.Intn(12) {
+		case 0:
+			b := data(1 + rng.Intn(min(2*PageSize, size-int(off))))
+			p.WriteAt(GPA(base+off), b)
+			copy(dense[off:], b)
+		case 1:
+			off = min(off, size-8)
+			v := rng.Uint64()
+			p.PutU64(GPA(base+off), v)
+			binary.LittleEndian.PutUint64(dense[off:], v)
+		case 2:
+			off = min(off, size-4)
+			v := rng.Uint32()
+			p.PutU32(GPA(base+off), v)
+			binary.LittleEndian.PutUint32(dense[off:], v)
+		case 3:
+			off = min(off, size-2)
+			v := uint16(rng.Uint32())
+			p.PutU16(GPA(base+off), v)
+			binary.LittleEndian.PutUint16(dense[off:], v)
+		case 4:
+			b := data(1 + rng.Intn(min(PageSize, size-int(off))))
+			p.Pages().WriteAt(b, off)
+			copy(dense[off:], b)
+		case 5:
+			idx := off / PageSize
+			pg := dense[idx*PageSize : min((idx+1)*PageSize, size)]
+			var b []byte
+			if rng.Intn(3) != 0 {
+				b = data(len(pg))
+			}
+			p.Pages().SetPage(idx, b)
+			clear(pg[copy(pg, b):])
+		case 6:
+			if rng.Intn(20) == 0 {
+				p.Pages().Clear()
+				clear(dense)
+			}
+		case 7:
+			if got, want := p.Hash(), fnvOf(dense); got != want {
+				t.Fatalf("step %d: Hash %016x, want %016x", step, got, want)
+			}
+		default:
+			r := ranges[rng.Intn(len(ranges))]
+			end := min(r[1], size)
+			start := min(r[0], end)
+			if p.memo.ok && p.memo.off == start && p.memo.end == end && p.memo.gen == p.pages.gen {
+				hits++
+			}
+			if got, want := p.HashRange(r[0], r[1]), fnvOf(dense[start:end]); got != want {
+				t.Fatalf("step %d: HashRange(%#x, %#x) = %016x, want %016x", step, r[0], r[1], got, want)
+			}
+		}
+	}
+	if hits < 100 {
+		t.Fatalf("only %d remembered hashes were reused", hits)
 	}
 }
 

@@ -15,6 +15,10 @@ import (
 type Pages struct {
 	size  uint64
 	pages []*[PageSize]byte // nil: absent, reads as zero
+	// gen counts the calls that may have changed the bytes: WriteAt,
+	// SetPage and Clear each bump it. A hash remembered at one gen
+	// (Phys.HashRange) is still the store's hash while gen is unmoved.
+	gen uint64
 }
 
 // zeroPage is what an absent page reads as.
@@ -52,6 +56,7 @@ func (s *Pages) ReadAt(buf []byte, off uint64) {
 // WriteAt copies buf into the store at off, materializing a page only
 // when the bytes stored into it are not all zero.
 func (s *Pages) WriteAt(buf []byte, off uint64) {
+	s.gen++
 	for len(buf) > 0 {
 		po := off % PageSize
 		chunk := buf[:min(uint64(len(buf)), PageSize-po)]
@@ -86,6 +91,7 @@ func (s *Pages) Page(idx uint64) []byte {
 // bytes as Page returns them. A nil or all-zero b leaves the page
 // absent.
 func (s *Pages) SetPage(idx uint64, b []byte) {
+	s.gen++
 	if allZero(b) {
 		s.pages[idx] = nil
 		return
@@ -99,7 +105,10 @@ func (s *Pages) SetPage(idx uint64, b []byte) {
 }
 
 // Clear drops every page: the store reads as zero again.
-func (s *Pages) Clear() { clear(s.pages) }
+func (s *Pages) Clear() {
+	s.gen++
+	clear(s.pages)
+}
 
 // Fold folds the bytes at [off, end) into d (FNV-64a). A run of absent
 // pages folds as zeros in one step, so only materialized pages are

@@ -80,6 +80,48 @@ type Log struct {
 	Footer  Footer
 }
 
+// chunkRecords is how many Records one chunk of a records builder
+// holds, about 88 KiB.
+const chunkRecords = 1024
+
+// records builds a Records slice in fixed-size chunks, so adding one
+// never copies those already held, and copies them once into an
+// exact-size slice at the end. A slice grown by append is copied at
+// every growth step, 1.25× apart for large slices, which allocates
+// about five times the final slice for a log of an attach's size.
+type records struct {
+	full [][]Record // filled chunks, in order
+	cur  []Record   // the chunk being filled
+	n    int
+}
+
+// add appends r.
+func (rs *records) add(r Record) {
+	if len(rs.cur) == cap(rs.cur) {
+		if rs.cur != nil {
+			rs.full = append(rs.full, rs.cur)
+		}
+		rs.cur = make([]Record, 0, chunkRecords)
+	}
+	rs.cur = append(rs.cur, r)
+	rs.n++
+}
+
+// take returns the records added, in order, in one slice of exactly
+// their number (nil for none), and empties rs.
+func (rs *records) take() []Record {
+	var out []Record
+	if rs.n > 0 {
+		out = make([]Record, 0, rs.n)
+		for _, c := range rs.full {
+			out = append(out, c...)
+		}
+		out = append(out, rs.cur...)
+	}
+	*rs = records{}
+	return out
+}
+
 // Divergence is a structured mismatch report: the first crossing (or
 // log element) at which a replayed/verified stream departs from the
 // recording. It is also how decode reports corruption, so a damaged
@@ -287,6 +329,7 @@ func read(r io.Reader, decode func(seq int, line []byte) (Record, *Footer, error
 		Seed  uint64 `json:"seed"`
 	}
 	lg := &Log{Version: Version}
+	var recs records
 	opSeq := make(map[string]int)
 	lastVT := int64(0)
 	err := chainlog.Read(r, Magic, Version, &hdr, func(seq int, line []byte) (bool, error) {
@@ -295,8 +338,8 @@ func read(r io.Reader, decode func(seq int, line []byte) (Record, *Footer, error
 			return false, err
 		}
 		if f != nil {
-			if f.Crossings != len(lg.Records) {
-				return false, &Divergence{Seq: seq, Reason: fmt.Sprintf("footer says %d crossings, log has %d", f.Crossings, len(lg.Records))}
+			if f.Crossings != recs.n {
+				return false, &Divergence{Seq: seq, Reason: fmt.Sprintf("footer says %d crossings, log has %d", f.Crossings, recs.n)}
 			}
 			if f.VTime < lastVT {
 				return false, &Divergence{Seq: seq, Reason: "footer vtime precedes last crossing", VTimeDelta: f.VTime - lastVT}
@@ -322,7 +365,7 @@ func read(r io.Reader, decode func(seq int, line []byte) (Record, *Footer, error
 			return false, &Divergence{Seq: seq, Reason: "vtime regression", ExpectedOp: rec.Op, VTimeDelta: rec.VTime - lastVT}
 		}
 		lastVT = rec.VTime
-		lg.Records = append(lg.Records, rec)
+		recs.add(rec)
 		return false, nil
 	})
 	var ce *chainlog.Error
@@ -332,7 +375,7 @@ func read(r io.Reader, decode func(seq int, line []byte) (Record, *Footer, error
 	if err != nil {
 		return nil, err
 	}
-	lg.Label, lg.Seed = hdr.Label, hdr.Seed
+	lg.Label, lg.Seed, lg.Records = hdr.Label, hdr.Seed, recs.take()
 	return lg, nil
 }
 

@@ -13,6 +13,7 @@ import (
 type Recorder struct {
 	clock     *vclock.Clock
 	log       Log
+	recs      records // the crossings, until Finalize moves them into log
 	opSeq     map[string]int
 	finalized bool
 }
@@ -35,8 +36,8 @@ func (r *Recorder) Crossing(c faults.Crossing) {
 	}
 	os := r.opSeq[string(c.Op)] + 1
 	r.opSeq[string(c.Op)] = os
-	r.log.Records = append(r.log.Records, Record{
-		Seq:    len(r.log.Records) + 1,
+	r.recs.add(Record{
+		Seq:    r.recs.n + 1,
 		Op:     string(c.Op),
 		Stage:  c.Stage,
 		OpSeq:  os,
@@ -48,7 +49,12 @@ func (r *Recorder) Crossing(c faults.Crossing) {
 }
 
 // Crossings reports how many crossings have been recorded so far.
-func (r *Recorder) Crossings() int { return len(r.log.Records) }
+func (r *Recorder) Crossings() int {
+	if r.finalized {
+		return len(r.log.Records)
+	}
+	return r.recs.n
+}
 
 // Finalize seals the recording with the session's end state: the
 // final virtual time (read from the clock), per-memslot RAM hashes
@@ -61,6 +67,7 @@ func (r *Recorder) Finalize(ram []uint64, metrics map[string]int64) *Log {
 		if metrics == nil {
 			metrics = map[string]int64{}
 		}
+		r.log.Records = r.recs.take()
 		r.log.Footer = Footer{
 			Crossings: len(r.log.Records),
 			VTime:     int64(r.clock.Now()),
@@ -71,5 +78,6 @@ func (r *Recorder) Finalize(ram []uint64, metrics map[string]int64) *Log {
 	return &r.log
 }
 
-// Log returns the recording (complete only after Finalize).
+// Log returns the recording. Its Records and Footer are filled in by
+// Finalize; before that it holds only the header fields.
 func (r *Recorder) Log() *Log { return &r.log }

@@ -2,9 +2,11 @@ package replay
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"vmsh/internal/faults"
 	"vmsh/internal/vclock"
@@ -159,5 +161,56 @@ func TestVerifierMatchesAndDiverges(t *testing.T) {
 	ver5.Crossing(faults.Crossing{Op: "vq:blk"})
 	if d := ver5.Result(); d == nil || !strings.Contains(d.Reason, "beyond") {
 		t.Fatalf("overlong run: %+v", d)
+	}
+}
+
+// allocated returns the bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestRecordsAllocBound: recording N crossings, and reading an N-record
+// log back, each allocate at most 2.5 times the N Records they hold.
+// Both build the slice in fixed-size chunks and copy it once into an
+// exact-size slice; growing one slice by append allocates about five
+// times the final slice at this size.
+func TestRecordsAllocBound(t *testing.T) {
+	const n = 100_000
+	limit := uint64(n * unsafe.Sizeof(Record{}) * 5 / 2)
+	ops := []faults.Op{"procvm:readv", "ptrace:getregs", "vq:blk"}
+	clock := vclock.New()
+	var lg *Log
+	rec := NewRecorder(clock, "alloc", 0)
+	if got := allocated(func() {
+		for i := 0; i < n; i++ {
+			rec.Crossing(faults.Crossing{Op: ops[i%len(ops)], Stage: "scan_kernel", Args: uint64(i)})
+		}
+		lg = rec.Finalize(nil, nil)
+	}); got > limit {
+		t.Errorf("recording %d crossings allocated %d bytes, want at most %d", n, got, limit)
+	} else {
+		t.Logf("recording: %d bytes, %.2f× the records", got, float64(got)/float64(limit)*2.5)
+	}
+	if len(lg.Records) != n || cap(lg.Records) != n {
+		t.Fatalf("recorded %d records in a slice of capacity %d, want %d", len(lg.Records), cap(lg.Records), n)
+	}
+	enc := mustEncode(lg)
+	var dec *Log
+	if got := allocated(func() {
+		var err error
+		if dec, err = Read(bytes.NewReader(enc)); err != nil {
+			t.Fatal(err)
+		}
+	}); got > limit {
+		t.Errorf("reading %d records allocated %d bytes, want at most %d", n, got, limit)
+	} else {
+		t.Logf("reading: %d bytes, %.2f× the records", got, float64(got)/float64(limit)*2.5)
+	}
+	if len(dec.Records) != n || cap(dec.Records) != n || dec.Records[n-1] != lg.Records[n-1] {
+		t.Fatalf("read %d records in a slice of capacity %d, want %d", len(dec.Records), cap(dec.Records), n)
 	}
 }

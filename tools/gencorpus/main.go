@@ -12,7 +12,11 @@ import (
 	"path/filepath"
 
 	"vmsh"
+	"vmsh/internal/arch"
+	"vmsh/internal/fsimage"
+	"vmsh/internal/hypervisor"
 	"vmsh/internal/ksym"
+	"vmsh/internal/lifecycle"
 	"vmsh/internal/mem"
 	"vmsh/internal/virtio"
 )
@@ -122,6 +126,43 @@ func snapshotSeed() []byte {
 	return buf.Bytes()
 }
 
+// configSeeds encodes snapshots that carry only a config record and the
+// footer, with every Config field set: strings that need escapes, a
+// file with nil data and one with empty data, a symlink and two extra
+// disks; then the same with an empty, non-nil manifest and disk list;
+// then one whose name is invalid UTF-8, which the reader refuses as not
+// canonical.
+func configSeeds() [][]byte {
+	full := hypervisor.Config{
+		Kind: hypervisor.Firecracker, Name: "cfg <&> \"q\"\n\u2028", Arch: arch.ARM64,
+		KernelVersion: "5.10", RAMSize: 1<<64 - 1, VCPUs: -1, Seed: -1 << 63,
+		RootFS: fsimage.Manifest{
+			"/etc/hostname":     {Mode: 0o644, UID: 1, GID: 1<<32 - 1, Data: []byte("cfg\n")},
+			"/etc/empty":        {Data: []byte{}},
+			"/etc/none":         {},
+			"/bin/sh":           {Symlink: "/bin/busybox"},
+			"/\u65e5\u672c\t\\": {Mode: 0o755, Data: []byte{0, 0xff}},
+		},
+		RootImageSize: 1 << 40,
+		ExtraDisks: []hypervisor.DiskSpec{
+			{GuestName: "vdb", Size: 64 << 20, Mkfs: true, MountAt: "/data"},
+			{GuestName: "vdc", Size: -1},
+		},
+		NinePShare: true, DisableSeccomp: true, SeccompProfile: "vmsh-compatible",
+	}
+	empty := hypervisor.Config{Name: "cfg", RootFS: fsimage.Manifest{}, ExtraDisks: []hypervisor.DiskSpec{}}
+	invalid := hypervisor.Config{Name: "cfg\xff"}
+	var out [][]byte
+	for _, c := range []hypervisor.Config{full, empty, invalid} {
+		var buf bytes.Buffer
+		if _, err := (&lifecycle.Snapshot{Label: "config", Config: c}).WriteTo(&buf); err != nil {
+			log.Fatal(err)
+		}
+		out = append(out, marshal(buf.Bytes()))
+	}
+	return out
+}
+
 func main() {
 	// faults: rule-grammar specs, accepted and rejected alike.
 	specs := []string{
@@ -176,14 +217,15 @@ func main() {
 		marshal(make([]byte, 64)),
 	})
 
-	// lifecycle: a real snapshot, its truncation, a v1 header and junk.
+	// lifecycle: a real snapshot, its truncation, a v1 header, junk and
+	// snapshots whose config records fill every field.
 	snap := snapshotSeed()
-	writeCorpus("internal/lifecycle/testdata/fuzz/FuzzSnapshotRead", [][]byte{
+	writeCorpus("internal/lifecycle/testdata/fuzz/FuzzSnapshotRead", append([][]byte{
 		marshal(snap),
 		marshal(snap[:len(snap)/2]),
 		marshal([]byte(`{"t":"header","magic":"vmsh-snap","v":1,"label":"old","vtime":1}` + "\n")),
 		marshal([]byte("\x00\xffnot a snapshot{")),
-	})
+	}, configSeeds()...))
 
 	fmt.Println("corpora written")
 }
