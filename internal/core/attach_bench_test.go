@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"vmsh/internal/blockdev"
 	"vmsh/internal/fsimage"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
@@ -30,7 +29,7 @@ func BenchmarkAttach(b *testing.B) {
 			b.Fatal(err)
 		}
 		img := h.CreateFile("tools.img", 96<<20, false)
-		if err := fsimage.Build(blockdev.NewHostFileDevice(img), fsimage.ToolImage()); err != nil {
+		if err := fsimage.Build(hostsim.NewHostFileDevice(img), fsimage.ToolImage()); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()

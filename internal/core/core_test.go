@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"vmsh/internal/blockdev"
 	"vmsh/internal/fsimage"
 	"vmsh/internal/guestos"
 	"vmsh/internal/hostsim"
@@ -20,7 +19,7 @@ import (
 func buildToolImage(t *testing.T, h *hostsim.Host, name string) *hostsim.HostFile {
 	t.Helper()
 	img := h.CreateFile(name, 96<<20, false)
-	if err := fsimage.Build(blockdev.NewHostFileDevice(img), fsimage.ToolImage()); err != nil {
+	if err := fsimage.Build(hostsim.NewHostFileDevice(img), fsimage.ToolImage()); err != nil {
 		t.Fatal(err)
 	}
 	return img

@@ -108,7 +108,7 @@ func (pm *procMem) resolve(gpa mem.GPA, buf []byte, out []hostsim.IoVec) ([]host
 	return out, nil
 }
 
-// Contains implements mem.PhysExtent: whether the memslot table covers
+// Contains implements mem.PhysIO: whether the memslot table covers
 // [gpa, gpa+n), answered without a crossing. It holds exactly when
 // resolve would succeed.
 func (pm *procMem) Contains(gpa mem.GPA, n int) bool {
@@ -125,7 +125,7 @@ func (pm *procMem) Contains(gpa mem.GPA, n int) bool {
 	return true
 }
 
-// Size implements mem.PhysExtent: the bytes the memslot table covers.
+// Size implements mem.PhysIO: the bytes the memslot table covers.
 func (pm *procMem) Size() uint64 {
 	var n uint64
 	for _, s := range pm.slots {
@@ -134,22 +134,7 @@ func (pm *procMem) Size() uint64 {
 	return n
 }
 
-// hvaFor is the single-segment translation used by callers that need a
-// raw HVA (eventfd signal pages); it still rejects straddling ranges
-// because a single address cannot represent them.
-func (pm *procMem) hvaFor(gpa mem.GPA, n int) (mem.HVA, error) {
-	i := pm.slotFor(gpa)
-	if i < 0 {
-		return 0, fmt.Errorf("vmsh: gpa [%#x,+%d) not in any memslot", gpa, n)
-	}
-	s := pm.slots[i]
-	if uint64(gpa-s.GPA)+uint64(n) > s.Size {
-		return 0, fmt.Errorf("vmsh: gpa [%#x,+%d) straddles memslot boundary", gpa, n)
-	}
-	return s.HVA + mem.HVA(gpa-s.GPA), nil
-}
-
-// ReadPhys implements mem.PhysReader. A range inside one slot issues
+// ReadPhys implements mem.PhysIO. A range inside one slot issues
 // exactly one scalar process_vm_readv (the pre-fast-path behaviour);
 // a range straddling slots becomes one vectored call.
 func (pm *procMem) ReadPhys(gpa mem.GPA, buf []byte) error {
@@ -157,13 +142,13 @@ func (pm *procMem) ReadPhys(gpa mem.GPA, buf []byte) error {
 	return pm.ReadPhysVec(v[:])
 }
 
-// WritePhys implements mem.PhysWriter.
+// WritePhys implements mem.PhysIO.
 func (pm *procMem) WritePhys(gpa mem.GPA, buf []byte) error {
 	v := [1]mem.Vec{{GPA: gpa, Buf: buf}}
 	return pm.WritePhysVec(v[:])
 }
 
-// ReadPhysVec implements mem.PhysVecReader: all segments of all vecs
+// ReadPhysVec implements mem.PhysIO: all segments of all vecs
 // are fetched by a single simulated process_vm_readv, paying one
 // syscall + one base cost + bandwidth over the total byte count.
 func (pm *procMem) ReadPhysVec(vecs []mem.Vec) error {
@@ -180,7 +165,7 @@ func (pm *procMem) ReadPhysVec(vecs []mem.Vec) error {
 	return nil
 }
 
-// WritePhysVec implements mem.PhysVecWriter.
+// WritePhysVec implements mem.PhysIO.
 func (pm *procMem) WritePhysVec(vecs []mem.Vec) error {
 	var stack [maxStackIovs]hostsim.IoVec
 	iovs, n, err := pm.resolveVecs(vecs, stack[:0])

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"vmsh/internal/blockdev"
 	"vmsh/internal/core"
 	"vmsh/internal/fsimage"
 	"vmsh/internal/hostsim"
@@ -270,7 +269,7 @@ func e11Record(seed int64) (verified bool, crossings int, err error) {
 	h2 := res.Dst.Host
 	m := fsimage.ToolImage()
 	img2 := h2.CreateFile("e11-rec.img", m.Size()+64<<20, false)
-	if err := fsimage.Build(blockdev.NewHostFileDevice(img2), m); err != nil {
+	if err := fsimage.Build(hostsim.NewHostFileDevice(img2), m); err != nil {
 		return false, len(lg.Records), err
 	}
 	ver := replay.NewRebasedVerifier(lg, h2.Clock)

@@ -80,7 +80,7 @@ func RunXfstestsBackends() ([]xfstests.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	overlay, err := storage.NewCowFS(guestos.SFS{FS: lowerFS})
+	overlay, err := storage.NewCowFS(lowerFS)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func RunXfstestsBackends() ([]xfstests.Result, error) {
 		{"cow", cow},
 		{"cas", storage.NewCasFS(storage.MemOptions{})},
 		{"remote", storage.NewRemoteFS(storage.MemOptions{}, link)},
-		{"fsimage", guestos.SFS{FS: imgFS}},
+		{"fsimage", imgFS},
 		{"overlay", overlay},
 	}
 

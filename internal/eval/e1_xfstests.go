@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 
-	"vmsh/internal/blockdev"
 	"vmsh/internal/core"
 	"vmsh/internal/fsimage"
 	"vmsh/internal/guestos"
@@ -40,7 +39,7 @@ func RunXfstests() (*XfstestsResults, error) {
 	// Native environment: the same VFS + simplefs over the raw
 	// NVMe-class device with no virtualisation in the data path.
 	nativeFile := h.CreateFile("xfstests-native.img", testFSSize, true)
-	nativeDev := blockdev.NewHostFileDevice(nativeFile)
+	nativeDev := hostsim.NewHostFileDevice(nativeFile)
 	if err := fsimage.Build(nativeDev, fsimage.Manifest{}); err != nil {
 		return nil, err
 	}
@@ -50,7 +49,7 @@ func RunXfstests() (*XfstestsResults, error) {
 
 	// vmsh-blk environment: attach a scratch image.
 	scratch := h.CreateFile("xfstests-vmsh.img", testFSSize, false)
-	if err := fsimage.Build(blockdev.NewHostFileDevice(scratch), fsimage.Manifest{}); err != nil {
+	if err := fsimage.Build(hostsim.NewHostFileDevice(scratch), fsimage.Manifest{}); err != nil {
 		return nil, err
 	}
 	v := core.New(h)
@@ -110,6 +109,6 @@ func mountAt(kern *guestos.Kernel, dev guestos.BlockDev, path string) error {
 		return err
 	}
 	fs.NowFn = kern.NowSec
-	kern.InitProc.NS.AddMount(path, guestos.SFS{FS: fs})
+	kern.InitProc.NS.AddMount(path, fs)
 	return nil
 }

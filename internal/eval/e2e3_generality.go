@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"vmsh/internal/arch"
-	"vmsh/internal/blockdev"
 	"vmsh/internal/core"
 	"vmsh/internal/fsimage"
 	"vmsh/internal/guestos"
@@ -42,7 +41,7 @@ func attachSmokeOpts(kind hypervisor.Kind, kernel string, cfgMod func(*hyperviso
 		return GeneralityRow{Target: name, Detail: "launch: " + err.Error()}
 	}
 	img := h.CreateFile("tools.img", 96<<20, false)
-	if err := fsimage.Build(blockdev.NewHostFileDevice(img), fsimage.ToolImage()); err != nil {
+	if err := fsimage.Build(hostsim.NewHostFileDevice(img), fsimage.ToolImage()); err != nil {
 		return GeneralityRow{Target: name, Detail: err.Error()}
 	}
 	v := core.New(h)

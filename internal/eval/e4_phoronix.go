@@ -5,10 +5,8 @@ import (
 	"math"
 	"time"
 
-	"vmsh/internal/blockdev"
 	"vmsh/internal/core"
 	"vmsh/internal/fsimage"
-	"vmsh/internal/guestos"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
 	"vmsh/internal/ledger"
@@ -52,7 +50,7 @@ func RunPhoronixOpts(extra core.Options) ([]PhoronixRow, error) {
 	kern := inst.Kernel
 
 	img := h.CreateFile("phoronix-vmsh.img", 512<<20, false)
-	if err := fsimage.Build(blockdev.NewHostFileDevice(img), fsimage.Manifest{}); err != nil {
+	if err := fsimage.Build(hostsim.NewHostFileDevice(img), fsimage.Manifest{}); err != nil {
 		return nil, err
 	}
 	v := core.New(h)
@@ -71,7 +69,7 @@ func RunPhoronixOpts(extra core.Options) ([]PhoronixRow, error) {
 		return nil, err
 	}
 	fs.NowFn = kern.NowSec
-	kern.InitProc.NS.AddMount("/mnt/vmsh", guestos.SFS{FS: fs})
+	kern.InitProc.NS.AddMount("/mnt/vmsh", fs)
 
 	var rows []PhoronixRow
 	for i, bench := range workloads.PhoronixDiskSuite() {

@@ -3,14 +3,13 @@ package eval
 import (
 	"fmt"
 
-	"vmsh/internal/blockdev"
 	"vmsh/internal/core"
 	"vmsh/internal/fsimage"
-	"vmsh/internal/guestos"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/hypervisor"
 	"vmsh/internal/ledger"
 	"vmsh/internal/simplefs"
+	"vmsh/internal/storage"
 	"vmsh/internal/workloads"
 )
 
@@ -48,7 +47,7 @@ func attachScratch(h *hostsim.Host, inst *hypervisor.Instance, trap core.TrapMod
 // (the image and Minimal are always set here).
 func attachScratchOpts(h *hostsim.Host, inst *hypervisor.Instance, opts core.Options) (*core.Session, error) {
 	img := h.CreateFile(fmt.Sprintf("fio-vmsh-%s-legacy%v.img", opts.Trap, opts.LegacyVirtio), fioDiskSize, false)
-	if err := fsimage.Build(blockdev.NewHostFileDevice(img), fsimage.Manifest{}); err != nil {
+	if err := fsimage.Build(hostsim.NewHostFileDevice(img), fsimage.Manifest{}); err != nil {
 		return nil, err
 	}
 	opts.Image = img
@@ -58,7 +57,7 @@ func attachScratchOpts(h *hostsim.Host, inst *hypervisor.Instance, opts core.Opt
 }
 
 // runDeviceSpecs runs the Figure 6 jobs against a raw block target.
-func runDeviceSpecs(h *hostsim.Host, dev workloads.BlockTarget) ([]workloads.FioResult, error) {
+func runDeviceSpecs(h *hostsim.Host, dev storage.BlockBackend) ([]workloads.FioResult, error) {
 	var out []workloads.FioResult
 	for _, spec := range workloads.StandardFigure6Specs(fioTotalBytes) {
 		r, err := workloads.FioOnDevice(h, dev, spec)
@@ -79,7 +78,7 @@ func RunFioDirect() ([]FioSetup, error) {
 	{
 		h := hostsim.NewHost()
 		f := h.CreateFile("native.img", fioDiskSize, true)
-		res, err := runDeviceSpecs(h, blockdev.NewHostFileDevice(f))
+		res, err := runDeviceSpecs(h, hostsim.NewHostFileDevice(f))
 		if err != nil {
 			return nil, err
 		}
@@ -160,7 +159,7 @@ func RunFioFileIO() ([]FioSetup, error) {
 		return nil, err
 	}
 	fs.NowFn = kern.NowSec
-	kern.InitProc.NS.AddMount("/mnt/vmsh", guestos.SFS{FS: fs})
+	kern.InitProc.NS.AddMount("/mnt/vmsh", fs)
 
 	targets := []struct {
 		name string

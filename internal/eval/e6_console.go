@@ -4,7 +4,6 @@ import (
 	"strings"
 	"time"
 
-	"vmsh/internal/blockdev"
 	"vmsh/internal/core"
 	"vmsh/internal/fsimage"
 	"vmsh/internal/guestos"
@@ -94,7 +93,7 @@ func RunConsoleLatency() (*ConsoleLatencies, error) {
 	// irqfds and the trap mechanism.
 	{
 		img := h.CreateFile("console-tools.img", 96<<20, false)
-		if err := fsimage.Build(blockdev.NewHostFileDevice(img), fsimage.ToolImage()); err != nil {
+		if err := fsimage.Build(hostsim.NewHostFileDevice(img), fsimage.ToolImage()); err != nil {
 			return nil, err
 		}
 		v := core.New(h)

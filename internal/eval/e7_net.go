@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"vmsh/internal/blockdev"
 	"vmsh/internal/core"
 	"vmsh/internal/fsimage"
 	"vmsh/internal/guestos"
@@ -56,7 +55,7 @@ func netAttachPair(h *hostsim.Host, sw *netsim.Switch, link netsim.LinkParams, l
 			return ifaces, err
 		}
 		img := h.CreateFile(fmt.Sprintf("e7-%c.img", 'a'+i), 64<<20, false)
-		if err := fsimage.Build(blockdev.NewHostFileDevice(img), fsimage.Manifest{}); err != nil {
+		if err := fsimage.Build(hostsim.NewHostFileDevice(img), fsimage.Manifest{}); err != nil {
 			return ifaces, err
 		}
 		v := core.New(h)

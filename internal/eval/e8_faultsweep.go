@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"vmsh/internal/blockdev"
 	"vmsh/internal/core"
 	"vmsh/internal/faults"
 	"vmsh/internal/fsimage"
@@ -104,7 +103,7 @@ func faultVM(h *hostsim.Host, seed int64, name string) (*hypervisor.Instance, *h
 	}
 	m := fsimage.ToolImage()
 	img := h.CreateFile(name+".img", m.Size()+64<<20, false)
-	if err := fsimage.Build(blockdev.NewHostFileDevice(img), m); err != nil {
+	if err := fsimage.Build(hostsim.NewHostFileDevice(img), m); err != nil {
 		return nil, nil, err
 	}
 	return inst, img, nil
@@ -206,7 +205,7 @@ func sweepPoint(seed int64, cs faults.CrossingStat) sweepResult {
 	h.SetFaultPlan(nil)
 	m := fsimage.ToolImage()
 	img2 := h.CreateFile("e8-pt-2.img", m.Size()+64<<20, false)
-	if err := fsimage.Build(blockdev.NewHostFileDevice(img2), m); err != nil {
+	if err := fsimage.Build(hostsim.NewHostFileDevice(img2), m); err != nil {
 		res.violation = "rebuild image: " + err.Error()
 		return res
 	}

@@ -20,7 +20,6 @@ import (
 	"slices"
 	"time"
 
-	"vmsh/internal/blockdev"
 	"vmsh/internal/core"
 	"vmsh/internal/engine"
 	"vmsh/internal/faults"
@@ -234,7 +233,7 @@ func fleetStormOnce(vms, shards, workers int, seed int64, store string, trace bo
 			}
 			m := fsimage.ToolImage()
 			f := h.CreateFile("e9-tools.img", m.Size()+64<<20, false)
-			if err := fsimage.Build(blockdev.NewHostFileDevice(f), m); err != nil {
+			if err := fsimage.Build(hostsim.NewHostFileDevice(f), m); err != nil {
 				return nil, err
 			}
 			img = f

@@ -8,8 +8,8 @@ import (
 	"sort"
 	"strings"
 
-	"vmsh/internal/blockdev"
 	"vmsh/internal/simplefs"
+	"vmsh/internal/storage"
 )
 
 // Entry is one manifest item. Directories are implied by paths.
@@ -56,7 +56,7 @@ func (m Manifest) Paths() []string {
 }
 
 // Build formats dev with simplefs and populates it from the manifest.
-func Build(dev blockdev.Device, m Manifest) error {
+func Build(dev storage.BlockBackend, m Manifest) error {
 	if err := simplefs.Mkfs(dev, simplefs.MkfsOptions{}); err != nil {
 		return err
 	}
@@ -112,7 +112,7 @@ func baseOf(p string) string {
 	return p[idx+1:]
 }
 
-func mkdirs(root *simplefs.Inode, path string) (*simplefs.Inode, error) {
+func mkdirs(root storage.Node, path string) (storage.Node, error) {
 	node := root
 	for _, part := range strings.Split(strings.Trim(path, "/"), "/") {
 		if part == "" {

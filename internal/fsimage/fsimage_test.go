@@ -3,8 +3,8 @@ package fsimage
 import (
 	"testing"
 
-	"vmsh/internal/blockdev"
 	"vmsh/internal/simplefs"
+	"vmsh/internal/storage"
 )
 
 type memDevice struct{ data []byte }
@@ -16,7 +16,7 @@ func (m *memDevice) Size() int64                         { return int64(len(m.da
 func (m *memDevice) SupportsFUA() bool                   { return true }
 func (m *memDevice) SetQueueDepth(int)                   {}
 
-var _ blockdev.Device = (*memDevice)(nil)
+var _ storage.BlockBackend = (*memDevice)(nil)
 
 func TestBuildAndReadBack(t *testing.T) {
 	dev := &memDevice{data: make([]byte, 32<<20)}
@@ -52,7 +52,7 @@ func TestBuildAndReadBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tool.Stat().Mode&simplefs.ModePermMask != 0o755 {
+	if tool.Stat().Mode&storage.ModePermMask != 0o755 {
 		t.Fatalf("mode %o", tool.Stat().Mode)
 	}
 	alias, err := bin.Lookup("alias")

@@ -444,7 +444,7 @@ func (k *Kernel) RunGuest(v *kvm.VCPU) {
 // GuestMem exposes the guest physical view (used by drivers).
 func (k *Kernel) GuestMem() mem.PhysIO { return k.mem }
 
-// AllocPages implements virtio.PhysPages for drivers.
+// AllocPages implements mem.PhysPages for drivers.
 func (k *Kernel) AllocPages(n int) (mem.GPA, error) { return k.physAlloc.AllocPages(n) }
 
 // virtReader reads guest-virtual memory through the live page tables.

@@ -5,7 +5,7 @@ import (
 	"sort"
 
 	"vmsh/internal/fserr"
-	"vmsh/internal/simplefs"
+	"vmsh/internal/storage"
 )
 
 // Proc is a guest process. Its credential and isolation fields are
@@ -255,21 +255,21 @@ func (p *Proc) Readlink(path string) (string, error) {
 }
 
 // Stat follows symlinks; Lstat does not.
-func (p *Proc) Stat(path string) (simplefs.FileInfo, error) {
+func (p *Proc) Stat(path string) (storage.FileInfo, error) {
 	return p.statInternal(path, true)
 }
 
 // Lstat stats without following the final symlink.
-func (p *Proc) Lstat(path string) (simplefs.FileInfo, error) {
+func (p *Proc) Lstat(path string) (storage.FileInfo, error) {
 	return p.statInternal(path, false)
 }
 
-func (p *Proc) statInternal(path string, follow bool) (simplefs.FileInfo, error) {
+func (p *Proc) statInternal(path string, follow bool) (storage.FileInfo, error) {
 	k := p.k
 	k.Clock().Advance(k.Costs().GuestSyscall)
 	node, err := k.resolve(p.NS, p.path(path), follow)
 	if err != nil {
-		return simplefs.FileInfo{}, err
+		return storage.FileInfo{}, err
 	}
 	return node.Stat(), nil
 }
@@ -318,7 +318,7 @@ func (p *Proc) Utimes(path string, atime, mtime uint64) error {
 }
 
 // ReadDir lists a directory.
-func (p *Proc) ReadDir(path string) ([]simplefs.DirEntry, error) {
+func (p *Proc) ReadDir(path string) ([]storage.DirEntry, error) {
 	k := p.k
 	k.Clock().Advance(k.Costs().GuestSyscall + k.Costs().InodeOp)
 	node, err := k.resolve(p.NS, p.path(path), true)
@@ -329,18 +329,18 @@ func (p *Proc) ReadDir(path string) ([]simplefs.DirEntry, error) {
 }
 
 // Statfs reports filesystem usage for the mount containing path.
-func (p *Proc) Statfs(path string) (simplefs.StatfsInfo, error) {
+func (p *Proc) Statfs(path string) (storage.StatfsInfo, error) {
 	k := p.k
 	k.Clock().Advance(k.Costs().GuestSyscall)
 	m, _ := p.NS.findMount(p.path(path))
 	if m == nil {
-		return simplefs.StatfsInfo{}, fserr.ErrNotFound
+		return storage.StatfsInfo{}, fserr.ErrNotFound
 	}
 	return m.FS.Statfs(), nil
 }
 
 // QuotaReport queries quota usage on the mount containing path.
-func (p *Proc) QuotaReport(path string) ([]simplefs.QuotaUsage, error) {
+func (p *Proc) QuotaReport(path string) ([]storage.QuotaUsage, error) {
 	k := p.k
 	k.Clock().Advance(k.Costs().GuestSyscall)
 	m, _ := p.NS.findMount(p.path(path))
@@ -359,7 +359,7 @@ func (p *Proc) RemoveAll(path string) error {
 	if err != nil {
 		return err
 	}
-	if st.Mode&simplefs.ModeTypeMask != simplefs.ModeDir {
+	if st.Mode&storage.ModeTypeMask != storage.ModeDir {
 		return p.Unlink(path)
 	}
 	ents, err := p.ReadDir(path)
@@ -382,7 +382,7 @@ func (p *Proc) Sync() error {
 }
 
 // Mount binds a filesystem in the process's namespace.
-func (p *Proc) Mount(fs FileSystem, path string) error {
+func (p *Proc) Mount(fs storage.FS, path string) error {
 	p.k.Clock().Advance(p.k.Costs().GuestSyscall)
 	p.NS.AddMount(p.path(path), fs)
 	return nil
@@ -420,7 +420,7 @@ func (p *Proc) ReadFile(path string) ([]byte, error) {
 
 // MountRoot replaces the root filesystem of the init namespace, the
 // boot step where the guest switches from initramfs to its disk root.
-func (k *Kernel) MountRoot(fs FileSystem) error {
+func (k *Kernel) MountRoot(fs storage.FS) error {
 	for i, m := range k.rootNS.mounts {
 		if m.Path == "/" {
 			k.rootNS.mounts[i] = &Mount{Path: "/", FS: fs}

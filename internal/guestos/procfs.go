@@ -7,7 +7,7 @@ import (
 	"strings"
 
 	"vmsh/internal/fserr"
-	"vmsh/internal/simplefs"
+	"vmsh/internal/storage"
 )
 
 // procFS is the guest's /proc: synthetic, generated from live kernel
@@ -20,19 +20,19 @@ type procFS struct {
 
 func newProcFS(k *Kernel) *procFS { return &procFS{k: k} }
 
-// Root implements FileSystem.
-func (p *procFS) Root() (FSNode, error) { return &procDir{fs: p, kind: procRootDir}, nil }
+// Root implements storage.FS.
+func (p *procFS) Root() (storage.Node, error) { return &procDir{fs: p, kind: procRootDir}, nil }
 
-// Sync implements FileSystem.
+// Sync implements storage.FS.
 func (p *procFS) Sync() error { return nil }
 
-// Statfs implements FileSystem.
-func (p *procFS) Statfs() simplefs.StatfsInfo {
-	return simplefs.StatfsInfo{BlockSize: 4096}
+// Statfs implements storage.FS.
+func (p *procFS) Statfs() storage.StatfsInfo {
+	return storage.StatfsInfo{BlockSize: 4096}
 }
 
-// QuotaReport implements FileSystem.
-func (p *procFS) QuotaReport() ([]simplefs.QuotaUsage, error) {
+// QuotaReport implements storage.FS.
+func (p *procFS) QuotaReport() ([]storage.QuotaUsage, error) {
 	return nil, fserr.ErrNotSupported
 }
 
@@ -52,8 +52,8 @@ type procDir struct {
 	pid  int
 }
 
-func (d *procDir) Stat() simplefs.FileInfo {
-	return simplefs.FileInfo{Ino: uint32(1000 + d.pid), Mode: simplefs.ModeDir | 0o555, Nlink: 2}
+func (d *procDir) Stat() storage.FileInfo {
+	return storage.FileInfo{Ino: uint32(1000 + d.pid), Mode: storage.ModeDir | 0o555, Nlink: 2}
 }
 func (d *procDir) IsDir() bool     { return true }
 func (d *procDir) IsSymlink() bool { return false }
@@ -134,7 +134,7 @@ func pidFiles(p *Proc) map[string]func() string {
 	}
 }
 
-func (d *procDir) Lookup(name string) (FSNode, error) {
+func (d *procDir) Lookup(name string) (storage.Node, error) {
 	switch d.kind {
 	case procRootDir:
 		if gen, ok := d.rootFiles()[name]; ok {
@@ -159,8 +159,8 @@ func (d *procDir) Lookup(name string) (FSNode, error) {
 	return nil, fserr.ErrNotFound
 }
 
-func (d *procDir) ReadDir() ([]simplefs.DirEntry, error) {
-	var out []simplefs.DirEntry
+func (d *procDir) ReadDir() ([]storage.DirEntry, error) {
+	var out []storage.DirEntry
 	switch d.kind {
 	case procRootDir:
 		files := d.rootFiles()
@@ -170,11 +170,11 @@ func (d *procDir) ReadDir() ([]simplefs.DirEntry, error) {
 		}
 		sort.Strings(names)
 		for i, n := range names {
-			out = append(out, simplefs.DirEntry{Ino: uint32(i + 2), Type: simplefs.ModeFile, Name: n})
+			out = append(out, storage.DirEntry{Ino: uint32(i + 2), Type: storage.ModeFile, Name: n})
 		}
 		for _, p := range d.fs.k.Procs() {
-			out = append(out, simplefs.DirEntry{
-				Ino: uint32(1000 + p.PID), Type: simplefs.ModeDir,
+			out = append(out, storage.DirEntry{
+				Ino: uint32(1000 + p.PID), Type: storage.ModeDir,
 				Name: strconv.Itoa(p.PID)})
 		}
 	case procPidDir:
@@ -188,34 +188,34 @@ func (d *procDir) ReadDir() ([]simplefs.DirEntry, error) {
 		}
 		sort.Strings(names)
 		for i, n := range names {
-			out = append(out, simplefs.DirEntry{Ino: uint32(i + 2), Type: simplefs.ModeFile, Name: n})
+			out = append(out, storage.DirEntry{Ino: uint32(i + 2), Type: storage.ModeFile, Name: n})
 		}
 	}
 	return out, nil
 }
 
 // procfs is read-only; mutating operations fail.
-func (d *procDir) Create(string, uint32, uint32, uint32) (FSNode, error) {
+func (d *procDir) Create(string, uint32, uint32, uint32) (storage.Node, error) {
 	return nil, fserr.ErrReadOnly
 }
-func (d *procDir) Mkdir(string, uint32, uint32, uint32) (FSNode, error) {
+func (d *procDir) Mkdir(string, uint32, uint32, uint32) (storage.Node, error) {
 	return nil, fserr.ErrReadOnly
 }
-func (d *procDir) Symlink(string, string, uint32, uint32) (FSNode, error) {
+func (d *procDir) Symlink(string, string, uint32, uint32) (storage.Node, error) {
 	return nil, fserr.ErrReadOnly
 }
-func (d *procDir) Readlink() (string, error)           { return "", fserr.ErrInvalid }
-func (d *procDir) Link(FSNode, string) error           { return fserr.ErrReadOnly }
-func (d *procDir) Unlink(string) error                 { return fserr.ErrReadOnly }
-func (d *procDir) Rmdir(string) error                  { return fserr.ErrReadOnly }
-func (d *procDir) Rename(string, FSNode, string) error { return fserr.ErrReadOnly }
-func (d *procDir) ReadAt([]byte, int64) (int, error)   { return 0, fserr.ErrIsDir }
-func (d *procDir) WriteAt([]byte, int64) (int, error)  { return 0, fserr.ErrIsDir }
-func (d *procDir) Truncate(int64) error                { return fserr.ErrIsDir }
-func (d *procDir) Chmod(uint32) error                  { return fserr.ErrReadOnly }
-func (d *procDir) Chown(uint32, uint32) error          { return fserr.ErrReadOnly }
-func (d *procDir) SetTimes(uint64, uint64) error       { return fserr.ErrReadOnly }
-func (d *procDir) ID() uint64                          { return uint64(1000 + d.pid) }
+func (d *procDir) Readlink() (string, error)                 { return "", fserr.ErrInvalid }
+func (d *procDir) Link(storage.Node, string) error           { return fserr.ErrReadOnly }
+func (d *procDir) Unlink(string) error                       { return fserr.ErrReadOnly }
+func (d *procDir) Rmdir(string) error                        { return fserr.ErrReadOnly }
+func (d *procDir) Rename(string, storage.Node, string) error { return fserr.ErrReadOnly }
+func (d *procDir) ReadAt([]byte, int64) (int, error)         { return 0, fserr.ErrIsDir }
+func (d *procDir) WriteAt([]byte, int64) (int, error)        { return 0, fserr.ErrIsDir }
+func (d *procDir) Truncate(int64) error                      { return fserr.ErrIsDir }
+func (d *procDir) Chmod(uint32) error                        { return fserr.ErrReadOnly }
+func (d *procDir) Chown(uint32, uint32) error                { return fserr.ErrReadOnly }
+func (d *procDir) SetTimes(uint64, uint64) error             { return fserr.ErrReadOnly }
+func (d *procDir) ID() uint64                                { return uint64(1000 + d.pid) }
 
 // procFile is a synthetic read-only file.
 type procFile struct {
@@ -225,8 +225,8 @@ type procFile struct {
 
 func (f *procFile) content() []byte { return []byte(f.gen()) }
 
-func (f *procFile) Stat() simplefs.FileInfo {
-	return simplefs.FileInfo{Mode: simplefs.ModeFile | 0o444, Nlink: 1,
+func (f *procFile) Stat() storage.FileInfo {
+	return storage.FileInfo{Mode: storage.ModeFile | 0o444, Nlink: 1,
 		Size: int64(len(f.content()))}
 }
 func (f *procFile) IsDir() bool     { return false }
@@ -238,22 +238,22 @@ func (f *procFile) ReadAt(buf []byte, off int64) (int, error) {
 	}
 	return copy(buf, data[off:]), nil
 }
-func (f *procFile) Lookup(string) (FSNode, error) { return nil, fserr.ErrNotDir }
-func (f *procFile) Create(string, uint32, uint32, uint32) (FSNode, error) {
+func (f *procFile) Lookup(string) (storage.Node, error) { return nil, fserr.ErrNotDir }
+func (f *procFile) Create(string, uint32, uint32, uint32) (storage.Node, error) {
 	return nil, fserr.ErrNotDir
 }
-func (f *procFile) Mkdir(string, uint32, uint32, uint32) (FSNode, error) {
+func (f *procFile) Mkdir(string, uint32, uint32, uint32) (storage.Node, error) {
 	return nil, fserr.ErrNotDir
 }
-func (f *procFile) Symlink(string, string, uint32, uint32) (FSNode, error) {
+func (f *procFile) Symlink(string, string, uint32, uint32) (storage.Node, error) {
 	return nil, fserr.ErrNotDir
 }
-func (f *procFile) Readlink() (string, error)           { return "", fserr.ErrInvalid }
-func (f *procFile) Link(FSNode, string) error           { return fserr.ErrNotDir }
-func (f *procFile) Unlink(string) error                 { return fserr.ErrNotDir }
-func (f *procFile) Rmdir(string) error                  { return fserr.ErrNotDir }
-func (f *procFile) Rename(string, FSNode, string) error { return fserr.ErrNotDir }
-func (f *procFile) ReadDir() ([]simplefs.DirEntry, error) {
+func (f *procFile) Readlink() (string, error)                 { return "", fserr.ErrInvalid }
+func (f *procFile) Link(storage.Node, string) error           { return fserr.ErrNotDir }
+func (f *procFile) Unlink(string) error                       { return fserr.ErrNotDir }
+func (f *procFile) Rmdir(string) error                        { return fserr.ErrNotDir }
+func (f *procFile) Rename(string, storage.Node, string) error { return fserr.ErrNotDir }
+func (f *procFile) ReadDir() ([]storage.DirEntry, error) {
 	return nil, fserr.ErrNotDir
 }
 func (f *procFile) WriteAt([]byte, int64) (int, error) { return 0, fserr.ErrReadOnly }

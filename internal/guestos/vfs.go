@@ -5,19 +5,9 @@ import (
 	"strings"
 
 	"vmsh/internal/fserr"
-	"vmsh/internal/simplefs"
 	"vmsh/internal/storage"
 	"vmsh/internal/vclock"
 )
-
-// FSNode is the inode contract the VFS walks; the canonical
-// definition now lives in internal/storage (Node). simplefs inodes
-// are adapted via sfsNode, and every storage backend (memory, cow,
-// cas, remote) mounts directly.
-type FSNode = storage.Node
-
-// FileSystem is a mountable filesystem (storage.FS).
-type FileSystem = storage.FS
 
 // NewRootFS builds the in-memory filesystem the kernel mounts at / (and
 // so /dev, /tmp) when no disk root is mounted: the storage memory
@@ -28,95 +18,12 @@ func NewRootFS() *storage.MemFS {
 	return storage.NewMemFS(storage.MemOptions{Blocks: 1 << 20, Inodes: 1 << 20})
 }
 
-// --- simplefs adapter --------------------------------------------------
-
-// SFS adapts *simplefs.FS to FileSystem.
-type SFS struct{ FS *simplefs.FS }
-
-// Root implements FileSystem. Reading the root inode goes to the disk,
-// so a failing device fails it.
-func (s SFS) Root() (FSNode, error) {
-	root, err := s.FS.Root()
-	if err != nil {
-		return nil, err
-	}
-	return sfsNode{root}, nil
-}
-
-// Sync implements FileSystem.
-func (s SFS) Sync() error { return s.FS.Sync() }
-
-// Statfs implements FileSystem.
-func (s SFS) Statfs() simplefs.StatfsInfo { return s.FS.Statfs() }
-
-// QuotaReport implements FileSystem.
-func (s SFS) QuotaReport() ([]simplefs.QuotaUsage, error) { return s.FS.QuotaReport() }
-
-type sfsNode struct{ n *simplefs.Inode }
-
-func (s sfsNode) Stat() simplefs.FileInfo { return s.n.Stat() }
-func (s sfsNode) IsDir() bool             { return s.n.IsDir() }
-func (s sfsNode) IsSymlink() bool         { return s.n.IsSymlink() }
-func (s sfsNode) Lookup(name string) (FSNode, error) {
-	n, err := s.n.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return sfsNode{n}, nil
-}
-func (s sfsNode) Create(name string, perm, uid, gid uint32) (FSNode, error) {
-	n, err := s.n.Create(name, perm, uid, gid)
-	if err != nil {
-		return nil, err
-	}
-	return sfsNode{n}, nil
-}
-func (s sfsNode) Mkdir(name string, perm, uid, gid uint32) (FSNode, error) {
-	n, err := s.n.Mkdir(name, perm, uid, gid)
-	if err != nil {
-		return nil, err
-	}
-	return sfsNode{n}, nil
-}
-func (s sfsNode) Symlink(name, target string, uid, gid uint32) (FSNode, error) {
-	n, err := s.n.Symlink(name, target, uid, gid)
-	if err != nil {
-		return nil, err
-	}
-	return sfsNode{n}, nil
-}
-func (s sfsNode) Readlink() (string, error) { return s.n.Readlink() }
-func (s sfsNode) Link(target FSNode, name string) error {
-	t, ok := target.(sfsNode)
-	if !ok {
-		return fserr.ErrXDev
-	}
-	return s.n.Link(t.n, name)
-}
-func (s sfsNode) Unlink(name string) error { return s.n.Unlink(name) }
-func (s sfsNode) Rmdir(name string) error  { return s.n.Rmdir(name) }
-func (s sfsNode) Rename(oldName string, dst FSNode, newName string) error {
-	d, ok := dst.(sfsNode)
-	if !ok {
-		return fserr.ErrXDev
-	}
-	return s.n.Rename(oldName, d.n, newName)
-}
-func (s sfsNode) ReadDir() ([]simplefs.DirEntry, error)    { return s.n.ReadDir() }
-func (s sfsNode) ReadAt(b []byte, off int64) (int, error)  { return s.n.ReadAt(b, off) }
-func (s sfsNode) WriteAt(b []byte, off int64) (int, error) { return s.n.WriteAt(b, off) }
-func (s sfsNode) Truncate(size int64) error                { return s.n.Truncate(size) }
-func (s sfsNode) Chmod(perm uint32) error                  { return s.n.Chmod(perm) }
-func (s sfsNode) Chown(uid, gid uint32) error              { return s.n.Chown(uid, gid) }
-func (s sfsNode) SetTimes(a, m uint64) error               { return s.n.SetTimes(a, m) }
-func (s sfsNode) ID() uint64                               { return uint64(s.n.Ino) }
-
 // --- mounts and namespaces ---------------------------------------------
 
 // Mount binds a filesystem at an absolute path.
 type Mount struct {
 	Path string
-	FS   FileSystem
+	FS   storage.FS
 }
 
 // MountNamespace is a per-container view of the mount table; VMSH's
@@ -151,7 +58,7 @@ func (ns *MountNamespace) Mounts() []*Mount {
 }
 
 // AddMount binds fs at path within ns.
-func (ns *MountNamespace) AddMount(path string, fs FileSystem) {
+func (ns *MountNamespace) AddMount(path string, fs storage.FS) {
 	ns.mounts = append(ns.mounts, &Mount{Path: cleanPath(path), FS: fs})
 }
 
@@ -217,11 +124,11 @@ func joinPath(cwd, p string) string {
 const maxSymlinkDepth = 40
 
 // resolve walks path in ns, following symlinks when follow is true.
-func (k *Kernel) resolve(ns *MountNamespace, path string, follow bool) (FSNode, error) {
+func (k *Kernel) resolve(ns *MountNamespace, path string, follow bool) (storage.Node, error) {
 	return k.resolveDepth(ns, path, follow, 0)
 }
 
-func (k *Kernel) resolveDepth(ns *MountNamespace, path string, follow bool, depth int) (FSNode, error) {
+func (k *Kernel) resolveDepth(ns *MountNamespace, path string, follow bool, depth int) (storage.Node, error) {
 	if depth > maxSymlinkDepth {
 		return nil, fserr.ErrTooManyLinks
 	}
@@ -270,7 +177,7 @@ func (k *Kernel) resolveDepth(ns *MountNamespace, path string, follow bool, dept
 
 // resolveParent returns the directory containing path plus the final
 // component.
-func (k *Kernel) resolveParent(ns *MountNamespace, path string) (FSNode, string, error) {
+func (k *Kernel) resolveParent(ns *MountNamespace, path string) (storage.Node, string, error) {
 	path = cleanPath(path)
 	if path == "/" {
 		return nil, "", fserr.ErrInvalid
@@ -319,7 +226,7 @@ func (k *Kernel) mkdirAll(ns *MountNamespace, path string) error {
 // --- page cache ---------------------------------------------------------
 
 type cacheKey struct {
-	fs FileSystem
+	fs storage.FS
 	id uint64
 }
 
@@ -327,12 +234,12 @@ const cachePage = 4096
 
 // fileCache is the per-inode page cache shared by all open files.
 type fileCache struct {
-	node  FSNode
+	node  storage.Node
 	pages map[int64][]byte
 	dirty map[int64]bool
 }
 
-func (k *Kernel) cacheFor(fs FileSystem, node FSNode) *fileCache {
+func (k *Kernel) cacheFor(fs storage.FS, node storage.Node) *fileCache {
 	key := cacheKey{fs: fs, id: node.ID()}
 	c, ok := k.caches[key]
 	if !ok {
@@ -345,7 +252,7 @@ func (k *Kernel) cacheFor(fs FileSystem, node FSNode) *fileCache {
 // syncNamespace writes back every dirty page cache whose filesystem is
 // mounted in ns, then syncs the filesystems.
 func (k *Kernel) syncNamespace(ns *MountNamespace) error {
-	inNS := make(map[FileSystem]bool)
+	inNS := make(map[storage.FS]bool)
 	for _, m := range ns.Mounts() {
 		inNS[m.FS] = true
 	}
@@ -365,12 +272,12 @@ func (k *Kernel) syncNamespace(ns *MountNamespace) error {
 }
 
 // dropCache invalidates an inode's pages (unlink, truncate).
-func (k *Kernel) dropCache(fs FileSystem, node FSNode) {
+func (k *Kernel) dropCache(fs storage.FS, node storage.Node) {
 	delete(k.caches, cacheKey{fs: fs, id: node.ID()})
 }
 
 // writeback flushes dirty pages, coalescing contiguous runs.
-func (k *Kernel) writeback(node FSNode, c *fileCache) error {
+func (k *Kernel) writeback(node storage.Node, c *fileCache) error {
 	if len(c.dirty) == 0 {
 		return nil
 	}
@@ -437,8 +344,8 @@ const (
 // File is an open file description.
 type File struct {
 	k      *Kernel
-	fs     FileSystem
-	node   FSNode
+	fs     storage.FS
+	node   storage.Node
 	path   string
 	flags  int
 	pos    int64
@@ -447,14 +354,14 @@ type File struct {
 }
 
 // Node exposes the underlying inode.
-func (f *File) Node() FSNode { return f.node }
+func (f *File) Node() storage.Node { return f.node }
 
 // Path returns the path the file was opened with.
 func (f *File) Path() string { return f.path }
 
 // openNode builds a File over a resolved node. Filesystems with
 // dynamic content (procfs) opt out of the page cache entirely.
-func (k *Kernel) openNode(fs FileSystem, node FSNode, path string, flags int) *File {
+func (k *Kernel) openNode(fs storage.FS, node storage.Node, path string, flags int) *File {
 	direct := flags&ODirect != 0
 	if d, ok := fs.(interface{ DirectOnly() bool }); ok && d.DirectOnly() {
 		direct = true

@@ -172,6 +172,56 @@ func (f *HostFile) Fsync() error {
 // returned store are not charged.
 func (f *HostFile) Pages() *mem.Pages { return f.data }
 
+// SectorSize is the addressing granularity of a HostFileDevice.
+const SectorSize = 512
+
+// CheckAligned validates sector alignment of an access.
+func CheckAligned(off int64, n int) error {
+	if off%SectorSize != 0 || n%SectorSize != 0 {
+		return fmt.Errorf("hostsim: unaligned access off=%d len=%d", off, n)
+	}
+	return nil
+}
+
+// HostFileDevice is a storage.BlockBackend served directly from a host
+// file: the "native" baseline with no virtualisation in the path, and
+// the device images are built on. Accesses must be sector-aligned, and
+// the NVMe-class device supports forced-unit-access (FUA).
+type HostFileDevice struct{ F *HostFile }
+
+// NewHostFileDevice wraps a host file; direct files model the raw
+// partition access the paper's native runs use.
+func NewHostFileDevice(f *HostFile) *HostFileDevice { return &HostFileDevice{F: f} }
+
+// ReadAt implements storage.BlockBackend.
+func (d *HostFileDevice) ReadAt(off int64, buf []byte) error {
+	if err := CheckAligned(off, len(buf)); err != nil {
+		return err
+	}
+	return d.F.ReadAt(buf, off)
+}
+
+// WriteAt implements storage.BlockBackend.
+func (d *HostFileDevice) WriteAt(off int64, buf []byte) error {
+	if err := CheckAligned(off, len(buf)); err != nil {
+		return err
+	}
+	return d.F.WriteAt(buf, off)
+}
+
+// Flush implements storage.BlockBackend.
+func (d *HostFileDevice) Flush() error { return d.F.Fsync() }
+
+// Size implements storage.BlockBackend.
+func (d *HostFileDevice) Size() int64 { return d.F.Size() }
+
+// SupportsFUA implements storage.BlockBackend.
+func (d *HostFileDevice) SupportsFUA() bool { return true }
+
+// SetQueueDepth implements storage.BlockBackend: the depth applies to
+// the disk the file lives on.
+func (d *HostFileDevice) SetQueueDepth(qd int) { d.F.disk.QueueDepth = max(qd, 1) }
+
 // HostFileFD is the fd-table wrapper for an open host file.
 type HostFileFD struct {
 	File *HostFile

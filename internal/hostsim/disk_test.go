@@ -1,11 +1,14 @@
-package blockdev
+package hostsim
 
 import (
 	"bytes"
 	"testing"
 
-	"vmsh/internal/hostsim"
+	"vmsh/internal/storage"
 )
+
+// The native device is a block backend.
+var _ storage.BlockBackend = (*HostFileDevice)(nil)
 
 func TestCheckAligned(t *testing.T) {
 	if err := CheckAligned(512, 1024); err != nil {
@@ -20,7 +23,7 @@ func TestCheckAligned(t *testing.T) {
 }
 
 func TestHostFileDevice(t *testing.T) {
-	h := hostsim.NewHost()
+	h := NewHost()
 	f := h.CreateFile("dev.img", 1<<20, true)
 	d := NewHostFileDevice(f)
 	if d.Size() != 1<<20 {
@@ -49,7 +52,7 @@ func TestHostFileDevice(t *testing.T) {
 }
 
 func TestQueueDepthPropagates(t *testing.T) {
-	h := hostsim.NewHost()
+	h := NewHost()
 	f := h.CreateFile("dev.img", 1<<20, true)
 	d := NewHostFileDevice(f)
 

@@ -1,12 +1,8 @@
 package hypervisor
 
 import (
-	"vmsh/internal/blockdev"
-	"vmsh/internal/guestos"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/mem"
-	"vmsh/internal/simplefs"
-	"vmsh/internal/vclock"
 )
 
 // fileBackend serves a virtio-blk device from a host image file using
@@ -31,8 +27,6 @@ func newFileBackend(proc *hostsim.Process, fd uint64, file *hostsim.HostFile) (*
 	}
 	return &fileBackend{proc: proc, fd: fd, file: file, bufHVA: mem.HVA(hva), bufSize: backendBufSize}, nil
 }
-
-func (b *fileBackend) costs() *vclock.Costs { return b.proc.Host().Costs }
 
 // ReadBlk implements virtio.BlkBackend. QEMU's O_DIRECT backend reads
 // straight into the guest's pages (preadv on the mapped buffer), so
@@ -82,12 +76,3 @@ func (b *fileBackend) FlushBlk() error {
 
 // Capacity implements virtio.BlkBackend.
 func (b *fileBackend) Capacity() int64 { return b.file.Size() }
-
-// mountSimpleFS mounts simplefs over a guest block driver.
-func mountSimpleFS(dev blockdev.Device) (guestos.SFS, error) {
-	fs, err := simplefs.Mount(dev)
-	if err != nil {
-		return guestos.SFS{}, err
-	}
-	return guestos.SFS{FS: fs}, nil
-}

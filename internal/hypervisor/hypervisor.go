@@ -9,12 +9,12 @@ import (
 	"fmt"
 
 	"vmsh/internal/arch"
-	"vmsh/internal/blockdev"
 	"vmsh/internal/fsimage"
 	"vmsh/internal/guestos"
 	"vmsh/internal/hostsim"
 	"vmsh/internal/kvm"
 	"vmsh/internal/mem"
+	"vmsh/internal/simplefs"
 	"vmsh/internal/virtio"
 )
 
@@ -203,17 +203,17 @@ func Launch(h *hostsim.Host, cfg Config) (*Instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := fsimage.Build(blockdev.NewHostFileDevice(hf), cfg.RootFS); err != nil {
+		if err := fsimage.Build(hostsim.NewHostFileDevice(hf), cfg.RootFS); err != nil {
 			return nil, fmt.Errorf("building root image: %w", err)
 		}
 		// The guest mounts its root through the virtio driver — every
 		// filesystem access from here on takes the full device path.
 		gdrv, _ := inst.GuestDisk("vda")
-		fs, err := mountSimpleFS(gdrv)
+		fs, err := simplefs.Mount(gdrv)
 		if err != nil {
 			return nil, fmt.Errorf("mounting guest root: %w", err)
 		}
-		fs.FS.NowFn = kern.NowSec
+		fs.NowFn = kern.NowSec
 		if err := kern.MountRoot(fs); err != nil {
 			return nil, err
 		}
@@ -228,16 +228,16 @@ func Launch(h *hostsim.Host, cfg Config) (*Instance, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := fsimage.Build(blockdev.NewHostFileDevice(hf), fsimage.Manifest{}); err != nil {
+			if err := fsimage.Build(hostsim.NewHostFileDevice(hf), fsimage.Manifest{}); err != nil {
 				return nil, err
 			}
 			if d.MountAt != "" {
 				gdrv, _ := inst.GuestDisk(d.GuestName)
-				fs, err := mountSimpleFS(gdrv)
+				fs, err := simplefs.Mount(gdrv)
 				if err != nil {
 					return nil, err
 				}
-				fs.FS.NowFn = kern.NowSec
+				fs.NowFn = kern.NowSec
 				kern.InitProc.NS.AddMount(d.MountAt, fs)
 			}
 		}

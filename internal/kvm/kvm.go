@@ -277,13 +277,13 @@ func (g guestMem) slotFor(gpa mem.GPA, n int) (*MemSlot, error) {
 	return nil, fmt.Errorf("kvm: gpa [%#x,+%d) not backed by any memslot", gpa, n)
 }
 
-// Contains implements mem.PhysExtent.
+// Contains implements mem.PhysIO.
 func (g guestMem) Contains(gpa mem.GPA, n int) bool {
 	_, err := g.slotFor(gpa, n)
 	return err == nil
 }
 
-// Size implements mem.PhysExtent: the bytes every memslot holds.
+// Size implements mem.PhysIO: the bytes every memslot holds.
 func (g guestMem) Size() uint64 {
 	var n uint64
 	for _, s := range g.vm.memslots {
@@ -307,6 +307,27 @@ func (g guestMem) WritePhys(gpa mem.GPA, buf []byte) error {
 		return err
 	}
 	s.Phys.WriteAt(s.Phys.Base+mem.GPA(gpa-s.GPA), buf)
+	return nil
+}
+
+// ReadPhysVec implements mem.PhysIO. The guest's own accesses make no
+// crossing, so a vector is the per-segment loop.
+func (g guestMem) ReadPhysVec(vecs []mem.Vec) error {
+	for _, v := range vecs {
+		if err := g.ReadPhys(v.GPA, v.Buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// WritePhysVec implements mem.PhysIO.
+func (g guestMem) WritePhysVec(vecs []mem.Vec) error {
+	for _, v := range vecs {
+		if err := g.WritePhys(v.GPA, v.Buf); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package kvm
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
@@ -48,6 +49,63 @@ func TestGuestMemRouting(t *testing.T) {
 	}
 	if err := g.ReadPhys(^mem.GPA(7), make([]byte, 16)); err == nil {
 		t.Fatal("read of a range that wraps the address space succeeded")
+	}
+}
+
+// The guest's view is a guest-memory view.
+var _ mem.PhysIO = guestMem{}
+
+// TestGuestMemVecMatchesScalar: the guest view's vectored pair moves
+// the same bytes as per-segment ReadPhys/WritePhys, in both slots, and
+// fails a vector with an unmapped segment with the scalar loop's error.
+func TestGuestMemVecMatchesScalar(t *testing.T) {
+	_, _, vm := newVM(t)
+	vm.AddMemSlotDirect(1, 32<<20, 0x7f1000000000, mem.NewPhys(32<<20, 1<<20))
+	g := vm.GuestMem()
+	vecs := func(gpas []mem.GPA, fill byte) []mem.Vec {
+		out := make([]mem.Vec, len(gpas))
+		for i, gpa := range gpas {
+			out[i] = mem.Vec{GPA: gpa, Buf: bytes.Repeat([]byte{fill + byte(i)}, 100+i)}
+		}
+		return out
+	}
+	scalar := func(vs []mem.Vec, move func(mem.GPA, []byte) error) error {
+		for _, v := range vs {
+			if err := move(v.GPA, v.Buf); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	mapped := []mem.GPA{0x1000, 16<<20 - 101, 32 << 20, 0x2000}
+	if err := g.WritePhysVec(vecs(mapped, 1)); err != nil {
+		t.Fatal(err)
+	}
+	got := vecs(mapped, 0)
+	if err := scalar(got, g.ReadPhys); err != nil {
+		t.Fatal(err)
+	}
+	if err := scalar(vecs(mapped, 50), g.WritePhys); err != nil {
+		t.Fatal(err)
+	}
+	got2 := vecs(mapped, 0)
+	if err := g.ReadPhysVec(got2); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range vecs(mapped, 1) {
+		if !bytes.Equal(got[i].Buf, want.Buf) || !bytes.Equal(got2[i].Buf, vecs(mapped, 50)[i].Buf) {
+			t.Fatalf("segment %d at %#x moved different bytes", i, want.GPA)
+		}
+	}
+	hole := []mem.GPA{0x1000, 17 << 20, 32 << 20}
+	for _, dir := range []struct {
+		vec    func([]mem.Vec) error
+		scalar func(mem.GPA, []byte) error
+	}{{g.ReadPhysVec, g.ReadPhys}, {g.WritePhysVec, g.WritePhys}} {
+		verr, serr := dir.vec(vecs(hole, 9)), scalar(vecs(hole, 9), dir.scalar)
+		if verr == nil || serr == nil || verr.Error() != serr.Error() {
+			t.Fatalf("unmapped segment: vectored %v, scalar %v", verr, serr)
+		}
 	}
 }
 
@@ -409,13 +467,14 @@ func TestDirtyLog(t *testing.T) {
 	vm.StartDirtyTracking()
 
 	const pg = mem.PageSize
+	one := []byte{1, 0, 0, 0, 0, 0, 0, 0}    // a little-endian 1
 	ram.WriteAt(2*pg+10, []byte("x"))        // page 2
-	ram.PutU16(5*pg, 1)                      // page 5
-	ram.PutU32(8*pg-2, 1)                    // straddles pages 7 and 8
-	ram.PutU64(11*pg+8, 1)                   // page 11
+	ram.WriteAt(5*pg, one[:2])               // page 5
+	ram.WriteAt(8*pg-2, one[:4])             // straddles pages 7 and 8
+	ram.WriteAt(11*pg+8, one)                // page 11
 	ram.WriteAt(13*pg-1, make([]byte, pg+2)) // pages 12, 13 and 14
 	ram.ReadAt(20*pg, make([]byte, 3*pg))    // loads mark nothing
-	_ = ram.U64(30 * pg)
+	ram.ReadAt(30*pg, make([]byte, 8))
 	want := []uint64{2, 5, 7, 8, 11, 12, 13, 14}
 	if got := vm.DirtyLog(false)[0]; !slices.Equal(got, want) {
 		t.Fatalf("dirty pages %v, want %v", got, want)
@@ -441,7 +500,7 @@ func TestDirtyLog(t *testing.T) {
 	}
 
 	// A deleted slot drops out of the log and stops logging.
-	lib.PutU64(4*pg, 1)
+	lib.WriteAt(4*pg, one)
 	setMemRegion(t, hyp, vm, 9, 0, 0, 0)
 	if _, ok := vm.DirtyLog(false)[9]; ok {
 		t.Fatal("deleted slot still in the dirty log")
@@ -451,7 +510,7 @@ func TestDirtyLog(t *testing.T) {
 	}
 
 	vm.StopDirtyTracking()
-	ram.PutU64(0, 1)
+	ram.WriteAt(0, one)
 	if vm.DirtyLog(false) != nil || ram.DirtyPages(false) != nil {
 		t.Fatal("dirty log survives StopDirtyTracking")
 	}

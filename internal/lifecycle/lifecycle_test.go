@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"vmsh/internal/blockdev"
 	"vmsh/internal/core"
 	"vmsh/internal/fsimage"
 	"vmsh/internal/hostsim"
@@ -34,7 +33,7 @@ func toolImage(t *testing.T, h *hostsim.Host, name string) *hostsim.HostFile {
 	t.Helper()
 	m := fsimage.ToolImage()
 	img := h.CreateFile(name, m.Size()+64<<20, false)
-	if err := fsimage.Build(blockdev.NewHostFileDevice(img), m); err != nil {
+	if err := fsimage.Build(hostsim.NewHostFileDevice(img), m); err != nil {
 		t.Fatal(err)
 	}
 	return img
@@ -341,7 +340,7 @@ func TestMigratePostCopyStreamsOnDemand(t *testing.T) {
 		t.Fatal("pending slot has no destination slab")
 	}
 	before := res.PagesFaulted
-	_ = dp.U64(dp.Base + mem.GPA(idx*PageSize))
+	dp.ReadAt(dp.Base+mem.GPA(idx*PageSize), make([]byte, 8))
 	if res.PagesFaulted != before+1 {
 		t.Fatalf("access did not fault the page across (faulted=%d)", res.PagesFaulted)
 	}

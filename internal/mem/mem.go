@@ -41,14 +41,14 @@ type Phys struct {
 	pages *Pages
 
 	// dirty is the dirty-page log: one bit per page, set by every
-	// store through WriteAt and the PutU* encoders while logging is on
-	// (non-nil). KVM's dirty log, which live migration polls, reads
-	// it; nil (the default) costs one predicted branch per store.
+	// store through WriteAt while logging is on (non-nil). KVM's dirty
+	// log, which live migration polls, reads it; nil (the default)
+	// costs one predicted branch per store.
 	dirty []uint64
-	// onAccess, when armed, observes every ReadAt, WriteAt, U* and
-	// PutU* — loads and stores alike — before bytes move. The
-	// post-copy migration pager uses it to fetch not-yet-streamed
-	// pages on demand; Pages and hashing deliberately bypass it.
+	// onAccess, when armed, observes every ReadAt and WriteAt — loads
+	// and stores alike — before bytes move. The post-copy migration
+	// pager uses it to fetch not-yet-streamed pages on demand; Pages
+	// and hashing deliberately bypass it.
 	onAccess func(gpa GPA, n int)
 
 	// memo is the last HashRange result and the range and page-store
@@ -102,8 +102,8 @@ func (p *Phys) markDirty(gpa GPA, n int) {
 }
 
 // SetAccessHook arms (or clears) the slab's single access observer,
-// fired on every ReadAt, WriteAt, U* and PutU* before bytes move.
-// Observers must not re-enter the slab through those methods (write
+// fired on every ReadAt and WriteAt before bytes move. Observers
+// must not re-enter the slab through those methods (write
 // through Pages instead), or they recurse.
 func (p *Phys) SetAccessHook(fn func(gpa GPA, n int)) { p.onAccess = fn }
 
@@ -129,7 +129,7 @@ func (p *Phys) End() GPA { return p.Base + GPA(p.Size()) }
 // and migration checks and the E8-E11 determinism digests all compare
 // it. Only materialized pages are read, and the last result is
 // remembered: asked for the same range again before any store into the
-// slab (WriteAt, PutU*, or the page store's WriteAt, SetPage or Clear),
+// slab (WriteAt, or the page store's WriteAt, SetPage or Clear),
 // HashRange returns it without reading a page. Remembering makes it a
 // mutation of the slab under the single-owner rule.
 func (p *Phys) HashRange(off, end uint64) uint64 {
@@ -177,48 +177,6 @@ func (p *Phys) WriteAt(gpa GPA, buf []byte) {
 	p.markDirty(gpa, len(buf))
 }
 
-// U16 reads a little-endian uint16 at gpa.
-func (p *Phys) U16(gpa GPA) uint16 {
-	var b [2]byte
-	p.ReadAt(gpa, b[:])
-	return binary.LittleEndian.Uint16(b[:])
-}
-
-// U32 reads a little-endian uint32 at gpa.
-func (p *Phys) U32(gpa GPA) uint32 {
-	var b [4]byte
-	p.ReadAt(gpa, b[:])
-	return binary.LittleEndian.Uint32(b[:])
-}
-
-// U64 reads a little-endian uint64 at gpa.
-func (p *Phys) U64(gpa GPA) uint64 {
-	var b [8]byte
-	p.ReadAt(gpa, b[:])
-	return binary.LittleEndian.Uint64(b[:])
-}
-
-// PutU16 writes a little-endian uint16 at gpa.
-func (p *Phys) PutU16(gpa GPA, v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	p.WriteAt(gpa, b[:])
-}
-
-// PutU32 writes a little-endian uint32 at gpa.
-func (p *Phys) PutU32(gpa GPA, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	p.WriteAt(gpa, b[:])
-}
-
-// PutU64 writes a little-endian uint64 at gpa.
-func (p *Phys) PutU64(gpa GPA, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	p.WriteAt(gpa, b[:])
-}
-
 // PhysReader is the read-side view of guest physical memory. The guest
 // kernel reads its own slab directly; the VMSH sideloader implements
 // this interface on top of process_vm_readv through the hypervisor's
@@ -235,16 +193,30 @@ type PhysWriter interface {
 	WritePhys(gpa GPA, buf []byte) error
 }
 
-// PhysIO combines both directions.
+// PhysIO is the one read-write view of guest physical memory: the
+// guest's own (SlabIO, kvm's memslot view) and VMSH's over
+// process_vm_readv/writev.
 type PhysIO interface {
 	PhysReader
 	PhysWriter
+	// ReadPhysVec fills every segment under a single crossing into
+	// the guest. It must be byte- and error-equivalent to looping
+	// ReadPhys over the segments; only the cost accounting differs.
+	ReadPhysVec(vecs []Vec) error
+	// WritePhysVec is the write-side counterpart of ReadPhysVec.
+	WritePhysVec(vecs []Vec) error
+	// Contains reports whether the view holds all of [gpa, gpa+n),
+	// without a crossing and without charging for one. Devices ask
+	// before allocating buffers the size guest descriptors claim.
+	Contains(gpa GPA, n int) bool
+	// Size is the number of bytes of guest memory the view holds.
+	Size() uint64
 }
 
 // SlabIO adapts a *Phys directly to PhysIO (the guest's own view).
 type SlabIO struct{ Phys *Phys }
 
-// ReadPhys implements PhysReader.
+// ReadPhys implements PhysIO.
 func (s SlabIO) ReadPhys(gpa GPA, buf []byte) error {
 	if !s.Phys.Contains(gpa, len(buf)) {
 		return fmt.Errorf("mem: read [%#x,+%d) unmapped", gpa, len(buf))
@@ -253,7 +225,7 @@ func (s SlabIO) ReadPhys(gpa GPA, buf []byte) error {
 	return nil
 }
 
-// WritePhys implements PhysWriter.
+// WritePhys implements PhysIO.
 func (s SlabIO) WritePhys(gpa GPA, buf []byte) error {
 	if !s.Phys.Contains(gpa, len(buf)) {
 		return fmt.Errorf("mem: write [%#x,+%d) unmapped", gpa, len(buf))
@@ -262,22 +234,11 @@ func (s SlabIO) WritePhys(gpa GPA, buf []byte) error {
 	return nil
 }
 
-// Contains implements PhysExtent.
+// Contains implements PhysIO.
 func (s SlabIO) Contains(gpa GPA, n int) bool { return s.Phys.Contains(gpa, n) }
 
-// Size implements PhysExtent.
+// Size implements PhysIO.
 func (s SlabIO) Size() uint64 { return s.Phys.Size() }
-
-// PhysExtent is implemented by a guest-memory view that can tell,
-// without a crossing and without charging for one, whether it holds a
-// whole range and how much memory it holds in all: VMSH's view answers
-// from its memslot table, the guest's from its slab. Devices ask
-// before allocating buffers the size guest descriptors claim.
-type PhysExtent interface {
-	Contains(gpa GPA, n int) bool
-	// Size is the number of bytes of guest memory the view holds.
-	Size() uint64
-}
 
 // Vec is one segment of a scatter-gather guest-physical transfer.
 type Vec struct {
@@ -285,64 +246,8 @@ type Vec struct {
 	Buf []byte
 }
 
-// VecTotal sums the segment lengths of a vector.
-func VecTotal(vecs []Vec) int {
-	n := 0
-	for _, v := range vecs {
-		n += len(v.Buf)
-	}
-	return n
-}
-
-// PhysVecReader is the scatter-gather read-side view: all segments are
-// transferred under a single crossing into the guest. Implementations
-// must be byte- and error-equivalent to looping ReadPhys over the
-// segments — only the cost accounting differs.
-type PhysVecReader interface {
-	ReadPhysVec(vecs []Vec) error
-}
-
-// PhysVecWriter is the write-side counterpart of PhysVecReader.
-type PhysVecWriter interface {
-	WritePhysVec(vecs []Vec) error
-}
-
-// PhysVecIO combines both vectored directions.
-type PhysVecIO interface {
-	PhysVecReader
-	PhysVecWriter
-}
-
-// ReadVec reads every segment through r, using the vectored fast path
-// when r implements PhysVecReader and falling back to per-segment
-// scalar reads otherwise. Callers can thus batch unconditionally.
-func ReadVec(r PhysReader, vecs []Vec) error {
-	if vr, ok := r.(PhysVecReader); ok {
-		return vr.ReadPhysVec(vecs)
-	}
-	for _, v := range vecs {
-		if err := r.ReadPhys(v.GPA, v.Buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteVec is the write-side counterpart of ReadVec.
-func WriteVec(w PhysWriter, vecs []Vec) error {
-	if vw, ok := w.(PhysVecWriter); ok {
-		return vw.WritePhysVec(vecs)
-	}
-	for _, v := range vecs {
-		if err := w.WritePhys(v.GPA, v.Buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadPhysVec implements PhysVecReader; slab access has no per-call
-// crossing cost, so this is just the scalar loop.
+// ReadPhysVec implements PhysIO; slab access has no per-call crossing
+// cost, so this is just the scalar loop.
 func (s SlabIO) ReadPhysVec(vecs []Vec) error {
 	for _, v := range vecs {
 		if err := s.ReadPhys(v.GPA, v.Buf); err != nil {
@@ -352,7 +257,7 @@ func (s SlabIO) ReadPhysVec(vecs []Vec) error {
 	return nil
 }
 
-// WritePhysVec implements PhysVecWriter.
+// WritePhysVec implements PhysIO.
 func (s SlabIO) WritePhysVec(vecs []Vec) error {
 	for _, v := range vecs {
 		if err := s.WritePhys(v.GPA, v.Buf); err != nil {
@@ -378,9 +283,16 @@ func WriteU64(w PhysWriter, gpa GPA, v uint64) error {
 	return w.WritePhys(gpa, b[:])
 }
 
-// BumpAlloc hands out page-aligned guest physical ranges from a fixed
-// window, low to high. The guest kernel uses one for page tables and
-// virtqueue pages; the sideloader uses another inside its own memslot.
+// PhysPages allocates guest physical pages: page-table pages for the
+// pagetable mapper, rings and bounce buffers for virtio drivers.
+type PhysPages interface {
+	AllocPages(n int) (GPA, error)
+}
+
+// BumpAlloc is the PhysPages that hands out page-aligned guest
+// physical ranges from a fixed window, low to high. The guest kernel
+// uses one for page tables and virtqueue pages; the sideloader uses
+// another inside its own memslot.
 type BumpAlloc struct {
 	next GPA
 	end  GPA
@@ -404,6 +316,3 @@ func (a *BumpAlloc) AllocPages(n int) (GPA, error) {
 
 // Used reports how many bytes have been handed out.
 func (a *BumpAlloc) Used() uint64 { return uint64(a.next) }
-
-// Next returns the next GPA that would be allocated.
-func (a *BumpAlloc) Next() GPA { return a.next }

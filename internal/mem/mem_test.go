@@ -9,6 +9,9 @@ import (
 	"testing/quick"
 )
 
+// The guest's own slab view is a guest-memory view.
+var _ PhysIO = SlabIO{}
+
 func TestPhysRoundTrip(t *testing.T) {
 	p := NewPhys(0x1000, 0x4000)
 	data := []byte("hello guest memory")
@@ -17,25 +20,6 @@ func TestPhysRoundTrip(t *testing.T) {
 	p.ReadAt(0x2000, got)
 	if !bytes.Equal(got, data) {
 		t.Fatalf("round trip got %q", got)
-	}
-}
-
-func TestPhysIntegers(t *testing.T) {
-	p := NewPhys(0, 64)
-	p.PutU64(0, 0x1122334455667788)
-	if p.U64(0) != 0x1122334455667788 {
-		t.Fatal("u64 round trip")
-	}
-	if p.U32(0) != 0x55667788 {
-		t.Fatalf("little-endian low half = %#x", p.U32(0))
-	}
-	p.PutU32(8, 0xdeadbeef)
-	if p.U32(8) != 0xdeadbeef {
-		t.Fatal("u32 round trip")
-	}
-	p.PutU16(16, 0xabcd)
-	if p.U16(16) != 0xabcd {
-		t.Fatal("u16 round trip")
 	}
 }
 
@@ -56,7 +40,7 @@ func TestPhysBelowBasePanics(t *testing.T) {
 			t.Fatal("below-base access did not panic")
 		}
 	}()
-	p.U16(0xfff)
+	p.ReadAt(0xfff, make([]byte, 2))
 }
 
 func TestSlabIOErrors(t *testing.T) {
@@ -76,7 +60,7 @@ func TestSlabIOErrors(t *testing.T) {
 		t.Fatal("expected error reading a range that wraps the address space")
 	}
 	if io.Contains(^GPA(7), len(buf)) || !io.Contains(0x10, len(buf)) || io.Size() != 0x1000 {
-		t.Fatal("the PhysExtent view disagrees with the slab's extent")
+		t.Fatal("the view's Contains or Size disagrees with the slab's extent")
 	}
 }
 
@@ -183,8 +167,9 @@ func TestPhysHash(t *testing.T) {
 }
 
 // TestHashMemoModel holds the remembered RAM hash to a dense model:
-// random stores through the slab (WriteAt, PutU16/32/64) and through
-// its page store (WriteAt, SetPage, Clear) interleave with HashRange
+// random stores through the slab (WriteAt of runs and of 2-, 4- and
+// 8-byte integers) and through its page store (WriteAt, SetPage,
+// Clear) interleave with HashRange
 // and Hash over ranges drawn from a small set, so the same range is
 // asked again both with and without a store in between. Every answer
 // must be FNV-64a over the model's bytes.
@@ -216,26 +201,19 @@ func TestHashMemoModel(t *testing.T) {
 	hits := 0
 	for step := 0; step < 20000; step++ {
 		off := uint64(rng.Intn(size))
-		switch rng.Intn(12) {
+		switch c := rng.Intn(12); c {
 		case 0:
 			b := data(1 + rng.Intn(min(2*PageSize, size-int(off))))
 			p.WriteAt(GPA(base+off), b)
 			copy(dense[off:], b)
-		case 1:
-			off = min(off, size-8)
-			v := rng.Uint64()
-			p.PutU64(GPA(base+off), v)
-			binary.LittleEndian.PutUint64(dense[off:], v)
-		case 2:
-			off = min(off, size-4)
-			v := rng.Uint32()
-			p.PutU32(GPA(base+off), v)
-			binary.LittleEndian.PutUint32(dense[off:], v)
-		case 3:
-			off = min(off, size-2)
-			v := uint16(rng.Uint32())
-			p.PutU16(GPA(base+off), v)
-			binary.LittleEndian.PutUint16(dense[off:], v)
+		case 1, 2, 3:
+			// An 8-, 4- or 2-byte little-endian store.
+			n := uint64(16 >> c)
+			off = min(off, size-n)
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], rng.Uint64())
+			p.WriteAt(GPA(base+off), b[:n])
+			copy(dense[off:], b[:n])
 		case 4:
 			b := data(1 + rng.Intn(min(PageSize, size-int(off))))
 			p.Pages().WriteAt(b, off)
@@ -283,7 +261,7 @@ func TestPagesSparse(t *testing.T) {
 	p := NewPhys(0, 8*PageSize)
 	p.SetDirtyLog(true)
 	p.WriteAt(0, make([]byte, 8*PageSize))
-	p.PutU64(3*PageSize, 0)
+	p.WriteAt(3*PageSize, make([]byte, 8))
 	if n := materialized(p.Pages()); n != 0 {
 		t.Fatalf("zero stores materialized %d pages", n)
 	}
@@ -316,7 +294,8 @@ func TestPagesSparse(t *testing.T) {
 		t.Fatal("SetPage(nil) did not drop the page")
 	}
 	pg.Clear()
-	if materialized(pg) != 0 || p.U64(2*PageSize) != 0 {
+	p.ReadAt(2*PageSize-10, got)
+	if materialized(pg) != 0 || !bytes.Equal(got, make([]byte, len(got))) {
 		t.Fatal("Clear left data behind")
 	}
 }

@@ -66,7 +66,6 @@ func Run(k *guestos.Kernel, p *guestos.Proc, optionsJSON string) error {
 		return fmt.Errorf("overlay: mounting image: %w", err)
 	}
 	fs.NowFn = k.NowSec
-	imageFS := guestos.SFS{FS: fs}
 
 	// The mount view to re-expose: the init namespace, or — when
 	// attaching into a container — that container's namespace, so the
@@ -89,7 +88,7 @@ func Run(k *guestos.Kernel, p *guestos.Proc, optionsJSON string) error {
 	// /var/lib/vmsh. Existing guest processes keep their namespaces
 	// untouched.
 	ns := k.NewEmptyNamespace()
-	ns.AddMount("/", imageFS)
+	ns.AddMount("/", fs)
 	for _, m := range sourceNS.Mounts() {
 		target := GuestMountDir
 		if m.Path != "/" {

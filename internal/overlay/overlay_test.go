@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"vmsh/internal/blockdev"
 	"vmsh/internal/fsimage"
 	"vmsh/internal/guestos"
 	"vmsh/internal/hostsim"
@@ -26,7 +25,7 @@ func setup(t *testing.T) (*hypervisor.Instance, *guestos.Kernel) {
 	}
 	k := inst.Kernel
 	img := h.CreateFile("tools.img", 96<<20, true)
-	dev := blockdev.NewHostFileDevice(img)
+	dev := hostsim.NewHostFileDevice(img)
 	if err := fsimage.Build(dev, fsimage.ToolImage()); err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +85,6 @@ func TestOverlayContainerContext(t *testing.T) {
 		Name: "c1", Comm: "svc", UID: 1001, GID: 1001,
 		Caps: []string{"CAP_KILL"}, Cgroup: "/docker/c1", Seccomp: "strict",
 	})
-	// Give the container a private mount the overlay must re-expose.
-	priv := guestos.SFS{}
-	_ = priv
 	if err := ct.WriteFile("/tmp/container-file", []byte("inside"), 0o644); err != nil {
 		t.Fatal(err)
 	}

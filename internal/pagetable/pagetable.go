@@ -119,15 +119,10 @@ func Canonical(gva mem.GVA) bool {
 	return top == 0 || top == 0x1ffff
 }
 
-// PhysPages allocates zeroed physical pages for intermediate tables.
-type PhysPages interface {
-	AllocPages(n int) (mem.GPA, error)
-}
-
 // Mapper builds page tables in guest physical memory.
 type Mapper struct {
 	IO    mem.PhysIO
-	Alloc PhysPages
+	Alloc mem.PhysPages
 	Root  mem.GPA // top-level table physical base
 	// Fmt selects the descriptor encoding; nil means x86-64.
 	Fmt Format
@@ -186,7 +181,7 @@ func (m *Mapper) fmt() Format {
 }
 
 // NewMapper allocates a fresh PML4 and returns a mapper rooted at it.
-func NewMapper(io mem.PhysIO, alloc PhysPages) (*Mapper, error) {
+func NewMapper(io mem.PhysIO, alloc mem.PhysPages) (*Mapper, error) {
 	root, err := alloc.AllocPages(1)
 	if err != nil {
 		return nil, err
@@ -200,7 +195,7 @@ func NewMapper(io mem.PhysIO, alloc PhysPages) (*Mapper, error) {
 // AttachMapper returns a mapper over an existing root table. The
 // sideloader uses this to extend the guest's live tables with pages
 // from its own memslot allocator.
-func AttachMapper(io mem.PhysIO, alloc PhysPages, root mem.GPA) *Mapper {
+func AttachMapper(io mem.PhysIO, alloc mem.PhysPages, root mem.GPA) *Mapper {
 	return &Mapper{IO: io, Alloc: alloc, Root: root}
 }
 

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"strings"
 
-	"vmsh/internal/blockdev"
 	"vmsh/internal/core"
 	"vmsh/internal/fsimage"
 	"vmsh/internal/guestos"
@@ -170,7 +169,7 @@ type DebugSession struct {
 // AttachDebugShell implements the §6.5 workflow end to end.
 func (pl *Platform) AttachDebugShell(inst *Instance) (*DebugSession, error) {
 	img := pl.Host.CreateFile("debug-tools-"+inst.ID+".img", 96<<20, false)
-	if err := fsimage.Build(blockdev.NewHostFileDevice(img), fsimage.ToolImage()); err != nil {
+	if err := fsimage.Build(hostsim.NewHostFileDevice(img), fsimage.ToolImage()); err != nil {
 		return nil, err
 	}
 	v := core.New(pl.Host)

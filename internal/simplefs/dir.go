@@ -2,6 +2,7 @@ package simplefs
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"vmsh/internal/fserr"
 	"vmsh/internal/storage"
@@ -15,17 +16,19 @@ const (
 	maxName      = dirEntSize - 8
 )
 
-// DirEntry is one directory listing row (storage-layer type).
-type DirEntry = storage.DirEntry
-
 // dirBlocks returns how many blocks the directory currently spans.
 func (n *Inode) dirBlocks() int64 {
 	return int64((n.d.Size + BlockSize - 1) / BlockSize)
 }
 
 // dirScan walks every slot; visit returns true to stop. Directory
-// blocks always go through the metadata cache.
+// blocks always go through the metadata cache. A directory larger than
+// the filesystem, or an entry whose name overruns its slot, is
+// corrupt: image bytes may come from outside the program.
 func (n *Inode) dirScan(visit func(blk uint32, slot int, ino uint32, typ uint8, name string) bool) error {
+	if n.dirBlocks() > int64(n.fs.sb.BlockCount) {
+		return fmt.Errorf("simplefs: directory %d claims %d bytes: %w", n.Ino, n.d.Size, fserr.ErrInvalid)
+	}
 	for fb := int64(0); fb < n.dirBlocks(); fb++ {
 		blk, err := n.blockFor(fb, false, true)
 		if err != nil {
@@ -46,6 +49,9 @@ func (n *Inode) dirScan(visit func(blk uint32, slot int, ino uint32, typ uint8, 
 			if ino != 0 {
 				typ = e[4]
 				nl := int(e[5])
+				if nl > maxName {
+					return fmt.Errorf("simplefs: directory %d entry name of %d bytes: %w", n.Ino, nl, fserr.ErrInvalid)
+				}
 				name = string(e[8 : 8+nl])
 			}
 			if visit(blk, s, ino, typ, name) {
@@ -57,10 +63,10 @@ func (n *Inode) dirScan(visit func(blk uint32, slot int, ino uint32, typ uint8, 
 }
 
 func typeCode(mode uint32) uint8 {
-	switch mode & ModeTypeMask {
-	case ModeDir:
+	switch mode & storage.ModeTypeMask {
+	case storage.ModeDir:
 		return 1
-	case ModeSymlink:
+	case storage.ModeSymlink:
 		return 2
 	default:
 		return 0
@@ -70,16 +76,18 @@ func typeCode(mode uint32) uint8 {
 func typeMode(code uint8) uint32 {
 	switch code {
 	case 1:
-		return ModeDir
+		return storage.ModeDir
 	case 2:
-		return ModeSymlink
+		return storage.ModeSymlink
 	default:
-		return ModeFile
+		return storage.ModeFile
 	}
 }
 
 // Lookup resolves name to a child inode.
-func (n *Inode) Lookup(name string) (*Inode, error) {
+func (n *Inode) Lookup(name string) (storage.Node, error) { return node(n.lookup(name)) }
+
+func (n *Inode) lookup(name string) (*Inode, error) {
 	if !n.IsDir() {
 		return nil, fserr.ErrNotDir
 	}
@@ -172,14 +180,14 @@ func (n *Inode) removeEntry(name string) (uint32, error) {
 }
 
 // ReadDir lists the directory.
-func (n *Inode) ReadDir() ([]DirEntry, error) {
+func (n *Inode) ReadDir() ([]storage.DirEntry, error) {
 	if !n.IsDir() {
 		return nil, fserr.ErrNotDir
 	}
-	var out []DirEntry
+	var out []storage.DirEntry
 	err := n.dirScan(func(_ uint32, _ int, ino uint32, typ uint8, name string) bool {
 		if ino != 0 {
-			out = append(out, DirEntry{Ino: ino, Type: typeMode(typ), Name: name})
+			out = append(out, storage.DirEntry{Ino: ino, Type: typeMode(typ), Name: name})
 		}
 		return false
 	})
@@ -200,13 +208,13 @@ func (n *Inode) isEmptyDir() (bool, error) {
 }
 
 // Create makes a regular file in the directory.
-func (n *Inode) Create(name string, perm, uid, gid uint32) (*Inode, error) {
-	return n.newChild(name, ModeFile|perm&ModePermMask, uid, gid)
+func (n *Inode) Create(name string, perm, uid, gid uint32) (storage.Node, error) {
+	return node(n.newChild(name, storage.ModeFile|perm&storage.ModePermMask, uid, gid))
 }
 
 // Mkdir makes a subdirectory.
-func (n *Inode) Mkdir(name string, perm, uid, gid uint32) (*Inode, error) {
-	child, err := n.newChild(name, ModeDir|perm&ModePermMask, uid, gid)
+func (n *Inode) Mkdir(name string, perm, uid, gid uint32) (storage.Node, error) {
+	child, err := n.newChild(name, storage.ModeDir|perm&storage.ModePermMask, uid, gid)
 	if err != nil {
 		return nil, err
 	}
@@ -215,30 +223,35 @@ func (n *Inode) Mkdir(name string, perm, uid, gid uint32) (*Inode, error) {
 	if err := child.save(); err != nil {
 		return nil, err
 	}
-	return child, n.save()
+	return node(child, n.save())
 }
 
+// maxTarget bounds a symlink target at one block, Linux's PATH_MAX.
+const maxTarget = BlockSize
+
 // Symlink creates a symbolic link holding target.
-func (n *Inode) Symlink(name, target string, uid, gid uint32) (*Inode, error) {
-	child, err := n.newChild(name, ModeSymlink|0o777, uid, gid)
+func (n *Inode) Symlink(name, target string, uid, gid uint32) (storage.Node, error) {
+	if len(target) > maxTarget {
+		return nil, fserr.ErrNameTooLong
+	}
+	child, err := n.newChild(name, storage.ModeSymlink|0o777, uid, gid)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := child.writeSymlink(target); err != nil {
+	if _, err := child.WriteAt([]byte(target), 0); err != nil {
 		return nil, err
 	}
 	return child, nil
 }
 
-func (n *Inode) writeSymlink(target string) (int, error) {
-	// Bypass the IsDir check wrapper via direct data write.
-	return n.WriteAt([]byte(target), 0)
-}
-
-// Readlink returns the symlink target.
+// Readlink returns the symlink target. A target longer than Symlink
+// writes is corrupt.
 func (n *Inode) Readlink() (string, error) {
 	if !n.IsSymlink() {
 		return "", fserr.ErrInvalid
+	}
+	if n.d.Size > maxTarget {
+		return "", fmt.Errorf("simplefs: symlink %d claims a %d-byte target: %w", n.Ino, n.d.Size, fserr.ErrInvalid)
 	}
 	buf := make([]byte, n.d.Size)
 	if _, err := n.ReadAt(buf, 0); err != nil {
@@ -251,7 +264,7 @@ func (n *Inode) newChild(name string, mode, uid, gid uint32) (*Inode, error) {
 	if !n.IsDir() {
 		return nil, fserr.ErrNotDir
 	}
-	if _, err := n.Lookup(name); err == nil {
+	if _, err := n.lookup(name); err == nil {
 		return nil, fserr.ErrExists
 	} else if err != fserr.ErrNotFound {
 		return nil, err
@@ -273,29 +286,34 @@ func (n *Inode) newChild(name string, mode, uid, gid uint32) (*Inode, error) {
 	return child, nil
 }
 
-// Link adds a hard link to target under name.
-func (n *Inode) Link(target *Inode, name string) error {
+// Link adds a hard link to target under name. A target on another
+// filesystem gets fserr.ErrXDev.
+func (n *Inode) Link(target storage.Node, name string) error {
+	t, ok := target.(*Inode)
+	if !ok || t.fs != n.fs {
+		return fserr.ErrXDev
+	}
 	if !n.IsDir() {
 		return fserr.ErrNotDir
 	}
-	if target.IsDir() {
+	if t.IsDir() {
 		return fserr.ErrPerm // hard links to directories are forbidden
 	}
-	if _, err := n.Lookup(name); err == nil {
+	if _, err := n.lookup(name); err == nil {
 		return fserr.ErrExists
 	}
-	if err := n.addEntry(name, target.Ino, typeCode(target.d.Mode)); err != nil {
+	if err := n.addEntry(name, t.Ino, typeCode(t.d.Mode)); err != nil {
 		return err
 	}
-	target.d.Nlink++
-	target.d.Ctime = n.now()
-	return target.save()
+	t.d.Nlink++
+	t.d.Ctime = n.now()
+	return t.save()
 }
 
 // Unlink removes name (a non-directory) from the directory, freeing
 // the inode when the last link drops.
 func (n *Inode) Unlink(name string) error {
-	child, err := n.Lookup(name)
+	child, err := n.lookup(name)
 	if err != nil {
 		return err
 	}
@@ -318,7 +336,7 @@ func (n *Inode) Unlink(name string) error {
 
 // Rmdir removes an empty subdirectory.
 func (n *Inode) Rmdir(name string) error {
-	child, err := n.Lookup(name)
+	child, err := n.lookup(name)
 	if err != nil {
 		return err
 	}
@@ -345,17 +363,18 @@ func (n *Inode) Rmdir(name string) error {
 	return n.fs.freeInode(child.Ino, child.d.UID)
 }
 
-// Rename moves oldName in n to newName in dstDir (same filesystem),
-// with POSIX replace semantics.
-func (n *Inode) Rename(oldName string, dstDir *Inode, newName string) error {
-	if n.fs != dstDir.fs {
+// Rename moves oldName in n to newName in dst, with POSIX replace
+// semantics. A dst on another filesystem gets fserr.ErrXDev.
+func (n *Inode) Rename(oldName string, dst storage.Node, newName string) error {
+	dstDir, ok := dst.(*Inode)
+	if !ok || n.fs != dstDir.fs {
 		return fserr.ErrXDev
 	}
-	src, err := n.Lookup(oldName)
+	src, err := n.lookup(oldName)
 	if err != nil {
 		return err
 	}
-	if existing, err := dstDir.Lookup(newName); err == nil {
+	if existing, err := dstDir.lookup(newName); err == nil {
 		if existing.Ino == src.Ino {
 			return nil // rename onto the same inode is a no-op
 		}

@@ -88,12 +88,25 @@ type Inode struct {
 	d   dinode
 }
 
-// Root returns the root directory inode.
-func (f *FS) Root() (*Inode, error) { return f.inode(f.sb.RootIno) }
+// Root returns the root directory inode. Reading it goes to the disk,
+// so a failing device fails it.
+func (f *FS) Root() (storage.Node, error) { return node(f.inode(f.sb.RootIno)) }
+
+// node returns n as a storage.Node, and a nil one (never a nil *Inode)
+// with err.
+func node(n *Inode, err error) (storage.Node, error) {
+	if err != nil {
+		return nil, err
+	}
+	return n, nil
+}
 
 func (f *FS) inode(ino uint32) (*Inode, error) {
 	if n, ok := f.inodes[ino]; ok {
 		return n, nil
+	}
+	if ino == 0 || ino >= f.sb.InodeCount {
+		return nil, fmt.Errorf("simplefs: inode %d outside the inode table: %w", ino, fserr.ErrInvalid)
 	}
 	d, err := f.readInode(ino)
 	if err != nil {
@@ -113,12 +126,12 @@ func (n *Inode) now() uint64 {
 	return 0
 }
 
-// FileInfo is the stat(2) view of an inode (storage-layer type).
-type FileInfo = storage.FileInfo
+// ID implements storage.Node: the inode number.
+func (n *Inode) ID() uint64 { return uint64(n.Ino) }
 
 // Stat returns the inode attributes.
-func (n *Inode) Stat() FileInfo {
-	return FileInfo{
+func (n *Inode) Stat() storage.FileInfo {
+	return storage.FileInfo{
 		Ino: n.Ino, Mode: n.d.Mode, UID: n.d.UID, GID: n.d.GID,
 		Nlink: n.d.Nlink, Size: int64(n.d.Size),
 		Atime: n.d.Atime, Mtime: n.d.Mtime, Ctime: n.d.Ctime,
@@ -126,14 +139,14 @@ func (n *Inode) Stat() FileInfo {
 }
 
 // IsDir reports whether the inode is a directory.
-func (n *Inode) IsDir() bool { return n.d.Mode&ModeTypeMask == ModeDir }
+func (n *Inode) IsDir() bool { return n.d.Mode&storage.ModeTypeMask == storage.ModeDir }
 
 // IsSymlink reports whether the inode is a symbolic link.
-func (n *Inode) IsSymlink() bool { return n.d.Mode&ModeTypeMask == ModeSymlink }
+func (n *Inode) IsSymlink() bool { return n.d.Mode&storage.ModeTypeMask == storage.ModeSymlink }
 
 // Chmod updates permission bits.
 func (n *Inode) Chmod(perm uint32) error {
-	n.d.Mode = n.d.Mode&ModeTypeMask | perm&ModePermMask
+	n.d.Mode = n.d.Mode&storage.ModeTypeMask | perm&storage.ModePermMask
 	n.d.Ctime = n.now()
 	return n.save()
 }

@@ -18,7 +18,6 @@ import (
 	"slices"
 	"sort"
 
-	"vmsh/internal/blockdev"
 	"vmsh/internal/fserr"
 	"vmsh/internal/storage"
 )
@@ -31,19 +30,6 @@ const (
 	inodeSize    = 128
 	inodesPerBlk = BlockSize / inodeSize
 	ptrsPerBlk   = BlockSize / 4
-	// MaxNameLen bounds directory entry names.
-	MaxNameLen = 255
-)
-
-// File type bits stored in the mode's high nibble. The canonical
-// definitions live in internal/storage; simplefs re-exports them so
-// on-disk layout code and interface-level code agree by construction.
-const (
-	ModeTypeMask = storage.ModeTypeMask
-	ModeDir      = storage.ModeDir
-	ModeFile     = storage.ModeFile
-	ModeSymlink  = storage.ModeSymlink
-	ModePermMask = storage.ModePermMask
 )
 
 // superblock is the on-disk block 0 layout.
@@ -88,9 +74,37 @@ func decodeSuper(b []byte) superblock {
 	}
 }
 
-// FS is a mounted filesystem instance.
+// check refuses a superblock Mkfs could not have written for a device
+// of devSize bytes: a bad magic, regions out of Mkfs's order or off the
+// device, bitmaps or an inode table too small for their counts, or
+// free counts above the totals. Image bytes may come from outside the
+// program, and every later offset is computed from these fields.
+func (s *superblock) check(devSize int64) error {
+	if s.Magic != magic {
+		return fmt.Errorf("simplefs: bad magic %#x: %w", s.Magic, fserr.ErrInvalid)
+	}
+	end, inOrder := uint64(1), true // each region starts where the last ends
+	for _, r := range [][2]uint32{{s.BlockBmStart, s.BlockBmBlks}, {s.InodeBmStart, s.InodeBmBlks},
+		{s.ITableStart, s.ITableBlks}, {s.QuotaStart, s.QuotaBlks}, {s.DataStart, 0}} {
+		inOrder = inOrder && uint64(r[0]) == end
+		end += uint64(r[1])
+	}
+	bits := uint64(BlockSize * 8)
+	if !inOrder || s.DataStart > s.BlockCount || int64(s.BlockCount) > devSize/BlockSize ||
+		uint64(s.BlockBmBlks)*bits < uint64(s.BlockCount) ||
+		uint64(s.InodeBmBlks)*bits < uint64(s.InodeCount) ||
+		uint64(s.ITableBlks)*inodesPerBlk < uint64(s.InodeCount) ||
+		s.RootIno == 0 || s.RootIno >= s.InodeCount ||
+		s.FreeBlocks > s.BlockCount-s.DataStart || s.FreeInodes >= s.InodeCount {
+		return fmt.Errorf("simplefs: superblock %+v does not fit a %d-byte device: %w", *s, devSize, fserr.ErrInvalid)
+	}
+	return nil
+}
+
+// FS is a mounted filesystem instance: a storage.FS whose nodes are
+// *Inode.
 type FS struct {
-	dev blockdev.Device
+	dev storage.BlockBackend
 	sb  superblock
 
 	// NowFn supplies timestamps (the guest kernel's virtual clock,
@@ -99,10 +113,9 @@ type FS struct {
 
 	cache map[uint32]*cblock // metadata block cache
 	// quota state
-	quotaOn  bool
-	quota    map[uint32]*QuotaUsage
-	inodes   map[uint32]*Inode // live inode objects by number
-	readOnly bool
+	quotaOn bool
+	quota   map[uint32]*storage.QuotaUsage
+	inodes  map[uint32]*Inode // live inode objects by number
 
 	// quotaUIDs and quotaBuf are persistQuota's scratch, reused
 	// across charges.
@@ -120,10 +133,6 @@ type cblock struct {
 	dirty bool
 }
 
-// QuotaUsage is the per-uid accounting record (the storage-layer
-// type; aliased so existing callers keep compiling unchanged).
-type QuotaUsage = storage.QuotaUsage
-
 // MkfsOptions tunes filesystem geometry.
 type MkfsOptions struct {
 	Blocks int // total blocks; 0 derives from device size
@@ -131,7 +140,7 @@ type MkfsOptions struct {
 }
 
 // Mkfs formats the device.
-func Mkfs(dev blockdev.Device, opts MkfsOptions) error {
+func Mkfs(dev storage.BlockBackend, opts MkfsOptions) error {
 	blocks := opts.Blocks
 	if blocks == 0 {
 		blocks = int(dev.Size() / BlockSize)
@@ -181,14 +190,14 @@ func Mkfs(dev blockdev.Device, opts MkfsOptions) error {
 	}
 
 	f := &FS{dev: dev, sb: sb, cache: make(map[uint32]*cblock),
-		quota: make(map[uint32]*QuotaUsage), inodes: make(map[uint32]*Inode), quotaOn: true}
+		quota: make(map[uint32]*storage.QuotaUsage), inodes: make(map[uint32]*Inode), quotaOn: true}
 
 	// Root directory: ino 1.
 	rootIno := uint32(1)
 	if err := f.bitmapSet(sb.InodeBmStart, rootIno, true); err != nil {
 		return err
 	}
-	root := &dinode{Mode: ModeDir | 0o755, Nlink: 2}
+	root := &dinode{Mode: storage.ModeDir | 0o755, Nlink: 2}
 	if err := f.writeInode(rootIno, root); err != nil {
 		return err
 	}
@@ -205,17 +214,17 @@ func Mkfs(dev blockdev.Device, opts MkfsOptions) error {
 // Mount opens a formatted device. Quota persistence requires FUA; on
 // devices without it the quota subsystem is disabled and QuotaReport
 // returns fserr.ErrNotSupported.
-func Mount(dev blockdev.Device) (*FS, error) {
+func Mount(dev storage.BlockBackend) (*FS, error) {
 	b := make([]byte, BlockSize)
 	if err := dev.ReadAt(0, b); err != nil {
 		return nil, err
 	}
 	sb := decodeSuper(b)
-	if sb.Magic != magic {
-		return nil, fmt.Errorf("simplefs: bad magic %#x: %w", sb.Magic, fserr.ErrInvalid)
+	if err := sb.check(dev.Size()); err != nil {
+		return nil, err
 	}
 	f := &FS{dev: dev, sb: sb, cache: make(map[uint32]*cblock),
-		quota: make(map[uint32]*QuotaUsage), inodes: make(map[uint32]*Inode)}
+		quota: make(map[uint32]*storage.QuotaUsage), inodes: make(map[uint32]*Inode)}
 	f.quotaOn = dev.SupportsFUA()
 	if f.quotaOn {
 		if err := f.loadQuota(); err != nil {
@@ -224,9 +233,6 @@ func Mount(dev blockdev.Device) (*FS, error) {
 	}
 	return f, nil
 }
-
-// Device returns the underlying block device.
-func (f *FS) Device() blockdev.Device { return f.dev }
 
 // --- block cache -----------------------------------------------------
 
@@ -402,7 +408,7 @@ func (f *FS) quotaCharge(uid uint32, blocks, inodes int64) {
 	}
 	q := f.quota[uid]
 	if q == nil {
-		q = &QuotaUsage{UID: uid}
+		q = &storage.QuotaUsage{UID: uid}
 		f.quota[uid] = q
 	}
 	q.Blocks = uint64(int64(q.Blocks) + blocks)
@@ -454,7 +460,7 @@ func (f *FS) loadQuota() error {
 		if uid == 0 {
 			break
 		}
-		f.quota[uid-1] = &QuotaUsage{
+		f.quota[uid-1] = &storage.QuotaUsage{
 			UID:    uid - 1,
 			Blocks: binary.LittleEndian.Uint64(buf[off+4:]),
 			Inodes: binary.LittleEndian.Uint64(buf[off+12:]),
@@ -466,11 +472,11 @@ func (f *FS) loadQuota() error {
 // QuotaReport returns per-uid usage, sorted by uid. On devices without
 // FUA the quota subsystem is offline and this fails — the mechanism
 // behind the three xfstests failures on qemu-blk and vmsh-blk.
-func (f *FS) QuotaReport() ([]QuotaUsage, error) {
+func (f *FS) QuotaReport() ([]storage.QuotaUsage, error) {
 	if !f.quotaOn {
 		return nil, fmt.Errorf("quota disabled (device lacks FUA): %w", fserr.ErrNotSupported)
 	}
-	out := make([]QuotaUsage, 0, len(f.quota))
+	out := make([]storage.QuotaUsage, 0, len(f.quota))
 	for _, q := range f.quota {
 		out = append(out, *q)
 	}
@@ -478,12 +484,9 @@ func (f *FS) QuotaReport() ([]QuotaUsage, error) {
 	return out, nil
 }
 
-// StatfsInfo is the statfs(2) summary (storage-layer type).
-type StatfsInfo = storage.StatfsInfo
-
 // Statfs returns filesystem usage.
-func (f *FS) Statfs() StatfsInfo {
-	return StatfsInfo{
+func (f *FS) Statfs() storage.StatfsInfo {
+	return storage.StatfsInfo{
 		BlockSize:  BlockSize,
 		Blocks:     uint64(f.sb.BlockCount - f.sb.DataStart),
 		BlocksFree: uint64(f.sb.FreeBlocks),

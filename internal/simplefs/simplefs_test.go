@@ -2,13 +2,23 @@ package simplefs
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
-	"vmsh/internal/blockdev"
 	"vmsh/internal/fserr"
+	"vmsh/internal/hostsim"
+	"vmsh/internal/storage"
+)
+
+// simplefs is a storage backend itself.
+var (
+	_ storage.FS   = (*FS)(nil)
+	_ storage.Node = (*Inode)(nil)
 )
 
 // memDevice is an in-memory block device for tests.
@@ -18,14 +28,14 @@ type memDevice struct {
 }
 
 func (m *memDevice) ReadAt(off int64, buf []byte) error {
-	if err := blockdev.CheckAligned(off, len(buf)); err != nil {
+	if err := hostsim.CheckAligned(off, len(buf)); err != nil {
 		return err
 	}
 	copy(buf, m.data[off:])
 	return nil
 }
 func (m *memDevice) WriteAt(off int64, buf []byte) error {
-	if err := blockdev.CheckAligned(off, len(buf)); err != nil {
+	if err := hostsim.CheckAligned(off, len(buf)); err != nil {
 		return err
 	}
 	copy(m.data[off:], buf)
@@ -93,7 +103,7 @@ func TestCreateLookupReadWrite(t *testing.T) {
 	if !bytes.Equal(buf, msg) {
 		t.Fatal("data mismatch")
 	}
-	if got.Stat().Mode&ModePermMask != 0o644 {
+	if got.Stat().Mode&storage.ModePermMask != 0o644 {
 		t.Fatalf("mode = %o", got.Stat().Mode)
 	}
 }
@@ -419,7 +429,7 @@ func TestReadDirListing(t *testing.T) {
 	seen := map[string]bool{}
 	for _, e := range ents {
 		seen[e.Name] = true
-		if e.Type != ModeFile {
+		if e.Type != storage.ModeFile {
 			t.Fatalf("entry %s type %#x", e.Name, e.Type)
 		}
 	}
@@ -510,7 +520,7 @@ func TestQuotaAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var u7 *QuotaUsage
+	var u7 *storage.QuotaUsage
 	for i := range rep {
 		if rep[i].UID == 7 {
 			u7 = &rep[i]
@@ -542,7 +552,7 @@ func TestQuotaChownMovesUsage(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep, _ := fs.QuotaReport()
-	var u1, u2 QuotaUsage
+	var u1, u2 storage.QuotaUsage
 	for _, q := range rep {
 		if q.UID == 1 {
 			u1 = q
@@ -631,6 +641,135 @@ func TestWriteReadProperty(t *testing.T) {
 		return bytes.Equal(buf, shadow[roff:roff+int64(rlen)])
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestForeignNodeIsXDev: Link and Rename refuse a node of another
+// filesystem, a storage.MemFS node or another simplefs's, with
+// fserr.ErrXDev, and change nothing.
+func TestForeignNodeIsXDev(t *testing.T) {
+	fs, _ := newFS(t, 8, true)
+	root, _ := fs.Root()
+	if _, err := root.Create("f", 0o644, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	memRoot, err := storage.NewMemFS(storage.MemOptions{}).Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	memFile, err := memRoot.Create("g", 0o644, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, _ := newFS(t, 8, true)
+	otherRoot, _ := other.Root()
+	otherFile, err := otherRoot.Create("h", 0o644, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []storage.Node{memFile, otherFile} {
+		if err := root.Link(target, "l"); !errors.Is(err, fserr.ErrXDev) {
+			t.Errorf("Link(%T) = %v, want EXDEV", target, err)
+		}
+	}
+	for _, dst := range []storage.Node{memRoot, otherRoot} {
+		if err := root.Rename("f", dst, "f"); !errors.Is(err, fserr.ErrXDev) {
+			t.Errorf("Rename to %T = %v, want EXDEV", dst, err)
+		}
+	}
+	if ents, err := root.ReadDir(); err != nil || len(ents) != 1 || ents[0].Name != "f" {
+		t.Fatalf("root after refused calls: %v, %v", ents, err)
+	}
+}
+
+// TestDirEntryNameOverrunsSlot: a directory entry whose on-disk name
+// length runs past its slot is refused as corrupt. In a block's last
+// slot it used to run past the block and panic.
+func TestDirEntryNameOverrunsSlot(t *testing.T) {
+	fs, dev := newFS(t, 8, true)
+	root, _ := fs.Root()
+	for i := 0; i < dirEntsPerBl; i++ {
+		if _, err := root.Create(fmt.Sprintf("f%02d", i), 0o644, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	r, _ := fs.inode(fs.sb.RootIno)
+	dev.data[int(r.d.Direct[0])*BlockSize+(dirEntsPerBl-1)*dirEntSize+5] = 255
+	fs2, err := Mount(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root2, _ := fs2.Root()
+	if _, err := root2.ReadDir(); !errors.Is(err, fserr.ErrInvalid) {
+		t.Errorf("ReadDir = %v, want EINVAL", err)
+	}
+	if _, err := root2.Lookup("missing"); !errors.Is(err, fserr.ErrInvalid) {
+		t.Errorf("Lookup = %v, want EINVAL", err)
+	}
+}
+
+// TestReadlinkHostileSize: Symlink caps targets at one block, and
+// Readlink refuses as corrupt a symlink whose on-disk size is larger,
+// before allocating it: a size of 1<<62 used to panic in makeslice and
+// smaller ones allocated whatever they claimed.
+func TestReadlinkHostileSize(t *testing.T) {
+	fs, dev := newFS(t, 8, true)
+	root, _ := fs.Root()
+	if _, err := root.Symlink("long", strings.Repeat("x", BlockSize+1), 0, 0); !errors.Is(err, fserr.ErrNameTooLong) {
+		t.Errorf("Symlink of %d bytes = %v, want ENAMETOOLONG", BlockSize+1, err)
+	}
+	max, err := root.Symlink("max", strings.Repeat("x", BlockSize), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := max.Readlink(); err != nil || len(got) != BlockSize {
+		t.Fatalf("Readlink of a one-block target: %d bytes, %v", len(got), err)
+	}
+	ln, err := root.Symlink("ln", "target", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	blk, off := fs.inodeLoc(ln.Stat().Ino)
+	for _, size := range []uint64{1 << 62, 1 << 20, BlockSize + 1} {
+		binary.LittleEndian.PutUint64(dev.data[int(blk)*BlockSize+off+16:], size)
+		fs2, err := Mount(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root2, _ := fs2.Root()
+		n, err := root2.Lookup("ln")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Readlink(); !errors.Is(err, fserr.ErrInvalid) {
+			t.Errorf("Readlink of a %d-byte target = %v, want EINVAL", size, err)
+		}
+	}
+}
+
+// TestMountRefusesBadSuperblock: Mount refuses, as fserr.ErrInvalid, a
+// superblock Mkfs could not have written, before computing an offset
+// from it: a quota region of 2^32 blocks made Mount allocate 16 TiB.
+func TestMountRefusesBadSuperblock(t *testing.T) {
+	_, dev := newFS(t, 1, true)
+	good := bytes.Clone(dev.data[:BlockSize])
+	for word, v := range map[int]uint32{0: 0, 1: 1 << 20, 2: 1 << 20, 7: 2, 10: ^uint32(0),
+		11: 1 << 20, 12: 0, 13: 1 << 20, 14: 1 << 20} {
+		copy(dev.data, good)
+		binary.LittleEndian.PutUint32(dev.data[word*4:], v)
+		if _, err := Mount(dev); !errors.Is(err, fserr.ErrInvalid) {
+			t.Errorf("superblock word %d = %#x: Mount = %v, want EINVAL", word, v, err)
+		}
+	}
+	copy(dev.data, good)
+	if _, err := Mount(dev); err != nil {
 		t.Fatal(err)
 	}
 }

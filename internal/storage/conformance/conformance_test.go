@@ -31,8 +31,8 @@ var memFeatures = conformance.Features{
 // the model workload, small enough to keep the suite fast.
 func sfsDevice() *storage.MemBlock { return storage.NewMemBlock(64 << 20) }
 
-// mountSFS formats dev and adapts it through the guest VFS adapter,
-// the exact stack the overlay serves (§4.4).
+// mountSFS formats dev and mounts simplefs on it, the filesystem the
+// overlay serves (§4.4).
 func mountSFS(dev *storage.MemBlock) (storage.FS, error) {
 	if err := simplefs.Mkfs(dev, simplefs.MkfsOptions{}); err != nil {
 		return nil, err
@@ -41,7 +41,7 @@ func mountSFS(dev *storage.MemBlock) (storage.FS, error) {
 	if err != nil {
 		return nil, err
 	}
-	return guestos.SFS{FS: fs}, nil
+	return fs, nil
 }
 
 // sfsFS tracks the device behind a mounted simplefs so Remount can
@@ -131,7 +131,7 @@ func TestConformance(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				return guestos.SFS{FS: mounted}, nil
+				return mounted, nil
 			},
 		},
 		{
@@ -148,14 +148,14 @@ func TestConformance(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				return sfsFS{FS: guestos.SFS{FS: mounted}, dev: dev}, nil
+				return sfsFS{FS: mounted, dev: dev}, nil
 			},
 			Remount: func(fs storage.FS) (storage.FS, error) {
 				mounted, err := simplefs.Mount(fs.(sfsFS).dev)
 				if err != nil {
 					return nil, err
 				}
-				return guestos.SFS{FS: mounted}, nil
+				return mounted, nil
 			},
 		},
 		{

@@ -1,12 +1,12 @@
 // Package storage defines the pluggable storage backend layer: the
 // FS/Node interface pair every mountable filesystem implements and the
-// BlockBackend contract every block store implements. guestos' VFS,
-// simplefs, fsimage, blockdev and the overlay are ported onto these
-// interfaces by type alias (zero behavioural change); the package adds
-// four new backends on top — pure in-memory (mem.go), copy-on-write
-// layer stacking (cow.go), content-addressed/dedup (cas.go) and a
-// simulated remote object store whose latency and bandwidth are
-// charged through the virtual clock like netsim links (remote.go) —
+// BlockBackend contract every block store implements. guestos' VFS
+// walks these interfaces, simplefs implements them itself, and fsimage
+// builds images on any BlockBackend. The package adds four backends on
+// top — pure in-memory (mem.go), copy-on-write layer stacking
+// (cow.go), content-addressed/dedup (cas.go) and a simulated remote
+// object store whose latency and bandwidth are charged through the
+// virtual clock like netsim links (remote.go) —
 // plus the matching block-store implementations (block.go), which
 // OpenBlock selects by name at attach time (core.Options.Storage /
 // vmsh.WithStorageBackend).
@@ -20,8 +20,7 @@ package storage
 // block-store copy-on-write.
 const PageSize = 4096
 
-// File type bits stored in the mode's high nibble (the canonical
-// definitions; simplefs re-exports them).
+// File type bits stored in the mode's high nibble.
 const (
 	ModeTypeMask = 0xf000
 	ModeDir      = 0x4000
@@ -66,8 +65,7 @@ type QuotaUsage struct {
 	Inodes uint64
 }
 
-// Node is the inode contract the VFS walks (guestos.FSNode is an
-// alias). Errors are the internal/fserr sentinels, uniformly: a
+// Node is the inode contract the VFS walks. Errors are the internal/fserr sentinels, uniformly: a
 // backend that wraps them must do so with %w so errors.Is works
 // through the interface.
 type Node interface {
@@ -93,7 +91,7 @@ type Node interface {
 	ID() uint64
 }
 
-// FS is a mountable filesystem (guestos.FileSystem is an alias).
+// FS is a mountable filesystem.
 type FS interface {
 	Root() (Node, error)
 	Sync() error
@@ -101,11 +99,14 @@ type FS interface {
 	QuotaReport() ([]QuotaUsage, error)
 }
 
-// BlockBackend is the block device contract (blockdev.Device and
-// guestos.BlockDev are aliases): fixed-size random-access byte store
-// with an explicit flush barrier. Implementations charge the virtual
-// clock themselves where the medium has a cost (host NVMe, remote
-// links); RAM-class stores are free and leave charging to the caller.
+// BlockBackend is the block device contract (guestos.BlockDev is an
+// alias): fixed-size random-access byte store with an explicit flush
+// barrier. Implementations charge the virtual clock themselves where
+// the medium has a cost (host NVMe, remote links); RAM-class stores are
+// free and leave charging to the caller. SupportsFUA reports
+// forced-unit-access: the virtio paths do not negotiate it, which is
+// why simplefs's quota persistence (and its three xfstests) fail there
+// on both qemu-blk and vmsh-blk (§6.1).
 type BlockBackend interface {
 	ReadAt(off int64, buf []byte) error
 	WriteAt(off int64, buf []byte) error

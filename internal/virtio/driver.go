@@ -17,17 +17,11 @@ type Bus interface {
 	MMIOWrite(gpa mem.GPA, size int, value uint64)
 }
 
-// PhysPages allocates guest physical pages for rings and bounce
-// buffers.
-type PhysPages interface {
-	AllocPages(n int) (mem.GPA, error)
-}
-
 // Env bundles what a guest driver needs from the kernel.
 type Env struct {
 	Bus   Bus
 	Mem   mem.PhysIO
-	Alloc PhysPages
+	Alloc mem.PhysPages
 	Clock *vclock.Clock
 	Costs *vclock.Costs
 	// Trace, when set, is the driver-side trace track: request queues
@@ -109,8 +103,8 @@ func setupQueue(env *Env, base mem.GPA, q, size int) (*DriverQueue, error) {
 }
 
 // BlkDriver is the guest virtio-blk driver; it satisfies
-// blockdev.Device so the guest block layer and filesystems can sit on
-// top of it.
+// storage.BlockBackend so the guest block layer and filesystems can
+// sit on top of it.
 type BlkDriver struct {
 	env  *Env
 	base mem.GPA
@@ -318,10 +312,10 @@ func (d *BlkDriver) submitBurst(reqs []BlkReq) error {
 	return nil
 }
 
-// ReadAt implements blockdev.Device.
+// ReadAt implements storage.BlockBackend.
 func (d *BlkDriver) ReadAt(off int64, buf []byte) error { return d.requests(BlkTIn, off, buf) }
 
-// WriteAt implements blockdev.Device.
+// WriteAt implements storage.BlockBackend.
 func (d *BlkDriver) WriteAt(off int64, buf []byte) error { return d.requests(BlkTOut, off, buf) }
 
 // requests moves buf with one request per segMax bytes, each behind
@@ -338,18 +332,18 @@ func (d *BlkDriver) requests(typ uint32, off int64, buf []byte) error {
 	return nil
 }
 
-// Flush implements blockdev.Device.
+// Flush implements storage.BlockBackend.
 func (d *BlkDriver) Flush() error { return d.request(BlkTFlush, 0, nil) }
 
-// Size implements blockdev.Device.
+// Size implements storage.BlockBackend.
 func (d *BlkDriver) Size() int64 { return d.capacity }
 
-// SupportsFUA implements blockdev.Device: the device never offers the
+// SupportsFUA implements storage.BlockBackend: the device never offers the
 // FUA feature bit, so forced-unit-access is unavailable through
 // either virtio path.
 func (d *BlkDriver) SupportsFUA() bool { return false }
 
-// SetQueueDepth implements blockdev.Device.
+// SetQueueDepth implements storage.BlockBackend.
 func (d *BlkDriver) SetQueueDepth(qd int) {
 	if qd < 1 {
 		qd = 1

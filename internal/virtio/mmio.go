@@ -59,7 +59,7 @@ const (
 	BlkFSegMax = 1 << 2
 	BlkFFlush  = 1 << 9
 	// BlkFFUA would be 1 << 13; deliberately not offered — see
-	// blockdev.Device.SupportsFUA.
+	// storage.BlockBackend.SupportsFUA.
 )
 
 // Net device feature bits (subset).

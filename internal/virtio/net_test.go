@@ -128,7 +128,7 @@ func TestNetRxBackpressure(t *testing.T) {
 // access through it.
 func TestNetDeviceUsesOnlyPhysIO(t *testing.T) {
 	env, io := newEnv()
-	cio := &countingIO{inner: io}
+	cio := &countingIO{PhysIO: io}
 	dev := NewNetDevice(devBase, [6]byte{1, 2, 3, 4, 5, 6}, cio)
 	env.Bus = &directBus{handler: dev}
 	var drv *NetDriver
@@ -159,19 +159,29 @@ func TestNetDeviceUsesOnlyPhysIO(t *testing.T) {
 }
 
 type countingIO struct {
-	inner  mem.PhysIO
+	mem.PhysIO
 	reads  int
 	writes int
 }
 
 func (c *countingIO) ReadPhys(gpa mem.GPA, buf []byte) error {
 	c.reads++
-	return c.inner.ReadPhys(gpa, buf)
+	return c.PhysIO.ReadPhys(gpa, buf)
 }
 
 func (c *countingIO) WritePhys(gpa mem.GPA, buf []byte) error {
 	c.writes++
-	return c.inner.WritePhys(gpa, buf)
+	return c.PhysIO.WritePhys(gpa, buf)
+}
+
+func (c *countingIO) ReadPhysVec(vecs []mem.Vec) error {
+	c.reads++
+	return c.PhysIO.ReadPhysVec(vecs)
+}
+
+func (c *countingIO) WritePhysVec(vecs []mem.Vec) error {
+	c.writes++
+	return c.PhysIO.WritePhysVec(vecs)
 }
 
 func TestNetSendChargesClock(t *testing.T) {

@@ -39,12 +39,12 @@ type crossings struct {
 
 // read fills every segment of vecs from guest memory.
 func (x crossings) read(vecs []mem.Vec) error {
-	return x.group(vecs, func(v []mem.Vec) error { return mem.ReadVec(x.m, v) })
+	return x.group(vecs, x.m.ReadPhysVec)
 }
 
 // write stores every segment of vecs into guest memory.
 func (x crossings) write(vecs []mem.Vec) error {
-	return x.group(vecs, func(v []mem.Vec) error { return mem.WriteVec(x.m, v) })
+	return x.group(vecs, x.m.WritePhysVec)
 }
 
 // group hands cross the crossings that move vecs: all segments at
@@ -67,29 +67,19 @@ func (x crossings) group(vecs []mem.Vec, cross func([]mem.Vec) error) error {
 // allocation size: each buffer must lie in guest memory, and because
 // descriptors may overlap, a pass's buffers together may not exceed
 // the guest memory the view holds. A device holds every buffer of a
-// pass before it allocates any. A view without mem.PhysExtent cannot
-// tell, and leaves each buffer to its crossing.
+// pass before it allocates any.
 type passBudget struct {
-	ext  mem.PhysExtent
+	m    mem.PhysIO
 	left uint64
 }
 
 // budget starts one pass's bound.
-func (x crossings) budget() passBudget {
-	ext, ok := x.m.(mem.PhysExtent)
-	if !ok {
-		return passBudget{}
-	}
-	return passBudget{ext: ext, left: ext.Size()}
-}
+func (x crossings) budget() passBudget { return passBudget{m: x.m, left: x.m.Size()} }
 
 // hold charges d's buffer to the pass, or refuses it. A refusal is a
 // failed guest-memory crossing, so it aborts the pass.
 func (b *passBudget) hold(d Desc) error {
-	if b.ext == nil {
-		return nil
-	}
-	if !b.ext.Contains(d.Addr, int(d.Len)) {
+	if !b.m.Contains(d.Addr, int(d.Len)) {
 		return fmt.Errorf("virtio: descriptor buffer [%#x,+%d) outside guest memory", d.Addr, d.Len)
 	}
 	if uint64(d.Len) > b.left {

@@ -22,7 +22,11 @@ type crossingLog struct {
 }
 
 func (c *crossingLog) note(dir string, vecs []mem.Vec) {
-	fmt.Fprintf(&c.log, "%s %d %d\n", dir, len(vecs), mem.VecTotal(vecs))
+	n := 0
+	for _, v := range vecs {
+		n += len(v.Buf)
+	}
+	fmt.Fprintf(&c.log, "%s %d %d\n", dir, len(vecs), n)
 }
 
 func (c *crossingLog) ReadPhys(gpa mem.GPA, buf []byte) error {
@@ -42,6 +46,10 @@ func (c *crossingLog) WritePhysVec(vecs []mem.Vec) error {
 	c.note("w", vecs)
 	return c.io.WritePhysVec(vecs)
 }
+
+func (c *crossingLog) Contains(gpa mem.GPA, n int) bool { return c.io.Contains(gpa, n) }
+
+func (c *crossingLog) Size() uint64 { return c.io.Size() }
 
 // digest is the FNV-64a of the log.
 func (c *crossingLog) digest() uint64 {

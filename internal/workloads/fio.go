@@ -14,6 +14,7 @@ import (
 
 	"vmsh/internal/guestos"
 	"vmsh/internal/hostsim"
+	"vmsh/internal/storage"
 	"vmsh/internal/vclock"
 	"vmsh/internal/virtio"
 )
@@ -82,14 +83,6 @@ func (s FioSpec) offsets(span int64) []int64 {
 	return out
 }
 
-// BlockTarget is anything fio can drive at raw block level.
-type BlockTarget interface {
-	ReadAt(off int64, buf []byte) error
-	WriteAt(off int64, buf []byte) error
-	Size() int64
-	SetQueueDepth(qd int)
-}
-
 // BatchTarget is a block target that accepts a whole queue-depth burst
 // behind one doorbell (virtio.BlkDriver's fast path).
 type BatchTarget interface {
@@ -101,7 +94,7 @@ type BatchTarget interface {
 // queue depth propagates to the backing disk: with qd outstanding
 // commands the device amortises its latency, whatever path the
 // requests take to reach it.
-func FioOnDevice(h *hostsim.Host, dev BlockTarget, spec FioSpec) (FioResult, error) {
+func FioOnDevice(h *hostsim.Host, dev storage.BlockBackend, spec FioSpec) (FioResult, error) {
 	clock, costs := h.Clock, h.Costs
 	if spec.QD < 1 {
 		spec.QD = 1

@@ -5,7 +5,7 @@ import (
 
 	"vmsh/internal/fserr"
 	"vmsh/internal/guestos"
-	"vmsh/internal/simplefs"
+	"vmsh/internal/storage"
 )
 
 type addFn func(family, name string, fn func(t *T) error)
@@ -28,7 +28,7 @@ func addCreateTests(add addFn) {
 			if err != nil {
 				return err
 			}
-			return expect(st.Mode&simplefs.ModePermMask == mode, "mode %04o != %04o", st.Mode&simplefs.ModePermMask, mode)
+			return expect(st.Mode&storage.ModePermMask == mode, "mode %04o != %04o", st.Mode&storage.ModePermMask, mode)
 		})
 	}
 	// 12 name-shape variants.
@@ -87,16 +87,16 @@ func addCreateTests(add addFn) {
 	// 6 initial-stat invariants.
 	for i, check := range []struct {
 		name string
-		fn   func(st simplefs.FileInfo) error
+		fn   func(st storage.FileInfo) error
 	}{
-		{"nlink-one", func(st simplefs.FileInfo) error { return expect(st.Nlink == 1, "nlink %d", st.Nlink) }},
-		{"size-zero", func(st simplefs.FileInfo) error { return expect(st.Size == 0, "size %d", st.Size) }},
-		{"is-regular", func(st simplefs.FileInfo) error {
-			return expect(st.Mode&simplefs.ModeTypeMask == simplefs.ModeFile, "mode %#x", st.Mode)
+		{"nlink-one", func(st storage.FileInfo) error { return expect(st.Nlink == 1, "nlink %d", st.Nlink) }},
+		{"size-zero", func(st storage.FileInfo) error { return expect(st.Size == 0, "size %d", st.Size) }},
+		{"is-regular", func(st storage.FileInfo) error {
+			return expect(st.Mode&storage.ModeTypeMask == storage.ModeFile, "mode %#x", st.Mode)
 		}},
-		{"uid-propagated", func(st simplefs.FileInfo) error { return expect(st.UID == 0, "uid %d", st.UID) }},
-		{"ino-nonzero", func(st simplefs.FileInfo) error { return expect(st.Ino != 0, "ino 0") }},
-		{"gid-propagated", func(st simplefs.FileInfo) error { return expect(st.GID == 0, "gid %d", st.GID) }},
+		{"uid-propagated", func(st storage.FileInfo) error { return expect(st.UID == 0, "uid %d", st.UID) }},
+		{"ino-nonzero", func(st storage.FileInfo) error { return expect(st.Ino != 0, "ino 0") }},
+		{"gid-propagated", func(st storage.FileInfo) error { return expect(st.GID == 0, "gid %d", st.GID) }},
 	} {
 		check := check
 		add("create", fmt.Sprintf("stat-%d-%s", i, check.name), func(t *T) error {
@@ -729,7 +729,7 @@ func addLinkTests(add addFn) {
 		if err != nil {
 			return err
 		}
-		return expect(st.Mode&simplefs.ModeTypeMask == simplefs.ModeSymlink, "lstat mode %#x", st.Mode)
+		return expect(st.Mode&storage.ModeTypeMask == storage.ModeSymlink, "lstat mode %#x", st.Mode)
 	})
 	add("link", "sym-relative", func(t *T) error {
 		if err := t.P.Mkdir(t.path("sub"), 0o755); err != nil {

@@ -82,7 +82,7 @@ func ramEnv(t *testing.T, fua bool) *Env {
 		if err != nil {
 			return err
 		}
-		k.InitProc.NS.AddMount("/mnt/x", guestos.SFS{FS: fs})
+		k.InitProc.NS.AddMount("/mnt/x", fs)
 		return nil
 	}
 	if err := mount(); err != nil {

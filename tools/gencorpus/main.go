@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"log"
 	"os"
@@ -18,6 +19,8 @@ import (
 	"vmsh/internal/ksym"
 	"vmsh/internal/lifecycle"
 	"vmsh/internal/mem"
+	"vmsh/internal/simplefs"
+	"vmsh/internal/storage"
 	"vmsh/internal/virtio"
 )
 
@@ -163,6 +166,62 @@ func configSeeds() [][]byte {
 	return out
 }
 
+// simplefsSeeds builds FuzzSimplefsImage's image (the smallest
+// filesystem, holding /dir/small, /dir/big and /link) and aims a patch
+// list at each of: nothing, the superblock's quota block count, the big
+// file's first block pointer, the root directory's last entry slot (a
+// live entry with a 255-byte name) and the symlink's size (1<<62). A
+// patch is a little-endian u32 image offset and the byte stored there.
+func simplefsSeeds() [][]byte {
+	dev := storage.NewMemBlock(64 * simplefs.BlockSize)
+	if err := fsimage.Build(dev, fsimage.Manifest{
+		"/dir/small": {Data: []byte("hello")},
+		"/dir/big":   {Data: bytes.Repeat([]byte("0123456789abcdef"), 13*simplefs.BlockSize/16)},
+		"/link":      {Symlink: "dir/small"},
+	}); err != nil {
+		log.Fatal(err)
+	}
+	img := make([]byte, dev.Size())
+	fs, err := simplefs.Mount(dev)
+	if err == nil {
+		err = dev.ReadAt(0, img)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	ino := func(path ...string) int {
+		n, err := fs.Root()
+		for _, name := range path {
+			if err == nil {
+				n, err = n.Lookup(name)
+			}
+		}
+		if err != nil {
+			log.Fatal(err)
+		}
+		return int(n.ID())
+	}
+	// The inode table starts at the superblock's eighth word; inodes
+	// are 128 bytes, the size at +16 and the first block pointer at +48.
+	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(img[off:])) }
+	inode := func(n int) int { return (u32(28)+n/32)*simplefs.BlockSize + n%32*128 }
+	lastSlot := u32(inode(ino())+48)*simplefs.BlockSize + 15*256
+	patch := func(kv ...int) []byte {
+		var b []byte
+		for i := 0; i < len(kv); i += 2 {
+			b = append(binary.LittleEndian.AppendUint32(b, uint32(kv[i])), byte(kv[i+1]))
+		}
+		return marshal(b)
+	}
+	return [][]byte{
+		patch(),
+		patch(43, 0xff),
+		patch(inode(ino("dir", "big"))+51, 0xff),
+		patch(lastSlot, ino("dir"), lastSlot+5, 255),
+		patch(inode(ino("link"))+23, 0x40),
+	}
+}
+
 func main() {
 	// faults: rule-grammar specs, accepted and rejected alike.
 	specs := []string{
@@ -226,6 +285,9 @@ func main() {
 		marshal([]byte(`{"t":"header","magic":"vmsh-snap","v":1,"label":"old","vtime":1}` + "\n")),
 		marshal([]byte("\x00\xffnot a snapshot{")),
 	}, configSeeds()...))
+
+	// simplefs: patch lists over a small built image.
+	writeCorpus("internal/simplefs/testdata/fuzz/FuzzSimplefsImage", simplefsSeeds())
 
 	fmt.Println("corpora written")
 }

@@ -33,7 +33,6 @@ import (
 	"os"
 
 	"vmsh/internal/arch"
-	"vmsh/internal/blockdev"
 	"vmsh/internal/core"
 	"vmsh/internal/faults"
 	"vmsh/internal/fsimage"
@@ -307,7 +306,7 @@ func (l *Lab) LaunchVM(opts ...VMOption) (*VM, error) {
 func (l *Lab) BuildImage(name string, m Manifest) (*Image, error) {
 	size := m.Size() + 64<<20
 	img := l.Host.CreateFile(name, size, false)
-	if err := fsimage.Build(blockdev.NewHostFileDevice(img), m); err != nil {
+	if err := fsimage.Build(hostsim.NewHostFileDevice(img), m); err != nil {
 		return nil, fmt.Errorf("vmsh: building image %s: %w", name, err)
 	}
 	return img, nil
