@@ -37,10 +37,13 @@ func XfstestsRows(results []xfstests.Result) []ledger.Row {
 }
 
 // RunXfstestsBackends runs the E1 quick corpus against every storage
-// backend served through the guest VFS: the in-memory family (memory,
-// cow, cas, remote) mounted directly, plus the simplefs image pair
-// (fsimage = a built image re-served, overlay = a copy-on-write union
-// over that image — the remote-disk rescue configuration of §4.4).
+// backend served through the guest VFS: the in-memory filesystem
+// mounted directly, and simplefs mounted on each block store a session
+// can select with vmsh.WithStorageBackend (cow, cas, remote, each over
+// a freshly built empty image), on a built image served as it is
+// (fsimage), and on a copy-on-write store over a built tool image
+// (overlay: one read-only image with private writes, the remote-disk
+// rescue configuration of §4.4).
 func RunXfstestsBackends() ([]xfstests.Result, error) {
 	h := hostsim.NewHost()
 	inst, err := hypervisor.Launch(h, hypervisor.Config{
@@ -52,48 +55,39 @@ func RunXfstestsBackends() ([]xfstests.Result, error) {
 	}
 	kern := inst.Kernel
 
-	// The fsimage environment serves a freshly built tool image; the
-	// overlay environment unions a writable top over the same kind of
-	// image, exercising copy-up and whiteouts under the full corpus.
-	imgDev := storage.NewMemBlock(testFSSize)
-	if err := fsimage.Build(imgDev, fsimage.Manifest{}); err != nil {
-		return nil, err
-	}
-	imgFS, err := simplefs.Mount(imgDev)
-	if err != nil {
-		return nil, err
-	}
-	imgFS.NowFn = kern.NowSec
-
-	lowerDev := storage.NewMemBlock(testFSSize)
-	if err := fsimage.Build(lowerDev, fsimage.ToolImage()); err != nil {
-		return nil, err
-	}
-	lowerFS, err := simplefs.Mount(lowerDev)
-	if err != nil {
-		return nil, err
-	}
-
+	// Every env but memory is simplefs, on the guest kernel's clock,
+	// mounted on the store OpenBlock builds over a fresh testFSSize
+	// image holding the env's manifest.
 	link := storage.NewRemoteLink(h.Clock, h.Costs, h.Faults)
-
-	cow, err := storage.NewCowFS(nil)
-	if err != nil {
-		return nil, err
-	}
-	overlay, err := storage.NewCowFS(lowerFS)
-	if err != nil {
-		return nil, err
-	}
-	envs := []struct {
+	type backend struct {
 		name string
 		fs   storage.FS
+	}
+	envs := []backend{{"memory", storage.NewMemFS(storage.MemOptions{})}}
+	for _, e := range []struct {
+		name, store string // env name, OpenBlock store name
+		image       fsimage.Manifest
 	}{
-		{"memory", storage.NewMemFS(storage.MemOptions{})},
-		{"cow", cow},
-		{"cas", storage.NewCasFS(storage.MemOptions{})},
-		{"remote", storage.NewRemoteFS(storage.MemOptions{}, link)},
-		{"fsimage", imgFS},
-		{"overlay", overlay},
+		{"cow", "cow", fsimage.Manifest{}},
+		{"cas", "cas", fsimage.Manifest{}},
+		{"remote", "remote", fsimage.Manifest{}},
+		{"fsimage", "file", fsimage.Manifest{}},
+		{"overlay", "cow", fsimage.ToolImage()},
+	} {
+		base := storage.NewMemBlock(testFSSize)
+		if err := fsimage.Build(base, e.image); err != nil {
+			return nil, err
+		}
+		dev, err := storage.OpenBlock(e.store, base, link)
+		if err != nil {
+			return nil, err
+		}
+		fs, err := simplefs.Mount(dev)
+		if err != nil {
+			return nil, err
+		}
+		fs.NowFn = kern.NowSec
+		envs = append(envs, backend{e.name, fs})
 	}
 
 	suite := xfstests.Suite()
@@ -107,14 +101,14 @@ func RunXfstestsBackends() ([]xfstests.Result, error) {
 			Mount:   mount,
 			NewProc: func() *guestos.Proc { return inst.NewGuestProc("xfstests") },
 			// Every backend in this table supports quota reporting:
-			// the in-memory family natively, simplefs because MemBlock
-			// is FUA-capable.
+			// MemFS natively, simplefs because every block store is
+			// FUA-capable.
 			QuotaCapable: true,
 			Features:     map[string]bool{},
-			// The in-memory family persists within the instance;
-			// remount is sync + re-serve. The image-backed pair could
-			// re-mount from the device, but shares the path so every
-			// environment runs the identical corpus shape.
+			// Remount is sync + re-serve of the same instance. The
+			// simplefs envs could re-mount from their store, but share
+			// the path so every environment runs the identical corpus
+			// shape.
 			Remount: func() error {
 				p := inst.NewGuestProc("remount")
 				if err := p.Sync(); err != nil {

@@ -14,7 +14,6 @@ func (m *memDevice) WriteAt(off int64, buf []byte) error { copy(m.data[off:], bu
 func (m *memDevice) Flush() error                        { return nil }
 func (m *memDevice) Size() int64                         { return int64(len(m.data)) }
 func (m *memDevice) SupportsFUA() bool                   { return true }
-func (m *memDevice) SetQueueDepth(int)                   {}
 
 var _ storage.BlockBackend = (*memDevice)(nil)
 

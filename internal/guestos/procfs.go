@@ -26,6 +26,9 @@ func (p *procFS) Root() (storage.Node, error) { return &procDir{fs: p, kind: pro
 // Sync implements storage.FS.
 func (p *procFS) Sync() error { return nil }
 
+// Type implements storage.FS.
+func (p *procFS) Type() string { return "proc" }
+
 // Statfs implements storage.FS.
 func (p *procFS) Statfs() storage.StatfsInfo {
 	return storage.StatfsInfo{BlockSize: 4096}
@@ -81,7 +84,7 @@ func (d *procDir) rootFiles() map[string]func() string {
 		"mounts": func() string {
 			var b strings.Builder
 			for _, m := range k.InitProc.NS.Mounts() {
-				fmt.Fprintf(&b, "%T %s rw 0 0\n", m.FS, m.Path)
+				fmt.Fprintf(&b, "%s %s rw 0 0\n", m.FS.Type(), m.Path)
 			}
 			return b.String()
 		},
@@ -127,7 +130,7 @@ func pidFiles(p *Proc) map[string]func() string {
 		"mountinfo": func() string {
 			var b strings.Builder
 			for i, m := range p.NS.Mounts() {
-				fmt.Fprintf(&b, "%d %d 8:1 / %s rw - %T none rw\n", i+20, 1, m.Path, m.FS)
+				fmt.Fprintf(&b, "%d %d 8:1 / %s rw - %s none rw\n", i+20, 1, m.Path, m.FS.Type())
 			}
 			return b.String()
 		},

@@ -156,7 +156,7 @@ func (s *Shell) cmdPs(args []string) string {
 func (s *Shell) cmdMount(args []string) string {
 	var rows []string
 	for _, m := range s.proc.NS.Mounts() {
-		rows = append(rows, fmt.Sprintf("%s type %T", m.Path, m.FS))
+		rows = append(rows, fmt.Sprintf("%s type %s", m.Path, m.FS.Type()))
 	}
 	return strings.Join(rows, "\n")
 }

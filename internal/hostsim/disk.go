@@ -218,10 +218,6 @@ func (d *HostFileDevice) Size() int64 { return d.F.Size() }
 // SupportsFUA implements storage.BlockBackend.
 func (d *HostFileDevice) SupportsFUA() bool { return true }
 
-// SetQueueDepth implements storage.BlockBackend: the depth applies to
-// the disk the file lives on.
-func (d *HostFileDevice) SetQueueDepth(qd int) { d.F.disk.QueueDepth = max(qd, 1) }
-
 // HostFileFD is the fd-table wrapper for an open host file.
 type HostFileFD struct {
 	File *HostFile

@@ -58,17 +58,16 @@ func TestQueueDepthPropagates(t *testing.T) {
 
 	// At qd=1 a 4K read pays full latency; at qd=32 it is amortised.
 	buf := make([]byte, 4096)
-	d.SetQueueDepth(1)
+	h.Disk.QueueDepth = 1
 	t0 := h.Clock.Now()
 	_ = d.ReadAt(0, buf)
 	slow := h.Clock.Since(t0)
 
-	d.SetQueueDepth(32)
+	h.Disk.QueueDepth = 32
 	t1 := h.Clock.Now()
 	_ = d.ReadAt(4096, buf)
 	fast := h.Clock.Since(t1)
 	if fast >= slow {
 		t.Fatalf("qd=32 (%v) not faster than qd=1 (%v)", fast, slow)
 	}
-	d.SetQueueDepth(0) // clamps to 1, no panic
 }

@@ -3,6 +3,7 @@ package hypervisor
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -269,5 +270,36 @@ func TestGuestShellOnRootTTY(t *testing.T) {
 	tty2.InputFromHost([]byte("sha256sum /etc/hostname\n"))
 	if !bytes.Contains(out2.Bytes(), []byte("not found")) {
 		t.Fatalf("missing binary ran anyway: %q", out2.String())
+	}
+}
+
+// TestMountTypes pins the guest's mount tables on a QEMU guest with a
+// 9p share: each filesystem shows as the type a Linux guest would
+// print, never as the simulator's Go type name.
+func TestMountTypes(t *testing.T) {
+	inst, err := Launch(hostsim.NewHost(), Config{
+		Kind:       QEMU,
+		RootFS:     fsimage.GuestRoot("x").Merge(fsimage.ToolImage()),
+		NinePShare: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	tty := inst.Kernel.NewTTY("tty0", func(b []byte) error { out.Write(b); return nil })
+	sh := inst.NewGuestProc("sh")
+	guestos.NewShell(inst.Kernel, sh, tty)
+	for _, c := range []struct{ cmd, want string }{
+		{"mount", "/ type simplefs\n/mnt/9p type 9p\n/proc type proc\n"},
+		{"cat /proc/mounts", "simplefs / rw 0 0\n9p /mnt/9p rw 0 0\nproc /proc rw 0 0\n"},
+		{fmt.Sprintf("cat /proc/%d/mountinfo", sh.PID),
+			"20 1 8:1 / / rw - simplefs none rw\n21 1 8:1 / /mnt/9p rw - 9p none rw\n22 1 8:1 / /proc rw - proc none rw\n"},
+	} {
+		c.want += guestos.Prompt
+		out.Reset()
+		tty.InputFromHost([]byte(c.cmd + "\n"))
+		if got := out.String(); got != c.want {
+			t.Errorf("%s:\n%q\nwant\n%q", c.cmd, got, c.want)
+		}
 	}
 }

@@ -71,6 +71,9 @@ func (fs *NinePFS) Sync() error {
 	return nil
 }
 
+// Type implements storage.FS.
+func (fs *NinePFS) Type() string { return "9p" }
+
 // QuotaReport implements storage.FS: the share reports no quota.
 func (fs *NinePFS) QuotaReport() ([]storage.QuotaUsage, error) {
 	return nil, fserr.ErrNotSupported

@@ -30,7 +30,9 @@ const fuzzImageBlocks = 64
 // to a small image built deterministically. The patched image is
 // mounted and walked through storage.Node: every directory is listed,
 // its entries looked up and stat'ed, symlinks read and each file's
-// first block read. Any error is acceptable; a panic is a bug.
+// first block read. A write phase follows (scribble). Any error is
+// acceptable; a panic is a bug, and so is a Statfs after the write
+// phase that counts more free blocks or inodes than exist.
 func FuzzSimplefsImage(f *testing.F) {
 	dev := storage.NewMemBlock(fuzzImageBlocks * simplefs.BlockSize)
 	if err := fsimage.Build(dev, fuzzManifest); err != nil {
@@ -60,7 +62,54 @@ func FuzzSimplefsImage(f *testing.F) {
 		}
 		left := 64
 		walk(root, 0, &left)
+		if n, err := root.Create("new", 0o644, 0, 0); err == nil {
+			_, _ = n.WriteAt(spill, simplefs.BlockSize/2)
+		}
+		left = 64
+		scribble(root, 0, &left)
+		if st := fs.Statfs(); st.BlocksFree > st.Blocks || st.InodesFree > st.Inodes {
+			t.Fatalf("statfs after the write phase: %+v counts more free than exists", st)
+		}
 	})
+}
+
+// spill is what the write phase writes at half a block: it covers the
+// second half of a file's first block, all of its second and half of
+// its third.
+var spill = make([]byte, 2*simplefs.BlockSize)
+
+// scribble is the write phase: it visits at most *left nodes below
+// dir, at most 8 directories deep, writes spill into every file,
+// truncates it to one byte and unlinks it, unlinks every symlink and
+// removes every directory once its own entries are gone.
+func scribble(dir storage.Node, depth int, left *int) {
+	ents, err := dir.ReadDir()
+	if err != nil {
+		return
+	}
+	for _, e := range ents {
+		if *left == 0 {
+			return
+		}
+		*left--
+		n, err := dir.Lookup(e.Name)
+		if err != nil {
+			continue
+		}
+		switch {
+		case n.IsDir():
+			if depth < 8 {
+				scribble(n, depth+1, left)
+			}
+			_ = dir.Rmdir(e.Name)
+		case n.IsSymlink():
+			_ = dir.Unlink(e.Name)
+		default:
+			_, _ = n.WriteAt(spill, simplefs.BlockSize/2)
+			_ = n.Truncate(1)
+			_ = dir.Unlink(e.Name)
+		}
+	}
 }
 
 // walk visits at most *left nodes below dir, at most 8 directories

@@ -173,6 +173,9 @@ func (n *Inode) SetTimes(atime, mtime uint64) error {
 
 // ptrAt reads the idx-th u32 out of a pointer block via the cache.
 func (f *FS) ptrAt(blk uint32, idx int) (uint32, error) {
+	if err := f.checkBlock(blk); err != nil {
+		return 0, err
+	}
 	cb, err := f.block(blk)
 	if err != nil {
 		return 0, err
@@ -181,6 +184,9 @@ func (f *FS) ptrAt(blk uint32, idx int) (uint32, error) {
 }
 
 func (f *FS) setPtrAt(blk uint32, idx int, v uint32) error {
+	if err := f.checkBlock(blk); err != nil {
+		return err
+	}
 	cb, err := f.dirtyBlock(blk)
 	if err != nil {
 		return err
@@ -197,8 +203,19 @@ func (n *Inode) blockFor(fileBlk int64, alloc, meta bool) (uint32, error) {
 
 // blockForEx additionally lets the full-block write path skip the
 // freshly-allocated-block zeroing (the block is about to be entirely
-// overwritten, so no stale data can surface).
+// overwritten, so no stale data can surface). A mapped block outside
+// the data region is refused as corrupt.
 func (n *Inode) blockForEx(fileBlk int64, alloc, meta, skipZero bool) (uint32, error) {
+	b, err := n.mapBlock(fileBlk, alloc, meta, skipZero)
+	if err != nil || b == 0 {
+		return 0, err
+	}
+	return b, n.fs.checkBlock(b)
+}
+
+// mapBlock walks the direct, indirect and double-indirect pointers
+// for blockForEx.
+func (n *Inode) mapBlock(fileBlk int64, alloc, meta, skipZero bool) (uint32, error) {
 	f := n.fs
 	allocOne := func() (uint32, error) {
 		b, err := f.allocBlock(n.d.UID)

@@ -315,6 +315,27 @@ func (f *FS) bitmapSet(start, idx uint32, v bool) error {
 	return nil
 }
 
+// release clears bit idx of the bitmap at start and counts it in
+// *free. A bit already clear, or a count already at total, is refused
+// as corrupt: two cross-linked pointers or directory entries, or a
+// superblock claiming more free than its bitmap, would raise the count
+// past the truth.
+func (f *FS) release(start, idx uint32, free *uint32, total uint32) error {
+	used, err := f.bitmapGet(start, idx)
+	if err != nil {
+		return err
+	}
+	if !used || *free >= total {
+		return fmt.Errorf("simplefs: bit %d of the bitmap at block %d freed with %d of %d free: %w",
+			idx, start, *free, total, fserr.ErrInvalid)
+	}
+	if err := f.bitmapSet(start, idx, false); err != nil {
+		return err
+	}
+	*free++
+	return nil
+}
+
 // allocBlock finds a free data block, next-fit from the last hit.
 func (f *FS) allocBlock(uid uint32) (uint32, error) {
 	if f.sb.FreeBlocks == 0 {
@@ -350,11 +371,25 @@ func (f *FS) allocBlock(uid uint32) (uint32, error) {
 	return 0, fserr.ErrNoSpace
 }
 
+// checkBlock refuses a block pointer outside the data region
+// [DataStart, BlockCount) as corrupt. Image bytes may come from
+// outside the program, and a pointer into the metadata or past the
+// block bitmap would read, write or free what is not file data.
+func (f *FS) checkBlock(n uint32) error {
+	if n < f.sb.DataStart || n >= f.sb.BlockCount {
+		return fmt.Errorf("simplefs: block pointer %d outside the data region [%d, %d): %w",
+			n, f.sb.DataStart, f.sb.BlockCount, fserr.ErrInvalid)
+	}
+	return nil
+}
+
 func (f *FS) freeBlock(n, uid uint32) error {
-	if err := f.bitmapSet(f.sb.BlockBmStart, n, false); err != nil {
+	if err := f.checkBlock(n); err != nil {
 		return err
 	}
-	f.sb.FreeBlocks++
+	if err := f.release(f.sb.BlockBmStart, n, &f.sb.FreeBlocks, f.sb.BlockCount-f.sb.DataStart); err != nil {
+		return err
+	}
 	f.quotaCharge(uid, -1, 0)
 	delete(f.cache, n)
 	return nil
@@ -389,10 +424,10 @@ func (f *FS) allocInode(uid uint32) (uint32, error) {
 }
 
 func (f *FS) freeInode(n, uid uint32) error {
-	if err := f.bitmapSet(f.sb.InodeBmStart, n, false); err != nil {
+	// Ino 0 is reserved, so at most InodeCount-1 are free.
+	if err := f.release(f.sb.InodeBmStart, n, &f.sb.FreeInodes, f.sb.InodeCount-1); err != nil {
 		return err
 	}
-	f.sb.FreeInodes++
 	f.quotaCharge(uid, 0, -1)
 	delete(f.inodes, n)
 	return nil
@@ -483,6 +518,9 @@ func (f *FS) QuotaReport() ([]storage.QuotaUsage, error) {
 	sort.Slice(out, func(i, j int) bool { return out[i].UID < out[j].UID })
 	return out, nil
 }
+
+// Type implements storage.FS.
+func (f *FS) Type() string { return "simplefs" }
 
 // Statfs returns filesystem usage.
 func (f *FS) Statfs() storage.StatfsInfo {

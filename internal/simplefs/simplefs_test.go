@@ -44,7 +44,6 @@ func (m *memDevice) WriteAt(off int64, buf []byte) error {
 func (m *memDevice) Flush() error      { return nil }
 func (m *memDevice) Size() int64       { return int64(len(m.data)) }
 func (m *memDevice) SupportsFUA() bool { return m.fua }
-func (m *memDevice) SetQueueDepth(int) {}
 
 func newFS(t *testing.T, mb int, fua bool) (*FS, *memDevice) {
 	t.Helper()
@@ -772,4 +771,153 @@ func TestMountRefusesBadSuperblock(t *testing.T) {
 	if _, err := Mount(dev); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestHostileBlockPointers: a block pointer outside the data region is
+// refused as corrupt before it is followed or freed, and a block or
+// inode already free is not freed again. In a 1 MiB image a file's
+// first block pointer of 32768 plus the inode number of another file,
+// keep, used to clear keep's inode-bitmap bit on Unlink, so the next
+// Create reused keep's inode; a pointer into the inode table, two files
+// or directory entries sharing a block or inode, or a superblock
+// claiming more free than its bitmap, raised the free counts past the
+// truth.
+func TestHostileBlockPointers(t *testing.T) {
+	dev := storage.NewMemBlock(1 << 20)
+	if err := Mkfs(dev, MkfsOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := Mount(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _ := fs.Root()
+	keep, err := root.Create("keep", 0o644, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := keep.WriteAt([]byte("kept"), 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"bad", "twin"} {
+		n, err := root.Create(name, 0o644, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.WriteAt(bytes.Repeat([]byte{7}, BlockSize), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := root.Mkdir("d", 0o755, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	good := make([]byte, dev.Size())
+	if err := dev.ReadAt(0, good); err != nil {
+		t.Fatal(err)
+	}
+	ino := func(name string) uint32 {
+		n, err := root.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return uint32(n.ID())
+	}
+	// setFirstPtr stores ptr as name's first block pointer on disk.
+	setFirstPtr := func(name string, ptr uint32) {
+		blk, off := fs.inodeLoc(ino(name))
+		if err := dev.WriteAt(int64(blk)*BlockSize+int64(off)+48, binary.LittleEndian.AppendUint32(nil, ptr)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// remount restores the good image and mounts it after patch runs.
+	remount := func(patch func()) (*FS, storage.Node) {
+		t.Helper()
+		if err := dev.WriteAt(0, good); err != nil {
+			t.Fatal(err)
+		}
+		patch()
+		fs2, err := Mount(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root2, err := fs2.Root()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs2, root2
+	}
+	// withinTotals fails the test when a free count exceeds its total.
+	withinTotals := func(fs2 *FS, what string) {
+		t.Helper()
+		if st := fs2.Statfs(); st.BlocksFree > st.Blocks || st.InodesFree > st.Inodes {
+			t.Errorf("%s: statfs %+v counts more free than exists", what, st)
+		}
+	}
+
+	for _, ptr := range []uint32{32768 + ino("keep"), fs.sb.ITableStart, fs.sb.BlockCount} {
+		fs2, root2 := remount(func() { setFirstPtr("bad", ptr) })
+		bad, err := root2.Lookup("bad")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bad.ReadAt(make([]byte, 8), 0); !errors.Is(err, fserr.ErrInvalid) {
+			t.Errorf("pointer %d: ReadAt = %v, want EINVAL", ptr, err)
+		}
+		if _, err := bad.WriteAt([]byte("x"), 0); !errors.Is(err, fserr.ErrInvalid) {
+			t.Errorf("pointer %d: WriteAt = %v, want EINVAL", ptr, err)
+		}
+		if err := root2.Unlink("bad"); !errors.Is(err, fserr.ErrInvalid) {
+			t.Errorf("pointer %d: Unlink = %v, want EINVAL", ptr, err)
+		}
+		n, err := root2.Create("new", 0o644, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.ID() == uint64(ino("keep")) {
+			t.Errorf("pointer %d: Create reused keep's inode %d", ptr, n.ID())
+		}
+		withinTotals(fs2, fmt.Sprintf("pointer %d", ptr))
+	}
+
+	// Two files cross-linked to one block: the second free is refused.
+	bad, _ := fs.inode(ino("bad"))
+	fs2, root2 := remount(func() { setFirstPtr("twin", bad.d.Direct[0]) })
+	if err := root2.Unlink("bad"); err != nil {
+		t.Fatal(err)
+	}
+	if err := root2.Unlink("twin"); !errors.Is(err, fserr.ErrInvalid) {
+		t.Errorf("second free of a cross-linked block: Unlink = %v, want EINVAL", err)
+	}
+	withinTotals(fs2, "cross-linked block")
+
+	// Two directory entries naming one directory: the second Rmdir
+	// would free its inode again.
+	fs2, root2 = remount(func() {})
+	if err := root2.(*Inode).addEntry("d2", ino("d"), typeCode(storage.ModeDir)); err != nil {
+		t.Fatal(err)
+	}
+	if err := root2.Rmdir("d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := root2.Rmdir("d2"); !errors.Is(err, fserr.ErrInvalid) {
+		t.Errorf("second free of a cross-linked inode: Rmdir = %v, want EINVAL", err)
+	}
+	withinTotals(fs2, "cross-linked inode")
+
+	// A superblock that claims every block and inode free: one more
+	// free would count past the totals.
+	fs2, root2 = remount(func() {
+		sb := fs.sb
+		sb.FreeBlocks, sb.FreeInodes = sb.BlockCount-sb.DataStart, sb.InodeCount-1
+		if err := dev.WriteAt(0, sb.encode()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := root2.Unlink("bad"); !errors.Is(err, fserr.ErrInvalid) {
+		t.Errorf("free past an over-claimed count: Unlink = %v, want EINVAL", err)
+	}
+	withinTotals(fs2, "over-claimed counts")
 }

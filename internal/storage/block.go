@@ -11,7 +11,7 @@ import (
 // Block-store backends. These model the storage *medium* below a
 // filesystem: RAM-class stores charge nothing themselves (the caller
 // owns charging, matching the mmap page-cache model in core), while
-// the remote store charges its link like the remote FS backend.
+// the remote store charges its link.
 
 // OpenBlock builds the named block store over base, the image it
 // serves: "" and "file" serve base as given, "memory" and "cas" copy
@@ -102,9 +102,6 @@ func (m *MemBlock) Size() int64 { return int64(m.data.Size()) }
 
 // SupportsFUA implements BlockBackend.
 func (m *MemBlock) SupportsFUA() bool { return true }
-
-// SetQueueDepth implements BlockBackend; RAM has no queue to size.
-func (m *MemBlock) SetQueueDepth(int) {}
 
 // CowBlock is a copy-on-write block store: reads fall through to an
 // immutable base, writes land in private pages. The base is never
@@ -203,9 +200,6 @@ func (c *CowBlock) Size() int64 { return c.base.Size() }
 
 // SupportsFUA implements BlockBackend.
 func (c *CowBlock) SupportsFUA() bool { return true }
-
-// SetQueueDepth implements BlockBackend; RAM has no queue to size.
-func (c *CowBlock) SetQueueDepth(int) {}
 
 // CasBlock is a content-addressed block store: every page is stored
 // once in an FNV-64a chunk store with refcounts; identical pages
@@ -313,6 +307,16 @@ func (c *CasBlock) WriteAt(off int64, buf []byte) error {
 	return nil
 }
 
+// allZero reports whether b holds only zero bytes.
+func allZero(b []byte) bool {
+	for _, x := range b {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Flush implements BlockBackend.
 func (c *CasBlock) Flush() error { return nil }
 
@@ -321,9 +325,6 @@ func (c *CasBlock) Size() int64 { return c.size }
 
 // SupportsFUA implements BlockBackend.
 func (c *CasBlock) SupportsFUA() bool { return true }
-
-// SetQueueDepth implements BlockBackend; RAM has no queue to size.
-func (c *CasBlock) SetQueueDepth(int) {}
 
 // RemoteBlock is the simulated remote disk: a local RAM mirror whose
 // every access crosses a RemoteLink — latency and bandwidth charged to
@@ -374,6 +375,3 @@ func (r *RemoteBlock) Size() int64 { return r.mirror.Size() }
 // SupportsFUA implements BlockBackend: the object store acknowledges
 // writes only once durable.
 func (r *RemoteBlock) SupportsFUA() bool { return true }
-
-// SetQueueDepth implements BlockBackend; the link has no queue to size.
-func (r *RemoteBlock) SetQueueDepth(int) {}

@@ -5,14 +5,14 @@
 // mapping, and a randomised model comparison against the in-memory
 // reference filesystem.
 //
-// Checks the backend cannot express are gated by feature flags (case
-// sensitivity, hard links, sparse files, accounting, quota, name
-// length); everything else is unconditional so divergence is a failure,
-// not a skip.
+// Checks the backend cannot express are gated by feature flags (hard
+// links, sparse files, accounting, quota, name length); everything
+// else, case-sensitive names included, is unconditional so divergence
+// is a failure, not a skip.
 //
 // Each check operates inside a fresh scratch directory so backends
-// whose Open preloads content (an fsimage manifest, an overlay lower
-// layer) conform with their payload in place.
+// whose Open preloads content (an fsimage manifest, an overlay's
+// read-only image) conform with their payload in place.
 package conformance
 
 import (
@@ -34,10 +34,6 @@ import (
 // Features declares what a backend supports; false flags skip the
 // corresponding checks rather than failing them.
 type Features struct {
-	// CaseSensitive: "File" and "file" are distinct names. False means
-	// case-insensitive-case-preserving (lookup folds, readdir shows the
-	// creation spelling).
-	CaseSensitive bool
 	// HardLinks: Link creates additional names sharing one inode.
 	HardLinks bool
 	// Symlinks: Symlink/Readlink work.
@@ -639,45 +635,21 @@ func checkHardLinks(t *testing.T, fs storage.FS, root storage.Node, f Features) 
 	}
 }
 
+// checkCase: "File" and "file" are distinct names.
 func checkCase(t *testing.T, fs storage.FS, root storage.Node, f Features) {
-	n := mustCreate(t, root, "File")
-	if f.CaseSensitive {
-		if _, err := root.Lookup("file"); !errors.Is(err, fserr.ErrNotFound) {
-			t.Errorf("case-sensitive lookup folded: %v", err)
-		}
-		if _, err := root.Create("file", 0o644, 0, 0); err != nil {
-			t.Errorf("case-sensitive create of lowercase twin: %v", err)
-		}
-		ents, err := root.ReadDir()
-		if err != nil {
-			t.Fatalf("readdir: %v", err)
-		}
-		if len(ents) != 2 {
-			t.Errorf("expected 2 entries, got %d", len(ents))
-		}
-	} else {
-		got, err := root.Lookup("fILE")
-		if err != nil {
-			t.Fatalf("case-folding lookup: %v", err)
-		}
-		if got.ID() != n.ID() {
-			t.Error("folded lookup found a different inode")
-		}
-		if _, err := root.Create("FILE", 0o644, 0, 0); !errors.Is(err, fserr.ErrExists) {
-			t.Errorf("folded create twin: %v, want ErrExists", err)
-		}
-		// Case-preserving: readdir shows the creation spelling.
-		ents, err := root.ReadDir()
-		if err != nil {
-			t.Fatalf("readdir: %v", err)
-		}
-		if len(ents) != 1 || ents[0].Name != "File" {
-			t.Errorf("case preservation: %v", ents)
-		}
-		// Unlink folds too.
-		if err := root.Unlink("fIlE"); err != nil {
-			t.Errorf("folded unlink: %v", err)
-		}
+	mustCreate(t, root, "File")
+	if _, err := root.Lookup("file"); !errors.Is(err, fserr.ErrNotFound) {
+		t.Errorf("case-sensitive lookup folded: %v", err)
+	}
+	if _, err := root.Create("file", 0o644, 0, 0); err != nil {
+		t.Errorf("case-sensitive create of lowercase twin: %v", err)
+	}
+	ents, err := root.ReadDir()
+	if err != nil {
+		t.Fatalf("readdir: %v", err)
+	}
+	if len(ents) != 2 {
+		t.Errorf("expected 2 entries, got %d", len(ents))
 	}
 }
 
@@ -835,7 +807,7 @@ func checkQuota(t *testing.T, fs storage.FS, root storage.Node, f Features) {
 // success/failure outcome per op and identical trees at every
 // checkpoint.
 func checkModel(t *testing.T, fs storage.FS, dir storage.Node, f Features) {
-	ref := storage.NewMemFS(storage.MemOptions{CaseFold: !f.CaseSensitive})
+	ref := storage.NewMemFS(storage.MemOptions{})
 	rng := rand.New(rand.NewSource(0xC0FFEE))
 	ops := opCount()
 	refRoot := MustRoot(t, ref)

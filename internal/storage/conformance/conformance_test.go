@@ -12,50 +12,85 @@ import (
 	"vmsh/internal/storage/conformance"
 )
 
-// memFeatures is the baseline of the in-memory family (memory, cas,
-// cow, remote, and the guest's in-memory root): full POSIX semantics,
-// accounting, quota, 255-byte names. They persist only within one instance, so remount
-// reuses the instance after Sync.
+// memFeatures is the baseline of the in-memory filesystem (memory, and
+// the guest's in-memory root): full POSIX semantics, accounting,
+// quota, 255-byte names. It persists only within one instance, so
+// remount reuses the instance after Sync.
 var memFeatures = conformance.Features{
-	CaseSensitive: true,
-	HardLinks:     true,
-	Symlinks:      true,
-	SparseFiles:   true,
-	Accounting:    true,
-	Quota:         true,
-	Persist:       true,
-	MaxNameLen:    255,
+	HardLinks:   true,
+	Symlinks:    true,
+	SparseFiles: true,
+	Accounting:  true,
+	Quota:       true,
+	Persist:     true,
+	MaxNameLen:  255,
 }
 
-// sfsDevice builds a 64 MiB in-memory block device — large enough for
-// the model workload, small enough to keep the suite fast.
-func sfsDevice() *storage.MemBlock { return storage.NewMemBlock(64 << 20) }
+// sfsFeatures: simplefs enforces its on-disk directory entry limit of
+// 248 bytes and journals quota only on FUA-capable devices (every
+// block store is).
+var sfsFeatures = func() conformance.Features {
+	f := memFeatures
+	f.MaxNameLen = 248
+	return f
+}()
 
-// mountSFS formats dev and mounts simplefs on it, the filesystem the
-// overlay serves (§4.4).
-func mountSFS(dev *storage.MemBlock) (storage.FS, error) {
-	if err := simplefs.Mkfs(dev, simplefs.MkfsOptions{}); err != nil {
-		return nil, err
-	}
-	fs, err := simplefs.Mount(dev)
-	if err != nil {
-		return nil, err
-	}
-	return fs, nil
-}
-
-// sfsFS tracks the device behind a mounted simplefs so Remount can
+// sfsFS tracks the store behind a mounted simplefs so Remount can
 // re-open the same bytes.
 type sfsFS struct {
 	storage.FS
-	dev *storage.MemBlock
+	dev storage.BlockBackend
+}
+
+// onStore is a simplefs row: Open formats a fresh 64 MiB in-memory
+// device with format (large enough for the model workload, small
+// enough to keep the suite fast), builds the block store open makes
+// over it and mounts simplefs on the store; Remount mounts the same
+// store again.
+func onStore(name string, format func(storage.BlockBackend) error,
+	open func(base storage.BlockBackend) (storage.BlockBackend, error)) conformance.Backend {
+	return conformance.Backend{
+		Name:     name,
+		Features: sfsFeatures,
+		Open: func() (storage.FS, error) {
+			base := storage.NewMemBlock(64 << 20)
+			if err := format(base); err != nil {
+				return nil, err
+			}
+			dev, err := open(base)
+			if err != nil {
+				return nil, err
+			}
+			fs, err := simplefs.Mount(dev)
+			if err != nil {
+				return nil, err
+			}
+			return sfsFS{FS: fs, dev: dev}, nil
+		},
+		Remount: func(fs storage.FS) (storage.FS, error) {
+			mounted, err := simplefs.Mount(fs.(sfsFS).dev)
+			if err != nil {
+				return nil, err
+			}
+			return mounted, nil
+		},
+	}
 }
 
 func TestConformance(t *testing.T) {
-	// simplefs enforces its on-disk directory entry limit of 248 bytes
-	// and journals quota only on FUA-capable devices (MemBlock is).
-	sfsFeatures := memFeatures
-	sfsFeatures.MaxNameLen = 248
+	mkfs := func(dev storage.BlockBackend) error { return simplefs.Mkfs(dev, simplefs.MkfsOptions{}) }
+	// A populated tool image: conformance runs with the manifest
+	// payload already on disk.
+	toolImage := func(dev storage.BlockBackend) error { return fsimage.Build(dev, fsimage.ToolImage()) }
+	// store opens the named block store with a zero link: free,
+	// fault-less, unobserved. Charging and fault semantics get their
+	// own tests in the storage package; conformance checks pure
+	// filesystem behaviour.
+	store := func(name string) func(storage.BlockBackend) (storage.BlockBackend, error) {
+		return func(base storage.BlockBackend) (storage.BlockBackend, error) {
+			return storage.OpenBlock(name, base, storage.RemoteLink{})
+		}
+	}
 
 	backends := []conformance.Backend{
 		{
@@ -65,117 +100,33 @@ func TestConformance(t *testing.T) {
 				return storage.NewMemFS(storage.MemOptions{}), nil
 			},
 		},
-		{
-			Name: "memory-casefold",
-			Features: func() conformance.Features {
-				f := memFeatures
-				f.CaseSensitive = false
-				return f
-			}(),
-			Open: func() (storage.FS, error) {
-				return storage.NewMemFS(storage.MemOptions{CaseFold: true}), nil
-			},
-		},
-		{
-			Name:     "cas",
-			Features: memFeatures,
-			Open: func() (storage.FS, error) {
-				return storage.NewCasFS(storage.MemOptions{}), nil
-			},
-		},
-		{
-			Name:     "cow",
-			Features: memFeatures,
-			Open: func() (storage.FS, error) {
-				return storage.NewCowFS(nil)
-			},
-		},
-		{
-			Name:     "cow-stack3",
-			Features: memFeatures,
-			Open: func() (storage.FS, error) {
-				// Three frozen layers with overlapping content under a
-				// writable top — the deep-stack shape of satellite 2.
-				l0 := storage.NewMemFS(storage.MemOptions{})
-				seedLayer(l0, "base", "from-l0")
-				l1 := storage.NewMemFS(storage.MemOptions{})
-				seedLayer(l1, "mid", "from-l1")
-				l2 := storage.NewMemFS(storage.MemOptions{})
-				seedLayer(l2, "top", "from-l2")
-				return storage.Stack(l0, l1, l2)
-			},
-		},
-		{
-			Name:     "remote",
-			Features: memFeatures,
-			Open: func() (storage.FS, error) {
-				// Zero link: free, fault-less, unobserved. Charging and
-				// fault semantics get their own tests in the storage
-				// package; conformance checks pure filesystem behavior.
-				return storage.NewRemoteFS(storage.MemOptions{}, storage.RemoteLink{}), nil
-			},
-		},
-		{
-			Name:     "simplefs",
-			Features: sfsFeatures,
-			Open: func() (storage.FS, error) {
-				dev := sfsDevice()
-				fs, err := mountSFS(dev)
-				if err != nil {
-					return nil, err
-				}
-				return sfsFS{FS: fs, dev: dev}, nil
-			},
-			Remount: func(fs storage.FS) (storage.FS, error) {
-				mounted, err := simplefs.Mount(fs.(sfsFS).dev)
-				if err != nil {
-					return nil, err
-				}
-				return mounted, nil
-			},
-		},
-		{
-			Name:     "fsimage",
-			Features: sfsFeatures,
-			Open: func() (storage.FS, error) {
-				// A populated tool image: conformance runs with the
-				// manifest payload already on disk.
-				dev := sfsDevice()
-				if err := fsimage.Build(dev, fsimage.ToolImage()); err != nil {
-					return nil, err
-				}
-				mounted, err := simplefs.Mount(dev)
-				if err != nil {
-					return nil, err
-				}
-				return sfsFS{FS: mounted, dev: dev}, nil
-			},
-			Remount: func(fs storage.FS) (storage.FS, error) {
-				mounted, err := simplefs.Mount(fs.(sfsFS).dev)
-				if err != nil {
-					return nil, err
-				}
-				return mounted, nil
-			},
-		},
+		onStore("cas", mkfs, store("cas")),
+		onStore("cow", mkfs, store("cow")),
+		// Three copy-on-write stores deep: reads fall through every
+		// layer to the formatted device, writes land in the top one.
+		onStore("cow-stack3", mkfs, func(base storage.BlockBackend) (storage.BlockBackend, error) {
+			return storage.NewCowBlock(storage.NewCowBlock(storage.NewCowBlock(base))), nil
+		}),
+		onStore("remote", mkfs, store("remote")),
+		onStore("simplefs", mkfs, store("file")),
+		onStore("fsimage", toolImage, store("file")),
 		{
 			// QEMU's 9p host share: a MemFS behind the protocol's cost
 			// layer, exported without symlinks, hard links or quota.
 			Name: "9p",
 			Features: conformance.Features{
-				CaseSensitive: true,
-				SparseFiles:   true,
-				Accounting:    true,
-				Persist:       true,
-				MaxNameLen:    255,
+				SparseFiles: true,
+				Accounting:  true,
+				Persist:     true,
+				MaxNameLen:  255,
 			},
 			Open: func() (storage.FS, error) {
 				return hypervisor.NewNinePFS(hostsim.NewHost()), nil
 			},
 		},
 		{
-			// The guest kernel's diskless root ("ramfs"): the memory
-			// backend at the capacity the kernel mounts it with.
+			// The guest kernel's diskless root ("ramfs"): MemFS at
+			// the capacity the kernel mounts it with.
 			Name:     "ramfs",
 			Features: memFeatures,
 			Open: func() (storage.FS, error) {
@@ -190,25 +141,4 @@ func TestConformance(t *testing.T) {
 			conformance.Run(t, b)
 		})
 	}
-}
-
-// seedLayer drops a small marker tree into a layer before it is
-// frozen under a stack.
-func seedLayer(fs *storage.MemFS, dir, marker string) {
-	root, err := fs.Root()
-	if err != nil {
-		panic(err)
-	}
-	d, err := root.Mkdir(dir, 0o755, 0, 0)
-	if err != nil {
-		panic(err)
-	}
-	f, err := d.Create("marker", 0o644, 0, 0)
-	if err != nil {
-		panic(err)
-	}
-	if _, err := f.WriteAt([]byte(marker), 0); err != nil {
-		panic(err)
-	}
-	fs.Seal()
 }

@@ -2,53 +2,9 @@ package storage
 
 import (
 	"sort"
-	"strings"
 
 	"vmsh/internal/fserr"
 )
-
-// pageStore is the data plane behind MemFS: file content is a sparse
-// map of page references into a store. The plain store (here) keeps
-// one private page per reference; the content-addressed store
-// (cas.go) dedups identical pages with refcounts. Reference 0 is the
-// hole page and always reads as zeros.
-type pageStore interface {
-	// write stores data (always PageSize bytes), releasing old
-	// (0 = none), and returns the new reference.
-	write(old uint64, data []byte) uint64
-	// read returns the page for ref; callers must not mutate it.
-	// ref 0 returns nil (a hole).
-	read(ref uint64) []byte
-	// free releases a reference.
-	free(ref uint64)
-}
-
-// plainStore is the non-deduplicating page store.
-type plainStore struct {
-	pages map[uint64][]byte
-	next  uint64
-}
-
-func newPlainStore() *plainStore {
-	return &plainStore{pages: make(map[uint64][]byte)}
-}
-
-func (s *plainStore) write(old uint64, data []byte) uint64 {
-	if old != 0 {
-		// Reuse the existing private page in place.
-		copy(s.pages[old], data)
-		return old
-	}
-	s.next++
-	p := make([]byte, PageSize)
-	copy(p, data)
-	s.pages[s.next] = p
-	return s.next
-}
-
-func (s *plainStore) read(ref uint64) []byte { return s.pages[ref] }
-
-func (s *plainStore) free(ref uint64) { delete(s.pages, ref) }
 
 // MemOptions tunes a MemFS instance.
 type MemOptions struct {
@@ -56,62 +12,48 @@ type MemOptions struct {
 	Blocks int64
 	// Inodes caps inode count (0 = Blocks/4).
 	Inodes int64
-	// MaxName bounds entry names (0 = 255, simplefs parity).
-	MaxName int
-	// CaseFold makes lookups case-insensitive (case-preserving), the
-	// conformance suite's CaseSensitive=false configuration.
-	CaseFold bool
 }
+
+// maxNameLen bounds entry names at Linux's NAME_MAX.
+const maxNameLen = 255
 
 // MemFS is the pure in-memory backend: a sparse-paged, fully
 // accounted filesystem with hard links, symlinks, per-uid quota and
-// exact block/inode statfs accounting. It is also the substrate for
-// the content-addressed backend (page store swap) and the writable
-// top layer of the copy-on-write stack.
+// exact block/inode statfs accounting. It serves the guest's diskless
+// root and the 9p share's tree.
 type MemFS struct {
 	opt        MemOptions
-	store      pageStore
 	root       *memNode
 	nextIno    uint64
 	usedBlocks int64
 	usedInodes int64
 	quota      map[uint32]*QuotaUsage
-	sealed     bool
 }
 
 // NewMemFS builds an empty in-memory filesystem.
 func NewMemFS(opt MemOptions) *MemFS {
-	return newMemFS(opt, newPlainStore())
-}
-
-func newMemFS(opt MemOptions, store pageStore) *MemFS {
 	if opt.Blocks == 0 {
 		opt.Blocks = 64 << 10
 	}
 	if opt.Inodes == 0 {
 		opt.Inodes = opt.Blocks / 4
 	}
-	if opt.MaxName == 0 {
-		opt.MaxName = 255
-	}
-	fs := &MemFS{opt: opt, store: store, nextIno: 1,
+	fs := &MemFS{opt: opt, nextIno: 1,
 		quota: make(map[uint32]*QuotaUsage)}
 	fs.root = &memNode{fs: fs, ino: 1, mode: ModeDir | 0o755, nlink: 2,
-		children: make(map[string]childEnt)}
+		children: make(map[string]*memNode)}
 	fs.usedInodes = 1
 	return fs
 }
-
-// Seal makes the filesystem read-only: every mutation returns
-// fserr.ErrReadOnly. Sealed instances serve as lower layers of the
-// copy-on-write stack.
-func (m *MemFS) Seal() { m.sealed = true }
 
 // Root implements FS.
 func (m *MemFS) Root() (Node, error) { return m.root, nil }
 
 // Sync implements FS (memory is always in sync).
 func (m *MemFS) Sync() error { return nil }
+
+// Type implements FS.
+func (m *MemFS) Type() string { return "tmpfs" }
 
 // Statfs implements FS with exact block/inode accounting.
 func (m *MemFS) Statfs() StatfsInfo {
@@ -144,23 +86,6 @@ func (m *MemFS) quotaCharge(uid uint32, blocks, inodes int64) {
 	q.Inodes = uint64(int64(q.Inodes) + inodes)
 }
 
-// foldKey maps an entry name to its directory key.
-func (m *MemFS) foldKey(name string) string {
-	if m.CaseFold() {
-		return strings.ToLower(name)
-	}
-	return name
-}
-
-// CaseFold reports whether lookups fold case.
-func (m *MemFS) CaseFold() bool { return m.opt.CaseFold }
-
-// childEnt preserves the display name under a (possibly folded) key.
-type childEnt struct {
-	name string
-	n    *memNode
-}
-
 type memNode struct {
 	fs       *MemFS
 	ino      uint64
@@ -171,9 +96,9 @@ type memNode struct {
 	mtime    uint64
 	ctime    uint64
 	size     int64
-	pages    map[int64]uint64
+	pages    map[int64][]byte // page index -> PageSize bytes; absent is a hole
 	target   string
-	children map[string]childEnt
+	children map[string]*memNode
 }
 
 // Stat implements Node.
@@ -194,34 +119,31 @@ func (n *memNode) Lookup(name string) (Node, error) {
 	if !n.IsDir() {
 		return nil, fserr.ErrNotDir
 	}
-	c, ok := n.children[n.fs.foldKey(name)]
+	c, ok := n.children[name]
 	if !ok {
 		return nil, fserr.ErrNotFound
 	}
-	return c.n, nil
+	return c, nil
 }
 
 func (n *memNode) checkName(name string) error {
 	if len(name) == 0 {
 		return fserr.ErrInvalid
 	}
-	if len(name) > n.fs.opt.MaxName {
+	if len(name) > maxNameLen {
 		return fserr.ErrNameTooLong
 	}
 	return nil
 }
 
 func (n *memNode) newChild(name string, mode, uid, gid uint32) (*memNode, error) {
-	if n.fs.sealed {
-		return nil, fserr.ErrReadOnly
-	}
 	if !n.IsDir() {
 		return nil, fserr.ErrNotDir
 	}
 	if err := n.checkName(name); err != nil {
 		return nil, err
 	}
-	if _, exists := n.children[n.fs.foldKey(name)]; exists {
+	if _, exists := n.children[name]; exists {
 		return nil, fserr.ErrExists
 	}
 	if n.fs.usedInodes >= n.fs.opt.Inodes {
@@ -230,11 +152,11 @@ func (n *memNode) newChild(name string, mode, uid, gid uint32) (*memNode, error)
 	n.fs.nextIno++
 	c := &memNode{fs: n.fs, ino: n.fs.nextIno, mode: mode, uid: uid, gid: gid, nlink: 1}
 	if c.IsDir() {
-		c.children = make(map[string]childEnt)
+		c.children = make(map[string]*memNode)
 		c.nlink = 2
 		n.nlink++
 	}
-	n.children[n.fs.foldKey(name)] = childEnt{name: name, n: c}
+	n.children[name] = c
 	n.fs.usedInodes++
 	n.fs.quotaCharge(uid, 0, 1)
 	return c, nil
@@ -246,7 +168,7 @@ func (n *memNode) Create(name string, perm, uid, gid uint32) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.pages = make(map[int64]uint64)
+	c.pages = make(map[int64][]byte)
 	return c, nil
 }
 
@@ -280,9 +202,6 @@ func (n *memNode) Readlink() (string, error) {
 
 // Link implements Node: hard links, files only.
 func (n *memNode) Link(target Node, name string) error {
-	if n.fs.sealed {
-		return fserr.ErrReadOnly
-	}
 	t, ok := target.(*memNode)
 	if !ok || t.fs != n.fs {
 		return fserr.ErrXDev
@@ -296,10 +215,10 @@ func (n *memNode) Link(target Node, name string) error {
 	if err := n.checkName(name); err != nil {
 		return err
 	}
-	if _, exists := n.children[n.fs.foldKey(name)]; exists {
+	if _, exists := n.children[name]; exists {
 		return fserr.ErrExists
 	}
-	n.children[n.fs.foldKey(name)] = childEnt{name: name, n: t}
+	n.children[name] = t
 	t.nlink++
 	return nil
 }
@@ -311,11 +230,6 @@ func (n *memNode) drop(c *memNode) {
 	if c.nlink > 0 {
 		return
 	}
-	for _, ref := range c.pages {
-		if ref != 0 {
-			n.fs.store.free(ref)
-		}
-	}
 	n.fs.usedBlocks -= int64(len(c.pages))
 	n.fs.quotaCharge(c.uid, -int64(len(c.pages)), -1)
 	n.fs.usedInodes--
@@ -324,50 +238,39 @@ func (n *memNode) drop(c *memNode) {
 
 // Unlink implements Node.
 func (n *memNode) Unlink(name string) error {
-	if n.fs.sealed {
-		return fserr.ErrReadOnly
-	}
-	key := n.fs.foldKey(name)
-	c, ok := n.children[key]
+	c, ok := n.children[name]
 	if !ok {
 		return fserr.ErrNotFound
 	}
-	if c.n.IsDir() {
+	if c.IsDir() {
 		return fserr.ErrIsDir
 	}
-	delete(n.children, key)
-	n.drop(c.n)
+	delete(n.children, name)
+	n.drop(c)
 	return nil
 }
 
 // Rmdir implements Node.
 func (n *memNode) Rmdir(name string) error {
-	if n.fs.sealed {
-		return fserr.ErrReadOnly
-	}
-	key := n.fs.foldKey(name)
-	c, ok := n.children[key]
+	c, ok := n.children[name]
 	if !ok {
 		return fserr.ErrNotFound
 	}
-	if !c.n.IsDir() {
+	if !c.IsDir() {
 		return fserr.ErrNotDir
 	}
-	if len(c.n.children) > 0 {
+	if len(c.children) > 0 {
 		return fserr.ErrNotEmpty
 	}
-	delete(n.children, key)
+	delete(n.children, name)
 	n.nlink--
 	n.fs.usedInodes--
-	n.fs.quotaCharge(c.n.uid, 0, -1)
+	n.fs.quotaCharge(c.uid, 0, -1)
 	return nil
 }
 
 // Rename implements Node.
 func (n *memNode) Rename(oldName string, dst Node, newName string) error {
-	if n.fs.sealed {
-		return fserr.ErrReadOnly
-	}
 	d, ok := dst.(*memNode)
 	if !ok || d.fs != n.fs {
 		return fserr.ErrXDev
@@ -375,57 +278,53 @@ func (n *memNode) Rename(oldName string, dst Node, newName string) error {
 	if err := d.checkName(newName); err != nil {
 		return err
 	}
-	oldKey, newKey := n.fs.foldKey(oldName), n.fs.foldKey(newName)
-	src, ok := n.children[oldKey]
+	src, ok := n.children[oldName]
 	if !ok {
 		return fserr.ErrNotFound
 	}
-	if existing, exists := d.children[newKey]; exists {
-		if existing.n == src.n {
+	if existing, exists := d.children[newName]; exists {
+		if existing == src {
 			// A rename onto another name of the same inode is a no-op
-			// (POSIX), but same-key case-fold renames just relabel.
-			if n == d && oldKey == newKey {
-				d.children[newKey] = childEnt{name: newName, n: src.n}
-			}
+			// (POSIX).
 			return nil
 		}
-		if existing.n.IsDir() {
-			if !src.n.IsDir() {
+		if existing.IsDir() {
+			if !src.IsDir() {
 				return fserr.ErrIsDir
 			}
-			if len(existing.n.children) > 0 {
+			if len(existing.children) > 0 {
 				return fserr.ErrNotEmpty
 			}
-			delete(d.children, newKey)
+			delete(d.children, newName)
 			d.nlink--
 			n.fs.usedInodes--
-			n.fs.quotaCharge(existing.n.uid, 0, -1)
+			n.fs.quotaCharge(existing.uid, 0, -1)
 		} else {
-			if src.n.IsDir() {
+			if src.IsDir() {
 				return fserr.ErrNotDir
 			}
-			delete(d.children, newKey)
-			d.drop(existing.n)
+			delete(d.children, newName)
+			d.drop(existing)
 		}
 	}
-	delete(n.children, oldKey)
-	d.children[newKey] = childEnt{name: newName, n: src.n}
-	if src.n.IsDir() && n != d {
+	delete(n.children, oldName)
+	d.children[newName] = src
+	if src.IsDir() && n != d {
 		n.nlink--
 		d.nlink++
 	}
 	return nil
 }
 
-// ReadDir implements Node, sorted by display name.
+// ReadDir implements Node, sorted by name.
 func (n *memNode) ReadDir() ([]DirEntry, error) {
 	if !n.IsDir() {
 		return nil, fserr.ErrNotDir
 	}
 	out := make([]DirEntry, 0, len(n.children))
-	for _, c := range n.children {
+	for name, c := range n.children {
 		out = append(out, DirEntry{
-			Ino: uint32(c.n.ino), Type: c.n.mode & ModeTypeMask, Name: c.name})
+			Ino: uint32(c.ino), Type: c.mode & ModeTypeMask, Name: name})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
@@ -453,12 +352,10 @@ func (n *memNode) ReadAt(buf []byte, off int64) (int, error) {
 		if chunk > len(buf) {
 			chunk = len(buf)
 		}
-		if data := n.fs.store.read(n.pages[page]); data != nil {
+		if data := n.pages[page]; data != nil {
 			copy(buf[:chunk], data[po:po+chunk])
 		} else {
-			for i := 0; i < chunk; i++ {
-				buf[i] = 0
-			}
+			clear(buf[:chunk])
 		}
 		buf = buf[chunk:]
 		off += int64(chunk)
@@ -470,9 +367,6 @@ func (n *memNode) ReadAt(buf []byte, off int64) (int, error) {
 // WriteAt implements Node: sparse allocation page by page, with block
 // and quota accounting on first touch of each page.
 func (n *memNode) WriteAt(buf []byte, off int64) (int, error) {
-	if n.fs.sealed {
-		return 0, fserr.ErrReadOnly
-	}
 	if n.IsDir() {
 		return 0, fserr.ErrIsDir
 	}
@@ -485,7 +379,7 @@ func (n *memNode) WriteAt(buf []byte, off int64) (int, error) {
 		if len(buf) == 0 {
 			break
 		}
-		if n.pages[page] == 0 {
+		if _, ok := n.pages[page]; !ok {
 			newPages++
 		}
 	}
@@ -493,7 +387,6 @@ func (n *memNode) WriteAt(buf []byte, off int64) (int, error) {
 		return 0, fserr.ErrNoSpace
 	}
 	total := 0
-	var scratch [PageSize]byte
 	for len(buf) > 0 {
 		page := off / PageSize
 		po := int(off % PageSize)
@@ -501,25 +394,17 @@ func (n *memNode) WriteAt(buf []byte, off int64) (int, error) {
 		if chunk > len(buf) {
 			chunk = len(buf)
 		}
-		old := n.pages[page]
-		data := scratch[:]
-		if prev := n.fs.store.read(old); prev != nil {
-			copy(data, prev)
-		} else {
-			for i := range data {
-				data[i] = 0
+		data, ok := n.pages[page]
+		if !ok {
+			data = make([]byte, PageSize)
+			if n.pages == nil {
+				n.pages = make(map[int64][]byte)
 			}
-		}
-		copy(data[po:], buf[:chunk])
-		ref := n.fs.store.write(old, data)
-		if n.pages == nil {
-			n.pages = make(map[int64]uint64)
-		}
-		n.pages[page] = ref
-		if old == 0 {
+			n.pages[page] = data
 			n.fs.usedBlocks++
 			n.fs.quotaCharge(n.uid, 1, 0)
 		}
+		copy(data[po:], buf[:chunk])
 		buf = buf[chunk:]
 		off += int64(chunk)
 		total += chunk
@@ -534,9 +419,6 @@ func (n *memNode) WriteAt(buf []byte, off int64) (int, error) {
 // frees whole pages past the end and zeroes the tail of a straddling
 // page so a later extension reads zeros.
 func (n *memNode) Truncate(size int64) error {
-	if n.fs.sealed {
-		return fserr.ErrReadOnly
-	}
 	if n.IsDir() {
 		return fserr.ErrIsDir
 	}
@@ -545,22 +427,16 @@ func (n *memNode) Truncate(size int64) error {
 	}
 	if size < n.size {
 		firstGone := (size + PageSize - 1) / PageSize
-		for page, ref := range n.pages {
-			if page >= firstGone && ref != 0 {
-				n.fs.store.free(ref)
+		for page := range n.pages {
+			if page >= firstGone {
 				delete(n.pages, page)
 				n.fs.usedBlocks--
 				n.fs.quotaCharge(n.uid, -1, 0)
 			}
 		}
 		if po := size % PageSize; po != 0 {
-			if ref := n.pages[size/PageSize]; ref != 0 {
-				var data [PageSize]byte
-				copy(data[:], n.fs.store.read(ref))
-				for i := po; i < PageSize; i++ {
-					data[i] = 0
-				}
-				n.pages[size/PageSize] = n.fs.store.write(ref, data[:])
+			if data := n.pages[size/PageSize]; data != nil {
+				clear(data[po:])
 			}
 		}
 	}
@@ -570,18 +446,12 @@ func (n *memNode) Truncate(size int64) error {
 
 // Chmod implements Node.
 func (n *memNode) Chmod(perm uint32) error {
-	if n.fs.sealed {
-		return fserr.ErrReadOnly
-	}
 	n.mode = n.mode&ModeTypeMask | perm&ModePermMask
 	return nil
 }
 
 // Chown implements Node, moving quota usage to the new owner.
 func (n *memNode) Chown(uid, gid uint32) error {
-	if n.fs.sealed {
-		return fserr.ErrReadOnly
-	}
 	if uid != n.uid {
 		blocks := int64(len(n.pages))
 		n.fs.quotaCharge(n.uid, -blocks, -1)
@@ -593,9 +463,6 @@ func (n *memNode) Chown(uid, gid uint32) error {
 
 // SetTimes implements Node.
 func (n *memNode) SetTimes(atime, mtime uint64) error {
-	if n.fs.sealed {
-		return fserr.ErrReadOnly
-	}
 	n.atime, n.mtime = atime, mtime
 	return nil
 }

@@ -2,22 +2,22 @@
 // FS/Node interface pair every mountable filesystem implements and the
 // BlockBackend contract every block store implements. guestos' VFS
 // walks these interfaces, simplefs implements them itself, and fsimage
-// builds images on any BlockBackend. The package adds four backends on
-// top — pure in-memory (mem.go), copy-on-write layer stacking
-// (cow.go), content-addressed/dedup (cas.go) and a simulated remote
-// object store whose latency and bandwidth are charged through the
-// virtual clock like netsim links (remote.go) —
-// plus the matching block-store implementations (block.go), which
-// OpenBlock selects by name at attach time (core.Options.Storage /
-// vmsh.WithStorageBackend).
+// builds images on any BlockBackend. The package adds the in-memory
+// filesystem (mem.go) and one block store per medium (block.go): RAM,
+// copy-on-write over a read-only base, content-addressed/dedup
+// (cas.go) and a simulated remote object store whose latency and
+// bandwidth are charged through the virtual clock like netsim links
+// (remote.go). OpenBlock selects a store by name at attach time
+// (core.Options.Storage / vmsh.WithStorageBackend); a filesystem over
+// a medium is simplefs mounted on its store.
 //
 // Every backend is driven through one conformance suite
 // (storage/conformance) and the E1 xfstests families; see DESIGN §14.
 package storage
 
 // PageSize is the accounting granularity shared by every backend: the
-// 4 KiB unit of sparse-file block accounting, page-store chunking and
-// block-store copy-on-write.
+// 4 KiB unit of sparse-file block accounting and of the block stores'
+// copy-on-write, dedup and remote objects.
 const PageSize = 4096
 
 // File type bits stored in the mode's high nibble.
@@ -97,6 +97,9 @@ type FS interface {
 	Sync() error
 	Statfs() StatfsInfo
 	QuotaReport() ([]QuotaUsage, error)
+	// Type is the filesystem type the guest sees in mount tables
+	// ("tmpfs", "simplefs", "9p", "proc").
+	Type() string
 }
 
 // BlockBackend is the block device contract (guestos.BlockDev is an
@@ -113,5 +116,4 @@ type BlockBackend interface {
 	Flush() error
 	Size() int64
 	SupportsFUA() bool
-	SetQueueDepth(qd int)
 }

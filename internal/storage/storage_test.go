@@ -21,88 +21,6 @@ func fillPage(seed byte) []byte {
 	return b
 }
 
-// --- CAS filesystem -----------------------------------------------------
-
-func TestCasFSDedup(t *testing.T) {
-	fs := NewCasFS(MemOptions{})
-	root := mustRoot(t, fs)
-	page := fillPage(0xAA)
-
-	// Ten files, identical content: one physical page.
-	for i := 0; i < 10; i++ {
-		n, err := root.Create(string(rune('a'+i)), 0o644, 0, 0)
-		if err != nil {
-			t.Fatalf("create: %v", err)
-		}
-		if _, err := n.WriteAt(page, 0); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-	}
-	st := fs.DedupStats()
-	if st.LogicalPages != 10 {
-		t.Errorf("logical pages: %d, want 10", st.LogicalPages)
-	}
-	if st.PhysicalPages != 1 {
-		t.Errorf("physical pages: %d, want 1", st.PhysicalPages)
-	}
-	if st.SharedWrites < 9 {
-		t.Errorf("shared writes: %d, want >=9", st.SharedWrites)
-	}
-
-	// Logical accounting is unaffected by dedup: Statfs charges 10 pages.
-	free := fs.Statfs().BlocksFree
-	n, err := root.Create("unique", 0o644, 0, 0)
-	if err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	if _, err := n.WriteAt(fillPage(0xBB), 0); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if got := fs.Statfs().BlocksFree; got != free-1 {
-		t.Errorf("logical accounting moved by %d, want 1", free-got)
-	}
-	if st := fs.DedupStats(); st.PhysicalPages != 2 {
-		t.Errorf("physical pages after unique write: %d, want 2", st.PhysicalPages)
-	}
-
-	// Unlinking the sharers drops refs; the page is freed only when the
-	// last reference goes.
-	for i := 0; i < 10; i++ {
-		if err := root.Unlink(string(rune('a' + i))); err != nil {
-			t.Fatalf("unlink: %v", err)
-		}
-	}
-	st = fs.DedupStats()
-	if st.LogicalPages != 1 || st.PhysicalPages != 1 {
-		t.Errorf("after unlink: %+v, want 1 logical / 1 physical", st)
-	}
-}
-
-func TestCasFSRewriteSameContent(t *testing.T) {
-	fs := NewCasFS(MemOptions{})
-	n, err := mustRoot(t, fs).Create("f", 0o644, 0, 0)
-	if err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	page := fillPage(7)
-	for i := 0; i < 3; i++ {
-		if _, err := n.WriteAt(page, 0); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-	}
-	if st := fs.DedupStats(); st.PhysicalPages != 1 || st.LogicalPages != 1 {
-		t.Errorf("same-content rewrites: %+v", st)
-	}
-	// Content is intact after dedup gymnastics.
-	buf := make([]byte, PageSize)
-	if _, err := n.ReadAt(buf, 0); err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if !bytes.Equal(buf, page) {
-		t.Error("content mismatch")
-	}
-}
-
 // --- block backends -----------------------------------------------------
 
 func TestCowBlockIsolatesBase(t *testing.T) {
@@ -153,8 +71,32 @@ func TestCasBlockDedupAndHoles(t *testing.T) {
 			t.Fatalf("write: %v", err)
 		}
 	}
-	if st := blk.DedupStats(); st.PhysicalPages != 1 || st.LogicalPages != 8 {
+	if st := blk.DedupStats(); st.PhysicalPages != 1 || st.LogicalPages != 8 || st.SharedWrites != 7 {
 		t.Errorf("dedup stats: %+v", st)
+	}
+	// The same content rewritten keeps one physical page and its
+	// reference.
+	for i := 0; i < 3; i++ {
+		if err := blk.WriteAt(PageSize, page); err != nil {
+			t.Fatalf("rewrite: %v", err)
+		}
+	}
+	if st := blk.DedupStats(); st.PhysicalPages != 1 || st.LogicalPages != 8 {
+		t.Errorf("same-content rewrites: %+v", st)
+	}
+	// A page that diverges gets its own physical page.
+	if err := blk.WriteAt(2*PageSize, fillPage(0x43)); err != nil {
+		t.Fatalf("unique write: %v", err)
+	}
+	if st := blk.DedupStats(); st.PhysicalPages != 2 || st.LogicalPages != 8 {
+		t.Errorf("after a unique write: %+v", st)
+	}
+	got := make([]byte, PageSize)
+	if err := blk.ReadAt(PageSize, got); err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if !bytes.Equal(got, page) {
+		t.Error("rewritten page content mismatch")
 	}
 	// All-zero pages are stored as holes, not content.
 	if err := blk.WriteAt(0, make([]byte, PageSize)); err != nil {
@@ -239,19 +181,13 @@ func TestBlockStoresRejectOverflowingRange(t *testing.T) {
 func TestRemoteChargesLink(t *testing.T) {
 	clock := vclock.New()
 	link := RemoteLink{Clock: clock, Lat: time.Millisecond, BW: 1e6} // 1 MB/s
-	fs := NewRemoteFS(MemOptions{}, link)
-	n, err := mustRoot(t, fs).Create("obj", 0o644, 0, 0)
+	r, err := NewRemoteBlock(NewMemBlock(4*PageSize), link)
 	if err != nil {
-		t.Fatalf("create: %v", err)
-	}
-
-	// Metadata ops are local: the create charged nothing.
-	if clock.Now() != 0 {
-		t.Fatalf("metadata op charged the link: %v", clock.Now())
+		t.Fatalf("open: %v", err)
 	}
 
 	payload := fillPage(1)
-	if _, err := n.WriteAt(payload, 0); err != nil {
+	if err := r.WriteAt(0, payload); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	wantPut := time.Millisecond + vclock.Copy(PageSize, 1e6)
@@ -260,7 +196,7 @@ func TestRemoteChargesLink(t *testing.T) {
 	}
 
 	buf := make([]byte, PageSize)
-	if _, err := n.ReadAt(buf, 0); err != nil {
+	if err := r.ReadAt(0, buf); err != nil {
 		t.Fatalf("read: %v", err)
 	}
 	wantGet := wantPut + time.Millisecond + vclock.Copy(PageSize, 1e6)
@@ -271,9 +207,9 @@ func TestRemoteChargesLink(t *testing.T) {
 		t.Error("remote round-trip mismatch")
 	}
 
-	// Sync is a flush barrier: latency only, no payload.
-	if err := fs.Sync(); err != nil {
-		t.Fatalf("sync: %v", err)
+	// Flush is a barrier: latency only, no payload.
+	if err := r.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
 	}
 	if got := clock.Now(); got != wantGet+time.Millisecond {
 		t.Errorf("flush charge: %v, want %v", got, wantGet+time.Millisecond)
@@ -285,22 +221,20 @@ func TestRemoteFaultInjection(t *testing.T) {
 	in := faults.NewInjector(faults.NewPlan(1, faults.Rule{
 		Op: "remote:get", Nth: 1, Persistent: true,
 	}), clock, obs.Track{})
-	link := RemoteLink{Clock: clock, Faults: in}
-	fs := NewRemoteFS(MemOptions{}, link)
-	n, err := mustRoot(t, fs).Create("obj", 0o644, 0, 0)
+	r, err := NewRemoteBlock(NewMemBlock(4*PageSize), RemoteLink{Clock: clock, Faults: in})
 	if err != nil {
-		t.Fatalf("create: %v", err)
+		t.Fatalf("open: %v", err)
 	}
-	if _, err := n.WriteAt(fillPage(3), 0); err != nil {
+	if err := r.WriteAt(0, fillPage(3)); err != nil {
 		t.Fatalf("write (puts unaffected): %v", err)
 	}
 	buf := make([]byte, PageSize)
-	if _, err := n.ReadAt(buf, 0); !faults.IsFault(err) {
+	if err := r.ReadAt(0, buf); !faults.IsFault(err) {
 		t.Errorf("read under remote:get fault: %v, want injected fault", err)
 	}
 	// The flush class is independent of get.
-	if err := fs.Sync(); err != nil {
-		t.Errorf("sync under remote:get fault: %v", err)
+	if err := r.Flush(); err != nil {
+		t.Errorf("flush under remote:get fault: %v", err)
 	}
 }
 
@@ -312,21 +246,19 @@ func TestRemoteCrossingsObserved(t *testing.T) {
 	plane := faults.NewInjector(nil, vclock.New(), obs.Track{})
 	tap := &recordTap{}
 	plane.SetTap(tap)
-	link := RemoteLink{Faults: plane}
-	fs := NewRemoteFS(MemOptions{}, link)
-	n, err := mustRoot(t, fs).Create("obj", 0o644, 0, 0)
+	r, err := NewRemoteBlock(NewMemBlock(4*PageSize), RemoteLink{Faults: plane})
 	if err != nil {
-		t.Fatalf("create: %v", err)
+		t.Fatalf("open: %v", err)
 	}
-	if _, err := n.WriteAt(fillPage(5), 0); err != nil {
+	if err := r.WriteAt(0, fillPage(5)); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	buf := make([]byte, PageSize)
-	if _, err := n.ReadAt(buf, 0); err != nil {
+	if err := r.ReadAt(0, buf); err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if err := fs.Sync(); err != nil {
-		t.Fatalf("sync: %v", err)
+	if err := r.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
 	}
 	want := []faults.Op{faults.OpRemotePut, faults.OpRemoteGet, faults.OpRemoteFlush}
 	if len(tap.ops) != len(want) {
@@ -340,23 +272,6 @@ func TestRemoteCrossingsObserved(t *testing.T) {
 }
 
 // --- MemFS internals ----------------------------------------------------
-
-func TestMemFSSealRejectsWrites(t *testing.T) {
-	fs := NewMemFS(MemOptions{})
-	n, err := mustRoot(t, fs).Create("f", 0o644, 0, 0)
-	if err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	fs.Seal()
-	if _, err := mustRoot(t, fs).Create("g", 0o644, 0, 0); !errors.Is(err, fserr.ErrReadOnly) {
-		t.Errorf("create on sealed fs: %v, want ErrReadOnly", err)
-	}
-	// Reads still work.
-	buf := make([]byte, 4)
-	if _, err := n.ReadAt(buf, 0); err != nil {
-		t.Errorf("read on sealed fs: %v", err)
-	}
-}
 
 func TestMemFSInodeAndBlockLimits(t *testing.T) {
 	fs := NewMemFS(MemOptions{Blocks: 4, Inodes: 3})

@@ -115,7 +115,6 @@ type BlkDriver struct {
 	capacity int64
 	segMax   int
 	features uint64
-	qd       int
 
 	completed map[uint16]bool
 	// Requests counts submitted requests.
@@ -138,7 +137,6 @@ func ProbeBlk(env *Env, base mem.GPA) (*BlkDriver, error) {
 		env: env, base: base, q: q,
 		segMax:    128 * 1024,
 		features:  feats,
-		qd:        1,
 		completed: make(map[uint16]bool),
 	}
 	// Bounce area: header page + up to 2 MiB data + status page.
@@ -342,18 +340,6 @@ func (d *BlkDriver) Size() int64 { return d.capacity }
 // FUA feature bit, so forced-unit-access is unavailable through
 // either virtio path.
 func (d *BlkDriver) SupportsFUA() bool { return false }
-
-// SetQueueDepth implements storage.BlockBackend.
-func (d *BlkDriver) SetQueueDepth(qd int) {
-	if qd < 1 {
-		qd = 1
-	}
-	d.qd = qd
-}
-
-// QueueDepth returns the configured depth (used by backends that
-// amortise latency).
-func (d *BlkDriver) QueueDepth() int { return d.qd }
 
 // Queue exposes the driver's virtqueue so lifecycle operations can
 // save and restore its Go-side cursors (CursorState); the ring bytes

@@ -99,7 +99,6 @@ func FioOnDevice(h *hostsim.Host, dev storage.BlockBackend, spec FioSpec) (FioRe
 	if spec.QD < 1 {
 		spec.QD = 1
 	}
-	dev.SetQueueDepth(spec.QD)
 	h.Disk.QueueDepth = spec.QD
 	defer func() { h.Disk.QueueDepth = 1 }()
 	span := dev.Size()
@@ -140,7 +139,6 @@ func FioOnDevice(h *hostsim.Host, dev storage.BlockBackend, spec FioSpec) (FioRe
 			}
 			offs = offs[n:]
 		}
-		dev.SetQueueDepth(1)
 		return finish(spec, clock.Since(start)), nil
 	}
 	for _, off := range offs {
@@ -155,7 +153,6 @@ func FioOnDevice(h *hostsim.Host, dev storage.BlockBackend, spec FioSpec) (FioRe
 			return FioResult{}, fmt.Errorf("fio %s at %d: %w", spec.Name, off, err)
 		}
 	}
-	dev.SetQueueDepth(1)
 	return finish(spec, clock.Since(start)), nil
 }
 

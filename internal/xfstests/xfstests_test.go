@@ -118,7 +118,6 @@ func (d *fuaDev) WriteAt(off int64, b []byte) error { return d.file.WriteAt(b, o
 func (d *fuaDev) Flush() error                      { return d.file.Fsync() }
 func (d *fuaDev) Size() int64                       { return d.file.Size() }
 func (d *fuaDev) SupportsFUA() bool                 { return d.fua }
-func (d *fuaDev) SetQueueDepth(int)                 {}
 
 func TestCorpusPassesOnFUADevice(t *testing.T) {
 	env := ramEnv(t, true)

@@ -170,8 +170,12 @@ func configSeeds() [][]byte {
 // filesystem, holding /dir/small, /dir/big and /link) and aims a patch
 // list at each of: nothing, the superblock's quota block count, the big
 // file's first block pointer, the root directory's last entry slot (a
-// live entry with a 255-byte name) and the symlink's size (1<<62). A
-// patch is a little-endian u32 image offset and the byte stored there.
+// live entry with a 255-byte name), the symlink's size (1<<62), the
+// small file's second and third block pointers (at the inode table and
+// the quota table, outside the data region, where the write phase
+// writes and then frees them) and the superblock's free block and
+// inode counts (raised to claim every block and inode free). A patch
+// is a little-endian u32 image offset and the byte stored there.
 func simplefsSeeds() [][]byte {
 	dev := storage.NewMemBlock(64 * simplefs.BlockSize)
 	if err := fsimage.Build(dev, fsimage.Manifest{
@@ -201,8 +205,11 @@ func simplefsSeeds() [][]byte {
 		}
 		return int(n.ID())
 	}
-	// The inode table starts at the superblock's eighth word; inodes
-	// are 128 bytes, the size at +16 and the first block pointer at +48.
+	// Counting from 0, the superblock's words 1, 2, 7, 9 and 11 hold
+	// the block count, the inode count and the starts of the inode
+	// table, the quota table and the data region; words 13 and 14
+	// (offsets 52 and 56) the free block and inode counts. Inodes are
+	// 128 bytes, the size at +16 and the block pointers from +48.
 	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(img[off:])) }
 	inode := func(n int) int { return (u32(28)+n/32)*simplefs.BlockSize + n%32*128 }
 	lastSlot := u32(inode(ino())+48)*simplefs.BlockSize + 15*256
@@ -219,6 +226,8 @@ func simplefsSeeds() [][]byte {
 		patch(inode(ino("dir", "big"))+51, 0xff),
 		patch(lastSlot, ino("dir"), lastSlot+5, 255),
 		patch(inode(ino("link"))+23, 0x40),
+		patch(inode(ino("dir", "small"))+52, u32(28), inode(ino("dir", "small"))+56, u32(36)),
+		patch(52, u32(4)-u32(44), 56, u32(8)-1),
 	}
 }
 
