@@ -5,9 +5,9 @@
 //
 //	E1  xfstests robustness          (§6.1)
 //	E2  hypervisor support           (Table 1, plus the paper's
-//	                                  future work implemented)
+//	                                  future work implemented and D4)
 //	E3  kernel support               (Table 1)
-//	E4  Phoronix relative slowdown   (Figure 5)
+//	E4  Phoronix relative slowdown   (Figure 5, plus D2)
 //	E5  fio throughput + IOPS        (Figure 6a/6b)
 //	E6  console latency              (Figure 7)
 //	E7  image de-bloating            (Figure 8)
@@ -88,13 +88,13 @@ var experiments = []experiment{
 		}
 		return eval.XfstestsRows(append(classic.Results(), backends...)), nil
 	}},
-	{"e2", "Table 1 hypervisor support, plus the paper's future work implemented", func() ([]ledger.Row, error) {
-		return eval.GeneralityRows("e2", append(eval.RunHypervisorMatrix(), eval.RunExtensionMatrix()...)), nil
+	{"e2", "Table 1 hypervisor support, plus the paper's future work implemented and the memslot placement grid (D4)", func() ([]ledger.Row, error) {
+		return eval.GeneralityRows("e2", slices.Concat(eval.RunHypervisorMatrix(), eval.RunExtensionMatrix(), eval.RunMemslotGrid())), nil
 	}},
 	{"e3", "Table 1 LTS kernel support", func() ([]ledger.Row, error) {
 		return eval.GeneralityRows("e3", eval.RunKernelMatrix()), nil
 	}},
-	{"e4", "Figure 5 Phoronix disk suite: vmsh-blk slowdown vs qemu-blk (lower is better), vmsh-blk virtual time legacy vs fast path", func() ([]ledger.Row, error) {
+	{"e4", "Figure 5 Phoronix disk suite: vmsh-blk slowdown vs qemu-blk (lower is better), vmsh-blk virtual time legacy vs fast path vs bounce copies (D2)", func() ([]ledger.Row, error) {
 		legacy, err := eval.RunPhoronix()
 		if err != nil {
 			return nil, err
@@ -103,7 +103,11 @@ var experiments = []experiment{
 		if err != nil {
 			return nil, err
 		}
-		return eval.PhoronixRows(legacy, fast), nil
+		bounce, err := eval.RunPhoronixOpts(core.Options{BounceCopy: true})
+		if err != nil {
+			return nil, err
+		}
+		return eval.PhoronixRows(legacy, fast, bounce), nil
 	}},
 	{"e5", "Figure 6 fio throughput (256 KiB) and IOPS (4 KiB); vmsh-blk fast path vs legacy (ioregionfd, QD 32)", func() ([]ledger.Row, error) {
 		direct, err := eval.RunFioDirect()

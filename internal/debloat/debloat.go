@@ -68,15 +68,6 @@ func binBlob(name string, size int) []byte {
 	return b
 }
 
-// BuildCatalog generates the deterministic 40-image corpus.
-func BuildCatalog() []ImageSpec {
-	var out []ImageSpec
-	for _, name := range imageNames {
-		out = append(out, buildImage(name))
-	}
-	return out
-}
-
 func buildImage(name string) ImageSpec {
 	seed := int64(0)
 	for _, c := range name {

@@ -3,12 +3,13 @@ package debloat
 import "testing"
 
 func TestCatalogShape(t *testing.T) {
-	cat := BuildCatalog()
-	if len(cat) != 40 {
-		t.Fatalf("%d images, want top-40", len(cat))
+	if len(imageNames) != 40 {
+		t.Fatalf("%d images, want top-40", len(imageNames))
 	}
 	statics := 0
-	for _, spec := range cat {
+	// Image by image: a whole catalog is ~3 GB of blobs.
+	for _, name := range imageNames {
+		spec := buildImage(name)
 		if spec.StaticGo {
 			statics++
 		}

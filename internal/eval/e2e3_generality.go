@@ -1,7 +1,9 @@
 package eval
 
 import (
+	"fmt"
 	"strings"
+	"time"
 
 	"vmsh/internal/arch"
 	"vmsh/internal/core"
@@ -17,6 +19,8 @@ type GeneralityRow struct {
 	Target    string
 	Supported bool
 	Detail    string
+	// Attach is the virtual time of a working target's Attach call.
+	Attach time.Duration
 }
 
 // attachSmokeOpts launches a VM and attempts a full attach + console
@@ -49,7 +53,9 @@ func attachSmokeOpts(kind hypervisor.Kind, kernel string, cfgMod func(*hyperviso
 	if optsMod != nil {
 		optsMod(&opts)
 	}
+	start := h.Clock.Now()
 	sess, err := v.Attach(inst.Proc.PID, opts)
+	attach := h.Clock.Now() - start
 	if err != nil {
 		return GeneralityRow{Target: name, Detail: err.Error()}
 	}
@@ -57,7 +63,7 @@ func attachSmokeOpts(kind hypervisor.Kind, kernel string, cfgMod func(*hyperviso
 	if err != nil || !strings.Contains(out, "attach-ok") {
 		return GeneralityRow{Target: name, Detail: "console dead"}
 	}
-	return GeneralityRow{Target: name, Supported: true, Detail: "attach + console ok"}
+	return GeneralityRow{Target: name, Supported: true, Detail: "attach + console ok", Attach: attach}
 }
 
 // attachSmoke launches a VM and attempts a full attach + console
@@ -98,6 +104,25 @@ func RunHypervisorMatrix() []GeneralityRow {
 	return rows
 }
 
+// RunMemslotGrid attaches to QEMU, kvmtool and crosvm guests of 128,
+// 256 and 384 MiB, each seeded by its RAM size and kind: design
+// decision D4, VMSH's memslot at the top of guest memory, must never
+// collide with the RAM a personality lays out. E2 carries the grid.
+func RunMemslotGrid() []GeneralityRow {
+	var rows []GeneralityRow
+	for _, kind := range []hypervisor.Kind{hypervisor.QEMU, hypervisor.Kvmtool, hypervisor.Crosvm} {
+		for _, mib := range []uint64{128, 256, 384} {
+			r := attachSmokeOpts(kind, "", func(c *hypervisor.Config) {
+				c.RAMSize = mib << 20
+				c.Seed = int64(c.RAMSize) + int64(kind)
+			}, nil)
+			r.Target += fmt.Sprintf(" %dMiB", mib)
+			rows = append(rows, r)
+		}
+	}
+	return rows
+}
+
 // RunKernelMatrix regenerates the kernel half of Table 1 (E3).
 func RunKernelMatrix() []GeneralityRow {
 	var rows []GeneralityRow
@@ -109,13 +134,17 @@ func RunKernelMatrix() []GeneralityRow {
 
 // GeneralityRows is a Table 1 ledger under exp: per target, whether
 // attach + console worked and the outcome text (the error on failure),
-// both invariants. The error text is deterministic, so a changed
-// failure mode fails the gate as surely as a lost target.
+// both invariants, and for a target that works, the attach's virtual
+// time (a cost). The error text is deterministic, so a changed failure
+// mode fails the gate as surely as a lost target.
 func GeneralityRows(exp string, rows []GeneralityRow) []ledger.Row {
 	l := ledger.Builder{Exp: exp}
 	for _, r := range rows {
 		l.Invariant(r.Target+".ok", r.Supported, "bool")
 		l.Invariant(r.Target+".detail", r.Detail, "text")
+		if r.Supported {
+			l.Cost(r.Target+".attach_ns", float64(r.Attach), "ns")
+		}
 	}
 	return l.Rows
 }

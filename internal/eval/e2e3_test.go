@@ -41,6 +41,16 @@ func TestE3KernelMatrix(t *testing.T) {
 	}
 }
 
+// TestMemslotGrid: D4's top-of-memory memslot collides with the RAM of
+// no personality at any size, so every grid point attaches.
+func TestMemslotGrid(t *testing.T) {
+	for _, r := range RunMemslotGrid() {
+		if !r.Supported || r.Attach <= 0 {
+			t.Errorf("%s: %s (attach %v)", r.Target, r.Detail, r.Attach)
+		}
+	}
+}
+
 func TestExtensionMatrix(t *testing.T) {
 	rows := RunExtensionMatrix()
 	for _, r := range rows {

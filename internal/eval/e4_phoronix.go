@@ -127,17 +127,21 @@ func PhoronixStats(rows []PhoronixRow) (mean, stddev, worst float64, worstName s
 }
 
 // PhoronixRows is E4's ledger, from a legacy-path run (Figure 5
-// proper, RunPhoronix) and a fast-path run of the same suite. Per
+// proper, RunPhoronix), a fast-path run of the same suite and a
+// fast-path run with BounceCopy (design decision D2: the direct
+// process_vm copies against the unoptimised bounce buffers). Per
 // benchmark: the Figure 5 slowdown of vmsh-blk against qemu-blk and
-// vmsh-blk's virtual time in both modes, all costs. Then the figure's
-// summary: average and worst slowdown (costs), their spread and the
-// worst benchmark's name (invariants).
-func PhoronixRows(legacy, fast []PhoronixRow) []ledger.Row {
+// vmsh-blk's virtual time in all three runs, all costs. Then the
+// figure's summary: average and worst slowdown (costs), their spread
+// and the worst benchmark's name (invariants). Last, D2's average
+// slowdown on the direct and on the bounce path (costs).
+func PhoronixRows(legacy, fast, bounce []PhoronixRow) []ledger.Row {
 	l := ledger.Builder{Exp: "e4"}
 	for i, r := range legacy {
 		l.Cost(r.Name+".relative", r.Relative, "x")
 		l.Cost(r.Name+".legacy_ns", float64(r.VmshBlk), "ns")
 		l.Cost(r.Name+".fast_ns", float64(fast[i].VmshBlk), "ns")
+		l.Cost(r.Name+".bounce_ns", float64(bounce[i].VmshBlk), "ns")
 	}
 	mean, stddev, worst, worstName := PhoronixStats(legacy)
 	l.Cost("average", mean, "x").Paper = 1.5
@@ -145,5 +149,9 @@ func PhoronixRows(legacy, fast []PhoronixRow) []ledger.Row {
 	// The paper's worst rows are fio direct IO at 2 MB.
 	l.Cost("worst", worst, "x").Paper = 3.7
 	l.Invariant("worst_bench", worstName, "text")
+	fastMean, _, _, _ := PhoronixStats(fast)
+	l.Cost("fast_average", fastMean, "x")
+	bounceMean, _, _, _ := PhoronixStats(bounce)
+	l.Cost("bounce_average", bounceMean, "x")
 	return l.Rows
 }

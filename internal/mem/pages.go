@@ -24,9 +24,9 @@ type Pages struct {
 // zeroPage is what an absent page reads as.
 var zeroPage [PageSize]byte
 
-// allZero reports whether b (at most a page long) is all zero, compared
+// AllZero reports whether b (at most a page long) is all zero, compared
 // word-wide against zeroPage rather than byte by byte.
-func allZero(b []byte) bool { return bytes.Equal(b, zeroPage[:len(b)]) }
+func AllZero(b []byte) bool { return bytes.Equal(b, zeroPage[:len(b)]) }
 
 // NewPages returns an all-zero store of size bytes with no page
 // materialized.
@@ -61,7 +61,7 @@ func (s *Pages) WriteAt(buf []byte, off uint64) {
 		po := off % PageSize
 		chunk := buf[:min(uint64(len(buf)), PageSize-po)]
 		p := s.pages[off/PageSize]
-		if p == nil && !allZero(chunk) {
+		if p == nil && !AllZero(chunk) {
 			p = new([PageSize]byte)
 			s.pages[off/PageSize] = p
 		}
@@ -81,7 +81,7 @@ func (s *Pages) Page(idx uint64) []byte {
 		return nil
 	}
 	b := p[:min(PageSize, s.size-idx*PageSize)]
-	if allZero(b) {
+	if AllZero(b) {
 		return nil
 	}
 	return b
@@ -92,7 +92,7 @@ func (s *Pages) Page(idx uint64) []byte {
 // absent.
 func (s *Pages) SetPage(idx uint64, b []byte) {
 	s.gen++
-	if allZero(b) {
+	if AllZero(b) {
 		s.pages[idx] = nil
 		return
 	}

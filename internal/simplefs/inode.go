@@ -2,6 +2,7 @@ package simplefs
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"vmsh/internal/fserr"
@@ -228,6 +229,9 @@ func (n *Inode) mapBlock(fileBlk int64, alloc, meta, skipZero bool) (uint32, err
 			// Zero data blocks on the device: nothing stale becomes
 			// visible through later size extensions.
 			if err := f.zeroDataBlock(b); err != nil {
+				if ferr := f.freeBlock(b, n.d.UID); ferr != nil {
+					err = errors.Join(err, ferr)
+				}
 				return 0, err
 			}
 		}
@@ -287,7 +291,7 @@ func (n *Inode) mapBlock(fileBlk int64, alloc, meta, skipZero bool) (uint32, err
 		}
 		return p, nil
 
-	case fileBlk < 12+ptrsPerBlk+int64(ptrsPerBlk)*int64(ptrsPerBlk):
+	case fileBlk < maxFileBlocks:
 		rel := fileBlk - 12 - ptrsPerBlk
 		l1, l2 := int(rel/ptrsPerBlk), int(rel%ptrsPerBlk)
 		if n.d.DIndirect == 0 {
@@ -453,15 +457,29 @@ func (n *Inode) contigRunAlloc(fb int64, blk uint32, max int) (int, error) {
 	return run, nil
 }
 
-// WriteAt stores buf at off, extending the file as needed.
-func (n *Inode) WriteAt(buf []byte, off int64) (int, error) {
+// WriteAt stores buf at off, extending the file as needed. A write
+// that fails part-way keeps the bytes it reports: the size grows to
+// cover them, and every block the call mapped past that end is freed.
+func (n *Inode) WriteAt(buf []byte, off int64) (total int, err error) {
 	if n.IsDir() {
 		return 0, fserr.ErrIsDir
 	}
 	if off < 0 {
 		return 0, fserr.ErrInvalid
 	}
-	total := 0
+	start, end := off, off+int64(len(buf))
+	defer func() {
+		if err == nil {
+			return
+		}
+		if total > 0 {
+			n.d.Size = max(n.d.Size, uint64(start)+uint64(total))
+		}
+		from := max(int64(n.d.Size+BlockSize-1)/BlockSize, start/BlockSize)
+		if cerr := errors.Join(n.releaseBlocks(from, (end+BlockSize-1)/BlockSize), n.save()); cerr != nil {
+			err = errors.Join(err, cerr)
+		}
+	}()
 	for len(buf) > 0 {
 		fb := off / BlockSize
 		bo := int(off % BlockSize)
@@ -521,21 +539,8 @@ func (n *Inode) Truncate(size int64) error {
 	}
 	old := int64(n.d.Size)
 	if size < old {
-		firstFree := (size + BlockSize - 1) / BlockSize
-		lastUsed := (old + BlockSize - 1) / BlockSize
-		for fb := firstFree; fb < lastUsed; fb++ {
-			blk, err := n.blockFor(fb, false, false)
-			if err != nil {
-				return err
-			}
-			if blk != 0 {
-				if err := n.fs.freeBlock(blk, n.d.UID); err != nil {
-					return err
-				}
-				if err := n.clearPointer(fb); err != nil {
-					return err
-				}
-			}
+		if err := n.releaseBlocks((size+BlockSize-1)/BlockSize, (old+BlockSize-1)/BlockSize); err != nil {
+			return err
 		}
 		// Zero the tail of the now-partial last block.
 		if size%BlockSize != 0 {
@@ -561,6 +566,26 @@ func (n *Inode) Truncate(size int64) error {
 	n.d.Mtime = n.now()
 	n.d.Ctime = n.d.Mtime
 	return n.save()
+}
+
+// releaseBlocks frees the data blocks mapped at file blocks [from, to)
+// and clears their pointers.
+func (n *Inode) releaseBlocks(from, to int64) error {
+	for fb := from; fb < min(to, maxFileBlocks); fb++ {
+		blk, err := n.blockFor(fb, false, false)
+		if err != nil {
+			return err
+		}
+		if blk != 0 {
+			if err := n.fs.freeBlock(blk, n.d.UID); err != nil {
+				return err
+			}
+			if err := n.clearPointer(fb); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // clearPointer zeroes the mapping slot for fileBlk (indirect blocks

@@ -30,6 +30,9 @@ const (
 	inodeSize    = 128
 	inodesPerBlk = BlockSize / inodeSize
 	ptrsPerBlk   = BlockSize / 4
+	// maxFileBlocks is how many blocks the direct, indirect and
+	// double-indirect pointers map.
+	maxFileBlocks = 12 + ptrsPerBlk + ptrsPerBlk*ptrsPerBlk
 )
 
 // superblock is the on-disk block 0 layout.

@@ -21,11 +21,16 @@ var (
 	_ storage.Node = (*Inode)(nil)
 )
 
-// memDevice is an in-memory block device for tests.
+// memDevice is an in-memory block device for tests. With failAt > 0,
+// its failAt-th write at or past failFrom fails with errDataWrite.
 type memDevice struct {
-	data []byte
-	fua  bool
+	data     []byte
+	fua      bool
+	failFrom int64
+	failAt   int
 }
+
+var errDataWrite = errors.New("injected data write error")
 
 func (m *memDevice) ReadAt(off int64, buf []byte) error {
 	if err := hostsim.CheckAligned(off, len(buf)); err != nil {
@@ -37,6 +42,11 @@ func (m *memDevice) ReadAt(off int64, buf []byte) error {
 func (m *memDevice) WriteAt(off int64, buf []byte) error {
 	if err := hostsim.CheckAligned(off, len(buf)); err != nil {
 		return err
+	}
+	if off >= m.failFrom && m.failAt > 0 {
+		if m.failAt--; m.failAt == 0 {
+			return errDataWrite
+		}
 	}
 	copy(m.data[off:], buf)
 	return nil
@@ -486,26 +496,54 @@ func TestNameTooLong(t *testing.T) {
 	}
 }
 
-func TestENOSPC(t *testing.T) {
-	dev := &memDevice{data: make([]byte, 1<<20), fua: true} // 256 blocks
-	if err := Mkfs(dev, MkfsOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	fs, _ := Mount(dev)
+// partialWrite writes 2 MiB at off into a new file on a fresh mb MiB
+// image whose k-th data write fails (k = 0: none), and wants the write
+// to stop short with want. The file must then be as long as the bytes
+// the write reported, read them back, and give every block back when
+// unlinked.
+func partialWrite(t *testing.T, mb, k int, off int64, want error) storage.Node {
+	t.Helper()
+	fs, dev := newFS(t, mb, true)
+	dev.failFrom, dev.failAt = int64(fs.sb.DataStart)*BlockSize, k
 	root, _ := fs.Root()
-	f, _ := root.Create("filler", 0o644, 0, 0)
-	_, err := f.WriteAt(make([]byte, 2<<20), 0)
-	if err != fserr.ErrNoSpace {
-		t.Fatalf("overfill = %v", err)
+	f, _ := root.Create("partial", 0o644, 0, 0)
+	free := fs.Statfs().BlocksFree
+	data := bytes.Repeat([]byte("partial!"), 256<<10)
+	n, err := f.WriteAt(data, off)
+	size := int64(0) // the file was empty
+	if n > 0 {
+		size = off + int64(n)
 	}
-	// The filesystem stays usable.
-	if err := root.Unlink("filler"); err != nil {
+	got := make([]byte, len(data))
+	m, rerr := f.ReadAt(got, off)
+	if !errors.Is(err, want) || n == len(data) || f.Stat().Size != size || m != n || !bytes.Equal(got[:m], data[:n]) {
+		t.Fatalf("write %d bytes (%v), want a short write failing with %v; size %d, want %d; read back %d bytes (%v)",
+			n, err, want, f.Stat().Size, size, m, rerr)
+	}
+	if err := root.Unlink("partial"); err != nil {
 		t.Fatal(err)
 	}
+	if after := fs.Statfs().BlocksFree; after != free {
+		t.Fatalf("%d blocks free after unlink, %d before the write", after, free)
+	}
+	return root
+}
+
+func TestENOSPC(t *testing.T) {
+	root := partialWrite(t, 1, 0, 0, fserr.ErrNoSpace) // 256 blocks
+	// The filesystem stays usable.
 	f2, _ := root.Create("small", 0o644, 0, 0)
 	if _, err := f2.WriteAt([]byte("ok"), 0); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPartialWriteDeviceError: a device error part-way through a
+// write, on the full-block path (which skips zeroing) and on the
+// zeroing of a partial block's fresh allocation.
+func TestPartialWriteDeviceError(t *testing.T) {
+	partialWrite(t, 4, 2, 0, errDataWrite)
+	partialWrite(t, 4, 1, 100, errDataWrite)
 }
 
 func TestQuotaAccounting(t *testing.T) {

@@ -292,7 +292,7 @@ func (c *CasBlock) WriteAt(off int64, buf []byte) error {
 			}
 		}
 		copy(data[po:], buf[:chunk])
-		if allZero(data) {
+		if mem.AllZero(data) {
 			// Zero pages are holes, not stored chunks.
 			if old != 0 {
 				c.cas.free(old)
@@ -305,16 +305,6 @@ func (c *CasBlock) WriteAt(off int64, buf []byte) error {
 		off += int64(chunk)
 	}
 	return nil
-}
-
-// allZero reports whether b holds only zero bytes.
-func allZero(b []byte) bool {
-	for _, x := range b {
-		if x != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Flush implements BlockBackend.
